@@ -8,6 +8,20 @@ that matters — queue occupancy at enqueue time, arbiter choices, DevTLB
 mutation order, and the in-flight byte window that produces the paper's
 congestion behavior.
 
+Replay is gated on its next event.  ``_wake`` is a lower bound on the
+next time :meth:`DsaDevice.advance_to` can change state: the earliest
+in-flight completion, or the earliest batch-buffer ``available_time``
+later than the last dispatch pass (infinity when idle).  Every full
+``advance_to`` pass and every accepted :meth:`DsaDevice.submit`
+recompute it, and ``advance_to(t)`` with ``t < _wake`` only moves the
+replay cursor.  Configuration changes (``configure_group``,
+``configure_wq``) reset it to 0.  So does :meth:`DsaDevice.disable_wq`:
+removing work usually leaves a stale bound that is merely conservative,
+but aborting a queued ``DRAIN`` (which waits for an idle engine) can
+free a processing unit for work behind it before the bound.  Tearing
+down an empty queue (``queue_space.remove``) changes no dispatch
+candidate and leaves the bound valid.
+
 Work-queue/engine topology follows the real device's *group* concept: a
 group is a set of work queues feeding a set of engines.  Cross-group
 resources never interact (which is what experiment E2 demonstrates for the
@@ -16,6 +30,7 @@ DevTLB at the engine level).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +190,7 @@ class DsaDevice:
         self._ticket_sequence = 0
         self._pending_work = 0  # entries awaiting dispatch (fast-path gate)
         self._time = 0
+        self._wake: float = 0  # next possible replay event (module docstring)
         self.interrupt_log: list[InterruptEvent] = []
         self.fault_injector = None
         self.invariant_monitor = None
@@ -194,6 +210,7 @@ class DsaDevice:
                         f"engine {engine_id} already belongs to group {other.group_id}"
                     )
         self._groups[group_id] = GroupConfig(group_id=group_id, engine_ids=engine_ids)
+        self._wake = 0
 
     def configure_wq(self, wq_config: WorkQueueConfig) -> WorkQueue:
         """Create a virtual work queue (its group must exist)."""
@@ -201,7 +218,9 @@ class DsaDevice:
             raise QueueConfigurationError(
                 f"WQ {wq_config.wq_id} references unknown group {wq_config.group_id}"
             )
-        return self.queue_space.configure(wq_config)
+        queue = self.queue_space.configure(wq_config)
+        self._wake = 0
+        return queue
 
     def bind_process(self, pasid: int, address_space) -> None:
         """Install a PASID → page-table binding (device open path)."""
@@ -278,6 +297,7 @@ class DsaDevice:
                 "submit", time, wq_id=wq_id, pasid=descriptor.pasid, accepted=1
             )
         self._dispatch_ready(time)
+        self._wake = self._next_wake(time)
         return False, ticket
 
     # ------------------------------------------------------------------
@@ -287,26 +307,45 @@ class DsaDevice:
         """Replay dispatch and retirement up to *time*."""
         if time < self._time:
             return
+        if time < self._wake:
+            self._time = time
+            return
         while True:
             self._dispatch_ready(time)
             next_completion = self._next_completion_time()
-            if next_completion is None or next_completion > time:
+            if next_completion > time:
                 break
             self._retire_at(next_completion)
         self._time = time
+        self._wake = self._next_wake(time)
 
-    def _next_completion_time(self) -> int | None:
-        best: int | None = None
+    def _next_completion_time(self) -> float:
+        """Earliest in-flight completion, or infinity when every engine is idle."""
+        best = math.inf
         for engine in self.engines.values():
-            candidate = engine.next_completion_time()
-            if candidate is not None and (best is None or candidate < best):
-                best = candidate
+            for item in engine.inflight:
+                if item.completion_time < best:
+                    best = item.completion_time
         return best
+
+    def _next_wake(self, limit: int) -> float:
+        """Lower bound on the next replay event after a dispatch pass at *limit*.
+
+        Until then every engine's arbiter choice stays blocked or empty:
+        no descriptor retires and no batch child becomes available.
+        """
+        wake = self._next_completion_time()
+        for buffer in self._batch_buffers.values():
+            for entry in buffer:
+                if limit < entry.available_time < wake:
+                    wake = entry.available_time
+        return wake
 
     def _retire_at(self, time: int) -> None:
         for engine in self.engines.values():
-            for token in engine.retire_due(time):
-                self._complete_ticket(token, time)
+            if engine.inflight:
+                for token in engine.retire_due(time):
+                    self._complete_ticket(token, time)
 
     def _complete_ticket(self, ticket: SubmissionTicket, time: int) -> None:
         """Write the completion record, free the WQ slot, resolve batches."""
@@ -557,6 +596,7 @@ class DsaDevice:
                 ticket.completion_time = self._time
                 ticket.record = record
             aborted += 1
+        self._wake = 0
         if self.invariant_monitor is not None:
             self.invariant_monitor.note(
                 "drain", self._time, wq_id=wq_id, aborted=aborted

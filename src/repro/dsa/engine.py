@@ -172,12 +172,6 @@ class Engine:
         self.inflight = [item for item in self.inflight if item.completion_time > time]
         return [item.token for item in sorted(done, key=lambda i: i.completion_time)]
 
-    def next_completion_time(self) -> int | None:
-        """Earliest pending completion, or ``None`` when idle."""
-        if not self.inflight:
-            return None
-        return min(item.completion_time for item in self.inflight)
-
     @property
     def busy(self) -> bool:
         """Whether any processing unit is occupied."""

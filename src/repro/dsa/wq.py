@@ -186,6 +186,7 @@ class HardwareQueueSpace:
             raise QueueConfigurationError("hardware queue needs at least one entry")
         self.total_entries = total_entries
         self._queues: dict[int, WorkQueue] = {}
+        self._ordered: tuple[WorkQueue, ...] = ()
 
     def configure(self, config: WorkQueueConfig) -> WorkQueue:
         """Create a virtual queue, enforcing the storage budget."""
@@ -199,12 +200,17 @@ class HardwareQueueSpace:
             )
         queue = WorkQueue(config)
         self._queues[config.wq_id] = queue
+        self._reorder()
         return queue
 
     def remove(self, wq_id: int) -> None:
         """Tear down a virtual queue and release its storage."""
         if self._queues.pop(wq_id, None) is None:
             raise QueueConfigurationError(f"WQ {wq_id} is not configured")
+        self._reorder()
+
+    def _reorder(self) -> None:
+        self._ordered = tuple(self._queues[k] for k in sorted(self._queues))
 
     def get(self, wq_id: int) -> WorkQueue:
         """Return the virtual queue *wq_id*."""
@@ -213,9 +219,9 @@ class HardwareQueueSpace:
             raise QueueConfigurationError(f"WQ {wq_id} is not configured")
         return queue
 
-    def queues(self) -> list[WorkQueue]:
+    def queues(self) -> tuple[WorkQueue, ...]:
         """All configured queues, by id."""
-        return [self._queues[k] for k in sorted(self._queues)]
+        return self._ordered
 
     @property
     def entries_configured(self) -> int:

@@ -396,6 +396,17 @@ class TimelineChecker(InvariantChecker):
                 f"device replay time {now} ran ahead of the shared TSC"
                 f" at {clock.now}",
             )
+        # Replay retires everything due by its time, so a descriptor still
+        # in flight past its completion means advance_to skipped an event.
+        for engine in device.engines.values():
+            for item in engine.inflight:
+                if item.completion_time <= now:
+                    monitor.fail(
+                        self.name,
+                        f"engine {engine.engine_id} still holds a descriptor"
+                        f" due at {item.completion_time} at device replay"
+                        f" time {now}: replay skipped its retirement",
+                    )
 
 
 def default_checkers(

@@ -38,6 +38,9 @@ FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
         ),
         # Dispatch gate: entries awaiting dispatch across all queues.
         "_pending_work": ("repro.dsa.device",),
+        # Replay gate: lower bound on the next replay event; an outside
+        # write could make advance_to skip a dispatch or retirement.
+        "_wake": ("repro.dsa.device",),
         # Exactly-once completion: only the device writes records and
         # ticket lifecycle timestamps.
         "record": ("repro.dsa.device",),

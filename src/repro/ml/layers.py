@@ -13,12 +13,8 @@ import numpy as np
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    expx = np.exp(x[~positive])
-    out[~positive] = expx / (1.0 + expx)
-    return out
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -6,6 +6,8 @@ and asserts the matching checker trips with its own ``invariant`` name;
 the negative cases run genuine workloads and assert silence.
 """
 
+import math
+
 import pytest
 
 from repro.ats.devtlb import FieldType
@@ -275,3 +277,19 @@ class TestTimeline:
         host.clock.advance(10_000)
         host.device.advance_to(host.clock.now)
         monitor.check_all()
+
+    def test_skipped_retirement_trips(self, host):
+        monitor = _attached(host)
+        proc = host.new_process()
+        src, dst = proc.buffer(1 << 16), proc.buffer(1 << 16)
+        ticket = proc.portal.submit(
+            make_memcpy(proc.pasid, src, dst, 1 << 16, proc.comp_record())
+        )
+        assert host.device.engines[0].inflight, "copy should still be in flight"
+        host.device._wake = math.inf  # a replay gate set past the completion
+        host.clock.advance_to(ticket.completion_time + 1_000)
+        host.device.advance_to(host.clock.now)
+        with pytest.raises(InvariantViolation) as info:
+            monitor.check_all()
+        assert info.value.invariant == "timeline"
+        assert "skipped" in str(info.value)

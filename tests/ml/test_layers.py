@@ -44,6 +44,26 @@ class TestActivations:
         assert s[2] == pytest.approx(0.5)
         assert not np.any(np.isnan(s))
 
+    def test_sigmoid_is_bit_identical_to_masked_formula(self):
+        def masked(x):
+            out = np.empty_like(x)
+            positive = x >= 0
+            out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+            expx = np.exp(x[~positive])
+            out[~positive] = expx / (1.0 + expx)
+            return out
+
+        rng = np.random.default_rng(3)
+        for x in (
+            rng.normal(size=(8, 16, 32)) * 10,
+            rng.uniform(-800, 800, size=1000),
+            np.array([0.0, -0.0, 745.0, -745.0]),
+        ):
+            assert sigmoid(x).tobytes() == masked(x).tobytes()
+        # NaN stays NaN (only its sign bit may differ).
+        edges = np.array([0.0, -0.0, 745.0, -745.0, np.nan])
+        assert np.array_equal(sigmoid(edges), masked(edges), equal_nan=True)
+
     def test_softmax_rows_sum_to_one(self):
         x = np.random.default_rng(0).normal(size=(4, 7)) * 50
         p = softmax(x, axis=1)

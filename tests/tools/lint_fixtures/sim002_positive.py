@@ -27,6 +27,10 @@ def hand_wired_monitor(device, monitor) -> None:
     device.invariant_monitor = monitor
 
 
+def force_replay_gate(device) -> None:
+    device._wake = float("inf")
+
+
 class UnrelatedLedger:
     """A non-owner class declaring a same-named private attribute."""
 
@@ -36,3 +40,11 @@ class UnrelatedLedger:
         # Deliberately NOT in expected.json.
         self._entries = {}
         self.invariant_monitor = None  # declaration idiom: allowed
+
+    def _wake(self, fut) -> None:
+        fut.set_result(None)
+
+    def resume(self, fut) -> None:
+        # Calling a method named like a guarded field writes nothing
+        # (cf. DeviceTimeLoop._wake).  Deliberately NOT in expected.json.
+        self._wake(fut)
