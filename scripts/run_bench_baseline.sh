@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Record the parallel-scaling baseline: the fig09 covert plan at 1/2/4
-# workers, written to BENCH_parallel.json at the repo root (the first
-# tracked BENCH_* artifact).  Run on a >= 4-core machine to enforce the
-# 2.5x speedup target; on fewer cores the run records measured numbers
-# and bounds the sharding overhead instead.
+# workers on the worker pool, plus the warm-vs-cold pool reuse lane,
+# written to BENCH_parallel.json at the repo root.  Run on a >= 4-core
+# machine to enforce the 2.5x speedup target; on fewer cores the run
+# records measured numbers and bounds the pool overhead instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -25,7 +25,14 @@ python -m repro.experiments "${sweep[@]}" --run-dir "$workdir/ref" >/dev/null
 echo "== interrupted run (SIGTERM mid-sweep) =="
 python -m repro.experiments "${sweep[@]}" --run-dir "$workdir/int" >/dev/null 2>&1 &
 pid=$!
-sleep 1
+# Start-up and imports can take longer than a fixed sleep: wait until the
+# run has checkpointed its manifest, so the SIGTERM lands mid-sweep.
+for _ in $(seq 1200); do
+    [[ -f "$workdir/int/manifest.json" ]] && break
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.05
+done
+sleep 0.5
 kill -TERM "$pid" 2>/dev/null || true
 rc=0
 wait "$pid" || rc=$?

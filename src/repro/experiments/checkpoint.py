@@ -330,8 +330,8 @@ class CheckpointJournal:
     def entries(self) -> Iterator[JournalEntry]:
         """Entries in plan-index order.
 
-        Index order (not append order) is the canonical order: a sharded
-        parallel run journals trials as workers finish them, and sorting
+        Index order (not append order) is the canonical order: a pooled
+        run journals trials as workers finish them, and sorting
         here is what makes its journal — and everything derived from it,
         like :func:`~repro.experiments.wf_common.dataset_from_run_dir` —
         byte-identical to a serial run's.
@@ -404,7 +404,7 @@ class CheckpointJournal:
     ) -> JournalEntry:
         """Journal a failure from its summary strings.
 
-        The sharded executor reports failures across a process boundary
+        The worker pool reports failures across a process boundary
         as ``(type name, message)`` rather than exception objects; this
         writes the same record :meth:`record_failure` would.
         """

@@ -21,6 +21,7 @@ from repro.core.calibration import calibrate_threshold
 from repro.core.primitives import Prober
 from repro.experiments.runner import (
     ExperimentPlan,
+    PlanHandle,
     TrialSpec,
     execute_plan,
     require_all,
@@ -155,10 +156,9 @@ def report(result: Fig4Result) -> str:
         + f"\nCloud+Noise shift vs Local: {result.cloud_noise_shift:+.0f} cycles "
         f"(paper: ~+89)"
     )
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

@@ -26,6 +26,7 @@ from repro.analysis.reporting import format_table
 from repro.dsa.descriptor import make_memcpy
 from repro.experiments.runner import (
     ExperimentPlan,
+    PlanHandle,
     TrialSpec,
     execute_plan,
     require_all,
@@ -225,10 +226,9 @@ def report(result: Fig6Result) -> str:
         f"completion monotone: {result.completion_is_monotone}; "
         f"contention threshold: {threshold_text} (paper: 2^25)"
     )
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

@@ -18,7 +18,7 @@ from repro.covert.channel import (
     run_swq_covert_channel,
 )
 from repro.covert.protocol import CovertConfig
-from repro.experiments.runner import ExperimentPlan, TrialSpec, execute_plan
+from repro.experiments.runner import ExperimentPlan, PlanHandle, TrialSpec, execute_plan
 
 #: Bit windows swept for the DevTLB channel (us).
 DEVTLB_WINDOWS_US = (150.0, 100.0, 60.0, 42.5, 32.0, 25.0)
@@ -193,10 +193,9 @@ def report(result: Fig9Result) -> str:
         + f"\nSWQ peak:    {swq.true_bps / 1e3:.2f} kbps @ "
         f"{swq.error_rate * 100:.2f}% (paper: 4.02 kbps @ 13.11%)"
     )
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

@@ -14,6 +14,7 @@ import numpy as np
 from repro.analysis.reporting import format_series
 from repro.experiments.runner import (
     ExperimentPlan,
+    PlanHandle,
     TrialSpec,
     execute_plan,
     require_all,
@@ -106,10 +107,9 @@ def report(result: Fig10Result) -> str:
         lines.append(format_series(xs, ys, name))
     lines.append(f"signatures distinguishable: {result.signatures_differ}")
     return "\n".join(lines)
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.experiments.runner import ExperimentPlan, execute_plan
+from repro.experiments.runner import ExperimentPlan, PlanHandle, execute_plan
 from repro.experiments.wf_common import (
     WfSamplerSettings,
     assemble_website_dataset,
@@ -153,10 +153,9 @@ def report(result: Fig11Result) -> str:
     lines.append("hardest classes:")
     lines.append(format_table(["site", "recall", "test traces"], rows))
     return "\n".join(lines)
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

@@ -16,7 +16,7 @@ from repro.analysis.reporting import format_table
 from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.core.sampling import DevTlbSampler, SamplerConfig
 from repro.errors import InsufficientTrialsError
-from repro.experiments.runner import ExperimentPlan, TrialSpec, execute_plan
+from repro.experiments.runner import ExperimentPlan, PlanHandle, TrialSpec, execute_plan
 from repro.hw.noise import Environment
 from repro.ml.baseline import NearestCentroidClassifier
 from repro.ml.metrics import accuracy, confusion_matrix
@@ -214,10 +214,9 @@ def report(result: Fig13Result) -> str:
         format_table(["model", "mean misses/slot", "peak", "active slots"], rows)
     )
     return "\n".join(lines)
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

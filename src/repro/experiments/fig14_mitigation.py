@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.analysis.reporting import format_table
 from repro.experiments.runner import (
     ExperimentPlan,
+    PlanHandle,
     TrialSpec,
     execute_plan,
     require_all,
@@ -134,10 +135,9 @@ def report(result: Fig14Result) -> str:
         f"(paper: 15.7%), dto {result.max_overhead('dto'):.1f}% (paper: 17.9%); "
         f"shrinks with size: {result.overhead_shrinks_with_size}"
     )
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

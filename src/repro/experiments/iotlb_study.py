@@ -24,6 +24,7 @@ from repro.analysis.reporting import format_table
 from repro.core.primitives import Prober
 from repro.experiments.runner import (
     ExperimentPlan,
+    PlanHandle,
     TrialSpec,
     execute_plan,
     require_all,
@@ -153,10 +154,9 @@ def report(result: IotlbStudyResult) -> str:
         f"(configured: {result.configured_capacity}); "
         f"knee brackets configuration: {result.knee_matches_configuration}"
     )
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

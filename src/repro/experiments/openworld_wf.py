@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.experiments.runner import ExperimentPlan, execute_plan
+from repro.experiments.runner import ExperimentPlan, PlanHandle, execute_plan
 from repro.experiments.wf_common import (
     WfSamplerSettings,
     assemble_website_dataset,
@@ -171,10 +171,9 @@ def report(result: OpenWorldWfResult) -> str:
         f"unmonitored: {', '.join(result.unmonitored_sites)}\n"
         + format_table(["metric", "value"], rows)
     )
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

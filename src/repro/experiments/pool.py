@@ -1,10 +1,12 @@
 """Self-healing persistent worker pool for experiment plans.
 
-:mod:`repro.experiments.parallel` (PR-5) proved the sharded executor can
-be *observation equivalent* to the serial loop — but it pays interpreter
-spawn + plan rebuild on every run, which on small hosts makes it slower
-than serial (``BENCH_parallel.json``).  This module keeps the
-equivalence contract and fixes the economics:
+Every DSAssassin artifact is a sweep of independent, deterministic
+trials (a trial's randomness derives from the run seed and its own key,
+never from execution order).  This module runs such an
+:class:`~repro.experiments.runner.ExperimentPlan` across worker
+processes while staying *observation equivalent* to the serial loop in
+:func:`~repro.experiments.runner.run_experiment`, and without paying
+interpreter start + plan rebuild on every run:
 
 * **Persistent fork-server workers** — one long-lived process per pool
   slot (``forkserver`` start method, ``spawn`` fallback), reused across
@@ -33,8 +35,9 @@ equivalence contract and fixes the economics:
   loop, because it is the serial loop.
 
 Equivalence contract: a pool run's journal, manifest, and finalized
-artifact are byte-identical to a serial run's (same helpers as PR-5:
-journals written in plan-index order; manifests carry the same counts),
+artifact are byte-identical to a serial run's (the serial loop's
+checkpoint helpers: journal entries iterate in plan-index order;
+manifests carry the same counts),
 and ``--resume`` works across worker-count changes *and* across a pool
 restart (the journal is addressed by trial key).  See
 ``docs/parallel.md`` for the supervision state machine and
@@ -56,8 +59,9 @@ import struct
 import time
 import traceback
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.errors import (
     ConfigurationError,
@@ -66,7 +70,6 @@ from repro.errors import (
     PoolProtocolError,
     ReproError,
 )
-from repro.experiments import parallel as _parallel_mod
 from repro.experiments.checkpoint import (
     STATUS_DEADLINE,
     STATUS_INSUFFICIENT,
@@ -77,15 +80,6 @@ from repro.experiments.checkpoint import (
     RunManifest,
 )
 from repro.experiments.guard import TrialFailure, run_guarded_trials
-from repro.experiments.parallel import (
-    SHARD_STRATEGIES,
-    STOP_PARALLEL,
-    WorkerContext,
-    _BREAKER_SEVERITY,
-    _PINNED_HASH_SEED,
-    _coerce_plan_source,
-    _rebuild_violation,
-)
 from repro.experiments.runner import (
     STOP_DEADLINE,
     BreakerConfig,
@@ -93,6 +87,7 @@ from repro.experiments.runner import (
     ExperimentPlan,
     RunOutcome,
     Watchdog,
+    _coerce_plan_source,
     _ordered_successes,
     insufficient_error,
     monotonic_clock,
@@ -119,9 +114,12 @@ from repro.invariants.pool import PoolStateChecker
 __all__ = [
     "FrameAssembler",
     "ShmRing",
+    "WorkerContext",
     "WorkerPool",
+    "current_fault_injector",
     "get_pool",
     "run_pool_experiment",
+    "shard_interleave",
     "shutdown_pools",
 ]
 
@@ -140,6 +138,91 @@ _MSG_SHARD_DONE = "pool-shard-done"
 _MSG_INVARIANT = "pool-invariant"
 _MSG_INTERRUPTED = "pool-interrupted"
 _MSG_CRASHED = "pool-crashed"
+
+#: Guard ``stop`` reason inside workers when the parent trips the shared
+#: stop event (deadline, invariant elsewhere, interrupt).
+_STOP_POOL = "pool-stop"
+
+#: Hash seed pinned into worker interpreters (when the parent has none),
+#: so workers never diverge on ``hash()``-dependent iteration that a
+#: DET003 gap might let slip through.
+_PINNED_HASH_SEED = "0"
+
+#: Breaker states by severity: the manifest records the worst state any
+#: worker's breaker reached.
+_BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
+
+
+def shard_interleave(indices: Sequence[int], workers: int) -> list[list[int]]:
+    """Round-robin partition: shard *w* gets ``indices[w::workers]``.
+
+    Heterogeneous trial costs (e.g. fig09's window sweep, where small
+    bit windows run longer) spread evenly across shards.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return [list(indices[w::workers]) for w in range(workers)]
+
+
+def _rebuild_violation(
+    payload: bytes | None, summary: dict[str, Any]
+) -> InvariantViolation:
+    """The worker's violation, unpickled — or reconstructed from its
+    summary fields when the full object cannot cross the process
+    boundary (e.g. an unpicklable snapshot value)."""
+    if payload is not None:
+        try:
+            exc = pickle.loads(payload)
+            if isinstance(exc, InvariantViolation):
+                return exc
+        except (pickle.UnpicklingError, TypeError, AttributeError,
+                EOFError, ImportError):
+            pass
+    return InvariantViolation(
+        message=summary.get("message", ""),
+        invariant=summary.get("invariant", ""),
+        seed=summary.get("seed"),
+        repro=summary.get("repro", ""),
+    )
+
+
+# ----------------------------------------------------------------------
+# Worker-side context
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class WorkerContext:
+    """What a trial can learn about the worker process executing it."""
+
+    fault_injector: Any = None
+
+
+_WORKER_CONTEXT: WorkerContext | None = None
+
+
+def _set_worker_context(context: WorkerContext | None) -> WorkerContext | None:
+    """Install *context* for the trials that run next; returns the
+    previous one."""
+    global _WORKER_CONTEXT
+    previous = _WORKER_CONTEXT
+    # Intentional per-process singleton: written only between runs
+    # (before any trial of the run starts) and only ever read by
+    # current_fault_injector() — divergence across workers is the
+    # point, each worker must see its *own* injector.
+    _WORKER_CONTEXT = context  # repro-lint: ignore[PAR101]
+    return previous
+
+
+def current_fault_injector() -> Any:
+    """The executing worker's per-process
+    :class:`~repro.faults.injector.FaultInjector` (built from
+    ``plan.fault_plan``), or ``None`` outside a pool run / without a
+    plan.
+
+    Trial code that fires chaos faults under ``workers > 1`` uses this
+    instead of a closed-over injector, so the fired-versus-acknowledged
+    audit stays inside the worker that fired the fault.
+    """
+    return _WORKER_CONTEXT.fault_injector if _WORKER_CONTEXT else None
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +460,6 @@ def _worker_begin_run(
     command: tuple,
     plans: dict[str, ExperimentPlan],
     worker_id: int,
-    workers: int,
     send: Callable[..., None],
 ) -> "_WorkerRun | None":
     """Handle a ``run`` command: (re)build the plan, arm the injector."""
@@ -404,9 +486,7 @@ def _worker_begin_run(
         if injector is not None:
             for site in POOL_SITES:
                 injector.register_site(site, f"pool-worker-{worker_id}")
-        _parallel_mod._WORKER_CONTEXT = WorkerContext(
-            worker_id=worker_id, workers=workers, fault_injector=injector
-        )
+        _set_worker_context(WorkerContext(fault_injector=injector))
         run = _WorkerRun(
             run_id=run_id,
             plan=plan,
@@ -492,7 +572,7 @@ def _worker_run_shard(
         return wrapped
 
     def stop() -> str | None:
-        return STOP_PARALLEL if stop_event.is_set() else None
+        return _STOP_POOL if stop_event.is_set() else None
 
     def skip_trial(local: int) -> str | None:
         index = indices[local]
@@ -558,7 +638,6 @@ def _worker_run_shard(
 
 def _pool_worker_main(
     worker_id: int,
-    workers: int,
     conn: Any,
     ring_name: str,
     ring_lock: Any,
@@ -613,9 +692,7 @@ def _pool_worker_main(
                 if verb == "exit":
                     return
                 if verb == "run":
-                    run = _worker_begin_run(
-                        command, plans, worker_id, workers, send
-                    )
+                    run = _worker_begin_run(command, plans, worker_id, send)
                 elif verb == "shard":
                     _worker_run_shard(
                         command, run, worker_id, board, stop_event, config,
@@ -697,8 +774,8 @@ class WorkerPool:
         self.workers = workers
         self.config = config or PoolConfig()
         self.cost_model = CostModel()
-        # Long-lived interpreters must agree on hash() with any spawn
-        # executor children and with the parent.
+        # Long-lived interpreters must agree on hash() with each other
+        # and with the parent.
         os.environ.setdefault("PYTHONHASHSEED", _PINNED_HASH_SEED)
         try:
             self._ctx = multiprocessing.get_context("forkserver")
@@ -781,7 +858,6 @@ class WorkerPool:
         plan: ExperimentPlan,
         *,
         plan_source: Callable[[], ExperimentPlan] | None = None,
-        shard_strategy: str = "interleave",
         run_dir: str | Path | None = None,
         resume: bool = False,
         deadline_s: float | None = None,
@@ -797,11 +873,6 @@ class WorkerPool:
         """
         if self.closed:
             raise PoolError("worker pool is closed")
-        if shard_strategy not in SHARD_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown shard strategy {shard_strategy!r}; "
-                f"choose from {sorted(SHARD_STRATEGIES)}"
-            )
         source = _coerce_plan_source(plan, plan_source)
         started = monotonic_clock()
         journal: CheckpointJournal | None = None
@@ -971,10 +1042,7 @@ class WorkerPool:
                             index, key, failure.error, elapsed_s=elapsed_s
                         )
 
-            token = _parallel_mod._WORKER_CONTEXT
-            _parallel_mod._WORKER_CONTEXT = WorkerContext(
-                worker_id=0, workers=1, fault_injector=injector
-            )
+            token = _set_worker_context(WorkerContext(fault_injector=injector))
             inline_status: str | None = None
             inline_error: Exception | None = None
             guarded: Any = None
@@ -995,7 +1063,7 @@ class WorkerPool:
                 inline_status = STATUS_INVARIANT
                 inline_error = exc
             finally:
-                _parallel_mod._WORKER_CONTEXT = token
+                _set_worker_context(token)
             breaker_skips += circuit.skipped
             breaker_events.extend(circuit.events)
             if (
@@ -1032,14 +1100,11 @@ class WorkerPool:
                 1,
                 min(len(pending), self.workers * self.config.shards_per_worker),
             )
+            # shard_count <= len(pending), so no interleaved shard is empty.
             queue: collections.deque[_Shard] = collections.deque(
                 _Shard(shard_id, chunk)
                 for shard_id, chunk in enumerate(
-                    chunk
-                    for chunk in SHARD_STRATEGIES[shard_strategy](
-                        pending, shard_count
-                    )
-                    if chunk
+                    shard_interleave(pending, shard_count)
                 )
             )
             next_shard_id = len(queue)
@@ -1064,7 +1129,7 @@ class WorkerPool:
                 process = self._ctx.Process(
                     target=_pool_worker_main,
                     args=(
-                        member.worker_id, self.workers, child_conn,
+                        member.worker_id, child_conn,
                         ring.name, ring.lock, ring.capacity,
                         self._board.name, self.workers,
                         self._stop_event, self.config,
@@ -1570,7 +1635,6 @@ def run_pool_experiment(
     *,
     plan_source: Callable[[], ExperimentPlan] | None = None,
     workers: int = 2,
-    shard_strategy: str = "interleave",
     run_dir: str | Path | None = None,
     resume: bool = False,
     deadline_s: float | None = None,
@@ -1581,11 +1645,9 @@ def run_pool_experiment(
 ) -> RunOutcome:
     """Execute *plan* on the process-wide persistent pool.
 
-    The pool-executor twin of
-    :func:`~repro.experiments.parallel.run_parallel_experiment`; prefer
-    ``run_experiment(..., workers=N, executor="auto"|"pool")``, which
-    delegates here.  ``executor="pool"`` forces pooled execution even
-    when the cost model would degrade to the inline serial loop.
+    Prefer ``run_experiment(..., workers=N, executor="auto"|"pool")``,
+    which delegates here.  ``executor="pool"`` forces pooled execution
+    even when the cost model would degrade to the inline serial loop.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -1599,7 +1661,6 @@ def run_pool_experiment(
     return pool.run(
         plan,
         plan_source=plan_source,
-        shard_strategy=shard_strategy,
         run_dir=run_dir,
         resume=resume,
         deadline_s=deadline_s,

@@ -28,6 +28,7 @@ from repro.dsa.descriptor import BatchDescriptor, make_memcpy, make_noop
 from repro.dsa.perfmon import Perfmon
 from repro.experiments.runner import (
     ExperimentPlan,
+    PlanHandle,
     TrialSpec,
     execute_plan,
     require_all,
@@ -394,10 +395,9 @@ def report(results: ReverseEngineeringResults) -> str:
         status = "reproduced" if observed else "NOT REPRODUCED"
         lines.append(f"  [{status}] {name}: {results.details[name]}")
     return "\n".join(lines)
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

@@ -56,13 +56,16 @@ from __future__ import annotations
 import contextlib
 import enum
 import hashlib
+import importlib
+import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import (
     CheckpointError,
+    ConfigurationError,
     InsufficientTrialsError,
     InvariantViolation,
     ReproError,
@@ -204,6 +207,55 @@ class ExperimentPlan:
     def hash(self) -> str:
         """Hash of the configuration (what ``--resume`` validates)."""
         return config_hash(self.config)
+
+
+@dataclass(frozen=True)
+class PlanHandle:
+    """A picklable recipe for rebuilding an experiment plan in a worker.
+
+    ``PlanHandle("repro.experiments.fig09_covert", {"runs": 1})`` imports
+    the module and calls its ``trial_plan(**overrides)`` hook.  Every
+    experiment module exposes a ``plan_source(**overrides)`` convenience
+    returning exactly this.
+    """
+
+    module: str
+    overrides: Mapping[str, Any] = field(default_factory=dict)
+
+    def __call__(self) -> ExperimentPlan:
+        mod = importlib.import_module(self.module)
+        return mod.trial_plan(**dict(self.overrides))
+
+
+@dataclass(frozen=True)
+class _PickledPlan:
+    """Fallback plan source: the plan itself, serialized.
+
+    Only viable for plans whose trial callables pickle (module-level
+    functions, ``functools.partial`` of them); plans built from lambdas
+    need a :class:`PlanHandle` / factory instead.
+    """
+
+    payload: bytes
+
+    def __call__(self) -> ExperimentPlan:
+        return pickle.loads(self.payload)
+
+
+def _coerce_plan_source(
+    plan: ExperimentPlan, plan_source: Callable[[], ExperimentPlan] | None
+) -> Callable[[], ExperimentPlan]:
+    if plan_source is not None:
+        return plan_source
+    try:
+        return _PickledPlan(pickle.dumps(plan, protocol=4))
+    except (pickle.PicklingError, TypeError, AttributeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"plan {plan.name!r} does not pickle ({type(exc).__name__}: "
+            f"{exc}); pass plan_source= — e.g. the experiment module's "
+            "plan_source(**overrides) hook or any picklable zero-argument "
+            "factory — so workers can rebuild it"
+        ) from exc
 
 
 def spawn_trial_seed(run_seed: int, key: str) -> int:
@@ -405,8 +457,8 @@ def prepare_checkpoint(
 
     Returns ``(manifest, journal, resumed_results, resumed_failed)`` with
     the manifest already stamped ``running`` and saved.  Shared by the
-    serial loop below and the sharded executor in
-    :mod:`repro.experiments.parallel`, so both produce (and validate)
+    serial loop below and the worker pool in
+    :mod:`repro.experiments.pool`, so both produce (and validate)
     identical on-disk state.
     """
     resumed_results: dict[str, Any] = {}
@@ -485,7 +537,7 @@ def insufficient_error(
     """The standard below-floor error, with the first failures inlined.
 
     *failures* entries are ``(index, error_type_name, message)`` — plain
-    values rather than exception objects so the sharded executor can
+    values rather than exception objects so the worker pool can
     report failures that happened in another process.
     """
     detail = "; ".join(
@@ -509,8 +561,7 @@ def run_experiment(
     catch: tuple[type[Exception], ...] = (ReproError,),
     fault_injector: Any = None,
     workers: int = 1,
-    shard_strategy: str = "interleave",
-    plan_source: Callable[[], "ExperimentPlan"] | None = None,
+    plan_source: Callable[[], ExperimentPlan] | None = None,
     executor: str = "auto",
 ) -> RunOutcome:
     """Execute *plan* under supervision; never raises for expected
@@ -520,31 +571,22 @@ def run_experiment(
     continued from a previous segment.  Without it, the run is in-memory
     only — same loop, no persistence.
 
-    With ``workers > 1`` the plan's trials are partitioned across worker
-    processes by *shard_strategy*; *plan_source* must then be a
-    picklable zero-argument plan factory (e.g. a
-    :class:`~repro.experiments.parallel.PlanHandle`) unless the plan
-    itself pickles.  A parallel run is observation-equivalent to this
-    serial loop: same journal, same manifest, same finalized artifact
-    (see ``docs/parallel.md``).
+    With ``workers > 1`` the plan's trials run on the supervised worker
+    pool (:mod:`repro.experiments.pool`); *plan_source* must then be a
+    picklable zero-argument plan factory (e.g. a :class:`PlanHandle`)
+    unless the plan itself pickles.  A parallel run is
+    observation-equivalent to this serial loop: same journal, same
+    manifest, same finalized artifact (see ``docs/parallel.md``).
 
-    *executor* picks the multi-process engine:
-
-    ``"auto"``
-        The supervised persistent pool (:mod:`repro.experiments.pool`),
-        which degrades to the serial loop in-process when its cost model
-        says parallelism doesn't pay on this host.
-    ``"pool"``
-        The persistent pool, unconditionally (no cost-model degrade).
-    ``"spawn"``
-        The one-shot spawn-per-run executor
-        (:mod:`repro.experiments.parallel`).
+    *executor* is ``"auto"`` (the pool degrades to the serial loop
+    in-process when its cost model says parallelism doesn't pay on this
+    host) or ``"pool"`` (the pool, unconditionally).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor not in ("auto", "pool", "spawn"):
+    if executor not in ("auto", "pool"):
         raise ValueError(
-            f"executor must be 'auto', 'pool' or 'spawn', got {executor!r}"
+            f"executor must be 'auto' or 'pool', got {executor!r}"
         )
     if workers > 1:
         if fault_injector is not None:
@@ -553,27 +595,12 @@ def run_experiment(
                 "plan.fault_plan; passing a shared fault_injector across "
                 "processes is not supported"
             )
-        if executor == "spawn":
-            from repro.experiments.parallel import run_parallel_experiment
-
-            return run_parallel_experiment(
-                plan,
-                plan_source=plan_source,
-                workers=workers,
-                shard_strategy=shard_strategy,
-                run_dir=run_dir,
-                resume=resume,
-                deadline_s=deadline_s,
-                breaker=breaker,
-                catch=catch,
-            )
         from repro.experiments.pool import run_pool_experiment
 
         return run_pool_experiment(
             plan,
             plan_source=plan_source,
             workers=workers,
-            shard_strategy=shard_strategy,
             run_dir=run_dir,
             resume=resume,
             deadline_s=deadline_s,

@@ -445,7 +445,7 @@ def _on_main_thread() -> bool:
 def interrupt_shield() -> Iterator[InterruptLatch]:
     """Latch SIGINT/SIGTERM instead of raising, for critical sections.
 
-    The parallel/pool parents use this around result draining, worker
+    The pool parent uses this around result draining, worker
     teardown, and the final manifest flush: a second ctrl-C (or a
     scheduler SIGTERM racing the drain) is *recorded* on the returned
     latch — callers poll :attr:`InterruptLatch.interrupted` to cut the
@@ -483,7 +483,7 @@ def sigterm_as_interrupt() -> Iterator[None]:
     """Deliver SIGTERM as :class:`KeyboardInterrupt` for the duration.
 
     The CLI installs a process-wide equivalent; this context manager
-    gives library callers of the parallel/pool executors the same
+    gives library callers of the worker pool the same
     guarantee — a scheduler kill checkpoints exactly like ctrl-C — and
     restores the previous handler on exit.  No-op off the main thread.
     """

@@ -23,7 +23,7 @@ from repro.analysis.stats import confidence_interval_95
 from repro.covert.channel import run_devtlb_covert_channel, run_swq_covert_channel
 from repro.errors import InsufficientTrialsError
 from repro.experiments import fig11_wf_classification, fig12_keystrokes, fig13_llm
-from repro.experiments.runner import ExperimentPlan, TrialSpec, execute_plan
+from repro.experiments.runner import ExperimentPlan, PlanHandle, TrialSpec, execute_plan
 from repro.experiments.wf_common import WfSamplerSettings
 from repro.hw.noise import Environment
 
@@ -317,10 +317,9 @@ def report(result: Table3Result) -> str:
         "Table III — noise impact\n" + table +
         f"\nall noisy measurements within the quiet-local CI: {result.all_within_ci}"
     )
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

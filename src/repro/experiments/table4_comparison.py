@@ -14,6 +14,7 @@ from repro.covert.channel import run_devtlb_covert_channel, run_swq_covert_chann
 from repro.experiments import fig12_keystrokes
 from repro.experiments.runner import (
     ExperimentPlan,
+    PlanHandle,
     TrialSpec,
     execute_plan,
     require_all,
@@ -192,10 +193,9 @@ def report(result: Table4Result) -> str:
         "Table IV — comparison to prior attacks\n" + table +
         f"\nDevTLB channel fastest covert channel: {result.devtlb_fastest_covert}"
     )
-def plan_source(**overrides) -> "PlanHandle":
-    """Picklable factory for sharded runs: workers rebuild this module's
-    plan via ``trial_plan(**overrides)`` (see
-    :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import PlanHandle
 
+
+def plan_source(**overrides) -> PlanHandle:
+    """Picklable factory for multi-process runs: pool workers rebuild
+    this module's plan via ``trial_plan(**overrides)``."""
     return PlanHandle(__name__, overrides)

@@ -26,8 +26,12 @@ from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.core.sampling import DevTlbSampler, SamplerConfig
 from repro.errors import ConfigurationError, InsufficientTrialsError
 from repro.experiments.checkpoint import CheckpointJournal, RunManifest
-from repro.experiments.parallel import PlanHandle
-from repro.experiments.runner import ExperimentPlan, TrialSpec, execute_plan
+from repro.experiments.runner import (
+    ExperimentPlan,
+    PlanHandle,
+    TrialSpec,
+    execute_plan,
+)
 from repro.hw.noise import Environment
 from repro.virt.system import AttackTopology, CloudSystem
 from repro.workloads.vpp import VppVictim
@@ -165,7 +169,7 @@ def website_dataset_plan(
     finalized into the ``(x, y)`` arrays.
 
     The per-trial seeds match :func:`website_visit_trials`' global
-    enumeration, so checkpointed, resumed, serial, and sharded runs of
+    enumeration, so checkpointed, resumed, serial, and pooled runs of
     the same plan all produce the same arrays.
     """
     settings = settings or WfSamplerSettings()
@@ -202,8 +206,8 @@ def trial_plan(
 ) -> ExperimentPlan:
     """:func:`website_dataset_plan` from picklable primitives only.
 
-    This is the hook a :class:`~repro.experiments.parallel.PlanHandle`
-    rebuilds in shard workers: *sites* is a count (the first N of
+    This is the hook a :class:`~repro.experiments.runner.PlanHandle`
+    rebuilds in pool workers: *sites* is a count (the first N of
     :func:`~repro.workloads.websites.top_sites`) or a list of catalog
     site names, *environment* an :class:`~repro.hw.noise.Environment`
     value string.
@@ -239,7 +243,6 @@ def collect_website_dataset(
     seed: int = 1000,
     environment: Environment = Environment.LOCAL,
     workers: int = 1,
-    shard_strategy: str = "interleave",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Traces and labels for a list of sites.
 
@@ -249,7 +252,7 @@ def collect_website_dataset(
     *every* visit raises
     :class:`~repro.errors.InsufficientTrialsError`.
 
-    With ``workers > 1`` the visits run sharded across processes
+    With ``workers > 1`` the visits run on the worker pool
     (observation-equivalent to serial; see docs/parallel.md).  The
     profiles must then come from the :func:`top_sites` catalog so the
     workers can rebuild the plan by name.
@@ -265,7 +268,7 @@ def collect_website_dataset(
         if alien:
             raise ConfigurationError(
                 f"profiles {alien} are not top_sites catalog entries; "
-                "sharded workers rebuild the plan by site name — run "
+                "pool workers rebuild the plan by site name — run "
                 "serially or supply your own plan via run_experiment"
             )
         plan_source = PlanHandle(
@@ -280,10 +283,7 @@ def collect_website_dataset(
                 "environment": environment.value,
             },
         )
-    return execute_plan(
-        plan, workers=workers, shard_strategy=shard_strategy,
-        plan_source=plan_source,
-    )
+    return execute_plan(plan, workers=workers, plan_source=plan_source)
 
 
 def dataset_from_run_dir(

@@ -1,13 +1,13 @@
 """PAR001 — trial closures capturing cross-trial mutable state.
 
-The sharded executor (:mod:`repro.experiments.parallel`) runs a plan's
-trials in separate processes, in shard order rather than plan order.
-That is only observation-equivalent to a serial run if every
-``TrialSpec.fn`` is self-contained: a closure that reads a loop variable
-or a mutated accumulator from the enclosing ``trial_plan`` scope either
-sees the *last* loop value (the classic late-binding bug — every trial
-runs the final window) or depends on state other trials mutate, which no
-longer exists in a worker process.
+The worker pool (:mod:`repro.experiments.pool`) runs a plan's trials in
+separate processes, in shard order rather than plan order.  That is only
+observation-equivalent to a serial run if every ``TrialSpec.fn`` is
+self-contained: a closure that reads a loop variable or a mutated
+accumulator from the enclosing ``trial_plan`` scope either sees the
+*last* loop value (the classic late-binding bug — every trial runs the
+final window) or depends on state other trials mutate, which no longer
+exists in a worker process.
 
 Flagged ``fn`` expressions (keyword ``fn=`` or second positional
 argument of a ``TrialSpec(...)`` call) are lambdas or locally-defined

@@ -29,14 +29,12 @@ from __future__ import annotations
 from repro.lint.checker import Finding, ProjectChecker
 from repro.lint.taint import ProjectAnalysis
 
-#: Functions that run inside a pool/shard worker process.  Everything
+#: Functions that run inside a pool worker process.  Everything
 #: reachable from these over the call graph executes in a worker.
 WORKER_ENTRY_POINTS: tuple[str, ...] = (
     "repro.experiments.pool._pool_worker_main",
     "repro.experiments.pool._worker_begin_run",
     "repro.experiments.pool._worker_run_shard",
-    "repro.experiments.parallel._worker_main",
-    "repro.experiments.parallel._run_shard",
 )
 
 

@@ -362,9 +362,9 @@ class TestChaosSoakComposition:
         monitor.check_all()
 
 # ----------------------------------------------------------------------
-# The matrix under the sharded executor
+# The matrix under the worker pool
 # ----------------------------------------------------------------------
-# These trial functions are module-level so spawn workers can rebuild the
+# These trial functions are module-level so pool workers can rebuild the
 # plan (the factory pickles by reference).  Inside a worker the injector
 # comes from the per-process ``current_fault_injector()``, built from the
 # plan's ``fault_plan`` — the audit therefore stays inside the shard that
@@ -373,10 +373,10 @@ class TestChaosSoakComposition:
 
 def _parallel_device_trial() -> dict:
     """The device-site workload of ``_run_device_site``, shard-resident."""
-    from repro.experiments.parallel import current_fault_injector
+    from repro.experiments.pool import current_fault_injector
 
     injector = current_fault_injector()
-    assert injector is not None, "must run under the sharded executor"
+    assert injector is not None, "must run on the worker pool"
     host, monitor = _monitored_host()
     injector.attach_device(host.device)
     proc = host.new_process()
@@ -407,10 +407,10 @@ def _parallel_device_trial() -> dict:
 def _parallel_prs_trial() -> dict:
     """PRS_DROP cell: a faulting walk under drop, shard-resident."""
     from repro.dsa.completion import CompletionStatus
-    from repro.experiments.parallel import current_fault_injector
+    from repro.experiments.pool import current_fault_injector
 
     injector = current_fault_injector()
-    assert injector is not None, "must run under the sharded executor"
+    assert injector is not None, "must run on the worker pool"
     host, monitor = _monitored_host()
     injector.attach_device(host.device)
     host.device.prs.set_handler(lambda pasid, va, write: True)
@@ -434,10 +434,10 @@ def _parallel_prs_trial() -> dict:
 
 def _parallel_preemption_trial() -> dict:
     """PREEMPTION cell: idle a timeline under the shard's injector."""
-    from repro.experiments.parallel import current_fault_injector
+    from repro.experiments.pool import current_fault_injector
 
     injector = current_fault_injector()
-    assert injector is not None, "must run under the sharded executor"
+    assert injector is not None, "must run on the worker pool"
     clock = TscClock()
     timeline = Timeline(clock)
     injector.attach_timeline(timeline)
@@ -487,7 +487,7 @@ def _parallel_matrix_plan(site_value: str) -> ExperimentPlan:
 
 def _absorbing_trial() -> str:
     """Fires the shard injector's stall and never acknowledges it."""
-    from repro.experiments.parallel import current_fault_injector
+    from repro.experiments.pool import current_fault_injector
 
     injector = current_fault_injector()
     injector.fire(FaultSite.ENGINE_STALL, timestamp=0, engine_id=0)
@@ -508,10 +508,10 @@ def _absorbing_plan() -> ExperimentPlan:
     )
 
 
-@pytest.mark.parallel
+@pytest.mark.pool
 class TestParallelFaultMatrix:
     """The handled-or-detected contract holds across the process
-    boundary: every site fired inside a 2-worker sharded run either
+    boundary: every site fired inside a 2-worker pooled run either
     surfaces as a typed journaled outcome or fails its trial — never a
     green trial over an unacknowledged ledger."""
 
@@ -531,7 +531,7 @@ class TestParallelFaultMatrix:
             _parallel_matrix_plan(site.value),
             run_dir=tmp_path,
             workers=2,
-            executor="spawn",
+            executor="pool",
             plan_source=functools.partial(_parallel_matrix_plan, site.value),
         )
         journal = CheckpointJournal.load(tmp_path)
@@ -559,7 +559,7 @@ class TestParallelFaultMatrix:
             _absorbing_plan(),
             run_dir=tmp_path,
             workers=2,
-            executor="spawn",
+            executor="pool",
             plan_source=_absorbing_plan,
         )
         assert outcome.failed == 1

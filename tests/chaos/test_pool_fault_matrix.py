@@ -8,8 +8,8 @@ Also here (all marked ``pool``, run via ``scripts/run_pool_smoke.sh``):
 
 * external ``kill -9`` of a worker mid-shard (fig09 and table3), healed
   byte-identically;
-* the SIGTERM drain contract of both multi-process parents: a SIGTERM
-  mid-run exits 130 with the manifest flushed and resumable.
+* the SIGTERM drain contract of the pool parent: a SIGTERM mid-run
+  exits 130 with the manifest flushed and resumable.
 """
 
 import functools
@@ -179,8 +179,8 @@ class TestExternalKillMidShard:
         _assert_same_artifact(serial_dir, pool_dir)
 
 
-def _run_cli_until_sigterm(tmp_path, executor: str) -> tuple[int, Path]:
-    run_dir = tmp_path / f"sigterm-{executor}"
+def _run_cli_until_sigterm(tmp_path) -> tuple[int, Path]:
+    run_dir = tmp_path / "sigterm"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.Popen(
@@ -196,7 +196,7 @@ def _run_cli_until_sigterm(tmp_path, executor: str) -> tuple[int, Path]:
             "--workers",
             "2",
             "--executor",
-            executor,
+            "pool",
             "--run-dir",
             str(run_dir),
         ],
@@ -228,11 +228,8 @@ def _run_cli_until_sigterm(tmp_path, executor: str) -> tuple[int, Path]:
 
 
 class TestSigtermDrain:
-    @pytest.mark.parametrize("executor", ["spawn", "pool"])
-    def test_sigterm_mid_run_flushes_checkpoint_and_exits_130(
-        self, executor, tmp_path
-    ):
-        returncode, run_dir = _run_cli_until_sigterm(tmp_path, executor)
+    def test_sigterm_mid_run_flushes_checkpoint_and_exits_130(self, tmp_path):
+        returncode, run_dir = _run_cli_until_sigterm(tmp_path)
         assert returncode == 130
         manifest = RunManifest.load(run_dir)
         assert manifest.status == STATUS_INTERRUPTED

@@ -1,17 +1,17 @@
-"""Serial ≡ sharded equivalence: a plan run with ``workers=N`` must leave
-the same observable artifact as the serial loop — same finalized result
-bytes, same journal entries and payload pickles, same manifest counts.
+"""Serial ≡ parallel equivalence: a plan run with ``workers=N`` on the
+worker pool (``executor="pool"``) must leave the same observable
+artifact as the serial loop — same finalized result bytes, same journal
+entries and payload pickles, same manifest counts.
 
 The fig09 cases (3 trials) run in tier-1, including a kill-at-trial-k
 plus resume-with-a-different-worker-count round trip.  The wider sweeps
-(4 workers, table3, fig11 with dataset checksums) are marked
-``parallel`` (run via ``scripts/run_parallel_smoke.sh`` or
-``pytest -m parallel``).
+(4 workers, table3, fig11 with dataset checksums) are marked ``pool``
+(run via ``scripts/run_pool_smoke.sh`` or ``pytest -m pool``).
 
 Comparison notes: manifest ``segments`` carry pids and wall-clock
 timestamps and journal records carry per-trial ``elapsed_s``, so those
 fields are masked; journal records are compared sorted by trial index
-because the parallel parent appends them in completion order (the
+because the pool parent appends them in completion order (the
 *entries* are identical — see ``CheckpointJournal.entries``).
 """
 
@@ -31,6 +31,7 @@ from repro.experiments.checkpoint import (
     STATUS_INTERRUPTED,
     RunManifest,
 )
+from repro.experiments.pool import shutdown_pools
 from repro.experiments.runner import ExperimentPlan, TrialSpec, run_experiment
 from repro.experiments.wf_common import WfSamplerSettings, dataset_from_run_dir
 
@@ -62,6 +63,14 @@ FIG11_CONFIG = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _fresh_pools():
+    """Each test gets (and leaves behind) a clean pool registry."""
+    shutdown_pools()
+    yield
+    shutdown_pools()
+
+
 def _fig09_plan() -> ExperimentPlan:
     return fig09_covert.trial_plan(**FIG09_CONFIG)
 
@@ -72,7 +81,7 @@ def _boom() -> None:
 
 def _interrupted_fig09_plan(k: int) -> ExperimentPlan:
     """The fig09 plan with trial *k* dying mid-run.  Module-level (and
-    built via :func:`functools.partial`) so it pickles into spawn
+    built via :func:`functools.partial`) so it pickles into pool
     workers as the plan source of the killed parallel run."""
     plan = _fig09_plan()
     return ExperimentPlan(
@@ -134,20 +143,16 @@ def _dumps(obj) -> bytes:
     return pickle.dumps(obj, protocol=4)
 
 
-def _assert_parallel_matches_serial(
-    plan_factory, plan_source, tmp_path, workers, shard="interleave"
-):
+def _assert_parallel_matches_serial(plan_factory, plan_source, tmp_path, workers):
     serial_dir = tmp_path / "serial"
-    parallel_dir = tmp_path / f"w{workers}-{shard}"
+    parallel_dir = tmp_path / f"w{workers}"
     serial = run_experiment(plan_factory(), run_dir=serial_dir)
     parallel = run_experiment(
         plan_factory(),
         run_dir=parallel_dir,
         workers=workers,
-        shard_strategy=shard,
-        # This suite documents the one-shot spawn executor; the pool
-        # executor has its own suite (test_pool_equivalence.py).
-        executor="spawn",
+        # Forced, so the cost model cannot degrade the run to serial.
+        executor="pool",
         plan_source=plan_source,
     )
     assert serial.status == STATUS_COMPLETED
@@ -168,15 +173,6 @@ class TestFig09Parallel:
             workers=2,
         )
 
-    def test_contiguous_sharding_matches_serial(self, tmp_path):
-        _assert_parallel_matches_serial(
-            _fig09_plan,
-            fig09_covert.plan_source(**FIG09_CONFIG),
-            tmp_path,
-            workers=2,
-            shard="contiguous",
-        )
-
     def test_kill_and_resume_across_worker_counts(self, tmp_path):
         """Kill a 2-worker run at trial 1, resume it with 3 workers, and
         compare against an uninterrupted serial run."""
@@ -188,7 +184,7 @@ class TestFig09Parallel:
             _interrupted_fig09_plan(1),
             run_dir=run_dir,
             workers=2,
-            executor="spawn",
+            executor="pool",
             plan_source=functools.partial(_interrupted_fig09_plan, 1),
         )
         assert interrupted.status == STATUS_INTERRUPTED
@@ -199,7 +195,7 @@ class TestFig09Parallel:
             run_dir=run_dir,
             resume=True,
             workers=3,
-            executor="spawn",
+            executor="pool",
             plan_source=fig09_covert.plan_source(**FIG09_CONFIG),
         )
         assert resumed.status == STATUS_COMPLETED
@@ -212,7 +208,7 @@ class TestFig09Parallel:
         assert [s["event"] for s in manifest.segments] == ["start", "resume"]
 
 
-@pytest.mark.parallel
+@pytest.mark.pool
 class TestParallelSweeps:
     def test_fig09_four_workers(self, tmp_path):
         _assert_parallel_matches_serial(

@@ -10,7 +10,7 @@ The fig09 cases (3 trials) run in tier-1.  Chaos coverage (killed /
 stalled / corrupting workers) is ``tests/chaos/test_pool_fault_matrix``
 (marked ``pool``; run via ``scripts/run_pool_smoke.sh``).
 
-Comparison reuses the masking rules of the spawn-executor suite
+Comparison reuses the masking rules of the serial ≡ parallel suite
 (``test_parallel_equivalence``): manifest ``segments`` and per-trial
 ``elapsed_s`` are host noise; journal records compare sorted by index.
 """

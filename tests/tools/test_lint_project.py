@@ -80,6 +80,22 @@ def test_project_findings_honor_inline_suppressions(tmp_path):
     assert report.suppressed == 1
 
 
+def test_par101_negative_twin_is_reachable_from_a_worker_entry(tmp_path):
+    # The clean twin passes only because it writes no global, not
+    # because no entry point reaches it: one added write must fire.
+    clean = (FIXTURES / "proj_par101" / "pool_clean.py").read_text()
+    dirty = clean.replace(
+        "    seen.append(payload)\n",
+        "    seen.append(payload)\n    _LOG.append(payload)\n",
+    ) + "\n\n_LOG = []\n"
+    assert dirty != clean + "\n\n_LOG = []\n"
+    (tmp_path / "pool_clean.py").write_text(dirty)
+    report = LintEngine(root=tmp_path).run([tmp_path])
+    assert [(f.rule, f.path.rsplit("/", 1)[-1]) for f in report.all_findings] == [
+        ("PAR101", "pool_clean.py")
+    ]
+
+
 # ----------------------------------------------------------------------
 # Call-graph construction
 # ----------------------------------------------------------------------
