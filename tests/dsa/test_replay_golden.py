@@ -4,9 +4,10 @@
 software looks at the device.  Each scenario below drives one corner of
 that replay -- batch children that become available after their parent
 dispatched (under both arbiter policies), a drain stuck behind a busy
-engine, two processing units per engine, two groups, a queue disabled
-while descriptors are in flight, and a polled wait that times out --
-polling the device every 200 cycles, as the paper's probes do.
+engine, two processing units per engine, two groups (also with a queue
+torn down in one and another configured in the other mid-run), a queue
+disabled while descriptors are in flight, and a polled wait that times
+out -- polling the device every 200 cycles, as the paper's probes do.
 
 The SHA-256 covers every ticket's ``(ticket_id, enqueue, dispatch,
 completion, engine_id, status)``, the device counters, and what each
@@ -21,6 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.dsa.accel_config import AccelConfig
 from repro.dsa.arbiter import ArbiterPolicy
 from repro.dsa.batch import write_batch_list
 from repro.dsa.descriptor import BatchDescriptor, Descriptor, make_memcpy, make_noop
@@ -254,6 +256,43 @@ def _two_groups():
     )
 
 
+def _reconfigure_across_groups():
+    """Tear down an emptied queue in one group mid-run and configure a
+    new one in the other, while both groups still have work queued."""
+    rig = _Rig(
+        groups=((0, (0,)), (1, (1, 2))),
+        queues=((0, 0, 0), (1, 1, 3), (2, 1, 7)),
+    )
+
+    def reconfigure():
+        accel = AccelConfig(rig.device, privileged=True)
+        assert rig.device.wq(2).occupancy == 0
+        accel.remove_wq(2)
+        del rig.portals[2]
+        accel.configure_wq(3, size=16, priority=5, group_id=0)
+        rig.portals[3] = Portal(rig.device, wq_id=3, pasid=PASID)
+
+    return rig.run(
+        {
+            0: [
+                lambda: rig.memcpy(64 * 1024, wq_id=1),
+                lambda: rig.noop(wq_id=2),
+                lambda: rig.memcpy(32 * 1024, wq_id=0),
+                lambda: rig.noop(wq_id=1),
+                lambda: rig.noop(wq_id=0),
+            ],
+            6: [reconfigure],
+            7: [
+                lambda: rig.noop(wq_id=0),
+                lambda: rig.noop(wq_id=3),
+                lambda: rig.memcpy(4096, wq_id=3),
+                lambda: rig.noop(wq_id=1),
+            ],
+            40: [lambda: rig.noop(wq_id=3), lambda: rig.noop(wq_id=0)],
+        }
+    )
+
+
 def _disable_wq_in_flight():
     rig = _Rig()
     return rig.run(
@@ -305,6 +344,7 @@ SCENARIOS = {
     "drain-behind-busy-engine": _drain_behind_busy_engine,
     "two-processing-units": _two_processing_units,
     "two-groups": _two_groups,
+    "reconfigure-across-groups": _reconfigure_across_groups,
     "disable-wq-in-flight": _disable_wq_in_flight,
     "disable-unblocks-batch-child": _disable_unblocks_batch_child,
     "timeout-poll": _timeout_poll,
@@ -316,6 +356,7 @@ GOLDEN = {
     "drain-behind-busy-engine": "307ea486271080349c49e51a15c043033ed19b80e7e6198a4a40cf1daf8c3b11",
     "two-processing-units": "13f821dcf09d4f59d1037862114cd5fe901293ed00d45d8791aae3892a95e37a",
     "two-groups": "db49fb786cb628d35c7a51919a9c81c5a3d2d16fca613bf3438c1db6a2fdd8cb",
+    "reconfigure-across-groups": "93cfdf8cf64e579e29beec231af8a3664c96351bf55992e1d5b19977c60c4078",
     "disable-wq-in-flight": "f577cd56976228c6a0d79e3d1a3bd733ae46487408f4b5657f2e2314e26cee5a",
     "disable-unblocks-batch-child": "f116b891849f4e95a94c84dfd3a54cb441dac619a021a874349bc4b51e79ffe0",
     "timeout-poll": "d24cff7b37e885a0ba56559adf6fbe68a3d94b73e363bd1ff3b32914b39778fe",

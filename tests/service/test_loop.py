@@ -243,6 +243,111 @@ class TestEventAndLock:
         drive(main)
 
 
+class TestLockWaiting:
+    """``VirtualLock.waiting`` counts waiters still parked in its queue.
+
+    The fleet reads it to pick the shortest lane queue, and the
+    controller sheds many sessions in one tick, so the count must be
+    exact at every instant -- including between a cancel and the
+    cancelled task's next step.
+    """
+
+    @staticmethod
+    async def _waiter(lock, order, tag):
+        await lock.acquire()
+        order.append(tag)
+        lock.release()
+
+    def test_cancel_drops_the_count_before_the_task_runs(self):
+        seen = {}
+
+        async def main(loop):
+            lock = VirtualLock(loop)
+            await lock.acquire()
+            tasks = [
+                loop.spawn(self._waiter(lock, [], tag)) for tag in "abc"
+            ]
+            await loop.sleep_cycles(10)
+            seen["parked"] = lock.waiting
+            tasks[1].cancel()
+            # Same step: the cancelled task has not run its
+            # CancelledError step yet.
+            seen["one_cancelled"] = lock.waiting
+            tasks[2].cancel()
+            seen["two_cancelled"] = lock.waiting
+            await loop.sleep_cycles(10)
+            seen["settled"] = lock.waiting
+            lock.release()
+            await loop.join(tasks[0])
+            seen["end"] = lock.waiting
+
+        drive(main)
+        assert seen == {
+            "parked": 3,
+            "one_cancelled": 2,
+            "two_cancelled": 1,
+            "settled": 1,
+            "end": 0,
+        }
+
+    def test_woken_waiter_is_not_counted_before_it_resumes(self):
+        seen = {}
+        order = []
+
+        async def main(loop):
+            lock = VirtualLock(loop)
+            await lock.acquire()
+            tasks = [
+                loop.spawn(self._waiter(lock, order, tag)) for tag in "ab"
+            ]
+            await loop.sleep_cycles(10)
+            lock.release()
+            seen["woken"] = lock.waiting
+            # Cancelling the woken waiter before it resumes must not
+            # count it out a second time.
+            tasks[0].cancel()
+            seen["woken_cancelled"] = lock.waiting
+            await lock.acquire()
+            lock.release()
+            await loop.join(tasks[1])
+            seen["end"] = lock.waiting
+
+        drive(main)
+        assert seen == {"woken": 1, "woken_cancelled": 1, "end": 0}
+        assert order == ["b"]
+
+    def test_release_skips_cancelled_waiters(self):
+        seen = {}
+        order = []
+
+        async def main(loop):
+            lock = VirtualLock(loop)
+            await lock.acquire()
+            tasks = [
+                loop.spawn(self._waiter(lock, order, tag)) for tag in "abcd"
+            ]
+            await loop.sleep_cycles(10)
+            tasks[0].cancel()
+            tasks[2].cancel()
+            await loop.sleep_cycles(10)
+            seen["before"] = lock.waiting
+            lock.release()
+            seen["after_release"] = lock.waiting
+            for task in tasks:
+                await loop.join(task)
+            seen["end"] = lock.waiting
+            seen["locked"] = lock.locked
+
+        drive(main)
+        assert seen == {
+            "before": 2,
+            "after_release": 1,
+            "end": 0,
+            "locked": False,
+        }
+        assert order == ["b", "d"]
+
+
 class TestBoundedQueue:
     def test_try_put_reports_backpressure_without_blocking(self):
         async def main(loop):
