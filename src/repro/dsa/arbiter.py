@@ -14,6 +14,7 @@ alternative for the ablation benchmark.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.dsa.wq import QueuedEntry, WorkQueue
@@ -63,7 +64,7 @@ class Arbiter:
 
     def choose(
         self,
-        queues: list[WorkQueue],
+        queues: Sequence[WorkQueue],
         batch_buffer: list[BatchBufferEntry],
         time: int,
     ) -> ArbiterChoice | None:
@@ -90,9 +91,9 @@ class Arbiter:
         return wq_candidate
 
     @staticmethod
-    def _best_wq(queues: list[WorkQueue], time: int) -> ArbiterChoice | None:
+    def _best_wq(queues: Sequence[WorkQueue], time: int) -> ArbiterChoice | None:
         best: tuple[int, int, int] | None = None
-        chosen: ArbiterChoice | None = None
+        chosen: tuple[WorkQueue, QueuedEntry] | None = None
         for queue in queues:
             entry = queue.peek()
             if entry is None or entry.enqueue_time > time:
@@ -100,13 +101,17 @@ class Arbiter:
             key = (-queue.config.priority, entry.enqueue_time, queue.wq_id)
             if best is None or key < best:
                 best = key
-                chosen = ArbiterChoice(wq=queue, wq_entry=entry)
-        return chosen
+                chosen = (queue, entry)
+        if chosen is None:
+            return None
+        return ArbiterChoice(wq=chosen[0], wq_entry=chosen[1])
 
     @staticmethod
     def _best_batch(
         batch_buffer: list[BatchBufferEntry], time: int
     ) -> ArbiterChoice | None:
+        if not batch_buffer:
+            return None
         ready = [e for e in batch_buffer if e.available_time <= time]
         if not ready:
             return None

@@ -22,6 +22,13 @@ free a processing unit for work behind it before the bound.  Tearing
 down an empty queue (``queue_space.remove``) changes no dispatch
 candidate and leaves the bound valid.
 
+A dispatch pass runs only while entries await dispatch
+(``_pending_work``): it repeats arbiter rounds while the last one
+dispatched something and work is still pending, so the round that
+empties the queues is the last.  Each round takes its group's queues
+from the per-group id-ordered tuples that ``HardwareQueueSpace``
+rebuilds on ``configure``/``remove``.
+
 Work-queue/engine topology follows the real device's *group* concept: a
 group is a set of work queues feeding a set of engines.  Cross-group
 resources never interact (which is what experiment E2 demonstrates for the
@@ -410,17 +417,11 @@ class DsaDevice:
     # ------------------------------------------------------------------
     def _dispatch_ready(self, limit: int) -> None:
         """Dispatch everything that can start at or before *limit*."""
-        if not self._pending_work:
-            return
         progressed = True
-        while progressed:
+        while progressed and self._pending_work:
             progressed = False
             for group in self._groups.values():
-                queues = [
-                    queue
-                    for queue in self.queue_space.queues()
-                    if queue.config.group_id == group.group_id
-                ]
+                queues = self.queue_space.group_queues(group.group_id)
                 for engine_id in group.engine_ids:
                     if self._try_dispatch_one(group, engine_id, queues, limit):
                         progressed = True
@@ -429,7 +430,7 @@ class DsaDevice:
         self,
         group: GroupConfig,
         engine_id: int,
-        queues: list[WorkQueue],
+        queues: tuple[WorkQueue, ...],
         limit: int,
     ) -> bool:
         engine = self.engines[engine_id]
@@ -484,7 +485,7 @@ class DsaDevice:
         self,
         group: GroupConfig,
         choice: ArbiterChoice,
-        queues: list[WorkQueue],
+        queues: tuple[WorkQueue, ...],
         limit: int,
     ) -> bool:
         """Hand a batch descriptor to the batch engine (fetcher)."""
@@ -535,7 +536,7 @@ class DsaDevice:
         return True
 
     def _ready_heads(
-        self, queues: list[WorkQueue], time: int
+        self, queues: tuple[WorkQueue, ...], time: int
     ) -> tuple[tuple[int, int, int], ...]:
         """Ready queue heads as ``(wq_id, priority, enqueue_time)`` triples.
 

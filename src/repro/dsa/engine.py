@@ -154,6 +154,8 @@ class Engine:
         limit = 0 if needs_idle else self.timing.concurrent_descriptors - 1
         if len(self.inflight) <= limit:
             return after
+        if limit == 0:
+            return max(after, max(item.completion_time for item in self.inflight))
         completions = sorted(item.completion_time for item in self.inflight)
         barrier = completions[len(self.inflight) - 1 - limit]
         return max(after, barrier)

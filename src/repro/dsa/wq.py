@@ -187,6 +187,7 @@ class HardwareQueueSpace:
         self.total_entries = total_entries
         self._queues: dict[int, WorkQueue] = {}
         self._ordered: tuple[WorkQueue, ...] = ()
+        self._by_group: dict[int, tuple[WorkQueue, ...]] = {}
 
     def configure(self, config: WorkQueueConfig) -> WorkQueue:
         """Create a virtual queue, enforcing the storage budget."""
@@ -211,6 +212,10 @@ class HardwareQueueSpace:
 
     def _reorder(self) -> None:
         self._ordered = tuple(self._queues[k] for k in sorted(self._queues))
+        by_group: dict[int, list[WorkQueue]] = {}
+        for queue in self._ordered:
+            by_group.setdefault(queue.config.group_id, []).append(queue)
+        self._by_group = {gid: tuple(qs) for gid, qs in by_group.items()}
 
     def get(self, wq_id: int) -> WorkQueue:
         """Return the virtual queue *wq_id*."""
@@ -222,6 +227,10 @@ class HardwareQueueSpace:
     def queues(self) -> tuple[WorkQueue, ...]:
         """All configured queues, by id."""
         return self._ordered
+
+    def group_queues(self, group_id: int) -> tuple[WorkQueue, ...]:
+        """The configured queues of group *group_id*, by id."""
+        return self._by_group.get(group_id, ())
 
     @property
     def entries_configured(self) -> int:

@@ -41,6 +41,9 @@ FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
         # Replay gate: lower bound on the next replay event; an outside
         # write could make advance_to skip a dispatch or retirement.
         "_wake": ("repro.dsa.device",),
+        # Lane choice: a lock's live-waiter count; an outside write
+        # would steer sessions to the wrong lane queue.
+        "_live_waiters": ("repro.service.loop",),
         # Exactly-once completion: only the device writes records and
         # ticket lifecycle timestamps.
         "record": ("repro.dsa.device",),

@@ -175,10 +175,6 @@ class DeviceFleet:
     def lane_count(self) -> int:
         return len(self.lanes)
 
-    def total_waiting(self) -> int:
-        """Sessions parked on lane locks across the fleet."""
-        return sum(lane.lock.waiting for lane in self.lanes)
-
     def _revoke(self, lane: DeviceLane) -> None:
         lane.revoked = True
         self.quarantined.append(lane)

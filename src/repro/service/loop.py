@@ -203,10 +203,13 @@ class DeviceTimeLoop:
     # ------------------------------------------------------------------
     # Internals shared with the primitives below
     # ------------------------------------------------------------------
-    def _future(self) -> asyncio.Future:
+    def _running(self) -> asyncio.AbstractEventLoop:
         if self._aio is None:
             raise ServiceError("loop primitive used outside run()")
-        return self._aio.create_future()
+        return self._aio
+
+    def _future(self) -> asyncio.Future:
+        return self._running().create_future()
 
     def _schedule(self, due: int, fut: asyncio.Future) -> None:
         heapq.heappush(self._heap, (due, self._seq, fut))
@@ -264,18 +267,44 @@ class VirtualEvent:
             await self._loop._park(fut)
 
 
+class _LockWaiter(asyncio.Future):
+    """A lock waiter's future: cancelling it while it is still queued
+    takes it out of the lock's live count at once.
+
+    ``Task.cancel`` cancels the future its task is parked on
+    synchronously, so the count drops before any other task runs --
+    the cancelled task's own ``CancelledError`` step may come much
+    later (the controller sheds many sessions in one tick).
+    """
+
+    __slots__ = ("lock",)
+
+    def __init__(self, lock: "VirtualLock", loop: asyncio.AbstractEventLoop) -> None:
+        super().__init__(loop=loop)
+        self.lock: VirtualLock | None = lock
+
+    def cancel(self, msg: Any = None) -> bool:
+        cancelled = super().cancel(msg)
+        if cancelled and self.lock is not None:
+            self.lock._live_waiters -= 1
+            self.lock = None
+        return cancelled
+
+
 class VirtualLock:
     """A mutual-exclusion lock whose waiters wake in FIFO order.
 
     Custody of a device lane flows through one of these: waiters queue
     deterministically and the release hands the wake to the head of the
-    queue at the current virtual instant.
+    queue at the current virtual instant.  Cancelled waiters stay in the
+    queue until a release skips them; ``_live_waiters`` counts the rest.
     """
 
     def __init__(self, loop: DeviceTimeLoop) -> None:
         self._loop = loop
         self._locked = False
-        self._waiters: deque[asyncio.Future] = deque()
+        self._waiters: deque[_LockWaiter] = deque()
+        self._live_waiters = 0
 
     @property
     def locked(self) -> bool:
@@ -283,13 +312,14 @@ class VirtualLock:
 
     @property
     def waiting(self) -> int:
-        """Waiters currently parked on this lock."""
-        return sum(1 for fut in self._waiters if not fut.done())
+        """Waiters parked on this lock: not woken, not cancelled."""
+        return self._live_waiters
 
     async def acquire(self) -> None:
         while self._locked:
-            fut = self._loop._future()
+            fut = _LockWaiter(self, self._loop._running())
             self._waiters.append(fut)
+            self._live_waiters += 1
             await self._loop._park(fut)
         self._locked = True
 
@@ -300,6 +330,8 @@ class VirtualLock:
         while self._waiters:
             fut = self._waiters.popleft()
             if not fut.done():
+                fut.lock = None
+                self._live_waiters -= 1
                 self._loop._wake_soon(fut)
                 break
 
