@@ -1,5 +1,7 @@
 """Tests for statistics, keystroke evaluation, and reporting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,56 @@ class TestStats:
     def test_geometric_leq_arithmetic(self, values):
         values = np.array(values)
         assert geometric_mean(values) <= values.mean() + 1e-6
+
+
+def _golden_ci(n):
+    rng = np.random.default_rng(1000 + n)
+    return confidence_interval_95(rng.normal(100.0, 7.0, size=n))
+
+
+class TestConfidenceIntervalGolden:
+    """``confidence_interval_95`` pinned bit-exactly on seeded samples.
+
+    Table III's intervals come from at most a few dozen repeats, so every
+    sample size up to 101 (t with df <= 100) must reproduce the exact
+    bits of the reference Student-t quantile.  Larger samples pin the
+    mean exactly and the half-width to a relative 1e-10.
+    """
+
+    #: SHA-256 over "n mean.hex() h.hex()" lines for n = 2..101.
+    EXACT_DIGEST = "60788c48eead0d1aa6ab903be45f40bc7e7de57b835615dc977c1cbfee030631"
+
+    EXACT = {
+        2: ("0x1.7aa776a429c9cp+6", "0x1.354b2d12cfc76p+6"),
+        3: ("0x1.780a6d52c1a20p+6", "0x1.7393f638228d7p+3"),
+        50: ("0x1.92f8a516a7b69p+6", "0x1.2bbb13d74c48fp+1"),
+        101: ("0x1.91e87fb7da6bdp+6", "0x1.66d2c88410c89p+0"),
+    }
+
+    LARGE = {
+        150: ("0x1.8ded9eb4bb52cp+6", "0x1.349d68e2ba29ep+0"),
+        1000: ("0x1.8efc39c121104p+6", "0x1.ba04d65aa1bc8p-2"),
+    }
+
+    def test_small_samples_are_bit_exact(self):
+        lines = []
+        for n in range(2, 102):
+            mean, h = _golden_ci(n)
+            lines.append(f"{n} {mean.hex()} {h.hex()}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.EXACT_DIGEST
+
+    @pytest.mark.parametrize("n", sorted(EXACT))
+    def test_spot_values(self, n):
+        mean, h = _golden_ci(n)
+        assert (mean.hex(), h.hex()) == self.EXACT[n]
+
+    @pytest.mark.parametrize("n", sorted(LARGE))
+    def test_large_samples(self, n):
+        mean, h = _golden_ci(n)
+        mean_hex, h_hex = self.LARGE[n]
+        assert mean.hex() == mean_hex
+        assert h == pytest.approx(float.fromhex(h_hex), rel=1e-10, abs=0)
 
 
 class TestKeystrokeEvaluation:
