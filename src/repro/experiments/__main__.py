@@ -47,25 +47,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import signal
 import sys
 
 from repro.errors import CheckpointError, ReproError, ResumeMismatchError
-from repro.experiments import (
-    fig04_latency,
-    fig06_queue_latency,
-    fig09_covert,
-    fig10_wf_traces,
-    fig11_wf_classification,
-    fig12_keystrokes,
-    fig13_llm,
-    fig14_mitigation,
-    iotlb_study,
-    openworld_wf,
-    reverse_engineering,
-    table3_noise,
-    table4_comparison,
-)
 from repro.experiments.checkpoint import (
     STATUS_COMPLETED,
     atomic_write_pickle,
@@ -82,21 +68,23 @@ from repro.experiments.runner import (
     run_experiment,
 )
 
-#: name -> (module, human description)
+#: name -> (module path, human description).  Modules are imported only
+#: when their experiment runs, so ``list`` and a single experiment pay for
+#: no other experiment's imports.
 EXPERIMENTS = {
-    "re": (reverse_engineering, "Section IV reverse-engineering suite"),
-    "fig04": (fig04_latency, "Fig. 4 hit/miss latency distributions"),
-    "fig06": (fig06_queue_latency, "Fig. 6 submission/completion latency"),
-    "fig09": (fig09_covert, "Fig. 9 covert-channel capacity sweep"),
-    "fig10": (fig10_wf_traces, "Fig. 10 website miss traces"),
-    "fig11": (fig11_wf_classification, "Fig. 11 website classification"),
-    "fig12": (fig12_keystrokes, "Fig. 12 SSH keystroke detection"),
-    "fig13": (fig13_llm, "Fig. 13 LLM fingerprinting"),
-    "fig14": (fig14_mitigation, "Fig. 14 mitigation overhead"),
-    "table3": (table3_noise, "Table III noise impact"),
-    "table4": (table4_comparison, "Table IV prior-work comparison"),
-    "iotlb": (iotlb_study, "IOTLB capacity study (extension)"),
-    "openworld": (openworld_wf, "open-world website fingerprinting (extension)"),
+    "re": ("repro.experiments.reverse_engineering", "Section IV reverse-engineering suite"),
+    "fig04": ("repro.experiments.fig04_latency", "Fig. 4 hit/miss latency distributions"),
+    "fig06": ("repro.experiments.fig06_queue_latency", "Fig. 6 submission/completion latency"),
+    "fig09": ("repro.experiments.fig09_covert", "Fig. 9 covert-channel capacity sweep"),
+    "fig10": ("repro.experiments.fig10_wf_traces", "Fig. 10 website miss traces"),
+    "fig11": ("repro.experiments.fig11_wf_classification", "Fig. 11 website classification"),
+    "fig12": ("repro.experiments.fig12_keystrokes", "Fig. 12 SSH keystroke detection"),
+    "fig13": ("repro.experiments.fig13_llm", "Fig. 13 LLM fingerprinting"),
+    "fig14": ("repro.experiments.fig14_mitigation", "Fig. 14 mitigation overhead"),
+    "table3": ("repro.experiments.table3_noise", "Table III noise impact"),
+    "table4": ("repro.experiments.table4_comparison", "Table IV prior-work comparison"),
+    "iotlb": ("repro.experiments.iotlb_study", "IOTLB capacity study (extension)"),
+    "openworld": ("repro.experiments.openworld_wf", "open-world website fingerprinting (extension)"),
 }
 
 
@@ -136,8 +124,9 @@ def run_one(
     journal (checkpointed runs) or irrelevant to the operator (the
     documented exit code says what to do next).
     """
-    module, description = EXPERIMENTS[name]
+    module_path, description = EXPERIMENTS[name]
     print(f"=== {name}: {description} ===")
+    module = importlib.import_module(module_path)
     started = monotonic_clock()
     breaker = (
         BreakerConfig(failure_threshold=breaker_threshold)
@@ -156,7 +145,7 @@ def run_one(
             executor=executor,
             # Trial closures do not pickle; pool workers rebuild the
             # plan from the module's trial_plan hook instead.
-            plan_source=PlanHandle(module.__name__, dict(overrides or {})),
+            plan_source=PlanHandle(module_path, dict(overrides or {})),
         )
     except (ResumeMismatchError, CheckpointError) as exc:
         print(f"{name}: checkpoint error: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
 """Tests for the command-line experiment runner."""
 
+import importlib
+
 import pytest
 
 from repro.experiments.__main__ import EXPERIMENTS, main
@@ -19,7 +21,8 @@ class TestCli:
         }
 
     def test_every_module_has_run_and_report(self):
-        for module, _ in EXPERIMENTS.values():
+        for path, _ in EXPERIMENTS.values():
+            module = importlib.import_module(path)
             assert callable(module.run)
             assert callable(module.report)
 
