@@ -15,6 +15,7 @@ from repro.experiments import (
 from repro.experiments.fig13_llm import LlmSamplerSettings
 from repro.experiments.wf_common import WfSamplerSettings
 from repro.workloads.llm import LLM_ZOO
+from tests.experiments.result_digests import GOLDEN, result_digest
 
 FAST_WF = WfSamplerSettings(sample_period_us=100.0, samples_per_slot=40, slots=80)
 
@@ -23,6 +24,9 @@ class TestFig10:
     @pytest.fixture(scope="class")
     def result(self):
         return fig10_wf_traces.run(settings=FAST_WF)
+
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestFig10"]
 
     def test_all_traces_active(self, result):
         assert result.traces_have_activity
@@ -42,6 +46,9 @@ class TestFig11:
             sites=4, visits_per_site=6, settings=FAST_WF, epochs=30, hidden=10
         )
 
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestFig11"]
+
     def test_classifier_beats_chance(self, result):
         assert result.bilstm_accuracy > 0.5  # chance = 0.25
 
@@ -57,6 +64,9 @@ class TestFig12:
     @pytest.fixture(scope="class")
     def result(self):
         return fig12_keystrokes.run(keystrokes=96, seed=5)
+
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestFig12"]
 
     def test_both_variants_detect_well(self, result):
         assert result.devtlb.evaluation.f1 > 0.80
@@ -87,6 +97,9 @@ class TestFig13:
             epochs=30,
         )
 
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestFig13"]
+
     def test_classifier_beats_chance(self, result):
         assert result.bilstm_accuracy > 0.5  # chance = 0.25
 
@@ -103,6 +116,9 @@ class TestFig14:
     def result(self):
         return fig14_mitigation.run(sizes=(256, 65536), iterations=60)
 
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestFig14"]
+
     def test_overhead_positive_and_bounded(self, result):
         for row in result.rows:
             assert 0 < row.overhead_percent < 40
@@ -118,6 +134,9 @@ class TestTable4:
     @pytest.fixture(scope="class")
     def result(self):
         return table4_comparison.run(covert_bits=96, keystrokes=48)
+
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestTable4"]
 
     def test_has_prior_and_our_rows(self, result):
         assert len(result.rows) == 5

@@ -5,12 +5,16 @@ import pytest
 
 from repro.experiments import fig04_latency, fig06_queue_latency, fig09_covert
 from repro.hw.noise import Environment
+from tests.experiments.result_digests import GOLDEN, result_digest
 
 
 class TestFig4:
     @pytest.fixture(scope="class")
     def result(self):
         return fig04_latency.run(samples=120)
+
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestFig4"]
 
     def test_threshold_band_valid_everywhere(self, result):
         for row in result.environments:
@@ -34,6 +38,9 @@ class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
         return fig06_queue_latency.run(min_exp=10, max_exp=26, repeats=5)
+
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestFig6"]
 
     def test_submission_flat(self, result):
         assert result.submission_is_flat
@@ -63,6 +70,9 @@ class TestFig9:
             devtlb_windows=(100.0, 42.5, 25.0),
             swq_windows=(180.0, 110.0),
         )
+
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestFig9"]
 
     def test_devtlb_peak_in_paper_range(self, result):
         best = result.best("devtlb")
