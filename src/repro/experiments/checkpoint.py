@@ -318,14 +318,14 @@ class CheckpointJournal:
     def __init__(self, run_dir: str | Path) -> None:
         self.run_dir = Path(run_dir)
         self.path = self.run_dir / JOURNAL_NAME
-        self._entries: dict[str, JournalEntry] = {}
+        self._by_key: dict[str, JournalEntry] = {}
 
     # -- introspection --------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._by_key)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries
+        return key in self._by_key
 
     def entries(self) -> Iterator[JournalEntry]:
         """Entries in plan-index order.
@@ -336,11 +336,11 @@ class CheckpointJournal:
         like :func:`~repro.experiments.wf_common.dataset_from_run_dir` —
         byte-identical to a serial run's.
         """
-        return iter(sorted(self._entries.values(), key=lambda e: e.index))
+        return iter(sorted(self._by_key.values(), key=lambda e: e.index))
 
     def get(self, key: str) -> JournalEntry | None:
         """The entry for *key*, if journaled."""
-        return self._entries.get(key)
+        return self._by_key.get(key)
 
     # -- persistence ----------------------------------------------------
     @classmethod
@@ -360,7 +360,7 @@ class CheckpointJournal:
                     f"corrupt journal {journal.path} line {lineno}: {exc}"
                 ) from exc
             entry = JournalEntry.from_json(raw)
-            journal._entries[entry.key] = entry
+            journal._by_key[entry.key] = entry
         return journal
 
     def _rewrite(self) -> None:
@@ -382,7 +382,7 @@ class CheckpointJournal:
             elapsed_s=round(elapsed_s, 6),
             payload=payload_rel,
         )
-        self._entries[key] = entry
+        self._by_key[key] = entry
         self._rewrite()
         return entry
 
@@ -416,13 +416,13 @@ class CheckpointJournal:
             error_type=error_type,
             error=error,
         )
-        self._entries[key] = entry
+        self._by_key[key] = entry
         self._rewrite()
         return entry
 
     def load_payload(self, key: str) -> Any:
         """Unpickle the stored result of a completed trial."""
-        entry = self._entries.get(key)
+        entry = self._by_key.get(key)
         if entry is None or not entry.ok or entry.payload is None:
             raise CheckpointError(f"no completed payload for trial {key!r}")
         path = self.run_dir / entry.payload

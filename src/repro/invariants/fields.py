@@ -22,8 +22,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 #: Guarded field name -> modules allowed to mutate it (assignment,
-#: augmented assignment, or a mutating container-method call).  Every
-#: other module may only read.
+#: augmented assignment, item assignment or deletion, a mutating
+#: container-method call, or a mutating module function).  Every other
+#: module may only read.
 FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
     {
         # WQ credit conservation: the per-queue occupancy register.
@@ -41,6 +42,9 @@ FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
         # Replay gate: lower bound on the next replay event; an outside
         # write could make advance_to skip a dispatch or retirement.
         "_wake": ("repro.dsa.device",),
+        # Batch-buffer count: an outside write could make the replay
+        # gate skip a buffered batch child's availability.
+        "_buffered": ("repro.dsa.device",),
         # Lane choice: a lock's live-waiter count; an outside write
         # would steer sessions to the wrong lane queue.
         "_live_waiters": ("repro.service.loop",),
@@ -51,7 +55,8 @@ FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
         "completion_time": ("repro.dsa.device",),
         "dispatch_time": ("repro.dsa.device",),
         "children_pending": ("repro.dsa.device",),
-        # Engine occupancy: the in-flight descriptor list.
+        # Engine occupancy: the in-flight descriptor list, kept sorted
+        # by completion time.
         "inflight": ("repro.dsa.engine",),
         # DevTLB slot lists inside each sub-entry.
         "slots": ("repro.ats.devtlb",),
@@ -75,5 +80,20 @@ MUTATING_METHODS: frozenset[str] = frozenset(
         "remove",
         "setdefault",
         "update",
+    }
+)
+
+#: Module functions that mutate their first argument in place.
+#: ``bisect.insort(X.field, ...)`` counts as a mutation of ``field``.
+MUTATING_FUNCTIONS: frozenset[str] = frozenset(
+    {
+        "bisect.insort",
+        "bisect.insort_left",
+        "bisect.insort_right",
+        "heapq.heapify",
+        "heapq.heappop",
+        "heapq.heappush",
+        "heapq.heappushpop",
+        "heapq.heapreplace",
     }
 )

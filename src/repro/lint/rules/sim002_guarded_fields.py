@@ -22,6 +22,12 @@ ownership map :data:`repro.invariants.fields.FIELD_OWNERS`:
   ``X._entries.clear()`` — the verbs in
   :data:`repro.invariants.fields.MUTATING_METHODS`) on a guarded
   attribute outside its owners;
+* an in-place container mutation of a guarded attribute outside its
+  owners: subscript assignment (``X.inflight[i] = ...``), ``del``
+  (``del X.inflight[:n]``), or a mutating module function with the
+  field as its first argument (``bisect.insort(X.inflight, ...)``,
+  ``heapq.heappush(X.field, ...)`` — the functions in
+  :data:`repro.invariants.fields.MUTATING_FUNCTIONS`);
 * assignment to an ``invariant_monitor`` attribute outside
   ``repro.invariants`` — hand-attachment skips the monitor's
   one-monitor-per-device guard (the ``self.invariant_monitor = None``
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.invariants.fields import FIELD_OWNERS, MUTATING_METHODS
+from repro.invariants.fields import FIELD_OWNERS, MUTATING_FUNCTIONS, MUTATING_METHODS
 from repro.lint.checker import Checker, FileContext
 
 
@@ -72,6 +78,12 @@ class GuardedFieldChecker(Checker):
             self._check_target(node.target, node.value)
         self.generic_visit(node)
 
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            if isinstance(target, ast.Subscript):
+                self._check_in_place(target.value, "deletes from")
+        self.generic_visit(node)
+
     def _check_target(
         self,
         target: ast.expr,
@@ -81,6 +93,9 @@ class GuardedFieldChecker(Checker):
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._check_target(element, value, augmented)
+            return
+        if isinstance(target, ast.Subscript):
+            self._check_in_place(target.value, "assigns an item of")
             return
         if not isinstance(target, ast.Attribute):
             return
@@ -124,7 +139,25 @@ class GuardedFieldChecker(Checker):
                     f" {', '.join(owners)} (see"
                     " repro.invariants.fields.FIELD_OWNERS)",
                 )
+        elif node.args and self.resolve_call(node) in MUTATING_FUNCTIONS:
+            self._check_in_place(
+                node.args[0], f"passes to `{self.resolve_call(node)}()`"
+            )
         self.generic_visit(node)
+
+    def _check_in_place(self, container: ast.expr, verb: str) -> None:
+        """Flag an in-place mutation of ``X.<guarded field>`` by a non-owner."""
+        if not isinstance(container, ast.Attribute):
+            return
+        owners = FIELD_OWNERS.get(container.attr)
+        if owners is None or not self.ctx.module or self.ctx.module in owners:
+            return
+        self.report(
+            container,
+            f"module `{self.ctx.module}` {verb} monitor-guarded field"
+            f" `{container.attr}`; its owners are {', '.join(owners)} (see"
+            " repro.invariants.fields.FIELD_OWNERS)",
+        )
 
     # -- idioms ---------------------------------------------------------
     @staticmethod

@@ -36,7 +36,7 @@ class UnrelatedLedger:
 
     def __init__(self) -> None:
         # Fresh empty value on self reads as a declaration, not a
-        # mutation of monitored state (cf. CheckpointJournal._entries).
+        # mutation of monitored state (cf. a journal keyed by trial).
         # Deliberately NOT in expected.json.
         self._entries = {}
         self.invariant_monitor = None  # declaration idiom: allowed
