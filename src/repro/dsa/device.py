@@ -20,7 +20,15 @@ removing work usually leaves a stale bound that is merely conservative,
 but aborting a queued ``DRAIN`` (which waits for an idle engine) can
 free a processing unit for work behind it before the bound.  Tearing
 down an empty queue (``queue_space.remove``) changes no dispatch
-candidate and leaves the bound valid.
+candidate and leaves the bound valid.  :attr:`DsaDevice.next_event`
+exposes the bound read-only; a polled wait
+(:meth:`repro.dsa.portal.Portal.wait`) jumps its clock to the first spin
+that reaches it.
+
+The bound is cheap to recompute: each engine's ``inflight`` list is
+sorted by completion time on insert, so the earliest completion is one
+head per engine, and the batch buffers are scanned only while
+``_buffered`` (batch children awaiting dispatch) is non-zero.
 
 A dispatch pass runs only while entries await dispatch
 (``_pending_work``): it repeats arbiter rounds while the last one
@@ -196,6 +204,7 @@ class DsaDevice:
         self._tickets: dict[tuple[int, int], SubmissionTicket] = {}
         self._ticket_sequence = 0
         self._pending_work = 0  # entries awaiting dispatch (fast-path gate)
+        self._buffered = 0  # batch children in the batch buffers
         self._time = 0
         self._wake: float = 0  # next possible replay event (module docstring)
         self.interrupt_log: list[InterruptEvent] = []
@@ -326,13 +335,21 @@ class DsaDevice:
         self._time = time
         self._wake = self._next_wake(time)
 
+    @property
+    def next_event(self) -> float:
+        """Lower bound on the next time :meth:`advance_to` can change state.
+
+        ``advance_to(t)`` with ``t`` below it only moves the replay
+        cursor; 0 right after a reconfiguration, infinity when idle.
+        """
+        return self._wake
+
     def _next_completion_time(self) -> float:
         """Earliest in-flight completion, or infinity when every engine is idle."""
         best = math.inf
         for engine in self.engines.values():
-            for item in engine.inflight:
-                if item.completion_time < best:
-                    best = item.completion_time
+            if engine.inflight and engine.inflight[0].completion_time < best:
+                best = engine.inflight[0].completion_time
         return best
 
     def _next_wake(self, limit: int) -> float:
@@ -342,10 +359,11 @@ class DsaDevice:
         no descriptor retires and no batch child becomes available.
         """
         wake = self._next_completion_time()
-        for buffer in self._batch_buffers.values():
-            for entry in buffer:
-                if limit < entry.available_time < wake:
-                    wake = entry.available_time
+        if self._buffered:
+            for buffer in self._batch_buffers.values():
+                for entry in buffer:
+                    if limit < entry.available_time < wake:
+                        wake = entry.available_time
         return wake
 
     def _retire_at(self, time: int) -> None:
@@ -457,7 +475,7 @@ class DsaDevice:
 
         monitor = self.invariant_monitor
         snapshot = self._ready_heads(queues, limit) if monitor is not None else None
-        ticket = self._pop_choice(choice)
+        ticket = self._pop_choice(choice, buffer)
         ticket.dispatch_time = start
         ticket.engine_id = engine_id
         if monitor is not None:
@@ -533,6 +551,7 @@ class DsaDevice:
             )
             self._batch_sequence += 1
             self._pending_work += 1
+            self._buffered += 1
         return True
 
     def _ready_heads(
@@ -553,20 +572,27 @@ class DsaDevice:
                 )
         return tuple(heads)
 
-    def _pop_choice(self, choice: ArbiterChoice) -> SubmissionTicket:
-        """Remove the chosen entry from its source and return its ticket."""
+    def _pop_choice(
+        self, choice: ArbiterChoice, buffer: list[BatchBufferEntry] | None = None
+    ) -> SubmissionTicket:
+        """Remove the chosen entry from its source and return its ticket.
+
+        A batch child is removed by identity from *buffer*, the engine
+        buffer the arbiter chose it from.
+        """
         self._pending_work -= 1
         if choice.wq_entry is not None:
             assert choice.wq is not None
             entry = choice.wq.pop()
             assert entry is choice.wq_entry, "arbiter raced the queue"
             return self._tickets.pop((choice.wq.wq_id, entry.sequence))
-        assert choice.batch_entry is not None
-        for engine_buffer in self._batch_buffers.values():
-            if choice.batch_entry in engine_buffer:
-                engine_buffer.remove(choice.batch_entry)
-                return choice.batch_entry.parent_token
-        raise AssertionError("batch entry vanished from every buffer")
+        assert choice.batch_entry is not None and buffer is not None
+        for index, entry in enumerate(buffer):
+            if entry is choice.batch_entry:
+                del buffer[index]
+                self._buffered -= 1
+                return entry.parent_token
+        raise AssertionError("batch entry vanished from its engine's buffer")
 
     # ------------------------------------------------------------------
     # Introspection

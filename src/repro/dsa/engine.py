@@ -30,8 +30,10 @@ past the first skip the per-page IOTLB simulation.)
 
 from __future__ import annotations
 
+import bisect
 import zlib
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -88,6 +90,9 @@ class _InFlight:
     token: object = None
 
 
+_completion_key = attrgetter("completion_time")
+
+
 @dataclass
 class EngineStats:
     """Aggregate per-engine counters."""
@@ -134,6 +139,8 @@ class Engine:
         self.noise = noise
         self.rng = rng
         self.timing = timing or EngineTiming()
+        #: Executing descriptors, sorted by completion time; equal times
+        #: keep admission order.
         self.inflight: list[_InFlight] = []
         self.stats = EngineStats()
         self.fault_injector = None
@@ -152,27 +159,26 @@ class Engine:
         by ``drain``).
         """
         limit = 0 if needs_idle else self.timing.concurrent_descriptors - 1
-        if len(self.inflight) <= limit:
+        inflight = self.inflight
+        if len(inflight) <= limit:
             return after
-        if limit == 0:
-            return max(after, max(item.completion_time for item in self.inflight))
-        completions = sorted(item.completion_time for item in self.inflight)
-        barrier = completions[len(self.inflight) - 1 - limit]
-        return max(after, barrier)
+        return max(after, inflight[len(inflight) - 1 - limit].completion_time)
 
     def admit(self, completion_time: int, token: object) -> None:
         """Record a descriptor as executing until *completion_time*."""
-        self.inflight.append(_InFlight(completion_time=completion_time, token=token))
+        bisect.insort(
+            self.inflight,
+            _InFlight(completion_time=completion_time, token=token),
+            key=_completion_key,
+        )
 
     def retire_due(self, time: int) -> list[object]:
         """Remove and return tokens of descriptors completed by *time*."""
-        if not self.inflight:
-            return []
-        done = [item for item in self.inflight if item.completion_time <= time]
-        if not done:
-            return []
-        self.inflight = [item for item in self.inflight if item.completion_time > time]
-        return [item.token for item in sorted(done, key=lambda i: i.completion_time)]
+        inflight = self.inflight
+        done = bisect.bisect_right(inflight, time, key=_completion_key)
+        tokens = [item.token for item in inflight[:done]]
+        del inflight[:done]
+        return tokens
 
     @property
     def busy(self) -> bool:
