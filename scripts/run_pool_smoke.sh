@@ -10,8 +10,10 @@
 #   3. run the pytest suites marked `pool` (excluded from tier-1):
 #      the serial≡parallel sweeps (fig09 at 4 workers, table3, fig11),
 #      the fault matrix across the process boundary, and the pool chaos
-#      matrix (crash/stall/corrupt workers, external kill -9, SIGTERM
-#      drain).
+#      matrix (crashed and stalled workers, corrupt result messages,
+#      external kill -9, SIGTERM drain),
+#   4. fail if the lane left a new /dev/shm/psm_* segment behind (the
+#      pool's heartbeat board must be unlinked on close).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -40,7 +42,22 @@ cmp "$workdir/serial/result.pkl" "$workdir/pool/result.pkl"
 cmp "$workdir/serial/result.pkl" "$workdir/auto/result.pkl"
 echo "   pool and auto artifacts are byte-identical to the serial run"
 
+shm_segments() {
+    ls /dev/shm 2>/dev/null | grep '^psm_' | sort || true
+}
+shm_before="$workdir/shm-before"
+shm_segments > "$shm_before"
+
 echo "== pytest -m pool =="
 python -m pytest tests -o addopts="" -m pool -q "$@"
+
+echo "== leaked shared memory =="
+leaked=$(shm_segments | comm -13 "$shm_before" -)
+if [ -n "$leaked" ]; then
+    echo "the pool lane left shared-memory segments behind:" >&2
+    echo "$leaked" >&2
+    exit 1
+fi
+echo "   no new /dev/shm/psm_* segment"
 
 echo "pool smoke test passed"

@@ -268,14 +268,13 @@ class PoolError(ReproError):
 
 
 class PoolProtocolError(PoolError):
-    """The checksummed shared-memory result stream was corrupted.
+    """A pool worker sent a message the parent cannot parse.
 
-    Every worker→parent record travels as a framed, CRC32-checksummed
-    blob over a shared-memory ring.  A frame whose magic or checksum
-    does not verify (torn write, hostile corruption, garbage from a
-    dying worker) raises this on the parent side, which treats the
-    worker as failed and requeues its unacknowledged trials — corruption
-    is healed, never silently parsed.
+    Every worker→parent record travels as one pickle over the worker's
+    pipe.  Bytes that do not unpickle, or a message with an unknown tag
+    (hostile corruption, garbage from a dying worker), raise this on the
+    parent side, which treats the worker as failed and requeues its
+    unacknowledged trials — corruption is healed, never silently parsed.
     """
 
 

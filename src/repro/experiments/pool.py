@@ -13,12 +13,12 @@ interpreter start + plan rebuild on every run:
   runs.  A worker rebuilds ``plan_source(...)`` once per distinct plan
   fingerprint and caches it, so repeated runs of the same experiment pay
   near-zero startup.
-* **Checksummed shared-memory results** — workers stream results over a
-  per-worker :class:`ShmRing` (a single-producer single-consumer byte
-  ring in ``multiprocessing.shared_memory``) as CRC32-framed pickles
-  instead of pickled queue messages; a frame that fails its checksum is
-  a detected failure (:class:`~repro.errors.PoolProtocolError`), never
-  silently parsed.
+* **Results over the worker's pipe** — each worker replies on the same
+  duplex ``multiprocessing`` pipe the parent sends it commands on, one
+  pickle per message.  A message that does not unpickle is a detected
+  failure (:class:`~repro.errors.PoolProtocolError`), never silently
+  parsed, and a closed pipe is a failed worker; either way the worker
+  is killed and its unacknowledged trials requeued.
 * **Supervision** — each worker stamps a :class:`~repro.experiments.
   supervisor.HeartbeatBoard` slot between trials.  The parent turns a
   stale worker ``suspect``, SIGKILLs it past the hang deadline
@@ -55,10 +55,8 @@ import multiprocessing
 import os
 import pickle
 import signal
-import struct
 import time
 import traceback
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -102,8 +100,6 @@ from repro.experiments.supervisor import (
     PoolConfig,
     RespawnBackoff,
     WorkerState,
-    _open_shared_memory,
-    _retrack,
     interrupt_shield,
     sigterm_as_interrupt,
 )
@@ -112,8 +108,6 @@ from repro.faults.sites import POOL_SITES
 from repro.invariants.pool import PoolStateChecker
 
 __all__ = [
-    "FrameAssembler",
-    "ShmRing",
     "WorkerContext",
     "WorkerPool",
     "current_fault_injector",
@@ -130,7 +124,7 @@ _POLL_S = 0.02
 #: pool-state checker (it is "the parent executing trials itself").
 _INLINE_WORKER = -1
 
-# Worker -> parent message tags (framed pickles on the result ring).
+# Worker -> parent message tags (pickles sent back over the worker's pipe).
 _MSG_TRIAL = "pool-trial"
 _MSG_RUN_READY = "pool-run-ready"
 _MSG_RUN_ERROR = "pool-run-error"
@@ -186,6 +180,17 @@ def _rebuild_violation(
     )
 
 
+def _decode(blob: bytes) -> tuple:
+    """One worker message, unpickled.  Bytes that do not unpickle are a
+    detected failure (:class:`~repro.errors.PoolProtocolError`), never
+    silently parsed."""
+    try:
+        return pickle.loads(blob)
+    # Worker bytes may be hostile garbage; unpicklable == corrupt.
+    except Exception as exc:  # repro-lint: ignore[EXC001]
+        raise PoolProtocolError(f"unpicklable frame: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
 # Worker-side context
 # ----------------------------------------------------------------------
@@ -223,199 +228,6 @@ def current_fault_injector() -> Any:
     audit stays inside the worker that fired the fault.
     """
     return _WORKER_CONTEXT.fault_injector if _WORKER_CONTEXT else None
-
-
-# ----------------------------------------------------------------------
-# The checksummed shared-memory result stream
-# ----------------------------------------------------------------------
-_FRAME_HEADER = struct.Struct("<4sII")  # magic, payload length, crc32
-_FRAME_MAGIC = b"DSP7"
-#: Sanity cap on a single frame so a corrupt length field cannot make
-#: the parent wait forever for bytes that will never arrive.
-_FRAME_LIMIT = 64 << 20
-
-_RING_HEADER = 16  # two u64 absolute counters: head (writer), tail (reader)
-_U64 = struct.Struct("<Q")
-
-
-def _encode_frame(payload: bytes, corrupt: bool = False) -> bytes:
-    """Frame *payload* for the ring; *corrupt* flips the checksum (the
-    ``POOL_RESULT_CORRUPT`` chaos effect — detectable, never parseable)."""
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    if corrupt:
-        crc ^= 0x5A5A5A5A
-    return _FRAME_HEADER.pack(_FRAME_MAGIC, len(payload), crc) + payload
-
-
-class FrameAssembler:
-    """Reassembles framed records from a ring's raw byte chunks.
-
-    Raises :class:`~repro.errors.PoolProtocolError` on a bad magic,
-    oversized length, or checksum mismatch — the parent treats the whole
-    stream (and the worker behind it) as failed; trials whose results
-    were lost behind the corruption are requeued and re-executed.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> list[bytes]:
-        """Buffer *data*; return every complete, verified payload."""
-        self._buffer.extend(data)
-        frames: list[bytes] = []
-        while len(self._buffer) >= _FRAME_HEADER.size:
-            magic, length, crc = _FRAME_HEADER.unpack_from(self._buffer, 0)
-            if magic != _FRAME_MAGIC:
-                raise PoolProtocolError(f"bad frame magic {magic!r}")
-            if length > _FRAME_LIMIT:
-                raise PoolProtocolError(
-                    f"frame length {length} exceeds limit {_FRAME_LIMIT}"
-                )
-            end = _FRAME_HEADER.size + length
-            if len(self._buffer) < end:
-                break
-            payload = bytes(self._buffer[_FRAME_HEADER.size:end])
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                raise PoolProtocolError(
-                    f"frame checksum mismatch over {length} byte(s)"
-                )
-            del self._buffer[:end]
-            frames.append(payload)
-        return frames
-
-
-class ShmRing:
-    """Single-producer single-consumer byte ring in shared memory.
-
-    Layout: a 16-byte header (absolute ``head`` and ``tail`` u64
-    counters, guarded by *lock* against torn 8-byte accesses) followed
-    by ``capacity`` data bytes.  The writer blocks in small sleeps when
-    the ring is full — records larger than the free space (or even the
-    whole capacity) stream through in chunks — and can bail out via
-    *should_abort* if the reader vanishes.  The creating side owns (and
-    unlinks) the segment; attachers never do (see
-    :func:`~repro.experiments.supervisor._open_shared_memory`).
-    """
-
-    def __init__(
-        self,
-        shm: Any,
-        lock: Any,
-        capacity: int,
-        owner: bool,
-    ) -> None:
-        self._shm = shm
-        self.lock = lock
-        self.capacity = capacity
-        self._owner = owner
-        self._closed = False
-
-    @classmethod
-    def create(cls, lock: Any, capacity: int) -> "ShmRing":
-        """Parent-side: allocate a fresh ring segment."""
-        shm = _open_shared_memory(None, create=True, size=_RING_HEADER + capacity)
-        shm.buf[:_RING_HEADER] = b"\x00" * _RING_HEADER
-        return cls(shm, lock, capacity, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, lock: Any, capacity: int) -> "ShmRing":
-        """Worker-side: attach to the parent's segment by name."""
-        return cls(
-            _open_shared_memory(name, create=False), lock, capacity, owner=False
-        )
-
-    @property
-    def name(self) -> str:
-        """Segment name a worker attaches to."""
-        return self._shm.name
-
-    def _counters(self) -> tuple[int, int]:
-        with self.lock:
-            head = _U64.unpack_from(self._shm.buf, 0)[0]
-            tail = _U64.unpack_from(self._shm.buf, 8)[0]
-        return head, tail
-
-    def write(
-        self, data: bytes, should_abort: Callable[[], bool] | None = None
-    ) -> None:
-        """Append *data*, blocking (in chunks) while the ring is full."""
-        if self._closed:
-            raise PoolProtocolError("write on a closed ring")
-        view = memoryview(data)
-        offset = 0
-        waits = 0
-        while offset < len(view):
-            head, tail = self._counters()
-            free = self.capacity - (head - tail)
-            if free <= 0:
-                time.sleep(0.001)
-                waits += 1
-                if (
-                    should_abort is not None
-                    and waits % 100 == 0
-                    and should_abort()
-                ):
-                    raise PoolProtocolError(
-                        "ring reader vanished while the writer was blocked"
-                    )
-                continue
-            chunk = min(free, len(view) - offset)
-            pos = head % self.capacity
-            first = min(chunk, self.capacity - pos)
-            base = _RING_HEADER
-            self._shm.buf[base + pos:base + pos + first] = view[
-                offset:offset + first
-            ]
-            if chunk > first:
-                self._shm.buf[base:base + chunk - first] = view[
-                    offset + first:offset + chunk
-                ]
-            with self.lock:
-                _U64.pack_into(self._shm.buf, 0, head + chunk)
-            offset += chunk
-
-    def read(self, max_bytes: int = 1 << 16) -> bytes:
-        """Up to *max_bytes* of pending stream, ``b""`` when empty."""
-        if self._closed:
-            raise PoolProtocolError("read on a closed ring")
-        head, tail = self._counters()
-        available = head - tail
-        if available > self.capacity or available < 0:
-            raise PoolProtocolError(
-                f"ring header corrupt: head={head} tail={tail} "
-                f"capacity={self.capacity}"
-            )
-        if available == 0:
-            return b""
-        chunk = min(available, max_bytes)
-        pos = tail % self.capacity
-        first = min(chunk, self.capacity - pos)
-        base = _RING_HEADER
-        data = bytes(self._shm.buf[base + pos:base + pos + first])
-        if chunk > first:
-            data += bytes(self._shm.buf[base:base + chunk - first])
-        with self.lock:
-            _U64.pack_into(self._shm.buf, 8, tail + chunk)
-        return data
-
-    def close(self) -> None:
-        """Release the mapping; the owner also unlinks the segment."""
-        if self._closed:
-            return
-        self._closed = True
-        self._shm.close()
-        if self._owner:
-            _retrack(self._shm)
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-
-    def __enter__(self) -> "ShmRing":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -639,9 +451,6 @@ def _worker_run_shard(
 def _pool_worker_main(
     worker_id: int,
     conn: Any,
-    ring_name: str,
-    ring_lock: Any,
-    ring_capacity: int,
     board_name: str,
     board_slots: int,
     stop_event: Any,
@@ -649,21 +458,17 @@ def _pool_worker_main(
 ) -> None:
     """The persistent worker: a command loop that outlives runs.
 
-    Commands arrive on *conn* (``run`` / ``shard`` / ``exit``); every
-    reply streams back over the shared-memory ring.  The worker beats
-    its heartbeat slot when idle and between trials, exits when the
-    parent disappears, and reports any non-contained exception as a
-    crash before dying — the parent never waits on a silent worker.
+    Commands arrive on *conn* (``run`` / ``shard`` / ``exit``), and
+    every reply goes back on *conn* as one pickled message.  The parent
+    only ever sends small commands, with at most one outstanding shard
+    per worker, so the two directions of the pipe cannot both fill.  The
+    worker beats its heartbeat slot when idle and between trials, exits
+    when the parent disappears, and reports any non-contained exception
+    as a crash before dying — the parent never waits on a silent worker.
     """
     parent_pid = os.getppid()
 
-    def parent_gone() -> bool:
-        return os.getppid() != parent_pid
-
     with contextlib.ExitStack() as stack:
-        ring = stack.enter_context(
-            ShmRing.attach(ring_name, ring_lock, ring_capacity)
-        )
         board = stack.enter_context(
             HeartbeatBoard.attach(board_name, board_slots)
         )
@@ -671,16 +476,16 @@ def _pool_worker_main(
 
         def send(message: tuple, corrupt: bool = False) -> None:
             blob = pickle.dumps(message, protocol=4)
-            ring.write(
-                _encode_frame(blob, corrupt=corrupt), should_abort=parent_gone
-            )
+            # The POOL_RESULT_CORRUPT effect: a reversed pickle opens
+            # with STOP on an empty stack, so it can never unpickle.
+            conn.send_bytes(blob[::-1] if corrupt else blob)
 
         plans: dict[str, ExperimentPlan] = {}
         run: _WorkerRun | None = None
         while True:
             try:
                 board.beat(worker_id)
-                if parent_gone():
+                if os.getppid() != parent_pid:
                     return
                 if not conn.poll(0.05):
                     continue
@@ -742,8 +547,6 @@ class _Member:
         self.backoff = backoff
         self.process: Any = None
         self.conn: Any = None
-        self.ring: ShmRing | None = None
-        self.assembler: FrameAssembler | None = None
         self.state: WorkerState | None = None
         self.run_ready = False
         self.shard: _Shard | None = None
@@ -764,8 +567,9 @@ class WorkerPool:
     :meth:`run` repeatedly — workers, their interpreters, and their
     rebuilt plans survive across runs.  :meth:`close` (idempotent, also
     wired to ``atexit`` via :func:`shutdown_pools`) tears everything
-    down; shared-memory segments are ExitStack-managed so they are
-    released even on an exception mid-``__init__`` consumer.
+    down; the heartbeat board, the pool's only shared-memory segment,
+    is ExitStack-managed so it is released even on an exception
+    mid-``__init__`` consumer.
     """
 
     def __init__(self, workers: int, config: PoolConfig | None = None) -> None:
@@ -843,12 +647,8 @@ class WorkerPool:
                 member.conn.close()
             except OSError:  # pragma: no cover - already torn down
                 pass
-        if member.ring is not None:
-            member.ring.close()
         member.process = None
         member.conn = None
-        member.ring = None
-        member.assembler = None
         member.run_ready = False
         member.shard = None
 
@@ -1122,15 +922,11 @@ class WorkerPool:
 
             def _spawn(member: _Member) -> None:
                 self._board.reset(member.worker_id)
-                ring = self._stack.enter_context(
-                    ShmRing.create(self._ctx.Lock(), self.config.ring_bytes)
-                )
                 parent_conn, child_conn = self._ctx.Pipe()
                 process = self._ctx.Process(
                     target=_pool_worker_main,
                     args=(
                         member.worker_id, child_conn,
-                        ring.name, ring.lock, ring.capacity,
                         self._board.name, self.workers,
                         self._stop_event, self.config,
                     ),
@@ -1141,8 +937,6 @@ class WorkerPool:
                 child_conn.close()
                 member.process = process
                 member.conn = parent_conn
-                member.ring = ring
-                member.assembler = FrameAssembler()
                 member.run_ready = False
                 member.state = WorkerState.SPAWNING
                 checker.note_worker(
@@ -1155,15 +949,9 @@ class WorkerPool:
                     _fail(member, "pipe closed at spawn")
 
             def _arm(member: _Member) -> None:
-                """Reuse a warm worker for this run: discard any stale
-                stream bytes from a previous aborted run, re-announce."""
-                try:
-                    while member.ring.read():
-                        pass
-                except PoolProtocolError:
-                    _fail(member, "stale ring unreadable at re-arm")
-                    return
-                member.assembler = FrameAssembler()
+                """Reuse a warm worker for this run: re-announce.  Stale
+                messages of an earlier run still in its pipe carry an
+                old ``run_id`` and are dropped by :func:`_handle`."""
                 self._board.reset(member.worker_id)
                 member.run_ready = False
                 member.state = WorkerState.SPAWNING
@@ -1345,7 +1133,7 @@ class WorkerPool:
                 )
 
             def _service(member: _Member) -> None:
-                """One supervision pass over one member: drain its ring,
+                """One supervision pass over one member: drain its pipe,
                 then judge liveness, heartbeat freshness, and deadlines."""
                 now = monotonic_clock()
                 if member.state is WorkerState.RESPAWNING:
@@ -1359,27 +1147,19 @@ class WorkerPool:
                 if member.process is None:
                     return
                 fail_reason: str | None = None
-                try:
-                    while True:
-                        data = member.ring.read()
-                        if not data:
+                while fail_reason is None and config_error is None:
+                    try:
+                        if not member.conn.poll():
                             break
-                        for payload in member.assembler.feed(data):
-                            try:
-                                message = pickle.loads(payload)
-                            # Framed bytes verified the CRC but may still
-                            # be hostile garbage; unpicklable == corrupt.
-                            except Exception as exc:  # repro-lint: ignore[EXC001]
-                                raise PoolProtocolError(
-                                    f"unpicklable frame: {exc}"
-                                ) from exc
-                            fail_reason = _handle(member, message)
-                            if fail_reason or config_error is not None:
-                                break
-                        if fail_reason or config_error is not None:
-                            break
-                except PoolProtocolError as exc:
-                    fail_reason = f"corrupt result stream: {exc}"
+                        blob = member.conn.recv_bytes()
+                    except (EOFError, OSError):
+                        # The worker is gone, possibly killed mid-send.
+                        fail_reason = "result pipe closed"
+                        break
+                    try:
+                        fail_reason = _handle(member, _decode(blob))
+                    except PoolProtocolError as exc:
+                        fail_reason = f"corrupt result stream: {exc}"
                 if config_error is not None:
                     return
                 if fail_reason:

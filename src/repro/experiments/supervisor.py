@@ -87,8 +87,6 @@ DEGRADED_SERIAL = "degraded-serial"
 class PoolConfig:
     """Tuning for one :class:`~repro.experiments.pool.WorkerPool`."""
 
-    #: Capacity of each worker's result ring (bytes of payload stream).
-    ring_bytes: int = 1 << 20
     #: How long a worker may sit in ``SPAWNING`` before it is failed.
     spawn_timeout_s: float = 60.0
     #: Heartbeat staleness that turns a shard-running worker ``SUSPECT``.
@@ -117,8 +115,6 @@ class PoolConfig:
     stall_cap_s: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.ring_bytes < 4096:
-            raise ValueError(f"ring_bytes must be >= 4096, got {self.ring_bytes}")
         if self.respawn_budget < 0:
             raise ValueError("respawn_budget cannot be negative")
         if self.poison_threshold < 1:

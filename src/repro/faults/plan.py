@@ -55,9 +55,9 @@ class FaultSite(enum.Enum):
     ``POOL_WORKER_STALL``       the pool worker stops heartbeating and hangs
                                 before the trial (``magnitude_cycles`` µs·10⁶,
                                 capped) until the parent's hang watchdog kills it
-    ``POOL_RESULT_CORRUPT``     the worker's checksummed shared-memory result
-                                frame for the trial is garbled in flight, so the
-                                parent must detect it via CRC and heal
+    ``POOL_RESULT_CORRUPT``     the worker sends the trial's result message as
+                                bytes that are not a pickle, so the parent
+                                must detect the unpicklable message and heal
     ``SERVICE_SESSION_STALL``   an attack session wedges for ``magnitude_cycles``
                                 of device time mid-round (lost wakeup, hung
                                 guest); the session's deadline budget must

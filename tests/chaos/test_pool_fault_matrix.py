@@ -2,7 +2,8 @@
 fired at probability 1.0 inside real experiment runs, must end in a
 *healed* run whose artifact is byte-identical to an undisturbed serial
 run — crashed workers respawned, stalled workers SIGKILLed by the
-watchdog, corrupt result frames discarded and the shard requeued.
+watchdog, a corrupt (unpicklable) result message detected, the worker
+failed and its shard requeued.
 
 Also here (all marked ``pool``, run via ``scripts/run_pool_smoke.sh``):
 

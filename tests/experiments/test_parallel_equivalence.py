@@ -18,6 +18,7 @@ because the pool parent appends them in completion order (the
 import functools
 import json
 import pickle
+from multiprocessing import shared_memory
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from repro.experiments.checkpoint import (
     STATUS_INTERRUPTED,
     RunManifest,
 )
-from repro.experiments.pool import shutdown_pools
+from repro.experiments.pool import WorkerPool, shutdown_pools
 from repro.experiments.runner import ExperimentPlan, TrialSpec, run_experiment
 from repro.experiments.wf_common import WfSamplerSettings, dataset_from_run_dir
 
@@ -241,3 +242,33 @@ class TestParallelSweeps:
             parallel_ds.traces, parallel_ds.labels
         ) == _content_sha256(serial_ds.traces, serial_ds.labels)
         assert parallel_ds.class_names == serial_ds.class_names
+
+
+@pytest.mark.pool
+def test_heartbeat_board_is_the_only_shared_memory(monkeypatch):
+    """Results travel over the workers' pipes: the parent creates one
+    shared-memory segment (the heartbeat board), and ``close()`` leaves
+    none of its segments behind in ``/dev/shm``."""
+    created: list[str] = []
+    real_init = shared_memory.SharedMemory.__init__
+
+    def counting_init(self, name=None, create=False, size=0, **kwargs):
+        real_init(self, name, create, size, **kwargs)
+        if create:
+            created.append(self.name)
+
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", counting_init)
+    pool = WorkerPool(2)
+    try:
+        outcome = pool.run(
+            _fig09_plan(),
+            plan_source=fig09_covert.plan_source(**FIG09_CONFIG),
+            force=True,
+        )
+    finally:
+        pool.close()
+    assert outcome.status == STATUS_COMPLETED
+    assert outcome.pool["mode"] == "pool"
+    assert len(created) == 1
+    leftover = [n for n in created if (Path("/dev/shm") / n.lstrip("/")).exists()]
+    assert leftover == []

@@ -1,23 +1,16 @@
-"""Unit coverage for the pool's building blocks: the checksummed
-shared-memory result ring, frame assembly, the heartbeat scoreboard,
-respawn backoff, the poison ledger, the cost model, and the interrupt
-plumbing the parent relies on to drain cleanly.
+"""Unit coverage for the pool's building blocks: worker-message
+decoding, the heartbeat scoreboard, respawn backoff, the poison ledger,
+the cost model, and the interrupt plumbing the parent relies on to
+drain cleanly.
 """
 
-import multiprocessing
 import os
 import pickle
 import signal
-import threading
 
 import pytest
 
-from repro.experiments.pool import (
-    FrameAssembler,
-    PoolProtocolError,
-    ShmRing,
-    _encode_frame,
-)
+from repro.experiments.pool import PoolProtocolError, _decode
 from repro.experiments.supervisor import (
     CostModel,
     HeartbeatBoard,
@@ -29,98 +22,16 @@ from repro.experiments.supervisor import (
 )
 
 
-@pytest.fixture
-def ring():
-    lock = multiprocessing.get_context("spawn").Lock()
-    with ShmRing.create(lock, capacity=4096) as owner:
-        yield owner
+class TestDecode:
+    def test_roundtrip(self):
+        message = ("pool-trial", 0, 1, 2, "fig09/2", True, {"ber": 0.0})
+        assert _decode(pickle.dumps(message, protocol=4)) == message
 
-
-class TestShmRing:
-    def test_roundtrip_preserves_frame_bytes(self, ring):
-        payload = _encode_frame(pickle.dumps({"hello": "pool"}))
-        ring.write(payload)
-        assert ring.read() == payload
-
-    def test_chunked_reads_reassemble(self, ring):
-        payload = _encode_frame(bytes(i % 251 for i in range(900)))
-        ring.write(payload)
-        chunks = []
-        while True:
-            chunk = ring.read(max_bytes=64)
-            if not chunk:
-                break
-            chunks.append(chunk)
-        assert b"".join(chunks) == payload
-
-    def test_wraparound_write_larger_than_free_space(self, ring):
-        """A writer blocked on a full ring resumes as the reader drains,
-        and the bytes still arrive in order across the wrap point."""
-        first = _encode_frame(b"a" * 3000)
-        second = _encode_frame(b"b" * 3000)  # does not fit alongside first
-        ring.write(first)
-        writer = threading.Thread(target=ring.write, args=(second,))
-        writer.start()
-        received = bytearray()
-        while len(received) < len(first) + len(second):
-            received.extend(ring.read())
-        writer.join(timeout=5)
-        assert not writer.is_alive()
-        assert bytes(received) == first + second
-
-    def test_corrupt_header_trips_protocol_error(self, ring):
-        ring.write(_encode_frame(b"x"))
-        ring._shm.buf[0:8] = (2**63).to_bytes(8, "little")  # absurd head
-        with pytest.raises(PoolProtocolError):
-            ring.read()
-
-    def test_attach_then_owner_unlink(self):
-        lock = multiprocessing.get_context("spawn").Lock()
-        owner = ShmRing.create(lock, capacity=4096)
-        try:
-            attached = ShmRing.attach(owner.name, lock, capacity=4096)
-            try:
-                attached.write(_encode_frame(b"from-attacher"))
-                assert ring_read_all(owner) == _encode_frame(b"from-attacher")
-            finally:
-                attached.close()
-        finally:
-            owner.close()
-
-    def test_close_is_idempotent(self, ring):
-        ring.close()
-        ring.close()
-
-
-def ring_read_all(ring) -> bytes:
-    data = bytearray()
-    while True:
-        chunk = ring.read()
-        if not chunk:
-            return bytes(data)
-        data.extend(chunk)
-
-
-class TestFrameAssembler:
-    def test_split_delivery_reassembles_frames(self):
-        frames = [pickle.dumps(i) for i in range(3)]
-        stream = b"".join(_encode_frame(f) for f in frames)
-        assembler = FrameAssembler()
-        out = []
-        for i in range(0, len(stream), 7):
-            out.extend(assembler.feed(stream[i:i + 7]))
-        assert out == frames
-
-    def test_crc_mismatch_raises(self):
-        frame = bytearray(_encode_frame(b"payload"))
-        frame[-1] ^= 0xFF
-        with pytest.raises(PoolProtocolError, match="checksum"):
-            FrameAssembler().feed(bytes(frame))
-
-    def test_bad_magic_raises(self):
-        frame = b"XXXX" + _encode_frame(b"payload")[4:]
-        with pytest.raises(PoolProtocolError):
-            FrameAssembler().feed(frame)
+    def test_reversed_pickle_is_a_protocol_error(self):
+        """The POOL_RESULT_CORRUPT effect never unpickles."""
+        blob = pickle.dumps(("pool-trial", 0, 1), protocol=4)
+        with pytest.raises(PoolProtocolError, match="unpicklable frame"):
+            _decode(blob[::-1])
 
 
 class TestHeartbeatBoard:
@@ -232,10 +143,6 @@ class TestPoolConfig:
         config = PoolConfig(hang_floor_s=30.0, hang_factor=3.0)
         assert config.hang_deadline_s(1.0) == 30.0
         assert config.hang_deadline_s(20.0) == 60.0
-
-    def test_rejects_tiny_ring(self):
-        with pytest.raises(ValueError):
-            PoolConfig(ring_bytes=16)
 
 
 class TestInterruptPlumbing:
