@@ -17,8 +17,8 @@ the engine reports the invalidation set (the changed modules plus their
 transitive reverse importers) for observability and tests.
 
 The cache is invalidated wholesale when the engine fingerprint changes:
-rule set, summary format version, or cache schema version.  It is a
-pure accelerator — deleting it is always safe.
+rule set, the linter's own source, summary format version, or cache
+schema version.  It is a pure accelerator — deleting it is always safe.
 """
 
 from __future__ import annotations
@@ -38,14 +38,29 @@ CACHE_VERSION = 1
 #: Default cache filename, resolved against the lint root.
 DEFAULT_CACHE = ".repro-lint-cache.json"
 
+#: The linter package: its rules, summary extraction and taint engine.
+_LINT_PACKAGE = Path(__file__).resolve().parent
+
+
+def _source_digest() -> str:
+    """SHA-256 over every ``.py`` file of the linter, so an edit to a
+    rule or to the project tables invalidates cached findings."""
+    digest = hashlib.sha256()
+    for path in sorted(_LINT_PACKAGE.rglob("*.py")):
+        digest.update(path.relative_to(_LINT_PACKAGE).as_posix().encode("utf-8"))
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
 
 def engine_fingerprint(rule_ids: list[str]) -> str:
     """Identity of the analysis configuration a cache entry is valid
-    for: cache schema, summary format, and the selected rule set."""
+    for: cache schema, summary format, the linter's own source, and the
+    selected rule set."""
     payload = json.dumps(
         {
             "cache": CACHE_VERSION,
             "summary": SUMMARY_VERSION,
+            "sources": _source_digest(),
             "rules": sorted(rule_ids),
         },
         sort_keys=True,

@@ -99,18 +99,16 @@ CLOCK_SOURCES = frozenset(
 )
 CLOCK_SOURCE_SUFFIXES: tuple[str, ...] = ("wall_clock", "monotonic_clock")
 
-#: Dotted-origin suffixes that acquire a kernel-backed resource (kept in
-#: sync with PAR002's acquirer table — EXC101 follows the same resources
-#: through helper returns).
+#: Dotted-origin suffixes that acquire a kernel-backed resource: PAR002
+#: checks them within one function, EXC101 follows them through helper
+#: returns.
 RESOURCE_ACQUIRERS: tuple[str, ...] = (
     "multiprocessing.shared_memory.SharedMemory",
-    "ShmRing.create",
-    "ShmRing.attach",
     "HeartbeatBoard",
     "HeartbeatBoard.attach",
 )
 
-#: In-place container mutators (shared shape with PAR001's analysis).
+#: In-place container mutators (PAR001 and PAR101 both use this set).
 MUTATING_METHODS = frozenset(
     {
         "append",

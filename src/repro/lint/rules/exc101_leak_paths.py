@@ -18,12 +18,12 @@ must be tied to a release path at the point of the call:
 * returned onward (the caller's caller is then checked the same way),
 * ``close()``d in a ``finally`` block or registered with a finalizer.
 
-Direct acquirer calls (``SharedMemory(...)``, ``ShmRing.attach(...)``)
+Direct acquirer calls (``SharedMemory(...)``, ``HeartbeatBoard.attach(...)``)
 stay PAR002's; EXC101 fires only on *indirect* acquisitions through
 project helpers, where the leak is invisible to any single file.
 
 **Fix:** the sanctioned idiom is
-``stack.enter_context(make_ring(...))`` — helpers that return resources
+``stack.enter_context(make_board(...))`` — helpers that return resources
 should be consumed under an ``ExitStack`` or ``with`` block.
 """
 

@@ -29,25 +29,7 @@ from __future__ import annotations
 import ast
 
 from repro.lint.checker import Checker, FileContext, dotted_parts
-
-#: Container methods treated as in-place mutation of the receiver.
-_MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "sort",
-        "reverse",
-    }
-)
+from repro.lint.project import MUTATING_METHODS
 
 
 def _loop_target_names(func: ast.AST) -> set[str]:
@@ -70,7 +52,7 @@ def _mutated_names(func: ast.AST) -> set[str]:
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATING_METHODS
+            and node.func.attr in MUTATING_METHODS
             and isinstance(node.func.value, ast.Name)
         ):
             names.add(node.func.value.id)

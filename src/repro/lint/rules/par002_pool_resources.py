@@ -2,14 +2,14 @@
 
 The persistent pool (:mod:`repro.experiments.pool`) holds kernel-backed
 resources: ``multiprocessing.shared_memory`` segments (the heartbeat
-board, the per-worker result rings) survive the Python objects that wrap
-them — a leaked segment outlives the process and eats ``/dev/shm`` until
-a reboot.  Every acquisition must therefore be tied to a deterministic
-release at the point it happens, not in a distant ``close`` someone must
-remember to call.
+board) survive the Python objects that wrap them — a leaked segment
+outlives the process and eats ``/dev/shm`` until a reboot.  Every
+acquisition must therefore be tied to a deterministic release at the
+point it happens, not in a distant ``close`` someone must remember to
+call.
 
-Flagged acquisition calls — ``SharedMemory(...)``, ``ShmRing.create`` /
-``ShmRing.attach``, ``HeartbeatBoard(...)`` / ``HeartbeatBoard.attach``
+Flagged acquisition calls — :data:`repro.lint.project.RESOURCE_ACQUIRERS`:
+``SharedMemory(...)``, ``HeartbeatBoard(...)`` / ``HeartbeatBoard.attach``
 — are reported unless, within the same function (or module top level),
 the acquisition is:
 
@@ -22,9 +22,9 @@ the acquisition is:
   registered with a finalizer (``weakref.finalize``, ``atexit.register``,
   ``stack.callback``).
 
-The sanctioned idiom is the first two: ``ShmRing``/``HeartbeatBoard``
-are context managers precisely so acquisitions read
-``stack.enter_context(ShmRing.attach(...))``.
+The sanctioned idiom is the first two: ``HeartbeatBoard`` is a context
+manager precisely so acquisitions read
+``stack.enter_context(HeartbeatBoard.attach(...))``.
 """
 
 from __future__ import annotations
@@ -36,30 +36,13 @@ from repro.lint.checker import (
     FileContext,
     iter_child_statements,
 )
-
-#: Dotted-origin suffixes that acquire a kernel-backed pool resource.
-_ACQUIRERS: tuple[str, ...] = (
-    "multiprocessing.shared_memory.SharedMemory",
-    "ShmRing.create",
-    "ShmRing.attach",
-    "HeartbeatBoard",
-    "HeartbeatBoard.attach",
-)
+from repro.lint.project import is_resource_acquirer
 
 #: Callee attribute names that register a deterministic release for an
 #: argument: ExitStack.enter_context/callback, atexit.register,
 #: weakref.finalize.
 _ENTER_METHODS = frozenset({"enter_context"})
 _FINALIZER_METHODS = frozenset({"callback", "register", "finalize"})
-
-
-def _matches(origin: str | None) -> bool:
-    if origin is None:
-        return False
-    return any(
-        origin == suffix or origin.endswith("." + suffix)
-        for suffix in _ACQUIRERS
-    )
 
 
 class PoolResourceChecker(Checker):
@@ -93,9 +76,11 @@ class PoolResourceChecker(Checker):
         safe_names: set[str] = set()
 
         for node in iter_child_statements(body):
-            if isinstance(node, ast.Call) and _matches(self.resolve_call(node)):
-                acquisitions.append(node)
-            # with SharedMemory(...) as x: / with ShmRing.attach(...):
+            if isinstance(node, ast.Call):
+                origin = self.resolve_call(node)
+                if origin is not None and is_resource_acquirer(origin):
+                    acquisitions.append(node)
+            # with SharedMemory(...) as x: / with HeartbeatBoard(...):
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     if isinstance(item.context_expr, ast.Call):

@@ -67,7 +67,7 @@ class WorkerGlobalChecker(ProjectChecker):
                     f" ({write.kind}) by `{qname}`, reachable from pool"
                     f" worker entry `{entry}`; per-process mutation"
                     " diverges across workers and survives worker reuse —"
-                    " thread state through the plan or the result ring"
+                    " thread state through the plan or the result messages"
                     " (static twin of PoolStateChecker)",
                 )
         return self.findings

@@ -5,14 +5,14 @@ import atexit
 import contextlib
 import weakref
 from multiprocessing import shared_memory
+from multiprocessing.shared_memory import SharedMemory
 
-from repro.experiments.pool import ShmRing
 from repro.experiments.supervisor import HeartbeatBoard
 
 
-def context_manager(lock, capacity):
-    with ShmRing.create(lock, capacity) as ring:
-        ring.write(b"payload")
+def context_manager(slots):
+    with HeartbeatBoard(slots) as board:
+        board.beat(0)
 
 
 def with_statement_segment(slots):
@@ -20,12 +20,12 @@ def with_statement_segment(slots):
         return bytes(shm.buf[:8])
 
 
-def exit_stack(name, lock, capacity, slots):
+def exit_stack(name, slots):
     with contextlib.ExitStack() as stack:
-        ring = stack.enter_context(ShmRing.attach(name, lock, capacity))
+        shm = stack.enter_context(SharedMemory(name=name))
         board = stack.enter_context(HeartbeatBoard.attach(name, slots))
         board.beat(0)
-        return ring.read()
+        return bytes(shm.buf[:8])
 
 
 def try_finally(workers):

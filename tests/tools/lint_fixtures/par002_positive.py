@@ -3,7 +3,7 @@
 
 from multiprocessing import shared_memory
 
-from repro.experiments.pool import ShmRing
+from multiprocessing.shared_memory import SharedMemory
 from repro.experiments.supervisor import HeartbeatBoard
 
 
@@ -12,15 +12,15 @@ def bare_segment(slots):
     return shm.name  # the handle itself is dropped, segment leaks
 
 
-def unmanaged_ring(lock, capacity):
-    ring = ShmRing.create(lock, capacity)
-    ring.write(b"payload")
-    ring.close()  # not reached if write raises: no finally, no with
+def unmanaged_segment(slots):
+    shm = SharedMemory(create=True, size=slots)
+    shm.buf[0] = 1
+    shm.close()  # not reached if the write raises: no finally, no with
 
 
-def unmanaged_attach(name, lock, capacity):
-    ring = ShmRing.attach(name, lock, capacity)
-    return ring.read()
+def unmanaged_attach(name, slots):
+    board = HeartbeatBoard.attach(name, slots)
+    return board.read(0)
 
 
 def board_without_owner(workers):

@@ -3,32 +3,32 @@
 
 from contextlib import ExitStack
 
-from fixproj.factory import make_ring, make_ring_indirect
+from fixproj.factory import make_board, make_board_indirect
 
 
-def bad_consume(lock, payload):
-    ring = make_ring(lock, 4096)  # leaked: nothing ever closes it
-    ring.write(payload)
+def bad_consume(trial):
+    board = make_board(2)  # leaked: nothing ever closes it
+    board.beat(0, trial=trial)
 
 
-def bad_consume_indirect(lock, payload):
-    ring = make_ring_indirect(lock, 4096)  # leaked through two hops
-    ring.write(payload)
+def bad_consume_indirect(trial):
+    board = make_board_indirect(2)  # leaked through two hops
+    board.beat(0, trial=trial)
 
 
-def good_with_stack(lock, payload):
+def good_with_stack(trial):
     with ExitStack() as stack:
-        ring = stack.enter_context(make_ring(lock, 4096))
-        ring.write(payload)
+        board = stack.enter_context(make_board(2))
+        board.beat(0, trial=trial)
 
 
-def good_finally(lock, payload):
-    ring = make_ring(lock, 4096)
+def good_finally(trial):
+    board = make_board(2)
     try:
-        ring.write(payload)
+        board.beat(0, trial=trial)
     finally:
-        ring.close()
+        board.close()
 
 
-def good_factory_onward(lock):
-    return make_ring(lock, 4096)
+def good_factory_onward():
+    return make_board(2)

@@ -11,12 +11,14 @@ phase-1/2 APIs directly.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from repro.lint import LintEngine
+from repro.lint import cache as lint_cache
 from repro.lint.cache import SummaryCache, engine_fingerprint
 from repro.lint.checker import FileContext
 from repro.lint.project import summarize
@@ -250,16 +252,16 @@ def test_resource_return_is_transitive(tmp_path):
         tmp_path,
         "mod.py",
         "fix.mod",
-        "from repro.experiments.pool import ShmRing\n"
+        "from repro.experiments.supervisor import HeartbeatBoard\n"
         "\n"
-        "def make(lock):\n"
-        "    return ShmRing.create(lock, 64)\n"
+        "def make(slots):\n"
+        "    return HeartbeatBoard(slots)\n"
         "\n"
-        "def make2(lock):\n"
-        "    return make(lock)\n"
+        "def make2(slots):\n"
+        "    return make(slots)\n"
         "\n"
-        "def make3(lock):\n"
-        "    return make2(lock)\n",
+        "def make3(slots):\n"
+        "    return make2(slots)\n",
     )
     analysis = analyze([mod])
     assert analysis.returns_resource["fix.mod.make"]
@@ -394,6 +396,27 @@ def test_cache_keyed_to_rule_selection(tmp_path):
         root=tmp_path, cache_path=cache_path, select=["DET101"]
     ).run([tmp_path])
     assert narrowed.cache_hits == 0 and narrowed.parsed == 4
+
+
+@pytest.mark.parametrize(
+    "edited", ["rules/par002_pool_resources.py", "project.py", "taint.py"]
+)
+def test_fingerprint_tracks_linter_source(tmp_path, monkeypatch, edited):
+    """Same rule ids, edited linter source: a warm cache must not replay
+    findings from before the edit."""
+    package = tmp_path / "lint"
+    shutil.copytree(
+        Path(lint_cache.__file__).parent,
+        package,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    monkeypatch.setattr(lint_cache, "_LINT_PACKAGE", package)
+    rule_ids = ["EXC101", "PAR002"]
+    before = engine_fingerprint(rule_ids)
+    assert engine_fingerprint(rule_ids) == before
+    source = package / edited
+    source.write_text(source.read_text() + "\n# edited\n")
+    assert engine_fingerprint(rule_ids) != before
 
 
 def test_malformed_cache_is_discarded(tmp_path):
