@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Persistent-pool smoke test:
 #
-#   1. lint preflight (includes the PAR002 pool-resource rule and its
-#      whole-program twins PAR101/EXC101 — cross-process shared-state
-#      writes and resource leaks through helper returns),
+#   1. lint preflight (includes the whole-program rules PAR101 and
+#      EXC101 — cross-process shared-state writes, and shared-memory
+#      acquisitions with no tied release, direct or through helpers),
 #   2. run a small fig09 sweep serially and again with --workers 2
 #      under --executor pool and --executor auto, byte-compare the
 #      artifacts,
@@ -13,7 +13,7 @@
 #      matrix (crashed and stalled workers, corrupt result messages,
 #      external kill -9, SIGTERM drain),
 #   4. fail if the lane left a new /dev/shm/psm_* segment behind (the
-#      pool's heartbeat board must be unlinked on close).
+#      pool creates none; workers report over their pipes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -19,9 +19,10 @@ interpreter start + plan rebuild on every run:
   failure (:class:`~repro.errors.PoolProtocolError`), never silently
   parsed, and a closed pipe is a failed worker; either way the worker
   is killed and its unacknowledged trials requeued.
-* **Supervision** — each worker stamps a :class:`~repro.experiments.
-  supervisor.HeartbeatBoard` slot between trials.  The parent turns a
-  stale worker ``suspect``, SIGKILLs it past the hang deadline
+* **Supervision** — each worker reports every trial start on its pipe,
+  ahead of the trial's result, and any message of the current run counts
+  as a sign of life.  The parent turns a worker that holds a shard but
+  has gone silent ``suspect``, SIGKILLs it past the hang deadline
   (``max(floor, factor × longest trial)`` — the PR-2 watchdog discipline
   applied to liveness), respawns crashed workers under capped
   exponential backoff, and requeues their unacknowledged trials.  A
@@ -95,7 +96,6 @@ from repro.experiments.runner import (
 from repro.experiments.supervisor import (
     DEGRADED_SERIAL,
     CostModel,
-    HeartbeatBoard,
     PoisonLedger,
     PoolConfig,
     RespawnBackoff,
@@ -125,6 +125,7 @@ _POLL_S = 0.02
 _INLINE_WORKER = -1
 
 # Worker -> parent message tags (pickles sent back over the worker's pipe).
+_MSG_STARTED = "pool-started"
 _MSG_TRIAL = "pool-trial"
 _MSG_RUN_READY = "pool-run-ready"
 _MSG_RUN_ERROR = "pool-run-error"
@@ -319,7 +320,6 @@ def _worker_run_shard(
     command: tuple,
     run: "_WorkerRun | None",
     worker_id: int,
-    board: HeartbeatBoard,
     stop_event: Any,
     config: PoolConfig,
     send: Callable[..., None],
@@ -364,7 +364,7 @@ def _worker_run_shard(
                 stall_s = min(event.magnitude_cycles / 1e6, stall_s)
             deadline = monotonic_clock() + stall_s
             while monotonic_clock() < deadline:
-                # Deliberately no heartbeat: a stalled worker goes
+                # Deliberately no message: a stalled worker goes
                 # silent, which is exactly what the parent detects.
                 time.sleep(0.05)
         event = injector.fire(
@@ -388,7 +388,7 @@ def _worker_run_shard(
 
     def skip_trial(local: int) -> str | None:
         index = indices[local]
-        board.beat(worker_id, trial=index, shard=shard_id)
+        send((_MSG_STARTED, worker_id, run_id, shard_id, index))
         return run.circuit.gate(index)
 
     def on_trial_end(
@@ -409,7 +409,6 @@ def _worker_run_shard(
             )
         send(message, corrupt=index in pending_corrupt)
         pending_corrupt.discard(index)
-        board.beat(worker_id, trial=-1, shard=shard_id)
 
     try:
         guarded = run_guarded_trials(
@@ -451,8 +450,6 @@ def _worker_run_shard(
 def _pool_worker_main(
     worker_id: int,
     conn: Any,
-    board_name: str,
-    board_slots: int,
     stop_event: Any,
     config: PoolConfig,
 ) -> None:
@@ -462,17 +459,14 @@ def _pool_worker_main(
     every reply goes back on *conn* as one pickled message.  The parent
     only ever sends small commands, with at most one outstanding shard
     per worker, so the two directions of the pipe cannot both fill.  The
-    worker beats its heartbeat slot when idle and between trials, exits
-    when the parent disappears, and reports any non-contained exception
-    as a crash before dying — the parent never waits on a silent worker.
+    worker announces each trial before running it (the parent's liveness
+    signal), exits when the parent disappears, and reports any
+    non-contained exception as a crash before dying — the parent never
+    waits on a silent worker.
     """
     parent_pid = os.getppid()
 
-    with contextlib.ExitStack() as stack:
-        board = stack.enter_context(
-            HeartbeatBoard.attach(board_name, board_slots)
-        )
-        stack.callback(conn.close)
+    with contextlib.closing(conn):
 
         def send(message: tuple, corrupt: bool = False) -> None:
             blob = pickle.dumps(message, protocol=4)
@@ -484,7 +478,6 @@ def _pool_worker_main(
         run: _WorkerRun | None = None
         while True:
             try:
-                board.beat(worker_id)
                 if os.getppid() != parent_pid:
                     return
                 if not conn.poll(0.05):
@@ -500,8 +493,7 @@ def _pool_worker_main(
                     run = _worker_begin_run(command, plans, worker_id, send)
                 elif verb == "shard":
                     _worker_run_shard(
-                        command, run, worker_id, board, stop_event, config,
-                        send,
+                        command, run, worker_id, stop_event, config, send
                     )
             except KeyboardInterrupt:
                 # Terminal SIGINT reaches the whole process group; report
@@ -552,8 +544,9 @@ class _Member:
         self.shard: _Shard | None = None
         self.spawn_started = 0.0
         self.respawn_due = 0.0
-        self.last_counter = -1
         self.last_progress = 0.0
+        #: ``(shard_id, index)`` of the last trial the worker announced.
+        self.started: tuple[int, int] | None = None
 
     @property
     def alive(self) -> bool:
@@ -567,9 +560,8 @@ class WorkerPool:
     :meth:`run` repeatedly — workers, their interpreters, and their
     rebuilt plans survive across runs.  :meth:`close` (idempotent, also
     wired to ``atexit`` via :func:`shutdown_pools`) tears everything
-    down; the heartbeat board, the pool's only shared-memory segment,
-    is ExitStack-managed so it is released even on an exception
-    mid-``__init__`` consumer.
+    down.  Workers talk to the parent only over their pipes; the pool
+    holds no shared-memory segment.
     """
 
     def __init__(self, workers: int, config: PoolConfig | None = None) -> None:
@@ -585,8 +577,6 @@ class WorkerPool:
             self._ctx = multiprocessing.get_context("forkserver")
         except ValueError:  # pragma: no cover - platform without forkserver
             self._ctx = multiprocessing.get_context("spawn")
-        self._stack = contextlib.ExitStack()
-        self._board = self._stack.enter_context(HeartbeatBoard(workers))
         self._stop_event = self._ctx.Event()
         self._members = [
             _Member(
@@ -617,7 +607,7 @@ class WorkerPool:
         return any(member.alive for member in self._members)
 
     def close(self) -> None:
-        """Stop workers, release shared memory.  Idempotent."""
+        """Stop workers and close their pipes.  Idempotent."""
         if self.closed:
             return
         self.closed = True
@@ -637,7 +627,6 @@ class WorkerPool:
                     process.join(timeout=5.0)
             self._release_member(member)
             member.state = WorkerState.RETIRED
-        self._stack.close()
 
     def _release_member(self, member: _Member) -> None:
         """Close a member's IPC handles (the process is handled by the
@@ -921,14 +910,12 @@ class WorkerPool:
                     return False
 
             def _spawn(member: _Member) -> None:
-                self._board.reset(member.worker_id)
                 parent_conn, child_conn = self._ctx.Pipe()
                 process = self._ctx.Process(
                     target=_pool_worker_main,
                     args=(
-                        member.worker_id, child_conn,
-                        self._board.name, self.workers,
-                        self._stop_event, self.config,
+                        member.worker_id, child_conn, self._stop_event,
+                        self.config,
                     ),
                     daemon=True,
                     name=f"repro-pool-{member.worker_id}",
@@ -943,8 +930,8 @@ class WorkerPool:
                     member.worker_id, WorkerState.SPAWNING.value, "spawn"
                 )
                 member.spawn_started = monotonic_clock()
-                member.last_counter = -1
                 member.last_progress = member.spawn_started
+                member.started = None
                 if not _send(member, run_cmd):
                     _fail(member, "pipe closed at spawn")
 
@@ -952,15 +939,14 @@ class WorkerPool:
                 """Reuse a warm worker for this run: re-announce.  Stale
                 messages of an earlier run still in its pipe carry an
                 old ``run_id`` and are dropped by :func:`_handle`."""
-                self._board.reset(member.worker_id)
                 member.run_ready = False
                 member.state = WorkerState.SPAWNING
                 checker.note_worker(
                     member.worker_id, WorkerState.SPAWNING.value, "re-arm"
                 )
                 member.spawn_started = monotonic_clock()
-                member.last_counter = -1
                 member.last_progress = member.spawn_started
+                member.started = None
                 if not _send(member, run_cmd):
                     _fail(member, "pipe closed at re-arm")
 
@@ -968,7 +954,6 @@ class WorkerPool:
                 """Kill and (eventually) respawn a failed worker; blame,
                 strike, and requeue its unacknowledged trials."""
                 nonlocal respawns_this_run, next_shard_id
-                heartbeat = self._board.read(member.worker_id)
                 blamed_key: str | None = None
                 shard = member.shard
                 if shard is not None:
@@ -976,10 +961,11 @@ class WorkerPool:
                     checker.note_unassign(remaining)
                     blame: int | None = None
                     if (
-                        heartbeat.shard == shard.shard_id
-                        and heartbeat.trial in remaining
+                        member.started is not None
+                        and member.started[0] == shard.shard_id
+                        and member.started[1] in remaining
                     ):
-                        blame = heartbeat.trial
+                        blame = member.started[1]
                     elif remaining:
                         blame = remaining[0]
                     if blame is not None:
@@ -1022,6 +1008,20 @@ class WorkerPool:
                 nonlocal longest_trial_s, breaker_state, breaker_skips
                 nonlocal stop_skips
                 tag = message[0]
+                if tag != _MSG_CRASHED and message[2] == run_id:
+                    # Any message of this run is a sign of life.
+                    member.last_progress = monotonic_clock()
+                    if member.state is WorkerState.SUSPECT:
+                        member.state = WorkerState.HEALTHY
+                        checker.note_worker(
+                            member.worker_id, WorkerState.HEALTHY.value,
+                            "heartbeat resumed",
+                        )
+                if tag == _MSG_STARTED:
+                    _, _, rid, shard_id, index = message
+                    if rid == run_id:
+                        member.started = (shard_id, index)
+                    return None
                 if tag == _MSG_TRIAL:
                     (_, wid, rid, index, key, ok, payload,
                      error_type, error_text, elapsed_s) = message
@@ -1069,9 +1069,7 @@ class WorkerPool:
                         )
                         return None
                     member.run_ready = True
-                    if member.state in (
-                        WorkerState.SPAWNING, WorkerState.SUSPECT
-                    ):
+                    if member.state is WorkerState.SPAWNING:
                         member.state = WorkerState.HEALTHY
                         checker.note_worker(
                             member.worker_id, WorkerState.HEALTHY.value,
@@ -1134,7 +1132,7 @@ class WorkerPool:
 
             def _service(member: _Member) -> None:
                 """One supervision pass over one member: drain its pipe,
-                then judge liveness, heartbeat freshness, and deadlines."""
+                then judge liveness, message freshness, and deadlines."""
                 now = monotonic_clock()
                 if member.state is WorkerState.RESPAWNING:
                     if (
@@ -1172,16 +1170,6 @@ class WorkerPool:
                         f"(exitcode {member.process.exitcode})",
                     )
                     return
-                heartbeat = self._board.read(member.worker_id)
-                if heartbeat.counter != member.last_counter:
-                    member.last_counter = heartbeat.counter
-                    member.last_progress = now
-                    if member.state is WorkerState.SUSPECT:
-                        member.state = WorkerState.HEALTHY
-                        checker.note_worker(
-                            member.worker_id, WorkerState.HEALTHY.value,
-                            "heartbeat resumed",
-                        )
                 if member.state is WorkerState.SPAWNING:
                     if now - member.spawn_started > self.config.spawn_timeout_s:
                         _fail(
@@ -1292,6 +1280,11 @@ class WorkerPool:
                                         ),
                                     ):
                                         member.shard = shard
+                                        # An idle worker sends nothing:
+                                        # staleness counts from here.
+                                        member.last_progress = (
+                                            monotonic_clock()
+                                        )
                                         checker.note_dispatch(
                                             member.worker_id, shard.indices
                                         )

@@ -9,11 +9,6 @@ testable without spawning a single worker:
   moves through (``spawning → healthy → suspect → respawning``, with
   ``retired`` as the terminal state and pool-level ``degraded-serial``
   when parallelism stops paying); documented in ``docs/parallel.md``.
-* :class:`HeartbeatBoard` — a tiny shared-memory scoreboard, one slot
-  per worker: beat counter, host timestamp, current trial, current
-  shard.  The parent's hung-worker watchdog reads it; workers write it
-  between trials (a stalled trial stops beating, which is exactly the
-  signal).
 * :class:`RespawnBackoff` — capped exponential delay between respawns
   of the same worker slot, so a crash-looping environment cannot burn
   CPU respawning at full speed.
@@ -27,9 +22,8 @@ testable without spawning a single worker:
   plumbing that guarantees checkpoint + manifest flushes complete even
   when SIGINT/SIGTERM lands mid-drain (the PR-5 teardown race).
 
-Host-time reads route through the runner's injectable
-:func:`~repro.experiments.runner.monotonic_clock` (the DET002 contract),
-so supervision timing is testable with ``override_clocks``.
+Liveness itself is judged in the pool parent, from the messages each
+worker sends on its pipe; nothing here reads the host clock.
 """
 
 from __future__ import annotations
@@ -37,18 +31,12 @@ from __future__ import annotations
 import contextlib
 import enum
 import signal
-import struct
 import threading
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Iterator
-
-from repro.experiments.runner import monotonic_clock
 
 __all__ = [
     "CostModel",
-    "HeartbeatBoard",
-    "Heartbeat",
     "InterruptLatch",
     "PoisonLedger",
     "PoolConfig",
@@ -63,11 +51,11 @@ class WorkerState(str, enum.Enum):
     """Supervision states of one pool worker slot.
 
     ``SPAWNING`` covers process start through the worker's first
-    ``run-ready`` reply; ``HEALTHY`` workers execute shards and beat the
-    heartbeat board; a worker whose heartbeat goes stale turns
-    ``SUSPECT`` and — past the hang deadline — is SIGKILLed and parked
-    ``RESPAWNING`` until its backoff elapses; ``RETIRED`` is terminal
-    (pool shutdown or degradation to serial).
+    ``run-ready`` reply; ``HEALTHY`` workers execute shards and report
+    each trial start and result on their pipe; a shard-holding worker
+    whose messages stop turns ``SUSPECT`` and — past the hang deadline
+    — is SIGKILLed and parked ``RESPAWNING`` until its backoff elapses;
+    ``RETIRED`` is terminal (pool shutdown or degradation to serial).
     """
 
     SPAWNING = "spawning"
@@ -89,9 +77,10 @@ class PoolConfig:
 
     #: How long a worker may sit in ``SPAWNING`` before it is failed.
     spawn_timeout_s: float = 60.0
-    #: Heartbeat staleness that turns a shard-running worker ``SUSPECT``.
+    #: Silence (no message of the run) that turns a shard-running
+    #: worker ``SUSPECT``.
     hang_suspect_s: float = 5.0
-    #: Hard heartbeat deadline: floor for the SIGKILL decision.  The
+    #: Hard silence deadline: floor for the SIGKILL decision.  The
     #: effective deadline is ``max(hang_floor_s, hang_factor × longest
     #: observed trial)`` — the PR-2 watchdog discipline applied to
     #: worker liveness instead of the run budget.
@@ -155,8 +144,8 @@ class RespawnBackoff:
 class PoisonLedger:
     """Strike accounting for trials that keep taking workers down.
 
-    Every worker failure blames one trial (the index its heartbeat said
-    it was executing).  One strike is forgiven — the trial is retried
+    Every worker failure blames one trial (the last index the worker
+    announced starting).  One strike is forgiven — the trial is retried
     with pool-site chaos suppressed; at *threshold* strikes the trial is
     quarantined: dropped from the run, listed in the manifest's
     ``poisoned`` field, and reflected in exit code 8.
@@ -191,151 +180,6 @@ class PoisonLedger:
     def struck(self) -> tuple[str, ...]:
         """Every key with at least one strike, sorted."""
         return tuple(sorted(self.strikes))
-
-
-# ----------------------------------------------------------------------
-# Heartbeat board
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Heartbeat:
-    """One worker slot's scoreboard entry, as read by the parent."""
-
-    counter: int
-    timestamp: float
-    trial: int  # plan index being executed, -1 when idle
-    shard: int  # shard id being executed, -1 when idle
-
-
-#: counter (u64), host timestamp (f64), trial index (i64), shard (i64).
-_SLOT = struct.Struct("<Qdqq")
-
-
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Detach *shm* from this process's resource tracker.
-
-    Python ≤ 3.12 registers every attached segment with the resource
-    tracker, which then *destroys* the parent's segment when the worker
-    exits (bpo-38119).  Attach-side handles therefore unregister; only
-    the creating process unlinks.
-    """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:  # repro-lint: ignore[EXC001] - best-effort detach
-        pass
-
-
-def _retrack(shm: shared_memory.SharedMemory) -> None:
-    """Re-register *shm* just before the owner unlinks it.
-
-    When parent and workers share one resource-tracker process (the
-    normal multiprocessing arrangement), a worker's :func:`_untrack`
-    removes the tracker's only cache entry for the name — the tracker's
-    cache is a per-name set, not a refcount — so the owner's later
-    ``unlink()`` (which unregisters internally) would make the tracker
-    log a spurious ``KeyError``.  Re-registering is idempotent in every
-    arrangement, so unlink's unregister always finds its entry.
-    """
-    try:
-        resource_tracker.register(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:  # repro-lint: ignore[EXC001] - best-effort
-        pass
-
-
-def _open_shared_memory(
-    name: str | None, create: bool, size: int = 0
-) -> shared_memory.SharedMemory:
-    """``SharedMemory`` that never lets an attacher's exit unlink it."""
-    try:
-        shm = shared_memory.SharedMemory(
-            name=name, create=create, size=size, track=create
-        )
-    except TypeError:  # Python < 3.13: no track= keyword
-        shm = shared_memory.SharedMemory(name=name, create=create, size=size)
-        if not create:
-            _untrack(shm)
-    return shm
-
-
-class HeartbeatBoard:
-    """A shared-memory scoreboard with one :class:`Heartbeat` per worker.
-
-    The creating parent owns (and eventually unlinks) the segment;
-    workers attach by name and write only their own slot, so no lock is
-    needed — the parent tolerates a torn read as at worst one delayed
-    staleness decision.  Use as a context manager (or rely on the
-    registered finalizer) so the segment is always released.
-    """
-
-    def __init__(
-        self, slots: int, name: str | None = None, *, _create: bool = True
-    ) -> None:
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        self.slot_count = slots
-        self._owner = _create
-        self._shm = _open_shared_memory(
-            name, create=_create, size=slots * _SLOT.size
-        )
-        if _create:
-            self._shm.buf[:] = b"\x00" * (slots * _SLOT.size)
-        self._counters = [0] * slots  # writer-local beat counters
-        self._closed = False
-
-    @classmethod
-    def attach(cls, name: str, slots: int) -> "HeartbeatBoard":
-        """Worker-side handle on an existing board."""
-        return cls(slots, name=name, _create=False)
-
-    @property
-    def name(self) -> str:
-        """The shared-memory segment name workers attach to."""
-        return self._shm.name
-
-    def beat(self, slot: int, trial: int = -1, shard: int = -1) -> None:
-        """Stamp *slot* alive, naming what it is executing right now."""
-        self._counters[slot] += 1
-        _SLOT.pack_into(
-            self._shm.buf,
-            slot * _SLOT.size,
-            self._counters[slot],
-            monotonic_clock(),
-            trial,
-            shard,
-        )
-
-    def read(self, slot: int) -> Heartbeat:
-        """The parent-side view of *slot*."""
-        counter, timestamp, trial, shard = _SLOT.unpack_from(
-            self._shm.buf, slot * _SLOT.size
-        )
-        return Heartbeat(
-            counter=counter, timestamp=timestamp, trial=trial, shard=shard
-        )
-
-    def reset(self, slot: int) -> None:
-        """Zero *slot* (called by the parent before a respawn)."""
-        self._shm.buf[slot * _SLOT.size:(slot + 1) * _SLOT.size] = (
-            b"\x00" * _SLOT.size
-        )
-
-    def close(self) -> None:
-        """Release the mapping; the owner also unlinks the segment."""
-        if self._closed:
-            return
-        self._closed = True
-        self._shm.close()
-        if self._owner:
-            _retrack(self._shm)
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-
-    def __enter__(self) -> "HeartbeatBoard":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar, Iterable
+from typing import Any, ClassVar
 
 #: Sub-packages of ``repro`` whose code models simulated hardware and
 #: therefore may only observe the *simulated* clock and seeded RNGs.
@@ -196,19 +196,6 @@ def dotted_parts(node: ast.expr) -> list[str]:
         parts.reverse()
         return parts
     return []
-
-
-def iter_child_statements(body: Iterable[ast.stmt]) -> Iterable[ast.AST]:
-    """Walk *body* without descending into nested function/class defs."""
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 class Checker(ast.NodeVisitor):

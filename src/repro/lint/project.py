@@ -7,10 +7,11 @@ But re-walking every AST on every lint run would make the whole-program
 pass unaffordable.  The compromise is classic summary-based analysis:
 
 * **Phase 1** (this module) walks each file *once* and distills a
-  :class:`ModuleSummary` — the defined functions, their call sites with
-  argument *taint atoms*, RNG construction sites, module-global writes,
-  and resource acquisitions.  Summaries are plain JSON and are cached
-  by source SHA-256 (:mod:`repro.lint.cache`), so a warm re-lint only
+  :class:`ModuleSummary` — the defined functions (nested defs as
+  ``outer.inner``, module-level code as ``<module>``), their call sites
+  with argument *taint atoms*, RNG construction sites, module-global
+  writes, and resource acquisitions.  Summaries are plain JSON and are
+  cached by source SHA-256 (:mod:`repro.lint.cache`), so a warm re-lint only
   re-extracts the modules that actually changed.
 * **Phase 2** (:mod:`repro.lint.taint`) stitches the summaries into a
   project call graph and runs a fixpoint over the taint lattice; it
@@ -57,7 +58,7 @@ from repro.lint.checker import FileContext, ImportResolver
 
 #: Bumped whenever the summary format or extraction logic changes, so a
 #: stale cache is discarded instead of silently misread.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 #: Callables whose return value *is* a fresh RNG stream.  Which lattice
 #: label the stream gets (blessed vs unblessed) depends on the resolved
@@ -99,13 +100,11 @@ CLOCK_SOURCES = frozenset(
 )
 CLOCK_SOURCE_SUFFIXES: tuple[str, ...] = ("wall_clock", "monotonic_clock")
 
-#: Dotted-origin suffixes that acquire a kernel-backed resource: PAR002
-#: checks them within one function, EXC101 follows them through helper
-#: returns.
+#: Dotted-origin suffixes that acquire a kernel-backed resource: EXC101
+#: checks each call within its function and follows the value through
+#: helper returns.
 RESOURCE_ACQUIRERS: tuple[str, ...] = (
     "multiprocessing.shared_memory.SharedMemory",
-    "HeartbeatBoard",
-    "HeartbeatBoard.attach",
 )
 
 #: In-place container mutators (PAR001 and PAR101 both use this set).
@@ -314,6 +313,9 @@ class FunctionSummary:
     acquires_resource: bool = False
     is_async: bool = False
     global_writes: list[GlobalWrite] = field(default_factory=list)
+    #: qnames of the defs nested directly in this body: they can run
+    #: only when this function does (callbacks included).
+    nested: list[str] = field(default_factory=list)
 
     def rng_site(self, atom: str) -> RngSite | None:
         """The :class:`RngSite` an ``RNG:line:col`` atom refers to."""
@@ -333,6 +335,7 @@ class FunctionSummary:
             "acquires_resource": self.acquires_resource,
             "is_async": self.is_async,
             "global_writes": [w.to_json() for w in self.global_writes],
+            "nested": list(self.nested),
         }
 
     @classmethod
@@ -349,6 +352,7 @@ class FunctionSummary:
             global_writes=[
                 GlobalWrite.from_json(w) for w in raw["global_writes"]
             ],
+            nested=list(raw["nested"]),
         )
 
 
@@ -438,7 +442,8 @@ def _is_mutable_initializer(node: ast.expr, resolver: ImportResolver) -> bool:
 
 def _iter_scope(body: Iterable[ast.stmt]) -> Iterable[ast.AST]:
     """Walk *body* without descending into nested defs/classes (their
-    bodies are separate scopes, summarized on their own)."""
+    bodies are separate scopes; nested defs are summarized on their
+    own, class bodies nested in a function are not)."""
     stack = list(body)
     while stack:
         node = stack.pop()
@@ -452,27 +457,38 @@ def _iter_scope(body: Iterable[ast.stmt]) -> Iterable[ast.AST]:
 
 
 class _FunctionExtractor:
-    """Flow-insensitive atom analysis of one function body."""
+    """Flow-insensitive atom analysis of one function body (or of a
+    module's top-level statements, as a parameterless pseudo-function).
+
+    *enclosing* maps the names of defs visible from enclosing function
+    scopes to their qnames, and *shadowed* holds the names those scopes
+    bind, which hide module globals of the same name.
+    """
 
     def __init__(
         self,
         summarizer: "ModuleSummarizer",
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
+        func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module,
         qname: str,
         class_qname: "str | None" = None,
+        enclosing: "dict[str, str] | None" = None,
+        shadowed: frozenset[str] = frozenset(),
     ) -> None:
         self.s = summarizer
         self.func = func
         self.class_qname = class_qname
-        args = func.args
-        params = [
-            a.arg
-            for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-            if a.arg not in ("self", "cls")
-        ]
+        self.line = getattr(func, "lineno", 1)
+        params: list[str] = []
+        if not isinstance(func, ast.Module):
+            args = func.args
+            params = [
+                a.arg
+                for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                if a.arg not in ("self", "cls")
+            ]
         self.summary = FunctionSummary(
             qname=qname,
-            line=func.lineno,
+            line=self.line,
             params=params,
             is_async=isinstance(func, ast.AsyncFunctionDef),
         )
@@ -495,6 +511,22 @@ class _FunctionExtractor:
                     if isinstance(target, ast.Name):
                         self.local_bound.add(target.id)
         self.local_bound -= self.global_decls
+        self.shadowed = shadowed
+        # Module-level defs are the summarizer's; nested ones are ours.
+        self.nested_defs: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
+        if not isinstance(func, ast.Module):
+            self.nested_defs = [
+                node
+                for node in _iter_scope(func.body)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+        self.local_funcs = {
+            **(enclosing or {}),
+            **{node.name: f"{qname}.{node.name}" for node in self.nested_defs},
+        }
+        self.summary.nested = sorted(
+            {f"{qname}.{node.name}" for node in self.nested_defs}
+        )
         self._managed_ids: set[int] = set()
         self._named_calls: dict[str, list[int]] = {}
         self._safe_names: set[str] = set()
@@ -509,33 +541,29 @@ class _FunctionExtractor:
             and isinstance(node.value, ast.Call)
         }
 
-    # -- managed-call analysis (same escape set as PAR002) -------------
+    # -- managed-call analysis (EXC101's escape set) --------------------
     def _collect_managed(self, body: list[ast.stmt]) -> None:
         """Mark call expressions whose value is tied to an ownership or
         release path: ``with``-context, ``enter_context`` argument,
         attribute assignment, ``return``, ``finally``-close, finalizer
-        registration."""
+        registration.  Passing the value to any other call does not
+        count: ``use(shm)`` may well not keep it."""
         for node in _iter_scope(body):
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     if isinstance(item.context_expr, ast.Call):
                         self._managed_ids.add(id(item.context_expr))
-            if isinstance(node, ast.Call):
-                # Passing a value *itself* as an argument transfers (or
-                # at least shares) ownership with the callee — e.g.
-                # ``return cls(shm, ...)`` hands the segment to an
-                # owning wrapper.  Method calls *on* the value
-                # (``ring.push(x)``) do not count.
-                for arg in node.args:
-                    if isinstance(arg, ast.Call):
-                        self._managed_ids.add(id(arg))
-                    elif isinstance(arg, ast.Name):
-                        self._safe_names.add(arg.id)
-                if isinstance(node.func, ast.Attribute):
-                    if node.func.attr in _FINALIZER_METHODS:
-                        for sub in ast.walk(node):
-                            if isinstance(sub, ast.Name):
-                                self._safe_names.add(sub.id)
+            if isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute
+            ):
+                if node.func.attr == "enter_context":
+                    for arg in node.args:
+                        if isinstance(arg, ast.Call):
+                            self._managed_ids.add(id(arg))
+                elif node.func.attr in _FINALIZER_METHODS:
+                    for sub in ast.walk(node):
+                        if isinstance(sub, ast.Name):
+                            self._safe_names.add(sub.id)
             if isinstance(node, ast.Assign) and isinstance(
                 node.value, ast.Call
             ):
@@ -556,9 +584,7 @@ class _FunctionExtractor:
                     for sub in ast.walk(cleanup):
                         if (
                             isinstance(sub, ast.Attribute)
-                            and sub.attr
-                            in ("close", "shutdown", "unlink", "terminate",
-                                "release")
+                            and sub.attr == "close"
                             and isinstance(sub.value, ast.Name)
                         ):
                             self._safe_names.add(sub.value.id)
@@ -650,13 +676,14 @@ class _FunctionExtractor:
             return name in self.s.module_level_names
         return (
             name not in self.local_bound
+            and name not in self.shadowed
             and name in self.s.mutable_globals
         )
 
     def _record_global_write(
         self, name: str, kind: str, node: ast.AST
     ) -> None:
-        line = getattr(node, "lineno", self.func.lineno)
+        line = getattr(node, "lineno", self.line)
         self.summary.global_writes.append(
             GlobalWrite(
                 name=name,
@@ -716,8 +743,19 @@ class _FunctionExtractor:
             return f"{self.class_qname}.{func.attr}"
         return None
 
+    def _resolve_local_call(self, node: ast.Call) -> "str | None":
+        """Resolve a bare-name call of a def nested in this or an
+        enclosing function to the nested def's qname."""
+        if isinstance(node.func, ast.Name):
+            return self.local_funcs.get(node.func.id)
+        return None
+
     def _call_atoms(self, node: ast.Call, out: set[str]) -> None:
-        origin = self._resolve_self_call(node) or self.s.resolve_callee(node)
+        origin = (
+            self._resolve_self_call(node)
+            or self._resolve_local_call(node)
+            or self.s.resolve_callee(node)
+        )
         # In-place mutation of a module global through a method call:
         # ``_corpus.append(case)``.
         if (
@@ -848,12 +886,11 @@ class ModuleSummarizer:
             imports=dict(self.resolver.aliases),
         )
         prefix = self.ctx.module or self.ctx.rel
+        # Top-level statements, as a pseudo-function no code can call.
+        self._summarize(summary, self.ctx.tree, f"{prefix}.<module>")
         for node in self.ctx.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qname = f"{prefix}.{node.name}"
-                summary.functions[qname] = _FunctionExtractor(
-                    self, node, qname
-                ).run()
+                self._summarize(summary, node, f"{prefix}.{node.name}")
             elif isinstance(node, ast.ClassDef):
                 class_qname = f"{prefix}.{node.name}"
                 summary.classes.append(class_qname)
@@ -861,12 +898,38 @@ class ModuleSummarizer:
                     if isinstance(
                         item, (ast.FunctionDef, ast.AsyncFunctionDef)
                     ):
-                        qname = f"{class_qname}.{item.name}"
-                        summary.functions[qname] = _FunctionExtractor(
-                            self, item, qname, class_qname=class_qname
-                        ).run()
+                        self._summarize(
+                            summary,
+                            item,
+                            f"{class_qname}.{item.name}",
+                            class_qname,
+                        )
         summary.module_globals = sorted(self.mutable_globals)
         return summary
+
+    def _summarize(
+        self,
+        summary: ModuleSummary,
+        node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module,
+        qname: str,
+        class_qname: str | None = None,
+        enclosing: dict[str, str] | None = None,
+        shadowed: frozenset[str] = frozenset(),
+    ) -> None:
+        """Summarize *node* as *qname*, then the defs nested in it."""
+        extractor = _FunctionExtractor(
+            self, node, qname, class_qname, enclosing, shadowed
+        )
+        summary.functions[qname] = extractor.run()
+        for inner in extractor.nested_defs:
+            self._summarize(
+                summary,
+                inner,
+                f"{qname}.{inner.name}",
+                class_qname,
+                extractor.local_funcs,
+                shadowed | extractor.local_bound,
+            )
 
 
 def summarize(ctx: FileContext) -> ModuleSummary:

@@ -29,7 +29,6 @@ from repro.lint.rules.exc001_broad_except import BroadExceptChecker
 from repro.lint.rules.exc101_leak_paths import LeakPathChecker
 from repro.lint.rules.fuz001_fuzz_rng import FuzzRngChecker
 from repro.lint.rules.par001_worker_closures import WorkerClosureChecker
-from repro.lint.rules.par002_pool_resources import PoolResourceChecker
 from repro.lint.rules.par101_worker_globals import WorkerGlobalChecker
 from repro.lint.rules.sim001_fault_sites import FaultSiteChecker
 from repro.lint.rules.sim002_guarded_fields import GuardedFieldChecker
@@ -43,7 +42,6 @@ ALL_CHECKERS: tuple[type[Checker], ...] = (
     BroadExceptChecker,
     FuzzRngChecker,
     WorkerClosureChecker,
-    PoolResourceChecker,
     FaultSiteChecker,
     GuardedFieldChecker,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "GuardedFieldChecker",
     "LeakPathChecker",
     "OrderingChecker",
-    "PoolResourceChecker",
     "SeedProvenanceChecker",
     "TrialKeyChecker",
     "UnseededRngChecker",

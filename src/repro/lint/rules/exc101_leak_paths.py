@@ -1,30 +1,36 @@
-"""EXC101 — kernel-backed resources leaked through helper returns.
+"""EXC101 — kernel-backed resources acquired with no tied release.
 
-PAR002 checks acquire/release pairing *within one function* and
-deliberately treats ``return SharedMemory(...)`` as safe: a factory
-hands ownership to its caller.  That escape hatch is only sound if the
-caller actually takes ownership — and the caller is in a different
-function, often a different module, where a per-file rule cannot look.
+A ``multiprocessing.shared_memory`` segment survives the Python object
+that wraps it: a leaked segment outlives the process and eats
+``/dev/shm`` until a reboot.  Every acquisition must therefore be tied
+to a deterministic release where it happens, not in a distant ``close``
+someone must remember to call.
 
-This rule closes the loop interprocedurally: the taint engine computes
-which project functions *return a kernel-backed resource* (directly, or
-transitively through another helper), and every call site of such a
-function is held to PAR002's ownership discipline — the returned value
-must be tied to a release path at the point of the call:
+The rule checks two kinds of call, anywhere in the project (function
+bodies, nested defs and module-level code alike):
+
+* **direct** acquisitions — :data:`repro.lint.project.RESOURCE_ACQUIRERS`
+  (``SharedMemory(...)``);
+* **indirect** ones — calls of a project function that *returns* such a
+  resource, directly or transitively through another helper, as
+  computed by the taint engine.  A factory that returns its acquisition
+  hands ownership to its caller, and the caller is often in a different
+  module, where a per-file rule cannot look.
+
+Either way the value must be tied to a release path at the call:
 
 * used as a ``with`` context expression,
 * handed to ``ExitStack.enter_context(...)``,
 * assigned to an object attribute (ownership moves to its ``close``),
 * returned onward (the caller's caller is then checked the same way),
-* ``close()``d in a ``finally`` block or registered with a finalizer.
+* ``close()``d in a ``finally`` block or registered with a finalizer
+  (``weakref.finalize``, ``atexit.register``, ``stack.callback``).
 
-Direct acquirer calls (``SharedMemory(...)``, ``HeartbeatBoard.attach(...)``)
-stay PAR002's; EXC101 fires only on *indirect* acquisitions through
-project helpers, where the leak is invisible to any single file.
+Passing it to any other call (``use(shm)``) is not a release path, and
+neither is a ``finally`` block that only ``unlink()``s it.
 
-**Fix:** the sanctioned idiom is
-``stack.enter_context(make_board(...))`` — helpers that return resources
-should be consumed under an ``ExitStack`` or ``with`` block.
+**Fix:** the sanctioned idiom is ``stack.enter_context(make_segment(...))``
+— consume resources under an ``ExitStack`` or ``with`` block.
 """
 
 from __future__ import annotations
@@ -33,12 +39,19 @@ from repro.lint.checker import Finding, ProjectChecker
 from repro.lint.project import is_resource_acquirer
 from repro.lint.taint import ProjectAnalysis
 
+_FIX = (
+    "consume it under `with`/`ExitStack.enter_context(...)`, store it on"
+    " an owning object, register a finalizer, or close it in a `finally`"
+    " block"
+)
+
 
 class LeakPathChecker(ProjectChecker):
-    """Flags unmanaged calls to helpers that return pool resources."""
+    """Flags resource acquisitions, direct or through helpers, that are
+    never tied to a release."""
 
     rule = "EXC101"
-    title = "resource-returning helper called with no tied release"
+    title = "kernel-backed resource acquired with no tied release"
 
     def check(self, analysis: ProjectAnalysis) -> list[Finding]:
         for qname, fn in sorted(analysis.functions.items()):
@@ -47,20 +60,22 @@ class LeakPathChecker(ProjectChecker):
                 if call.managed:
                     continue
                 if is_resource_acquirer(call.callee):
-                    continue  # direct acquisitions are PAR002's findings
-                target = analysis.resolve_callee(qname, call.callee)
-                if target is None or not analysis.returns_resource.get(
-                    target, False
-                ):
-                    continue
-                self.report(
-                    rel,
-                    call.line,
-                    call.col,
-                    f"`{call.callee}(...)` returns a kernel-backed pool"
-                    f" resource (via `{target}`) that is never tied to a"
-                    " release here; consume it under `with`/"
-                    "`ExitStack.enter_context(...)`, store it on an owning"
-                    " object, or close it in a `finally` block",
-                )
+                    message = (
+                        f"`{call.callee}(...)` acquires a kernel-backed"
+                        " resource that is never tied to a release here"
+                        " (shared-memory segments outlive the process"
+                        f" when leaked); {_FIX}"
+                    )
+                else:
+                    target = analysis.resolve_callee(qname, call.callee)
+                    if target is None or not analysis.returns_resource.get(
+                        target, False
+                    ):
+                        continue
+                    message = (
+                        f"`{call.callee}(...)` returns a kernel-backed"
+                        f" resource (via `{target}`) that is never tied to"
+                        f" a release here; {_FIX}"
+                    )
+                self.report(rel, call.line, call.col, message)
         return self.findings

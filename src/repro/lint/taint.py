@@ -213,7 +213,11 @@ def analyze(summaries: Iterable[ModuleSummary]) -> ProjectAnalysis:
 
     # -- call graph ----------------------------------------------------
     for qname, fn in analysis.functions.items():
-        edges: set[str] = set()
+        # A nested def runs only when its enclosing function does, even
+        # when it is only handed out as a callback; the edge serves
+        # reachability, not ``callers`` (a callback's parameters come
+        # from code outside the project, like an API boundary's).
+        edges: set[str] = set(fn.nested)
         for call in fn.calls:
             target = analysis.resolve_callee(qname, call.callee)
             if target is not None:

@@ -180,6 +180,56 @@ class TestExternalKillMidShard:
         _assert_same_artifact(serial_dir, pool_dir)
 
 
+def _sleep_then(seconds: float, value: int) -> int:
+    time.sleep(seconds)
+    return value
+
+
+def _idle_requeue_plan(flag_path: str) -> ExperimentPlan:
+    """Two interleaved shards: ``[0, 2, 4, 6]`` spends 1.5 s in three
+    slow trials and then loses its worker at trial 6, while ``[1, 3, 5]``
+    finishes at once — so its worker sits idle past the 1 s hang floor
+    before the requeued trial 6 reaches it."""
+    trials = []
+    for index in range(7):
+        fn = functools.partial(
+            _sleep_then, 0.5 if index in (0, 2, 4) else 0.0, index
+        )
+        if index == 6:
+            fn = functools.partial(_kill_once, flag_path, fn)
+        trials.append(TrialSpec(key=f"idle-requeue/{index}", fn=fn))
+    return ExperimentPlan(
+        name="idle-requeue",
+        seed=0,
+        config={"trials": 7},
+        trials=tuple(trials),
+        finalize=dict,
+    )
+
+
+class TestIdleWorkerGetsRequeuedShard:
+    def test_idle_past_the_hang_floor_is_not_a_hang(self, tmp_path):
+        flag = tmp_path / "killed.flag"
+        outcome = run_pool_experiment(
+            _idle_requeue_plan(str(flag)),
+            plan_source=functools.partial(_idle_requeue_plan, str(flag)),
+            workers=2,
+            executor="pool",
+            config=PoolConfig(
+                hang_suspect_s=0.25,
+                hang_floor_s=1.0,
+                hang_factor=1.0,
+                shards_per_worker=1,
+            ),
+        )
+        assert flag.exists(), "the kill never happened"
+        assert outcome.status == STATUS_COMPLETED
+        assert outcome.result == {f"idle-requeue/{i}": i for i in range(7)}
+        events = outcome.pool["events"]
+        assert [event["blamed"] for event in events] == ["idle-requeue/6"]
+        assert not [e for e in events if e["reason"].startswith("hung")]
+
+
 def _run_cli_until_sigterm(tmp_path) -> tuple[int, Path]:
     run_dir = tmp_path / "sigterm"
     env = dict(os.environ)

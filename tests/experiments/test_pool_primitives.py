@@ -1,7 +1,6 @@
 """Unit coverage for the pool's building blocks: worker-message
-decoding, the heartbeat scoreboard, respawn backoff, the poison ledger,
-the cost model, and the interrupt plumbing the parent relies on to
-drain cleanly.
+decoding, respawn backoff, the poison ledger, the cost model, and the
+interrupt plumbing the parent relies on to drain cleanly.
 """
 
 import os
@@ -13,7 +12,6 @@ import pytest
 from repro.experiments.pool import PoolProtocolError, _decode
 from repro.experiments.supervisor import (
     CostModel,
-    HeartbeatBoard,
     PoisonLedger,
     PoolConfig,
     RespawnBackoff,
@@ -32,36 +30,6 @@ class TestDecode:
         blob = pickle.dumps(("pool-trial", 0, 1), protocol=4)
         with pytest.raises(PoolProtocolError, match="unpicklable frame"):
             _decode(blob[::-1])
-
-
-class TestHeartbeatBoard:
-    def test_beat_read_roundtrip(self):
-        with HeartbeatBoard(2) as board:
-            board.beat(1, trial=7, shard=3)
-            beat = board.read(1)
-            assert (beat.counter, beat.trial, beat.shard) == (1, 7, 3)
-            assert beat.timestamp > 0
-            assert board.read(0).counter == 0
-
-    def test_attacher_writes_what_the_owner_reads(self):
-        with HeartbeatBoard(2) as board:
-            worker_view = HeartbeatBoard.attach(board.name, 2)
-            try:
-                worker_view.beat(0, trial=5, shard=1)
-            finally:
-                worker_view.close()
-            assert board.read(0).trial == 5
-
-    def test_reset_zeroes_a_slot(self):
-        with HeartbeatBoard(1) as board:
-            board.beat(0, trial=3, shard=2)
-            board.reset(0)
-            assert board.read(0).counter == 0
-
-    def test_rejects_zero_slots(self):
-        with pytest.raises(ValueError):
-            # Rejected before any segment is allocated — nothing leaks.
-            HeartbeatBoard(0)  # repro-lint: ignore[PAR002]
 
 
 class TestRespawnBackoff:

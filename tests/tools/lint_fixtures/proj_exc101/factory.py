@@ -1,13 +1,13 @@
 # repro-lint-fixture-module: fixproj.factory
-"""Resource factories: returning an acquisition is sanctioned (PAR002)."""
+"""Resource factories: returning an acquisition hands it to the caller."""
 
-from repro.experiments.supervisor import HeartbeatBoard
-
-
-def make_board(slots):
-    return HeartbeatBoard(slots)
+from multiprocessing.shared_memory import SharedMemory
 
 
-def make_board_indirect(slots):
+def make_segment(size):
+    return SharedMemory(create=True, size=size)
+
+
+def make_segment_indirect(size):
     # Still a factory two levels deep — callers own the result.
-    return make_board(slots)
+    return make_segment(size)

@@ -3,32 +3,32 @@
 
 from contextlib import ExitStack
 
-from fixproj.factory import make_board, make_board_indirect
+from fixproj.factory import make_segment, make_segment_indirect
 
 
 def bad_consume(trial):
-    board = make_board(2)  # leaked: nothing ever closes it
-    board.beat(0, trial=trial)
+    shm = make_segment(2)  # leaked: nothing ever closes it
+    shm.buf[0] = trial
 
 
 def bad_consume_indirect(trial):
-    board = make_board_indirect(2)  # leaked through two hops
-    board.beat(0, trial=trial)
+    shm = make_segment_indirect(2)  # leaked through two hops
+    shm.buf[0] = trial
 
 
 def good_with_stack(trial):
     with ExitStack() as stack:
-        board = stack.enter_context(make_board(2))
-        board.beat(0, trial=trial)
+        shm = stack.enter_context(make_segment(2))
+        shm.buf[0] = trial
 
 
 def good_finally(trial):
-    board = make_board(2)
+    shm = make_segment(2)
     try:
-        board.beat(0, trial=trial)
+        shm.buf[0] = trial
     finally:
-        board.close()
+        shm.close()
 
 
 def good_factory_onward():
-    return make_board(2)
+    return make_segment(2)

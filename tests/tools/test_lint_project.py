@@ -252,16 +252,16 @@ def test_resource_return_is_transitive(tmp_path):
         tmp_path,
         "mod.py",
         "fix.mod",
-        "from repro.experiments.supervisor import HeartbeatBoard\n"
+        "from multiprocessing.shared_memory import SharedMemory\n"
         "\n"
-        "def make(slots):\n"
-        "    return HeartbeatBoard(slots)\n"
+        "def make(size):\n"
+        "    return SharedMemory(create=True, size=size)\n"
         "\n"
-        "def make2(slots):\n"
-        "    return make(slots)\n"
+        "def make2(size):\n"
+        "    return make(size)\n"
         "\n"
-        "def make3(slots):\n"
-        "    return make2(slots)\n",
+        "def make3(size):\n"
+        "    return make2(size)\n",
     )
     analysis = analyze([mod])
     assert analysis.returns_resource["fix.mod.make"]
@@ -399,7 +399,7 @@ def test_cache_keyed_to_rule_selection(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edited", ["rules/par002_pool_resources.py", "project.py", "taint.py"]
+    "edited", ["rules/exc101_leak_paths.py", "project.py", "taint.py"]
 )
 def test_fingerprint_tracks_linter_source(tmp_path, monkeypatch, edited):
     """Same rule ids, edited linter source: a warm cache must not replay
@@ -411,7 +411,7 @@ def test_fingerprint_tracks_linter_source(tmp_path, monkeypatch, edited):
         ignore=shutil.ignore_patterns("__pycache__"),
     )
     monkeypatch.setattr(lint_cache, "_LINT_PACKAGE", package)
-    rule_ids = ["EXC101", "PAR002"]
+    rule_ids = ["EXC101", "PAR101"]
     before = engine_fingerprint(rule_ids)
     assert engine_fingerprint(rule_ids) == before
     source = package / edited
@@ -436,9 +436,12 @@ def test_summary_roundtrips_through_json(tmp_path):
         "_CACHE = []\n"
         "\n"
         "def f(x):\n"
-        "    _CACHE.append(x)\n"
+        "    def g():\n"
+        "        _CACHE.append(x)\n"
+        "    g()\n"
         "    return wall_clock()\n",
     )
+    assert summary.functions["fix.mod.f"].nested == ["fix.mod.f.g"]
     from repro.lint.project import ModuleSummary
 
     clone = ModuleSummary.from_json(
