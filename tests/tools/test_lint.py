@@ -45,10 +45,11 @@ def test_fixture_matches_golden(name):
 
 def test_every_file_rule_has_a_firing_fixture():
     # Project rules (DET101/…) have their own multi-file fixtures under
-    # proj_*/, asserted in test_lint_project.py.
+    # proj_*/, asserted in test_lint_project.py; the par002_* fixtures
+    # pin EXC101 on a single file, so project rules are set aside here.
     covered = {rule for findings in EXPECTED.values() for rule, _ in findings}
     per_file = set(RULES) - PROJECT_RULES
-    assert covered == per_file, (
+    assert covered - PROJECT_RULES == per_file, (
         "each per-file rule needs a positive fixture; missing:"
         f" {per_file - covered}"
     )
