@@ -115,8 +115,8 @@ class CalibrationError(ReproError):
 class InsufficientTrialsError(ReproError):
     """A guarded experiment finished with too few successful trials.
 
-    Raised by :mod:`repro.experiments.guard` when per-trial failures (or
-    an exhausted wall-clock budget) left fewer successes than the caller's
+    Raised by :mod:`repro.experiments.runner` when contained per-trial
+    failures (or breaker skips) left fewer successes than the plan's
     floor — the alternative to silently reporting a figure built from
     nothing.
     """
@@ -229,7 +229,7 @@ class UnhandledFaultError(ReproError):
     detected — never absorbed silently": every component that applies a
     fault effect calls
     :meth:`~repro.faults.injector.FaultInjector.acknowledge`, and
-    :func:`~repro.experiments.guard.run_guarded_trials` audits the
+    :func:`~repro.experiments.runner.run_guarded_trials` audits the
     fired-versus-acknowledged ledger after each trial.  A trial that
     ends green while faults fired unacknowledged fails with this error
     instead — the structured alternative to a silently skewed figure.

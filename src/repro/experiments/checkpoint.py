@@ -386,14 +386,6 @@ class CheckpointJournal:
         self._rewrite()
         return entry
 
-    def record_failure(
-        self, index: int, key: str, error: Exception, elapsed_s: float
-    ) -> JournalEntry:
-        """Journal a contained trial failure (no payload)."""
-        return self.record_failure_info(
-            index, key, type(error).__name__, str(error), elapsed_s=elapsed_s
-        )
-
     def record_failure_info(
         self,
         index: int,
@@ -402,11 +394,12 @@ class CheckpointJournal:
         error: str,
         elapsed_s: float,
     ) -> JournalEntry:
-        """Journal a failure from its summary strings.
+        """Journal a contained trial failure (no payload) from its
+        summary strings.
 
-        The worker pool reports failures across a process boundary
-        as ``(type name, message)`` rather than exception objects; this
-        writes the same record :meth:`record_failure` would.
+        Every executor records a failure as ``(type name, message)`` —
+        the form it takes across the worker pool's process boundary — so
+        serial and pooled journals match.
         """
         entry = JournalEntry(
             index=index,

@@ -31,14 +31,15 @@ interpreter start + plan rebuild on every run:
 * **Graceful degradation** — when the measured
   :class:`~repro.experiments.supervisor.CostModel` says parallelism
   cannot pay (one effective CPU, tiny batch, overhead-dominated trials)
-  or the respawn budget is exhausted, the run continues *inline* in the
-  parent on the same journal/manifest — byte-identical to the serial
-  loop, because it is the serial loop.
+  or the respawn budget is exhausted, the remaining trials run *inline*
+  in the parent through :func:`~repro.experiments.runner.run_trials` on
+  the run's :class:`~repro.experiments.runner.RunLedger` —
+  byte-identical to the serial loop, because it is the serial loop.
 
 Equivalence contract: a pool run's journal, manifest, and finalized
-artifact are byte-identical to a serial run's (the serial loop's
-checkpoint helpers: journal entries iterate in plan-index order;
-manifests carry the same counts),
+artifact are byte-identical to a serial run's (every trial result is
+recorded through the same ledger: journal entries iterate in plan-index
+order; manifests carry the same counts),
 and ``--resume`` works across worker-count changes *and* across a pool
 restart (the journal is addressed by trial key).  See
 ``docs/parallel.md`` for the supervision state machine and
@@ -58,7 +59,6 @@ import pickle
 import signal
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -71,27 +71,23 @@ from repro.errors import (
 )
 from repro.experiments.checkpoint import (
     STATUS_DEADLINE,
-    STATUS_INSUFFICIENT,
     STATUS_INTERRUPTED,
     STATUS_INVARIANT,
     STATUS_POISONED,
-    CheckpointJournal,
-    RunManifest,
 )
-from repro.experiments.guard import TrialFailure, run_guarded_trials
 from repro.experiments.runner import (
     STOP_DEADLINE,
     BreakerConfig,
     CircuitBreaker,
     ExperimentPlan,
+    RunLedger,
     RunOutcome,
-    Watchdog,
+    WorkerContext,
     _coerce_plan_source,
-    _ordered_successes,
-    insufficient_error,
     monotonic_clock,
-    prepare_checkpoint,
-    resolve_finalize,
+    run_guarded_trials,
+    run_trials,
+    worker_context,
 )
 from repro.experiments.supervisor import (
     DEGRADED_SERIAL,
@@ -108,9 +104,7 @@ from repro.faults.sites import POOL_SITES
 from repro.invariants.pool import PoolStateChecker
 
 __all__ = [
-    "WorkerContext",
     "WorkerPool",
-    "current_fault_injector",
     "get_pool",
     "run_pool_experiment",
     "shard_interleave",
@@ -142,10 +136,6 @@ _STOP_POOL = "pool-stop"
 #: so workers never diverge on ``hash()``-dependent iteration that a
 #: DET003 gap might let slip through.
 _PINNED_HASH_SEED = "0"
-
-#: Breaker states by severity: the manifest records the worst state any
-#: worker's breaker reached.
-_BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
 
 
 def shard_interleave(indices: Sequence[int], workers: int) -> list[list[int]]:
@@ -193,45 +183,6 @@ def _decode(blob: bytes) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Worker-side context
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkerContext:
-    """What a trial can learn about the worker process executing it."""
-
-    fault_injector: Any = None
-
-
-_WORKER_CONTEXT: WorkerContext | None = None
-
-
-def _set_worker_context(context: WorkerContext | None) -> WorkerContext | None:
-    """Install *context* for the trials that run next; returns the
-    previous one."""
-    global _WORKER_CONTEXT
-    previous = _WORKER_CONTEXT
-    # Intentional per-process singleton: written only between runs
-    # (before any trial of the run starts) and only ever read by
-    # current_fault_injector() — divergence across workers is the
-    # point, each worker must see its *own* injector.
-    _WORKER_CONTEXT = context  # repro-lint: ignore[PAR101]
-    return previous
-
-
-def current_fault_injector() -> Any:
-    """The executing worker's per-process
-    :class:`~repro.faults.injector.FaultInjector` (built from
-    ``plan.fault_plan``), or ``None`` outside a pool run / without a
-    plan.
-
-    Trial code that fires chaos faults under ``workers > 1`` uses this
-    instead of a closed-over injector, so the fired-versus-acknowledged
-    audit stays inside the worker that fired the fault.
-    """
-    return _WORKER_CONTEXT.fault_injector if _WORKER_CONTEXT else None
-
-
-# ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 class _WorkerRun:
@@ -255,14 +206,13 @@ class _WorkerRun:
         self.events_sent = 0
         self.skipped_sent = 0
 
-    def shard_summary(self, guarded: Any) -> dict[str, Any]:
+    def shard_summary(self, stop_skipped: int) -> dict[str, Any]:
         events = self.circuit.events[self.events_sent:]
         self.events_sent = len(self.circuit.events)
         skipped = self.circuit.skipped - self.skipped_sent
         self.skipped_sent = self.circuit.skipped
         return {
-            "stop_reason": guarded.stop_reason if guarded is not None else "",
-            "stop_skipped": guarded.skipped if guarded is not None else 0,
+            "stop_skipped": stop_skipped,
             "breaker_skipped": skipped,
             "breaker_events": list(events),
             "breaker_state": self.circuit.state.value,
@@ -299,7 +249,6 @@ def _worker_begin_run(
         if injector is not None:
             for site in POOL_SITES:
                 injector.register_site(site, f"pool-worker-{worker_id}")
-        _set_worker_context(WorkerContext(fault_injector=injector))
         run = _WorkerRun(
             run_id=run_id,
             plan=plan,
@@ -392,35 +341,30 @@ def _worker_run_shard(
         return run.circuit.gate(index)
 
     def on_trial_end(
-        local: int, result: Any, failure: TrialFailure | None, elapsed_s: float
+        local: int, result: Any, error: Exception | None, elapsed_s: float
     ) -> None:
         index = indices[local]
-        key = plan.trials[index].key
-        run.circuit.record(index, failure is None)
-        if failure is None:
-            message = (
-                _MSG_TRIAL, worker_id, run_id, index, key, True,
-                result, None, None, elapsed_s,
-            )
-        else:
-            message = (
-                _MSG_TRIAL, worker_id, run_id, index, key, False, None,
-                type(failure.error).__name__, str(failure.error), elapsed_s,
-            )
-        send(message, corrupt=index in pending_corrupt)
+        run.circuit.record(index, error is None)
+        send(
+            (
+                _MSG_TRIAL, worker_id, run_id, index, plan.trials[index].key,
+                result,
+                None if error is None else (type(error).__name__, str(error)),
+                elapsed_s,
+            ),
+            corrupt=index in pending_corrupt,
+        )
         pending_corrupt.discard(index)
 
     try:
-        guarded = run_guarded_trials(
-            [make_trial(index) for index in indices],
-            catch=run.catch,
-            min_successes=0,  # the floor is enforced over merged results
-            label=f"{plan.name}[pool shard {shard_id}]",
-            skip_trial=skip_trial,
-            stop=stop,
-            on_trial_end=on_trial_end,
-            fault_injector=injector,
-        )
+        with worker_context(WorkerContext(fault_injector=injector)):
+            guarded = run_guarded_trials(
+                [make_trial(index) for index in indices],
+                run.catch,
+                skip_trial=skip_trial,
+                stop=stop,
+                on_trial_end=on_trial_end,
+            )
     except InvariantViolation as exc:
         try:
             payload: bytes | None = pickle.dumps(exc, protocol=4)
@@ -437,14 +381,14 @@ def _worker_run_shard(
             )
         )
         send((_MSG_SHARD_DONE, worker_id, run_id, shard_id,
-              run.shard_summary(None)))
+              run.shard_summary(0)))
     except KeyboardInterrupt:
         send((_MSG_INTERRUPTED, worker_id, run_id))
         send((_MSG_SHARD_DONE, worker_id, run_id, shard_id,
-              run.shard_summary(None)))
+              run.shard_summary(0)))
     else:
         send((_MSG_SHARD_DONE, worker_id, run_id, shard_id,
-              run.shard_summary(guarded)))
+              run.shard_summary(guarded.skipped)))
 
 
 def _pool_worker_main(
@@ -663,34 +607,10 @@ class WorkerPool:
         if self.closed:
             raise PoolError("worker pool is closed")
         source = _coerce_plan_source(plan, plan_source)
-        started = monotonic_clock()
-        journal: CheckpointJournal | None = None
-        manifest: RunManifest | None = None
-        resumed_results: dict[str, Any] = {}
-        resumed_failed: set[str] = set()
-        if run_dir is not None:
-            run_dir = Path(run_dir)
-            manifest, journal, resumed_results, resumed_failed = (
-                prepare_checkpoint(plan, run_dir, resume)
-            )
-
-        pending = [
-            index
-            for index, spec in enumerate(plan.trials)
-            if spec.key not in resumed_results
-            and spec.key not in resumed_failed
-        ]
-
-        watchdog = Watchdog(deadline_s)
+        ledger = RunLedger(plan, run_dir, resume, deadline_s)
+        pending = ledger.pending()
         checker = PoolStateChecker(len(plan.trials))
-        ledger = PoisonLedger(self.config.poison_threshold)
-        live_results: dict[str, Any] = {}
-        live_failures: list[tuple[int, str, str]] = []
-        failed_keys: set[str] = set()
-        breaker_events: list[dict[str, Any]] = []
-        breaker_state = "closed"
-        breaker_skips = 0
-        stop_skips = 0
+        poison = PoisonLedger(self.config.poison_threshold)
         abort_status: str | None = None
         abort_error: Exception | None = None
         config_error: Exception | None = None
@@ -700,172 +620,64 @@ class WorkerPool:
         respawns_this_run = 0
         reuses_before = self.stats["plan_reuses"]
 
-        def _finish(
-            status: str, result: Any = None, error: Exception | None = None
-        ) -> RunOutcome:
-            merged = _ordered_successes(plan, resumed_results, live_results)
-            # Serial parity: abandoned-on-stop trials count as skipped
-            # only for a deadline stop.
-            skipped = breaker_skips + (
-                stop_skips if status == STATUS_DEADLINE else 0
-            )
-            outcome = RunOutcome(
-                plan=plan,
-                status=status,
-                result=result,
-                error=error,
-                run_dir=run_dir if run_dir is None else Path(run_dir),
-                manifest=manifest,
-                completed=len(merged),
-                failed=len(live_failures) + len(resumed_failed),
-                resumed=len(resumed_results),
-                skipped=skipped,
-                breaker_events=list(breaker_events),
-                elapsed_s=monotonic_clock() - started,
-                pool={
-                    "workers": self.workers,
-                    "mode": DEGRADED_SERIAL if degrade_reason else "pool",
-                    "degraded": degrade_reason,
-                    "respawns": respawns_this_run,
-                    "plan_reuses": self.stats["plan_reuses"] - reuses_before,
-                    "poisoned": list(ledger.poisoned),
-                    "events": list(pool_events),
-                },
-            )
-            if manifest is not None:
-                manifest.status = status
-                manifest.completed = outcome.completed
-                manifest.failed = outcome.failed
-                manifest.resumed = outcome.resumed
-                manifest.skipped = outcome.skipped
-                manifest.exit_code = outcome.exit_code
-                manifest.breaker_events = list(breaker_events)
-                manifest.breaker_state = breaker_state
-                manifest.poisoned = list(ledger.poisoned)
-                manifest.save(run_dir)
-            return outcome
+        def _finish(status: str, error: Exception | None = None) -> RunOutcome:
+            return ledger.finish(status, error=error, pool=_telemetry())
+
+        def _telemetry() -> dict[str, Any]:
+            return {
+                "workers": self.workers,
+                "mode": DEGRADED_SERIAL if degrade_reason else "pool",
+                "degraded": degrade_reason,
+                "respawns": respawns_this_run,
+                "plan_reuses": self.stats["plan_reuses"] - reuses_before,
+                "poisoned": list(poison.poisoned),
+                "events": list(pool_events),
+            }
 
         def _terminal_finish() -> RunOutcome:
-            merged = _ordered_successes(plan, resumed_results, live_results)
-            accounted = (
-                len(merged) + len(live_failures) + len(resumed_failed)
-            )
             try:
-                checker.final_audit(accounted, breaker_skips)
+                checker.final_audit(
+                    len(ledger.successes()) + ledger.failed,
+                    ledger.breaker_skips,
+                )
             except InvariantViolation as exc:
                 return _finish(STATUS_INVARIANT, error=exc)
-            if ledger.poisoned:
+            if poison.poisoned:
                 reasons = "; ".join(
-                    f"{key} ({ledger.reasons[key][-1]})"
-                    for key in ledger.poisoned
+                    f"{key} ({poison.reasons[key][-1]})"
+                    for key in poison.poisoned
                 )
-                error: Exception = PoolError(
-                    f"{plan.name}: {len(ledger.poisoned)} trial(s) "
+                error = PoolError(
+                    f"{plan.name}: {len(poison.poisoned)} trial(s) "
                     f"quarantined after repeatedly killing pool workers: "
                     f"{reasons}"
                 )
                 return _finish(STATUS_POISONED, error=error)
-            if len(merged) < plan.min_successes:
-                error = insufficient_error(
-                    plan,
-                    successes=len(merged),
-                    failures=sorted(live_failures),
-                    failed_total=len(live_failures) + len(resumed_failed),
-                    skipped=breaker_skips,
-                )
-                return _finish(STATUS_INSUFFICIENT, error=error)
-            status, result, error2 = resolve_finalize(plan, merged)
-            return _finish(status, result=result, error=error2)
+            return ledger.conclude(pool=_telemetry())
 
         def _run_inline(reason: str) -> RunOutcome:
             """The graceful-degradation path: the remaining trials run in
-            the parent on the same journal/manifest — the serial loop,
-            so the artifact is byte-identical to a serial run's."""
-            nonlocal degrade_reason, stop_skips, breaker_skips, breaker_state
+            the parent through the serial loop on this run's ledger, so
+            the artifact is byte-identical to a serial run's."""
+            nonlocal degrade_reason
             degrade_reason = reason
             self.stats["degraded"] += 1
             remaining = [
                 index
-                for index in pending
-                if plan.trials[index].key not in live_results
-                and plan.trials[index].key not in failed_keys
-                and not ledger.is_poisoned(plan.trials[index].key)
+                for index in ledger.pending()
+                if not poison.is_poisoned(plan.trials[index].key)
             ]
             checker.note_dispatch(_INLINE_WORKER, remaining)
-            injector = (
-                plan.fault_plan.build_injector()
-                if plan.fault_plan is not None
-                else None
-            )
-            circuit = CircuitBreaker(breaker)
-
-            def skip_trial(local: int) -> str | None:
-                return circuit.gate(remaining[local])
-
-            def on_trial_end(
-                local: int,
-                result: Any,
-                failure: TrialFailure | None,
-                elapsed_s: float,
-            ) -> None:
-                index = remaining[local]
-                key = plan.trials[index].key
-                watchdog.note_trial(elapsed_s)
-                self.cost_model.observe(plan.name, elapsed_s)
-                circuit.record(index, failure is None)
-                checker.note_result(index, _INLINE_WORKER)
-                if failure is None:
-                    live_results[key] = result
-                    if journal is not None:
-                        journal.record_success(
-                            index, key, result, elapsed_s=elapsed_s
-                        )
-                else:
-                    live_failures.append(
-                        (index, type(failure.error).__name__,
-                         str(failure.error))
+            status, error = run_trials(ledger, remaining, catch, breaker)
+            for index in remaining:
+                if index in ledger.trial_seconds:
+                    checker.note_result(index, _INLINE_WORKER)
+                    self.cost_model.observe(
+                        plan.name, ledger.trial_seconds[index]
                     )
-                    failed_keys.add(key)
-                    if journal is not None:
-                        journal.record_failure(
-                            index, key, failure.error, elapsed_s=elapsed_s
-                        )
-
-            token = _set_worker_context(WorkerContext(fault_injector=injector))
-            inline_status: str | None = None
-            inline_error: Exception | None = None
-            guarded: Any = None
-            try:
-                guarded = run_guarded_trials(
-                    [plan.trials[index].fn for index in remaining],
-                    catch=catch,
-                    min_successes=0,
-                    label=f"{plan.name}[{DEGRADED_SERIAL}]",
-                    skip_trial=skip_trial,
-                    stop=watchdog.check,
-                    on_trial_end=on_trial_end,
-                    fault_injector=injector,
-                )
-            except KeyboardInterrupt:
-                inline_status = STATUS_INTERRUPTED
-            except InvariantViolation as exc:
-                inline_status = STATUS_INVARIANT
-                inline_error = exc
-            finally:
-                _set_worker_context(token)
-            breaker_skips += circuit.skipped
-            breaker_events.extend(circuit.events)
-            if (
-                _BREAKER_SEVERITY.get(circuit.state.value, 0)
-                > _BREAKER_SEVERITY.get(breaker_state, 0)
-            ):
-                breaker_state = circuit.state.value
             checker.note_unassign(remaining)
-            if inline_status is not None:
-                return _finish(inline_status, error=inline_error)
-            if guarded is not None and guarded.stop_reason == STOP_DEADLINE:
-                stop_skips += guarded.skipped
-                return _finish(STATUS_DEADLINE)
+            if status is not None:
+                return _finish(status, error=error)
             return _terminal_finish()
 
         def _run_pooled() -> RunOutcome | None:
@@ -873,7 +685,6 @@ class WorkerPool:
             inline now" (``degrade_reason`` is set)."""
             nonlocal abort_status, abort_error, config_error, degrade_reason
             nonlocal respawns_this_run, longest_trial_s
-            nonlocal stop_skips, breaker_skips, breaker_state
             self._run_seq += 1
             run_id = self._run_seq
             self.stats["runs"] += 1
@@ -971,7 +782,7 @@ class WorkerPool:
                     if blame is not None:
                         blamed_key = plan.trials[blame].key
                         suppressed.add(blame)
-                        if ledger.strike(blamed_key, reason):
+                        if poison.strike(blamed_key, reason):
                             checker.note_poison(blame)
                             self.stats["poisoned"] += 1
                             remaining = [i for i in remaining if i != blame]
@@ -1005,8 +816,7 @@ class WorkerPool:
                 """Process one worker message; returns a failure reason
                 when the message itself condemns the worker."""
                 nonlocal abort_status, abort_error, config_error
-                nonlocal longest_trial_s, breaker_state, breaker_skips
-                nonlocal stop_skips
+                nonlocal longest_trial_s
                 tag = message[0]
                 if tag != _MSG_CRASHED and message[2] == run_id:
                     # Any message of this run is a sign of life.
@@ -1023,8 +833,7 @@ class WorkerPool:
                         member.started = (shard_id, index)
                     return None
                 if tag == _MSG_TRIAL:
-                    (_, wid, rid, index, key, ok, payload,
-                     error_type, error_text, elapsed_s) = message
+                    _, wid, rid, index, key, result, error, elapsed_s = message
                     if rid != run_id:
                         return None  # stale leftovers of an aborted run
                     if (
@@ -1036,26 +845,12 @@ class WorkerPool:
                             f"trial index {index} — plan source drift"
                         )
                         return None
-                    watchdog.note_trial(elapsed_s)
                     longest_trial_s = max(longest_trial_s, elapsed_s)
                     self.cost_model.observe(plan.name, elapsed_s)
                     if member.shard is not None:
                         member.shard.received.add(index)
                     checker.note_result(index, wid)
-                    if ok:
-                        live_results[key] = payload
-                        if journal is not None:
-                            journal.record_success(
-                                index, key, payload, elapsed_s=elapsed_s
-                            )
-                    else:
-                        live_failures.append((index, error_type, error_text))
-                        failed_keys.add(key)
-                        if journal is not None:
-                            journal.record_failure_info(
-                                index, key, error_type, error_text,
-                                elapsed_s=elapsed_s,
-                            )
+                    ledger.record(index, elapsed_s, result, error)
                     return None
                 if tag == _MSG_RUN_READY:
                     _, wid, rid, plan_hash, reused = message
@@ -1094,14 +889,12 @@ class WorkerPool:
                     shard = member.shard
                     if shard is None or shard.shard_id != shard_id:
                         return None
-                    stop_skips += summary["stop_skipped"]
-                    breaker_skips += summary["breaker_skipped"]
-                    breaker_events.extend(summary["breaker_events"])
-                    if (
-                        _BREAKER_SEVERITY.get(summary["breaker_state"], 0)
-                        > _BREAKER_SEVERITY.get(breaker_state, 0)
-                    ):
-                        breaker_state = summary["breaker_state"]
+                    ledger.stop_skips += summary["stop_skipped"]
+                    ledger.merge_breaker(
+                        summary["breaker_events"],
+                        summary["breaker_skipped"],
+                        summary["breaker_state"],
+                    )
                     checker.note_unassign(shard.unfinished())
                     member.shard = None
                     member.backoff.reset()
@@ -1245,7 +1038,7 @@ class WorkerPool:
                         if latch.interrupted:
                             abort_status = STATUS_INTERRUPTED
                             self._stop_event.set()
-                        elif watchdog.check() == STOP_DEADLINE:
+                        elif ledger.watchdog.check() == STOP_DEADLINE:
                             abort_status = STATUS_DEADLINE
                             self._stop_event.set()
                     if (
@@ -1337,14 +1130,10 @@ class WorkerPool:
                         for member in active
                         if member.shard is not None
                     )
-                    stop_skips += leftover
+                    ledger.stop_skips += leftover
                 _teardown(kill_busy_only=abort_status is None)
-                if abort_status == STATUS_INVARIANT:
-                    return _finish(STATUS_INVARIANT, error=abort_error)
-                if abort_status == STATUS_INTERRUPTED:
-                    return _finish(STATUS_INTERRUPTED)
-                if abort_status == STATUS_DEADLINE:
-                    return _finish(STATUS_DEADLINE)
+                if abort_status is not None:
+                    return _finish(abort_status, error=abort_error)
                 return _terminal_finish()
 
         with sigterm_as_interrupt():

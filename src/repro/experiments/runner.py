@@ -5,6 +5,12 @@ enumerates its work as independent, deterministic trials plus a
 ``finalize`` step that assembles the module's result object.  This
 module executes such a plan under supervision:
 
+* **Containment** — :func:`run_guarded_trials` runs each trial inside a
+  catch boundary: a transient fault (a chaos-injected drop, an unhealthy
+  calibration, a lost submission) fails that trial, not the figure, and
+  a fault that fired without being acknowledged fails a green trial.
+  Only a shortfall below the plan's success floor aborts the
+  experiment — never a silently thinner figure.
 * **Checkpointing** — with a run directory, every finished trial is
   journaled (pickled payload + JSONL record, all atomic) before the next
   trial starts; :func:`run_experiment` with ``resume=True`` replays the
@@ -70,6 +76,7 @@ from repro.errors import (
     InvariantViolation,
     ReproError,
     ResumeMismatchError,
+    UnhandledFaultError,
 )
 from repro.experiments.checkpoint import (
     STATUS_COMPLETED,
@@ -86,7 +93,6 @@ from repro.experiments.checkpoint import (
     fault_plan_id,
     git_describe,
 )
-from repro.experiments.guard import TrialFailure, run_guarded_trials
 
 EXIT_OK = 0
 EXIT_INSUFFICIENT = 3
@@ -108,10 +114,13 @@ _STATUS_EXIT = {
     STATUS_INTERRUPTED: EXIT_INTERRUPTED,
 }
 
-#: ``GuardedRun.stop_reason`` / bypass reasons used by the supervisor.
+#: The watchdog's stop reason and the breaker's skip reason.
 STOP_DEADLINE = "deadline"
-SKIP_RESUMED = "resumed"
 SKIP_BREAKER = "breaker-open"
+
+#: Breaker states by severity: a run merging several breakers (one per
+#: pool worker) stamps the worst state any of them ended in.
+_BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +171,131 @@ def override_clocks(
 
 
 # ----------------------------------------------------------------------
+# The executing process's context
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class WorkerContext:
+    """What a trial can learn about the process executing it."""
+
+    fault_injector: Any = None
+
+
+_WORKER_CONTEXT: WorkerContext | None = None
+
+
+@contextlib.contextmanager
+def worker_context(context: WorkerContext) -> Iterator[None]:
+    """Install *context* for the trials run inside the block."""
+    global _WORKER_CONTEXT
+    previous = _WORKER_CONTEXT
+    # Intentional per-process singleton: installed around a batch of
+    # trials and only ever read by current_fault_injector() —
+    # divergence across pool workers is the point, each worker must
+    # see its *own* injector.
+    _WORKER_CONTEXT = context  # repro-lint: ignore[PAR101]
+    try:
+        yield
+    finally:
+        _WORKER_CONTEXT = previous  # repro-lint: ignore[PAR101]
+
+
+def current_fault_injector() -> Any:
+    """The executing process's
+    :class:`~repro.faults.injector.FaultInjector` (built from
+    ``plan.fault_plan`` by the serial loop and by each pool worker), or
+    ``None`` outside a run / without a plan.
+
+    Trial code that fires chaos faults uses this instead of a
+    closed-over injector, so the fired-versus-acknowledged audit of
+    :func:`run_guarded_trials` covers the process that fired the fault.
+    """
+    return _WORKER_CONTEXT.fault_injector if _WORKER_CONTEXT else None
+
+
+# ----------------------------------------------------------------------
+# Per-trial containment
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class GuardedRun:
+    """How a guarded trial batch ended."""
+
+    #: Why the batch halted early ("" when it ran to the end; otherwise
+    #: whatever *stop* returned).
+    stop_reason: str = ""
+    #: Trials left unrun by the stop.
+    skipped: int = 0
+
+
+def run_guarded_trials(
+    trials: Sequence[Callable[[], Any]],
+    catch: tuple[type[Exception], ...] = (ReproError,),
+    skip_trial: Callable[[int], str | None] | None = None,
+    stop: Callable[[], str | None] | None = None,
+    on_trial_end: Callable[[int, Any, Exception | None, float], None] | None = None,
+) -> GuardedRun:
+    """Run *trials* (zero-argument callables), containing failures.
+
+    Exceptions matching *catch* fail their trial; anything else
+    propagates (a programming error should still crash).  Regardless of
+    *catch*, :class:`~repro.errors.InvariantViolation` always
+    propagates: a tripped invariant means the model state (and
+    therefore every subsequent trial) can no longer be trusted, so it
+    must surface as a distinct run outcome rather than a contained
+    per-trial failure.
+
+    After each *successful* trial the :func:`current_fault_injector`'s
+    fired-versus-acknowledged ledger is audited over the trial's
+    window: a fault that fired with no matching
+    :meth:`~repro.faults.injector.FaultInjector.acknowledge` — and no
+    invariant trip — turns the green trial into an
+    :class:`~repro.errors.UnhandledFaultError` failure.  Injected faults
+    are either handled or detected, never absorbed silently.
+
+    Supervision hooks (all optional):
+
+    *stop()* — checked before each trial; a non-``None`` reason halts
+    the batch, lands in ``stop_reason``, and counts the remaining
+    trials in ``skipped``.
+
+    *skip_trial(index)* — return a reason string to bypass that trial
+    without executing it, or ``None`` to run it.
+
+    *on_trial_end(index, result, error, elapsed_s)* — called after each
+    executed trial with either its result (``error is None``) or the
+    exception that failed it (``result is None``), plus its wall time.
+    Exceptions it raises propagate — a checkpoint that cannot be
+    written must not be ignored.
+    """
+    injector = current_fault_injector()
+    for index, trial in enumerate(trials):
+        if stop is not None:
+            reason = stop()
+            if reason:
+                return GuardedRun(stop_reason=reason, skipped=len(trials) - index)
+        if skip_trial is not None and skip_trial(index):
+            continue
+        if injector is not None:
+            fired_before = dict(injector.fired_by_site)
+            handled_before = dict(injector.handled_by_site)
+        trial_start = monotonic_clock()
+        error: Exception | None = None
+        try:
+            result = trial()
+        except InvariantViolation:
+            raise
+        except catch as exc:
+            result, error = None, exc
+        elapsed = monotonic_clock() - trial_start
+        if error is None and injector is not None:
+            gaps = injector.unacknowledged(fired_before, handled_before)
+            if gaps:
+                result, error = None, UnhandledFaultError(unacknowledged=gaps)
+        if on_trial_end is not None:
+            on_trial_end(index, result, error, elapsed)
+    return GuardedRun()
+
+
+# ----------------------------------------------------------------------
 # Plans
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -198,6 +332,10 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trials", tuple(self.trials))
+        if self.min_successes < 0:
+            raise ValueError(
+                f"min_successes must be >= 0, got {self.min_successes}"
+            )
         keys = [t.key for t in self.trials]
         if len(set(keys)) != len(keys):
             dupes = sorted({k for k in keys if keys.count(k) > 1})
@@ -448,108 +586,289 @@ class RunOutcome:
         )
 
 
-def prepare_checkpoint(
-    plan: ExperimentPlan,
-    run_dir: Path,
-    resume: bool,
-) -> tuple[RunManifest, CheckpointJournal, dict[str, Any], set[str]]:
-    """Open (or resume) the checkpointed state of *run_dir* for *plan*.
+class RunLedger:
+    """The bookkeeping of one supervised run, shared by every executor.
 
-    Returns ``(manifest, journal, resumed_results, resumed_failed)`` with
-    the manifest already stamped ``running`` and saved.  Shared by the
-    serial loop below and the worker pool in
-    :mod:`repro.experiments.pool`, so both produce (and validate)
-    identical on-disk state.
+    Holds the resumed and live results, the contained failures, the
+    merged breaker activity and the skip counts; writes every finished
+    trial through to the checkpoint journal before the next one starts;
+    and ends the run by stamping the manifest (:meth:`finish`), after
+    applying the plan's success floor and ``finalize``
+    (:meth:`conclude`).  The serial loop (:func:`run_trials`), the
+    pool's degraded path and the pool parent's result handlers all
+    record through one ledger, so their journals, manifests and
+    artifacts cannot drift apart.
     """
-    resumed_results: dict[str, Any] = {}
-    resumed_failed: set[str] = set()
-    if resume:
-        manifest = RunManifest.load(run_dir)
-        if manifest.experiment != plan.name:
-            raise ResumeMismatchError(
-                f"run dir {run_dir} holds experiment "
-                f"{manifest.experiment!r}, not {plan.name!r}"
+
+    def __init__(
+        self,
+        plan: ExperimentPlan,
+        run_dir: str | Path | None = None,
+        resume: bool = False,
+        deadline_s: float | None = None,
+    ) -> None:
+        self.started = monotonic_clock()
+        self.plan = plan
+        self.run_dir = None if run_dir is None else Path(run_dir)
+        self.manifest: RunManifest | None = None
+        self.journal: CheckpointJournal | None = None
+        self.resumed: dict[str, Any] = {}
+        self.resumed_failed: set[str] = set()
+        if self.run_dir is not None:
+            self._open_checkpoint(self.run_dir, resume)
+        self.watchdog = Watchdog(deadline_s)
+        self.results: dict[str, Any] = {}
+        #: key -> ``(index, error type name, message)``.
+        self.failures: dict[str, tuple[int, str, str]] = {}
+        #: index -> wall seconds of every trial recorded by this segment.
+        self.trial_seconds: dict[int, float] = {}
+        self.breaker_events: list[dict[str, Any]] = []
+        self.breaker_state = BreakerState.CLOSED.value
+        self.breaker_skips = 0
+        #: Trials a stop left unrun (skipped only if it was the deadline).
+        self.stop_skips = 0
+
+    def _open_checkpoint(self, run_dir: Path, resume: bool) -> None:
+        """Open (or resume) the checkpointed state of *run_dir* and stamp
+        the manifest ``running``."""
+        plan = self.plan
+        if resume:
+            manifest = RunManifest.load(run_dir)
+            if manifest.experiment != plan.name:
+                raise ResumeMismatchError(
+                    f"run dir {run_dir} holds experiment "
+                    f"{manifest.experiment!r}, not {plan.name!r}"
+                )
+            if manifest.config_hash != plan.hash:
+                raise ResumeMismatchError(
+                    f"config hash mismatch resuming {run_dir}: manifest "
+                    f"{manifest.config_hash[:12]}…, plan {plan.hash[:12]}… — "
+                    "rerun with the original parameters or start a new run dir",
+                    expected=manifest.config_hash,
+                    actual=plan.hash,
+                )
+            journal = CheckpointJournal.load(run_dir)
+            for entry in journal.entries():
+                if entry.ok:
+                    self.resumed[entry.key] = journal.load_payload(entry.key)
+                else:
+                    # A journaled failure is not retried: trials are
+                    # deterministic, so it would fail identically and a
+                    # resumed run must mirror the uninterrupted one.
+                    self.resumed_failed.add(entry.key)
+            manifest.add_segment("resume")
+        else:
+            if (run_dir / "manifest.json").exists():
+                raise CheckpointError(
+                    f"{run_dir} already holds a run; pass resume=True "
+                    "(--resume) to continue it or choose a fresh directory"
+                )
+            manifest = RunManifest(
+                experiment=plan.name,
+                seed=plan.seed,
+                config=plan.config,
+                config_hash=plan.hash,
+                fault_plan=fault_plan_id(plan.fault_plan),
+                git_describe=git_describe(),
+                trials_total=len(plan.trials),
             )
-        if manifest.config_hash != plan.hash:
-            raise ResumeMismatchError(
-                f"config hash mismatch resuming {run_dir}: manifest "
-                f"{manifest.config_hash[:12]}…, plan {plan.hash[:12]}… — "
-                "rerun with the original parameters or start a new run dir",
-                expected=manifest.config_hash,
-                actual=plan.hash,
-            )
-        journal = CheckpointJournal.load(run_dir)
-        for entry in journal.entries():
-            if entry.ok:
-                resumed_results[entry.key] = journal.load_payload(entry.key)
-            else:
-                # A journaled failure is not retried: trials are
-                # deterministic, so it would fail identically and a
-                # resumed run must mirror the uninterrupted one.
-                resumed_failed.add(entry.key)
-        manifest.add_segment("resume")
-    else:
-        if (run_dir / "manifest.json").exists():
-            raise CheckpointError(
-                f"{run_dir} already holds a run; pass resume=True "
-                "(--resume) to continue it or choose a fresh directory"
-            )
-        manifest = RunManifest(
-            experiment=plan.name,
-            seed=plan.seed,
-            config=plan.config,
-            config_hash=plan.hash,
-            fault_plan=fault_plan_id(plan.fault_plan),
-            git_describe=git_describe(),
-            trials_total=len(plan.trials),
+            manifest.add_segment("start")
+            journal = CheckpointJournal(run_dir)
+        manifest.status = STATUS_RUNNING
+        manifest.trials_total = len(plan.trials)
+        manifest.save(run_dir)
+        self.manifest, self.journal = manifest, journal
+
+    def pending(self) -> list[int]:
+        """Plan indices with no resumed or recorded outcome yet."""
+        done = (
+            self.resumed.keys()
+            | self.resumed_failed
+            | self.results.keys()
+            | self.failures.keys()
         )
-        manifest.add_segment("start")
-        journal = CheckpointJournal(run_dir)
-    manifest.status = STATUS_RUNNING
-    manifest.trials_total = len(plan.trials)
-    manifest.save(run_dir)
-    return manifest, journal, resumed_results, resumed_failed
+        return [
+            index
+            for index, spec in enumerate(self.plan.trials)
+            if spec.key not in done
+        ]
+
+    def record(
+        self,
+        index: int,
+        elapsed_s: float,
+        result: Any = None,
+        error: tuple[str, str] | None = None,
+    ) -> None:
+        """Journal one finished trial: its *result*, or its *error* as
+        ``(type name, message)`` — the form a failure takes across a
+        process boundary."""
+        key = self.plan.trials[index].key
+        self.watchdog.note_trial(elapsed_s)
+        self.trial_seconds[index] = elapsed_s
+        if error is None:
+            self.results[key] = result
+            if self.journal is not None:
+                self.journal.record_success(
+                    index, key, result, elapsed_s=elapsed_s
+                )
+        else:
+            error_type, message = error
+            self.failures[key] = (index, error_type, message)
+            if self.journal is not None:
+                self.journal.record_failure_info(
+                    index, key, error_type, message, elapsed_s=elapsed_s
+                )
+
+    def merge_breaker(
+        self, events: Sequence[dict[str, Any]], skipped: int, state: str
+    ) -> None:
+        """Fold one circuit breaker's transitions, skips and end state in."""
+        self.breaker_events.extend(events)
+        self.breaker_skips += skipped
+        if _BREAKER_SEVERITY[state] > _BREAKER_SEVERITY[self.breaker_state]:
+            self.breaker_state = state
+
+    def successes(self) -> dict[str, Any]:
+        """Successful results keyed by trial key, in plan order."""
+        merged: dict[str, Any] = {}
+        for spec in self.plan.trials:
+            if spec.key in self.results:
+                merged[spec.key] = self.results[spec.key]
+            elif spec.key in self.resumed:
+                merged[spec.key] = self.resumed[spec.key]
+        return merged
+
+    @property
+    def failed(self) -> int:
+        """Contained failures, resumed included."""
+        return len(self.failures) + len(self.resumed_failed)
+
+    def finish(
+        self,
+        status: str,
+        result: Any = None,
+        error: Exception | None = None,
+        pool: dict[str, Any] | None = None,
+    ) -> RunOutcome:
+        """End the run with *status*: stamp and save the manifest, and
+        return the :class:`RunOutcome` (*pool* is the pool's telemetry)."""
+        # Trials a stop abandoned count as skipped only for a deadline.
+        skipped = self.breaker_skips + (
+            self.stop_skips if status == STATUS_DEADLINE else 0
+        )
+        outcome = RunOutcome(
+            plan=self.plan,
+            status=status,
+            result=result,
+            error=error,
+            run_dir=self.run_dir,
+            manifest=self.manifest,
+            completed=len(self.successes()),
+            failed=self.failed,
+            resumed=len(self.resumed),
+            skipped=skipped,
+            breaker_events=list(self.breaker_events),
+            elapsed_s=monotonic_clock() - self.started,
+            pool=pool,
+        )
+        if self.manifest is not None:
+            self.manifest.status = status
+            self.manifest.completed = outcome.completed
+            self.manifest.failed = outcome.failed
+            self.manifest.resumed = outcome.resumed
+            self.manifest.skipped = outcome.skipped
+            self.manifest.exit_code = outcome.exit_code
+            self.manifest.breaker_events = list(self.breaker_events)
+            self.manifest.breaker_state = self.breaker_state
+            if pool is not None:
+                self.manifest.poisoned = list(pool["poisoned"])
+            self.manifest.save(self.run_dir)
+        return outcome
+
+    def conclude(self, pool: dict[str, Any] | None = None) -> RunOutcome:
+        """Finish a run whose trials all ran: enforce
+        ``plan.min_successes`` over the merged results, then finalize."""
+        plan = self.plan
+        merged = self.successes()
+        if len(merged) < plan.min_successes:
+            detail = "; ".join(
+                f"trial {index}: {name}: {message}"
+                for index, name, message in sorted(self.failures.values())[:3]
+            )
+            error: Exception = InsufficientTrialsError(
+                f"{plan.name}: {len(merged)}/{len(plan.trials)} trials "
+                f"succeeded (needed {plan.min_successes}; {self.failed} "
+                f"failed, {self.breaker_skips} breaker-skipped)"
+                f"{': ' + detail if detail else ''}"
+            )
+            return self.finish(STATUS_INSUFFICIENT, error=error, pool=pool)
+        try:
+            result = plan.finalize(merged)
+        except InsufficientTrialsError as exc:
+            return self.finish(STATUS_INSUFFICIENT, error=exc, pool=pool)
+        except InvariantViolation as exc:
+            return self.finish(STATUS_INVARIANT, error=exc, pool=pool)
+        except ReproError as exc:
+            return self.finish(STATUS_FAILED, error=exc, pool=pool)
+        return self.finish(STATUS_COMPLETED, result=result, pool=pool)
 
 
-def resolve_finalize(
-    plan: ExperimentPlan, merged: dict[str, Any]
-) -> tuple[str, Any, Exception | None]:
-    """Run *plan.finalize* over *merged* and map the outcome to a run
-    status: ``(status, result, error)``."""
-    try:
-        result = plan.finalize(merged)
-    except InsufficientTrialsError as exc:
-        return STATUS_INSUFFICIENT, None, exc
-    except InvariantViolation as exc:
-        return STATUS_INVARIANT, None, exc
-    except ReproError as exc:
-        return STATUS_FAILED, None, exc
-    return STATUS_COMPLETED, result, None
+def run_trials(
+    ledger: RunLedger,
+    indices: Sequence[int],
+    catch: tuple[type[Exception], ...],
+    breaker: BreakerConfig | None,
+) -> tuple[str | None, Exception | None]:
+    """The serial loop: run the trials at *indices* in order, in this
+    process, recording each through *ledger*.
 
-
-def insufficient_error(
-    plan: ExperimentPlan,
-    successes: int,
-    failures: Sequence[tuple[int, str, str]],
-    failed_total: int,
-    skipped: int,
-) -> InsufficientTrialsError:
-    """The standard below-floor error, with the first failures inlined.
-
-    *failures* entries are ``(index, error_type_name, message)`` — plain
-    values rather than exception objects so the worker pool can
-    report failures that happened in another process.
+    The plan's fault injector (built from ``plan.fault_plan``) is
+    installed as :func:`current_fault_injector` for the trials and
+    audited after each.  Returns ``(status, error)``: a status when an
+    interrupt, a tripped invariant or the ledger's deadline stopped the
+    loop, ``(None, None)`` when every index ran or was breaker-skipped.
     """
-    detail = "; ".join(
-        f"trial {index}: {name}: {message}"
-        for index, name, message in list(failures)[:3]
+    plan = ledger.plan
+    circuit = CircuitBreaker(breaker)
+    injector = (
+        plan.fault_plan.build_injector() if plan.fault_plan is not None else None
     )
-    return InsufficientTrialsError(
-        f"{plan.name}: {successes}/{len(plan.trials)} trials succeeded "
-        f"(needed {plan.min_successes}; {failed_total} failed, "
-        f"{skipped} breaker-skipped)"
-        f"{': ' + detail if detail else ''}"
-    )
+
+    def on_trial_end(
+        local: int, result: Any, error: Exception | None, elapsed_s: float
+    ) -> None:
+        index = indices[local]
+        circuit.record(index, error is None)
+        ledger.record(
+            index,
+            elapsed_s,
+            result,
+            None if error is None else (type(error).__name__, str(error)),
+        )
+
+    try:
+        with worker_context(WorkerContext(fault_injector=injector)):
+            guarded = run_guarded_trials(
+                [plan.trials[index].fn for index in indices],
+                catch,
+                skip_trial=lambda local: circuit.gate(indices[local]),
+                stop=ledger.watchdog.check,
+                on_trial_end=on_trial_end,
+            )
+    except KeyboardInterrupt:
+        # Everything up to the interrupted trial is already journaled.
+        return STATUS_INTERRUPTED, None
+    except InvariantViolation as exc:
+        # A tripped invariant is never a per-trial failure: the model
+        # state (and any further trials) can no longer be trusted.
+        return STATUS_INVARIANT, exc
+    finally:
+        ledger.merge_breaker(circuit.events, circuit.skipped, circuit.state.value)
+    if guarded.stop_reason:
+        ledger.stop_skips += guarded.skipped
+        return STATUS_DEADLINE, None
+    return None, None
 
 
 def run_experiment(
@@ -559,7 +878,6 @@ def run_experiment(
     deadline_s: float | None = None,
     breaker: BreakerConfig | None = None,
     catch: tuple[type[Exception], ...] = (ReproError,),
-    fault_injector: Any = None,
     workers: int = 1,
     plan_source: Callable[[], ExperimentPlan] | None = None,
     executor: str = "auto",
@@ -589,12 +907,6 @@ def run_experiment(
             f"executor must be 'auto' or 'pool', got {executor!r}"
         )
     if workers > 1:
-        if fault_injector is not None:
-            raise ValueError(
-                "parallel runs build one FaultInjector per worker from "
-                "plan.fault_plan; passing a shared fault_injector across "
-                "processes is not supported"
-            )
         from repro.experiments.pool import run_pool_experiment
 
         return run_pool_experiment(
@@ -609,115 +921,11 @@ def run_experiment(
             executor=executor,
         )
 
-    started = monotonic_clock()
-    journal: CheckpointJournal | None = None
-    manifest: RunManifest | None = None
-    resumed_results: dict[str, Any] = {}
-    resumed_failed: set[str] = set()
-
-    if run_dir is not None:
-        run_dir = Path(run_dir)
-        manifest, journal, resumed_results, resumed_failed = prepare_checkpoint(
-            plan, run_dir, resume
-        )
-
-    watchdog = Watchdog(deadline_s)
-    circuit = CircuitBreaker(breaker)
-    live_results: dict[str, Any] = {}
-    live_failures: list[TrialFailure] = []
-
-    def skip_trial(index: int) -> str | None:
-        key = plan.trials[index].key
-        if key in resumed_results or key in resumed_failed:
-            return SKIP_RESUMED
-        return circuit.gate(index)
-
-    def on_trial_end(
-        index: int, result: Any, failure: TrialFailure | None, elapsed_s: float
-    ) -> None:
-        key = plan.trials[index].key
-        watchdog.note_trial(elapsed_s)
-        if failure is None:
-            live_results[key] = result
-            circuit.record(index, True)
-            if journal is not None:
-                journal.record_success(index, key, result, elapsed_s=elapsed_s)
-        else:
-            live_failures.append(failure)
-            circuit.record(index, False)
-            if journal is not None:
-                journal.record_failure(
-                    index, key, failure.error, elapsed_s=elapsed_s
-                )
-
-    def _finish(status: str, result: Any = None, error: Exception | None = None):
-        merged = _ordered_successes(plan, resumed_results, live_results)
-        outcome = RunOutcome(
-            plan=plan,
-            status=status,
-            result=result,
-            error=error,
-            run_dir=run_dir if run_dir is None else Path(run_dir),
-            manifest=manifest,
-            completed=len(merged),
-            failed=len(live_failures) + len(resumed_failed),
-            resumed=len(resumed_results),
-            skipped=circuit.skipped + _deadline_skips,
-            breaker_events=list(circuit.events),
-            elapsed_s=monotonic_clock() - started,
-        )
-        if manifest is not None:
-            manifest.status = status
-            manifest.completed = outcome.completed
-            manifest.failed = outcome.failed
-            manifest.resumed = outcome.resumed
-            manifest.skipped = outcome.skipped
-            manifest.exit_code = outcome.exit_code
-            manifest.breaker_events = list(circuit.events)
-            manifest.breaker_state = circuit.state.value
-            manifest.save(run_dir)
-        return outcome
-
-    _deadline_skips = 0
-    try:
-        guarded = run_guarded_trials(
-            [spec.fn for spec in plan.trials],
-            catch=catch,
-            min_successes=0,  # the floor is enforced over merged results
-            label=plan.name,
-            skip_trial=skip_trial,
-            stop=watchdog.check,
-            on_trial_end=on_trial_end,
-            fault_injector=fault_injector,
-        )
-    except KeyboardInterrupt:
-        # Everything up to the interrupted trial is already journaled.
-        return _finish(STATUS_INTERRUPTED)
-    except InvariantViolation as exc:
-        # A tripped invariant is never a per-trial failure: the model
-        # state (and any further trials) can no longer be trusted.
-        return _finish(STATUS_INVARIANT, error=exc)
-
-    if guarded.stop_reason == STOP_DEADLINE:
-        _deadline_skips = guarded.skipped
-        return _finish(STATUS_DEADLINE)
-
-    merged = _ordered_successes(plan, resumed_results, live_results)
-    if len(merged) < plan.min_successes:
-        error = insufficient_error(
-            plan,
-            successes=len(merged),
-            failures=[
-                (f.index, type(f.error).__name__, str(f.error))
-                for f in live_failures
-            ],
-            failed_total=len(live_failures) + len(resumed_failed),
-            skipped=circuit.skipped,
-        )
-        return _finish(STATUS_INSUFFICIENT, error=error)
-
-    status, result, error = resolve_finalize(plan, merged)
-    return _finish(status, result=result, error=error)
+    ledger = RunLedger(plan, run_dir, resume, deadline_s)
+    status, error = run_trials(ledger, ledger.pending(), catch, breaker)
+    if status is not None:
+        return ledger.finish(status, error=error)
+    return ledger.conclude()
 
 
 def execute_plan(plan: ExperimentPlan, **supervision: Any) -> Any:
@@ -729,21 +937,6 @@ def execute_plan(plan: ExperimentPlan, **supervision: Any) -> Any:
     runner existed (see :meth:`RunOutcome.require_result`).
     """
     return run_experiment(plan, **supervision).require_result()
-
-
-def _ordered_successes(
-    plan: ExperimentPlan,
-    resumed: dict[str, Any],
-    live: dict[str, Any],
-) -> dict[str, Any]:
-    """Successful results keyed by trial key, in plan order."""
-    merged: dict[str, Any] = {}
-    for spec in plan.trials:
-        if spec.key in live:
-            merged[spec.key] = live[spec.key]
-        elif spec.key in resumed:
-            merged[spec.key] = resumed[spec.key]
-    return merged
 
 
 def require_all(

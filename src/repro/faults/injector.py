@@ -220,8 +220,9 @@ class FaultInjector:
 
         Every component that consumes a :meth:`fire` result must call
         this once the effect landed (slot aborts counted, stall cycles
-        charged, the typed error raised).  The guarded-trial audit
-        compares ``fired_by_site`` against ``handled_by_site``: a fault
+        charged, the typed error raised).  The audit,
+        :meth:`unacknowledged`, compares ``fired_by_site`` against
+        ``handled_by_site``: in a guarded trial a fault
         that fired but was never acknowledged — and tripped no invariant
         — fails the trial as silently absorbed
         (:class:`~repro.errors.UnhandledFaultError`).  *action* is a
@@ -232,6 +233,27 @@ class FaultInjector:
             self.handled_by_site.get(event.site, 0) + 1
         )
         self._last_action[event.site] = action
+
+    def unacknowledged(
+        self,
+        fired_before: dict[FaultSite, int] | None = None,
+        handled_before: dict[FaultSite, int] | None = None,
+    ) -> dict[str, int]:
+        """Site id → count of faults fired with no matching :meth:`acknowledge`.
+
+        With *before* snapshots of ``fired_by_site`` / ``handled_by_site``
+        the audit covers only what happened since they were taken (one
+        trial's window); without them it covers the injector's lifetime.
+        """
+        fired_base = fired_before or {}
+        handled_base = handled_before or {}
+        gaps: dict[str, int] = {}
+        for site, fired in self.fired_by_site.items():
+            fired -= fired_base.get(site, 0)
+            handled = self.handled_by_site.get(site, 0) - handled_base.get(site, 0)
+            if fired > handled:
+                gaps[site.value] = fired - handled
+        return gaps
 
     # ------------------------------------------------------------------
     # The log

@@ -256,16 +256,6 @@ def _state_signature(device: Any) -> str:
     return f"wq{wq_bits}e{busy}d{min(9, device.devtlb.occupancy)}"
 
 
-def _fault_gaps(injector: Any) -> "dict[str, int]":
-    """Site → count of fired faults with no acknowledgement."""
-    gaps: "dict[str, int]" = {}
-    for site, fired in injector.fired_by_site.items():
-        handled = injector.handled_by_site.get(site, 0)
-        if fired > handled:
-            gaps[site.value] = fired - handled
-    return gaps
-
-
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
@@ -405,7 +395,7 @@ def execute_case(
         )
 
     if finding is None and device.fault_injector is not None:
-        gaps = _fault_gaps(device.fault_injector)
+        gaps = device.fault_injector.unacknowledged()
         if gaps:
             site = sorted(gaps)[0]
             finding = Finding(

@@ -51,7 +51,7 @@ class SinkSpec:
 #: datasets, fuzz corpus state, trial keys/seeds.
 SINKS: tuple[SinkSpec, ...] = (
     SinkSpec(
-        suffixes=("record_success", "record_failure", "record_failure_info"),
+        suffixes=("record_success", "record_failure_info"),
         what="the checkpoint journal",
         exempt_kwargs=frozenset({"elapsed_s"}),
         max_args=3,

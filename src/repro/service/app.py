@@ -43,7 +43,6 @@ from repro.errors import (
     ServiceError,
 )
 from repro.experiments.checkpoint import atomic_write_json
-from repro.experiments.guard import _unacknowledged
 from repro.experiments.runner import (
     EXIT_INTERRUPTED,
     EXIT_OK,
@@ -296,7 +295,7 @@ class AttackService:
         if self.injector is not None:
             injectors.append(self.injector)
         for injector in injectors:
-            for site, count in _unacknowledged(injector).items():
+            for site, count in injector.unacknowledged().items():
                 unacked[site] = unacked.get(site, 0) + count
         checkpoint_path = ""
         if self._drain_flag:

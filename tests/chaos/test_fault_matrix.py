@@ -10,7 +10,7 @@ monitored workload.  The contract each cell must satisfy:
   :class:`~repro.errors.InvariantViolation` — never success with an
   unacknowledged fault on the ledger.
 
-The same audit is what :func:`repro.experiments.guard.run_guarded_trials`
+The same audit is what :func:`repro.experiments.runner.run_guarded_trials`
 applies per trial, so the matrix doubles as a regression net: a new site
 added without wiring :meth:`FaultInjector.acknowledge` at its effect
 point fails here before it can silently rot a chaos figure.
@@ -27,8 +27,15 @@ from repro.errors import (
     UnhandledFaultError,
 )
 from repro.experiments.checkpoint import CheckpointJournal
-from repro.experiments.guard import _unacknowledged, run_guarded_trials
-from repro.experiments.runner import ExperimentPlan, TrialSpec, run_experiment
+from repro.experiments.runner import (
+    ExperimentPlan,
+    TrialSpec,
+    WorkerContext,
+    current_fault_injector,
+    run_experiment,
+    run_guarded_trials,
+    worker_context,
+)
 from repro.faults import FaultPlan, FaultSite
 from repro.faults.plan import FaultSpec
 from repro.faults.sites import (
@@ -43,7 +50,8 @@ from repro.virt.scheduler import Timeline
 
 from tests.conftest import build_host
 
-pytestmark = pytest.mark.chaos
+# Everything here is chaos-marked (run via scripts/run_chaos.sh) except
+# the serial case of the absorbed-fault test, which runs in tier-1.
 
 
 def _injector(site, **kwargs):
@@ -92,6 +100,7 @@ DEVICE_MATRIX = {
 }
 
 
+@pytest.mark.chaos
 class TestMatrixCoversEverySite:
     def test_registry_is_fully_enumerated(self):
         """A new FaultSite must join this matrix to pass.
@@ -122,7 +131,7 @@ class TestMatrixCoversEverySite:
             # hook has no opportunity here; its cell runs below.
             pytest.skip("PRS_DROP needs a faulting translation; see below")
         assert injector.total_fired >= 1, f"{site.value} never fired"
-        gaps = _unacknowledged(injector)
+        gaps = injector.unacknowledged()
         assert not gaps or handled > 0, (
             f"{site.value} was absorbed silently: fired {injector.total_fired},"
             f" unacknowledged {gaps}, no handled outcome"
@@ -150,7 +159,7 @@ class TestMatrixCoversEverySite:
         )
         assert ticket.record.status is CompletionStatus.PAGE_FAULT
         assert injector.total_fired >= 1
-        assert not _unacknowledged(injector)
+        assert not injector.unacknowledged()
         monitor.check_all()
 
     def test_preemption_is_acknowledged(self):
@@ -160,10 +169,25 @@ class TestMatrixCoversEverySite:
         injector.attach_timeline(timeline)
         timeline.idle_until(50_000)
         assert injector.total_fired >= 1
-        assert not _unacknowledged(injector)
+        assert not injector.unacknowledged()
         assert timeline.preemptions >= 1
 
 
+def _audited(trials, injector):
+    """``(result, error)`` per trial, guarded with *injector* installed
+    as the current fault injector."""
+    outcomes = []
+    with worker_context(WorkerContext(fault_injector=injector)):
+        run_guarded_trials(
+            trials,
+            on_trial_end=lambda index, result, error, _: outcomes.append(
+                (result, error)
+            ),
+        )
+    return outcomes
+
+
+@pytest.mark.chaos
 class TestGuardAudit:
     def test_unacknowledged_fault_fails_the_trial(self):
         """A fired-but-never-acknowledged fault converts a green trial
@@ -174,12 +198,8 @@ class TestGuardAudit:
             injector.fire(FaultSite.ENGINE_STALL, timestamp=0, engine_id=0)
             return "looks fine"
 
-        run = run_guarded_trials(
-            [trial], min_successes=0, fault_injector=injector
-        )
-        assert run.results == ()
-        assert len(run.failures) == 1
-        error = run.failures[0].error
+        [(result, error)] = _audited([trial], injector)
+        assert result is None
         assert isinstance(error, UnhandledFaultError)
         assert error.unacknowledged == {FaultSite.ENGINE_STALL.value: 1}
         assert "absorbed" in str(error)
@@ -194,11 +214,7 @@ class TestGuardAudit:
             injector.acknowledge(event, action="engine-stalled")
             return "ok"
 
-        run = run_guarded_trials(
-            [trial], min_successes=1, fault_injector=injector
-        )
-        assert run.results == ("ok",)
-        assert not run.failures
+        assert _audited([trial], injector) == [("ok", None)]
 
     def test_audit_windows_are_per_trial(self):
         """A static injector's pre-trial history must not leak into the
@@ -207,10 +223,7 @@ class TestGuardAudit:
         event = injector.fire(FaultSite.ENGINE_STALL, timestamp=0, engine_id=0)
         assert event is not None  # unacknowledged history before any trial
 
-        run = run_guarded_trials(
-            [lambda: "ok"], min_successes=1, fault_injector=injector
-        )
-        assert run.results == ("ok",)
+        assert _audited([lambda: "ok"], injector) == [("ok", None)]
 
     def test_invariant_violation_always_propagates(self):
         violation = InvariantViolation(
@@ -221,7 +234,7 @@ class TestGuardAudit:
             raise violation
 
         with pytest.raises(InvariantViolation) as info:
-            run_guarded_trials([trial], catch=(ReproError,), min_successes=0)
+            run_guarded_trials([trial], catch=(ReproError,))
         assert info.value is violation
 
     def test_violation_from_monitored_trial_is_replayable(self):
@@ -239,7 +252,7 @@ class TestGuardAudit:
             proc.portal.submit_wait(make_noop(proc.pasid, comp))
 
         with pytest.raises(InvariantViolation) as info:
-            run_guarded_trials([trial], min_successes=0)
+            run_guarded_trials([trial])
         violation = info.value
         assert violation.invariant == "wq-credits"
         assert violation.seed == 17
@@ -301,6 +314,7 @@ SERVICE_MATRIX = {
 }
 
 
+@pytest.mark.chaos
 @pytest.mark.service
 class TestServiceFaultMatrix:
     """Handled-or-detected rows for the session service's control-plane
@@ -326,6 +340,7 @@ class TestServiceFaultMatrix:
         assert report.accounting.balances()
 
 
+@pytest.mark.chaos
 class TestChaosSoakComposition:
     def test_faulted_system_under_strict_monitor_stays_accountable(self):
         """A multi-site chaos storm with the monitor attached: every
@@ -358,7 +373,7 @@ class TestChaosSoakComposition:
             except ReproError:
                 handled += 1
         assert injector.total_fired > 0
-        assert not _unacknowledged(injector)
+        assert not injector.unacknowledged()
         monitor.check_all()
 
 # ----------------------------------------------------------------------
@@ -373,8 +388,6 @@ class TestChaosSoakComposition:
 
 def _parallel_device_trial() -> dict:
     """The device-site workload of ``_run_device_site``, shard-resident."""
-    from repro.experiments.pool import current_fault_injector
-
     injector = current_fault_injector()
     assert injector is not None, "must run on the worker pool"
     host, monitor = _monitored_host()
@@ -395,7 +408,7 @@ def _parallel_device_trial() -> dict:
             handled += 1
             last_error = exc
     monitor.check_all()
-    gaps = _unacknowledged(injector)
+    gaps = injector.unacknowledged()
     if gaps and last_error is not None:
         # The fault surfaced on the error path: re-raise it so the merged
         # journal records the *typed* handled outcome (the serial matrix's
@@ -407,7 +420,6 @@ def _parallel_device_trial() -> dict:
 def _parallel_prs_trial() -> dict:
     """PRS_DROP cell: a faulting walk under drop, shard-resident."""
     from repro.dsa.completion import CompletionStatus
-    from repro.experiments.pool import current_fault_injector
 
     injector = current_fault_injector()
     assert injector is not None, "must run on the worker pool"
@@ -428,14 +440,12 @@ def _parallel_prs_trial() -> dict:
     return {
         "fired": injector.total_fired,
         "handled": handled,
-        "gaps": _unacknowledged(injector),
+        "gaps": injector.unacknowledged(),
     }
 
 
 def _parallel_preemption_trial() -> dict:
     """PREEMPTION cell: idle a timeline under the shard's injector."""
-    from repro.experiments.pool import current_fault_injector
-
     injector = current_fault_injector()
     assert injector is not None, "must run on the worker pool"
     clock = TscClock()
@@ -445,7 +455,7 @@ def _parallel_preemption_trial() -> dict:
     return {
         "fired": injector.total_fired,
         "handled": timeline.preemptions,
-        "gaps": _unacknowledged(injector),
+        "gaps": injector.unacknowledged(),
     }
 
 
@@ -487,8 +497,6 @@ def _parallel_matrix_plan(site_value: str) -> ExperimentPlan:
 
 def _absorbing_trial() -> str:
     """Fires the shard injector's stall and never acknowledges it."""
-    from repro.experiments.pool import current_fault_injector
-
     injector = current_fault_injector()
     injector.fire(FaultSite.ENGINE_STALL, timestamp=0, engine_id=0)
     return "looks fine"
@@ -508,13 +516,14 @@ def _absorbing_plan() -> ExperimentPlan:
     )
 
 
-@pytest.mark.pool
 class TestParallelFaultMatrix:
     """The handled-or-detected contract holds across the process
     boundary: every site fired inside a 2-worker pooled run either
     surfaces as a typed journaled outcome or fails its trial — never a
     green trial over an unacknowledged ledger."""
 
+    @pytest.mark.chaos
+    @pytest.mark.pool
     @pytest.mark.parametrize(
         "site",
         sorted(
@@ -552,13 +561,19 @@ class TestParallelFaultMatrix:
                 # failure *is* evidence the site fired and was detected.
                 assert entry.error_type, f"untyped failure in {entry.key}"
 
+    @pytest.mark.parametrize(
+        "workers",
+        [1, pytest.param(2, marks=(pytest.mark.chaos, pytest.mark.pool))],
+    )
     def test_absorbed_worker_fault_fails_trial_in_merged_journal(
-        self, tmp_path
+        self, workers, tmp_path
     ):
+        """The serial loop and a pool worker both install the plan's
+        injector and audit it after the trial."""
         outcome = run_experiment(
             _absorbing_plan(),
             run_dir=tmp_path,
-            workers=2,
+            workers=workers,
             executor="pool",
             plan_source=_absorbing_plan,
         )

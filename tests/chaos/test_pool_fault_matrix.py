@@ -9,6 +9,8 @@ Also here (all marked ``pool``, run via ``scripts/run_pool_smoke.sh``):
 
 * external ``kill -9`` of a worker mid-shard (fig09 and table3), healed
   byte-identically;
+* the same kill with no respawn budget left: the run degrades mid-run
+  to the inline serial loop, still byte-identical;
 * the SIGTERM drain contract of the pool parent: a SIGTERM mid-run
   exits 130 with the manifest flushed and resumable.
 """
@@ -32,7 +34,7 @@ from repro.experiments.checkpoint import (
 )
 from repro.experiments.pool import run_pool_experiment, shutdown_pools
 from repro.experiments.runner import ExperimentPlan, TrialSpec, run_experiment
-from repro.experiments.supervisor import PoolConfig
+from repro.experiments.supervisor import DEGRADED_SERIAL, PoolConfig
 from repro.faults import FaultPlan, FaultSite
 from repro.faults.sites import POOL_SITES
 from tests.experiments.test_parallel_equivalence import (
@@ -177,6 +179,36 @@ class TestExternalKillMidShard:
         assert healed.status == STATUS_COMPLETED
         assert healed.pool["respawns"] == 1
         assert healed.pool["poisoned"] == []
+        _assert_same_artifact(serial_dir, pool_dir)
+
+
+class TestRespawnBudgetDegradation:
+    def test_exhausted_budget_degrades_mid_run_byte_identically(
+        self, tmp_path
+    ):
+        """The only degradation that happens after pooled results have
+        arrived: the first respawn exceeds a zero budget, and the
+        remaining trials run inline on the same ledger."""
+        serial_dir = tmp_path / "serial"
+        pool_dir = tmp_path / "pool"
+        serial = run_experiment(_clean_plan("fig09"), run_dir=serial_dir)
+        assert serial.status == STATUS_COMPLETED
+
+        flag = tmp_path / "killed.flag"
+        degraded = run_pool_experiment(
+            _kill_once_plan("fig09", str(flag), 1),
+            plan_source=functools.partial(
+                _kill_once_plan, "fig09", str(flag), 1
+            ),
+            workers=2,
+            run_dir=pool_dir,
+            executor="pool",
+            config=PoolConfig(respawn_budget=0),
+        )
+        assert flag.exists(), "the kill never happened"
+        assert degraded.status == STATUS_COMPLETED
+        assert degraded.pool["mode"] == DEGRADED_SERIAL
+        assert "respawn budget" in degraded.pool["degraded"]
         _assert_same_artifact(serial_dir, pool_dir)
 
 

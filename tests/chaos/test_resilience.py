@@ -24,7 +24,13 @@ from repro.errors import (
     InsufficientTrialsError,
     QueueFullError,
 )
-from repro.experiments.guard import run_guarded_trials
+from repro.experiments.checkpoint import STATUS_DEADLINE
+from repro.experiments.runner import (
+    ExperimentPlan,
+    TrialSpec,
+    run_experiment,
+    run_guarded_trials,
+)
 from repro.faults import FaultPlan, FaultSite
 
 from tests.conftest import build_host
@@ -236,38 +242,51 @@ class TestChooseRedundancy:
             choose_redundancy(0.1, target_frame_rate=1.0)
 
 
+def _guard_plan(fns, name="figure X", min_successes=1):
+    return ExperimentPlan(
+        name=name,
+        seed=0,
+        config={},
+        trials=tuple(TrialSpec(key=f"t/{i}", fn=fn) for i, fn in enumerate(fns)),
+        finalize=dict,
+        min_successes=min_successes,
+    )
+
+
 class TestExperimentGuard:
     def test_contains_repro_errors(self):
-        calls = []
-
         def good():
-            calls.append("g")
             return 1
 
         def bad():
             raise QueueFullError("full", wq_id=0)
 
-        run = run_guarded_trials([good, bad, good], min_successes=2)
-        assert run.results == (1, 1)
-        assert len(run.failures) == 1
-        assert run.failures[0].index == 1
-        assert isinstance(run.failures[0].error, QueueFullError)
-        assert run.success_rate == pytest.approx(2 / 3)
-        assert not run.complete
+        outcomes = []
+        run_guarded_trials(
+            [good, bad, good],
+            on_trial_end=lambda index, result, error, _: outcomes.append(
+                (index, result, error)
+            ),
+        )
+        assert [(i, r) for i, r, e in outcomes if e is None] == [(0, 1), (2, 1)]
+        failures = [(i, e) for i, r, e in outcomes if e is not None]
+        assert [i for i, _ in failures] == [1]
+        assert isinstance(failures[0][1], QueueFullError)
 
     def test_non_repro_errors_propagate(self):
         def boom():
             raise RuntimeError("bug")
 
         with pytest.raises(RuntimeError):
-            run_guarded_trials([boom], min_successes=0)
+            run_guarded_trials([boom])
 
     def test_too_few_successes_raise(self):
         def bad():
             raise QueueFullError("full")
 
+        outcome = run_experiment(_guard_plan([bad, bad]))
         with pytest.raises(InsufficientTrialsError, match="0/2 trials"):
-            run_guarded_trials([bad, bad], min_successes=1, label="figure X")
+            outcome.require_result()
 
     def test_wall_clock_budget_skips_remaining(self):
         import time
@@ -276,11 +295,10 @@ class TestExperimentGuard:
             time.sleep(0.05)
             return 1
 
-        run = run_guarded_trials(
-            [slow] * 10, max_total_seconds=0.08, min_successes=1
-        )
-        assert run.skipped > 0
-        assert len(run.results) >= 1
+        outcome = run_experiment(_guard_plan([slow] * 10), deadline_s=0.08)
+        assert outcome.status == STATUS_DEADLINE
+        assert outcome.skipped > 0
+        assert outcome.completed >= 1
 
 
 class TestCovertConfigValidation:

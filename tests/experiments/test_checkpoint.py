@@ -120,7 +120,7 @@ class TestCheckpointJournal:
 
     def test_failure_roundtrip(self, tmp_path):
         journal = CheckpointJournal(tmp_path)
-        journal.record_failure(1, "t/1", ValueError("boom"), elapsed_s=0.1)
+        journal.record_failure_info(1, "t/1", "ValueError", "boom", elapsed_s=0.1)
         entry = CheckpointJournal.load(tmp_path).get("t/1")
         assert not entry.ok
         assert entry.error_type == "ValueError"

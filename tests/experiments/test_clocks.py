@@ -3,18 +3,20 @@
 Every host-time read outside :mod:`repro.experiments.runner` routes
 through these helpers (enforced statically by the DET002 lint rule), so
 overriding them here controls *all* orchestration timing: manifest
-timestamps, watchdog deadlines, and guarded-trial budgets become
+timestamps, watchdog deadlines, and trial durations become
 deterministic under test.
 """
 
 import time
 
-from repro.experiments.checkpoint import RunManifest
-from repro.experiments.guard import STOP_BUDGET, run_guarded_trials
+from repro.experiments.checkpoint import STATUS_DEADLINE, RunManifest
 from repro.experiments.runner import (
+    ExperimentPlan,
+    TrialSpec,
     Watchdog,
     monotonic_clock,
     override_clocks,
+    run_experiment,
     wall_clock,
 )
 
@@ -86,11 +88,17 @@ class TestDeterministicStamping:
             clock.advance(4.0)
             return "ok"
 
+        plan = ExperimentPlan(
+            name="clocked",
+            seed=0,
+            config={},
+            trials=tuple(TrialSpec(key=f"t/{i}", fn=trial) for i in range(5)),
+            finalize=dict,
+        )
         with override_clocks(monotonic=clock):
-            run = run_guarded_trials(
-                [trial] * 5, max_total_seconds=10.0, min_successes=1
-            )
-        assert run.stop_reason == STOP_BUDGET
-        assert len(run.results) == 3  # 0s, 4s, 8s elapsed at trial starts
-        assert run.skipped == 2
-        assert run.elapsed_s == 12.0
+            outcome = run_experiment(plan, deadline_s=10.0)
+        # At 8 s the 2 s left cannot fit another 4 s trial.
+        assert outcome.status == STATUS_DEADLINE
+        assert outcome.completed == 2
+        assert outcome.skipped == 3
+        assert outcome.elapsed_s == 8.0

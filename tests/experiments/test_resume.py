@@ -6,22 +6,28 @@ the full cross-experiment surface and is marked ``resume`` (run via
 ``scripts/run_resume_smoke.sh`` or ``pytest -m resume``).
 """
 
+import functools
 import pickle
 
 import pytest
 
+from repro.errors import ReproError
 from repro.experiments import fig09_covert, table3_noise
 from repro.experiments.checkpoint import (
     STATUS_COMPLETED,
+    STATUS_DEADLINE,
     STATUS_INTERRUPTED,
     RunManifest,
 )
 from repro.experiments.runner import (
+    BreakerConfig,
     ExperimentPlan,
     TrialSpec,
     execute_plan,
+    override_clocks,
     run_experiment,
 )
+from tests.experiments.test_clocks import FakeClock
 
 
 def _interrupt_at(plan: ExperimentPlan, k: int) -> ExperimentPlan:
@@ -88,6 +94,52 @@ class TestFig09Resume:
             )
 
         _assert_resume_equivalent(factory, k=0, tmp_path=tmp_path)
+
+
+def _one_second_trial(clock, index):
+    """Takes one second of *clock*; trial 0 always fails."""
+    clock.advance(1.0)
+    if index == 0:
+        raise ReproError("environment down")
+    return index
+
+
+class TestDeadlineAfterResume:
+    def test_deadline_stop_counts_only_pending_trials(self, tmp_path):
+        """Trial 0 fails, the breaker skips 1-2, trial 3 succeeds; the
+        resumed segment runs trial 1 and the deadline stops it before
+        trial 2.  Trials resumed from the journal are never counted as
+        deadline-skipped, so every trial is counted exactly once."""
+        clock = FakeClock()
+        plan = ExperimentPlan(
+            name="deadline-resume",
+            seed=0,
+            config={"trials": 4},
+            trials=tuple(
+                TrialSpec(
+                    key=f"t/{i}", fn=functools.partial(_one_second_trial, clock, i)
+                )
+                for i in range(4)
+            ),
+            finalize=dict,
+        )
+        breaker = BreakerConfig(failure_threshold=1, cooldown_trials=2)
+        with override_clocks(monotonic=clock):
+            first = run_experiment(plan, run_dir=tmp_path, breaker=breaker)
+            assert (first.completed, first.failed, first.skipped) == (1, 1, 2)
+            resumed = run_experiment(
+                plan,
+                run_dir=tmp_path,
+                resume=True,
+                deadline_s=1.5,
+                breaker=breaker,
+            )
+        assert resumed.status == STATUS_DEADLINE
+        assert (resumed.completed, resumed.failed, resumed.skipped) == (2, 1, 1)
+        assert (
+            resumed.completed + resumed.failed + resumed.skipped
+            == len(plan.trials)
+        )
 
 
 @pytest.mark.resume

@@ -143,9 +143,7 @@ class TestAdmissionController:
             controller.admit(_spec("s0"), now=0)
         assert info.value.reason == "admission-flap"
         assert injector.total_fired == 1
-        from repro.experiments.guard import _unacknowledged
-
-        assert not _unacknowledged(injector)
+        assert not injector.unacknowledged()
 
     def test_resumed_sessions_skip_bucket_and_flap(self):
         injector = (
