@@ -6,6 +6,7 @@ Exit codes extend the experiment-runner convention
 ====  ==========================================================
 0     campaign completed with no findings (or replay did not
       reproduce)
+2     usage error (e.g. ``--processes`` below 1)
 5     checkpoint/config mismatch on ``--resume``
 7     findings present (``EXIT_FINDINGS``) — also the replay
       exit code when the finding reproduces
@@ -149,6 +150,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         help="re-execute one persisted finding instead of fuzzing",
     )
     args = parser.parse_args(argv)
+    if args.processes < 1:
+        parser.error(f"--processes must be >= 1, got {args.processes}")
 
     if args.replay:
         return _replay(args.replay)

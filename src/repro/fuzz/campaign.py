@@ -4,7 +4,7 @@ A campaign runs two lanes over the same topology:
 
 * **guided** — energy-weighted corpus mutation steered by the coverage
   map; cases that discover new features join the corpus, findings with
-  unseen signatures are shrunk (:func:`repro.invariants.shrink.ddmin`)
+  unseen signatures are shrunk (:func:`repro.fuzz.executor.shrink_case`)
   and persisted.
 * **baseline** — pure random generation with its own coverage map, no
   corpus; exists only so the report can show what the guidance buys.
@@ -41,7 +41,7 @@ from repro.experiments.checkpoint import (
     git_describe,
 )
 from repro.fuzz.coverage import CoverageMap
-from repro.fuzz.executor import Finding, build_fault_plan, execute_case
+from repro.fuzz.executor import build_fault_plan, execute_case, shrink_case
 from repro.fuzz.gen import (
     derive_rng,
     generate_case,
@@ -49,7 +49,6 @@ from repro.fuzz.gen import (
     mutate,
     splice,
 )
-from repro.invariants.shrink import ddmin
 
 #: Exit code of ``python -m repro.fuzz`` when the campaign produced
 #: findings (documented beside the runner codes in docs/robustness.md).
@@ -191,33 +190,6 @@ def _pick_input(
     return generate_case(rng, topology, config.processes)
 
 
-def _shrink_finding(
-    config: FuzzConfig,
-    topology: "dict[str, Any]",
-    ops: "list[dict[str, Any]]",
-    finding: Finding,
-    fault_plan: Any,
-) -> "tuple[list[dict[str, Any]], int]":
-    """ddmin the op list down while the same signature reproduces."""
-    target = finding.signature
-
-    def still_fails(candidate: "list[dict[str, Any]]") -> bool:
-        result = execute_case(
-            candidate,
-            topology,
-            seed=config.seed,
-            processes=config.processes,
-            mode=config.mode,
-            fault_plan=fault_plan,
-        )
-        return (
-            result.finding is not None
-            and result.finding.signature == target
-        )
-
-    return ddmin(ops, still_fails, budget=config.shrink_budget)
-
-
 # ----------------------------------------------------------------------
 # The campaign
 # ----------------------------------------------------------------------
@@ -323,8 +295,15 @@ def run_campaign(
         ):
             state["signatures"].append(result.finding.signature)
             if config.shrink:
-                minimal, shrink_runs = _shrink_finding(
-                    config, topology, ops, result.finding, fault_plan
+                minimal, shrink_runs = shrink_case(
+                    ops,
+                    topology,
+                    result.finding.signature,
+                    config.shrink_budget,
+                    seed=config.seed,
+                    processes=config.processes,
+                    mode=config.mode,
+                    fault_plan=fault_plan,
                 )
             else:
                 minimal, shrink_runs = list(ops), 0

@@ -20,7 +20,9 @@ the run:
   fault is a finding.
 
 Results carry a stable ``signature`` (kind + detail) used by the
-campaign for dedup and by the shrinker as its preservation predicate.
+campaign for dedup and by :func:`shrink_case` as its preservation
+predicate.  This is the only case runner: the fuzz campaign and the
+invariant soak (:mod:`repro.invariants.soak`) are two generators over it.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.gen import BUFFER_BYTES, wq_owner
 from repro.hw.units import PAGE_SIZE
 from repro.invariants.monitor import InvariantMonitor
+from repro.invariants.shrink import ddmin
 from repro.virt.system import CloudSystem
 
-#: Poll bound for every wait (same contract as the soak harness).
+#: Poll bound for every wait: generous at simulated 2 GHz, but finite so
+#: a lost completion surfaces as a handled CompletionTimeoutError.
 WAIT_TIMEOUT_CYCLES = 5_000_000
 
 #: Raw descriptors decode 32-bit sizes; transfers are clamped here so a
@@ -92,6 +96,11 @@ class CaseResult:
     submissions: int
     handled_errors: int
     new_features: int = 0
+    events_seen: int = 0
+    audits_run: int = 0
+    #: The caught violation behind an ``invariant`` finding (its
+    #: ``describe()`` carries the snapshot, event window and repro line).
+    violation: "InvariantViolation | None" = None
 
     @property
     def ok(self) -> bool:
@@ -268,6 +277,7 @@ def execute_case(
     coverage: "CoverageMap | None" = None,
     fault_plan: "FaultPlan | None" = None,
     repro_hint: str = "",
+    sample_every: int = 64,
 ) -> CaseResult:
     """Run one case on a fresh system and judge it with the oracles.
 
@@ -275,7 +285,9 @@ def execute_case(
     varying input is *ops*, so a finding replays from its op list alone.
     """
     system = CloudSystem(seed=seed, invariants="off", fault_plan=fault_plan)
-    monitor = InvariantMonitor(mode=mode, seed=seed, repro_hint=repro_hint)
+    monitor = InvariantMonitor(
+        mode=mode, sample_every=sample_every, seed=seed, repro_hint=repro_hint
+    )
     monitor.attach_system(system)
     device = system.device
     for group_id, engine_ids in enumerate(topology["groups"]):
@@ -306,6 +318,7 @@ def execute_case(
     submissions = 0
     handled = 0
     finding: "Finding | None" = None
+    violation: "InvariantViolation | None" = None
 
     def submit_pending(op: "dict[str, Any]", descriptor: Any) -> None:
         nonlocal submissions
@@ -383,6 +396,7 @@ def execute_case(
             )
         monitor.check_all()
     except InvariantViolation as exc:
+        violation = exc
         finding = Finding(
             kind="invariant", detail=exc.invariant, message=str(exc)
         )
@@ -411,4 +425,25 @@ def execute_case(
         submissions=submissions,
         handled_errors=handled,
         new_features=new_features,
+        events_seen=monitor.events_seen,
+        audits_run=monitor.audits_run,
+        violation=violation,
     )
+
+
+def shrink_case(
+    ops: "Sequence[dict[str, Any]]",
+    topology: "dict[str, Any]",
+    signature: str,
+    budget: int,
+    **run: Any,
+) -> "tuple[list[dict[str, Any]], int]":
+    """ddmin *ops* while :func:`execute_case` (called with *topology*
+    and the *run* keywords) still reports a finding with *signature*.
+    Returns (minimal ops, runs)."""
+
+    def still_fails(candidate: "list[dict[str, Any]]") -> bool:
+        finding = execute_case(candidate, topology, **run).finding
+        return finding is not None and finding.signature == signature
+
+    return ddmin(ops, still_fails, budget=budget)

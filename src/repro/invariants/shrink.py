@@ -7,9 +7,10 @@ is deliberately simple — chunked removal with coarsening/refinement, no
 caching — because every predicate call re-executes a full deterministic
 workload and the budget, not cleverness, is the cost ceiling.
 
-Both drivers wrap it the same way: the predicate rebuilds a fresh system
-from the original seed, replays the candidate operation list, and
-answers "does the identical finding signature still appear?".  Because
+Both drivers reach it through :func:`repro.fuzz.executor.shrink_case`:
+the predicate rebuilds a fresh system from the original seed, replays
+the candidate operation list, and answers "does the identical finding
+signature still appear?".  Because
 the executions are pure functions of (seed, ops), the reduced sequence
 the budget converges on is itself a deterministic artifact.
 """

@@ -1,18 +1,23 @@
 """Seeded randomized soak harness for the self-verifying model.
 
-Generates a random-but-deterministic descriptor/submission workload
-across SWQ/DWQ/batch/multi-engine configurations, runs it under an
-:class:`~repro.invariants.monitor.InvariantMonitor` in strict mode, and
-— when a checker trips — shrinks the failing operation list to a
-minimal reproducer (ddmin-style chunk removal).  Everything is a pure
-function of the seed, so any violation is replayable as::
+Generates a random-but-deterministic workload of *valid* operations
+across SWQ/DWQ/batch/multi-engine configurations and runs it through
+the fuzzer's case runner (:func:`repro.fuzz.executor.execute_case`) —
+one oracle harness, two workload generators.  The monitor runs in
+strict mode by default; when a checker trips or a non-``ReproError``
+escapes the model, :func:`repro.fuzz.executor.shrink_case` reduces the
+operation list to a minimal reproducer that still reports the same
+finding signature.  Everything is a pure function of the seed, so any
+finding is replayable as::
 
     PYTHONPATH=src python -m repro.invariants.soak --seed <N> --operations <M>
 
 Budgets are expressed in *operation counts*, never wall-clock time: the
 soak must stay deterministic (docs/static-analysis.md, DET002).
 
-Run via ``scripts/run_soak.sh`` or ``python -m repro.invariants.soak``.
+Exits 0 when clean, ``EXIT_INVARIANT`` (6) on an invariant violation
+and ``EXIT_FINDINGS`` (7) on an escaped exception.  Run via
+``scripts/run_fuzz_smoke.sh`` or ``python -m repro.invariants.soak``.
 """
 
 from __future__ import annotations
@@ -20,24 +25,14 @@ from __future__ import annotations
 import argparse
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.dsa.batch import write_batch_list
-from repro.dsa.descriptor import BatchDescriptor, Descriptor, make_memcpy, make_noop
-from repro.dsa.opcodes import Opcode
-from repro.dsa.wq import WorkQueueConfig, WqMode
-from repro.errors import InvariantViolation, ReproError
 from repro.experiments.runner import EXIT_INVARIANT
-from repro.hw.units import PAGE_SIZE
-from repro.invariants.monitor import InvariantMonitor
-from repro.invariants.shrink import ddmin
-from repro.virt.system import CloudSystem
-
-#: Poll bound for every wait: generous at simulated 2 GHz, but finite so
-#: a lost completion surfaces as a handled CompletionTimeoutError.
-WAIT_TIMEOUT_CYCLES = 5_000_000
+from repro.fuzz.campaign import EXIT_FINDINGS
+from repro.fuzz.executor import CaseResult, execute_case, shrink_case
+from repro.fuzz.gen import wq_owner
 
 #: Stream label mixed into the seed so soak draws never collide with the
 #: model's own seeded generators.
@@ -46,7 +41,6 @@ _SOAK_STREAM = 0x50A5
 _OP_KINDS = ("submit_wait", "submit", "wait", "batch", "advance", "drain")
 _OP_WEIGHTS = (0.30, 0.22, 0.16, 0.08, 0.18, 0.06)
 _SIZES = (0, 64, 1024, 4096, 16384)
-_BUFFER_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -63,32 +57,19 @@ class SoakConfig:
 
 
 @dataclass(frozen=True)
-class SoakOutcome:
-    """What one execution of an operation list observed."""
-
-    ok: bool
-    violation: InvariantViolation | None
-    ops_executed: int
-    submissions: int
-    waits: int
-    handled_errors: int
-    events_seen: int
-    audits_run: int
-
-
-@dataclass(frozen=True)
 class SoakResult:
-    """A full soak run: outcome plus (on failure) the minimal reproducer."""
+    """A full soak run: the executed case plus (on a finding) the
+    minimal reproducer."""
 
     config: SoakConfig
-    outcome: SoakOutcome
+    case: CaseResult
     repro: str
     minimal_ops: "tuple[dict[str, Any], ...] | None" = None
     shrink_runs: int = 0
 
     @property
     def ok(self) -> bool:
-        return self.outcome.ok
+        return self.case.ok
 
 
 def _derive_rng(seed: int) -> np.random.Generator:
@@ -120,11 +101,6 @@ def generate_topology(rng: np.random.Generator) -> "dict[str, Any]":
     return {"engines": engines, "groups": groups, "wqs": wqs}
 
 
-def _wq_owner(wq: "dict[str, Any]", processes: int) -> int:
-    """The process index that opens a dedicated queue."""
-    return int(wq["wq_id"]) % processes
-
-
 def generate_ops(
     rng: np.random.Generator,
     topology: "dict[str, Any]",
@@ -138,13 +114,17 @@ def generate_ops(
         kind = _OP_KINDS[int(rng.choice(len(_OP_KINDS), p=_OP_WEIGHTS))]
         wq = wqs[int(rng.integers(0, len(wqs)))]
         if wq["mode"] == "dedicated":
-            proc = _wq_owner(wq, processes)
+            proc = wq_owner(wq, processes)
         else:
             proc = int(rng.integers(0, processes))
         op: dict[str, Any] = {"kind": kind, "proc": proc, "wq": int(wq["wq_id"])}
         if kind in ("submit_wait", "submit"):
             op["opcode"] = str(rng.choice(("noop", "memmove", "fill")))
             op["size"] = int(_SIZES[int(rng.integers(0, len(_SIZES)))])
+            if op["size"] == 0:
+                # A zero-length transfer is an invalid descriptor; the
+                # soak only generates valid work.
+                op["opcode"] = "noop"
         elif kind == "batch":
             op["children"] = int(rng.integers(2, 7))
         elif kind == "advance":
@@ -164,213 +144,8 @@ def generate_workload(
 
 
 # ----------------------------------------------------------------------
-# Execution
+# The driver
 # ----------------------------------------------------------------------
-class _Workbench:
-    """Per-process buffers and submission bookkeeping for one execution."""
-
-    def __init__(self, system: CloudSystem, topology: "dict[str, Any]", processes: int) -> None:
-        self.system = system
-        self.procs = []
-        self.comp_slot = 0
-        wqs = topology["wqs"]
-        for index in range(processes):
-            vm = system.create_vm(f"soak-vm-{index}")
-            proc = vm.spawn_process(f"soak-{index}")
-            for wq in wqs:
-                if wq["mode"] == "shared" or _wq_owner(wq, processes) == index:
-                    system.open_portal(proc, int(wq["wq_id"]))
-            self.procs.append(proc)
-        self.src = [proc.buffer(_BUFFER_BYTES) for proc in self.procs]
-        self.dst = [proc.buffer(_BUFFER_BYTES) for proc in self.procs]
-        self.comp = [proc.buffer(PAGE_SIZE) for proc in self.procs]
-        self.lists = [proc.buffer(PAGE_SIZE) for proc in self.procs]
-        self.pending: list[tuple[int, int, Any]] = []
-
-    def comp_addr(self, proc: int) -> int:
-        self.comp_slot = (self.comp_slot + 1) % (PAGE_SIZE // 32)
-        return self.comp[proc] + 32 * self.comp_slot
-
-    def descriptor(self, op: "dict[str, Any]") -> Descriptor:
-        proc = self.procs[op["proc"]]
-        index = op["proc"]
-        size = min(int(op.get("size", 0)), _BUFFER_BYTES)
-        opcode = op.get("opcode", "noop")
-        if opcode == "memmove" and size:
-            return make_memcpy(
-                proc.pasid, self.src[index], self.dst[index], size, self.comp_addr(index)
-            )
-        if opcode == "fill" and size:
-            return Descriptor(
-                opcode=Opcode.FILL,
-                pasid=proc.pasid,
-                src=0xA5,
-                dst=self.dst[index],
-                size=size,
-                completion_addr=self.comp_addr(index),
-            )
-        return make_noop(proc.pasid, self.comp_addr(index))
-
-    def batch(self, op: "dict[str, Any]") -> BatchDescriptor:
-        index = op["proc"]
-        proc = self.procs[index]
-        children = [
-            make_noop(proc.pasid, self.comp_addr(index))
-            for _ in range(int(op["children"]))
-        ]
-        write_batch_list(proc.space, self.lists[index], children)
-        return BatchDescriptor(
-            pasid=proc.pasid,
-            desc_list_addr=self.lists[index],
-            count=len(children),
-            completion_addr=self.comp_addr(index),
-        )
-
-
-def execute(
-    config: SoakConfig,
-    ops: "Sequence[dict[str, Any]]",
-    repro_hint: str = "",
-) -> SoakOutcome:
-    """Run *ops* on a fresh system under a monitor; never raises for
-    handled pipeline errors — only programming errors propagate."""
-    rng = _derive_rng(config.seed)
-    topology = generate_topology(rng)
-    system = CloudSystem(seed=config.seed, invariants="off")
-    monitor = InvariantMonitor(
-        mode=config.mode,
-        sample_every=config.sample_every,
-        seed=config.seed,
-        repro_hint=repro_hint,
-    )
-    monitor.attach_system(system)
-    device = system.device
-    for group_id, engine_ids in enumerate(topology["groups"]):
-        device.configure_group(group_id, engine_ids)
-    for wq in topology["wqs"]:
-        device.configure_wq(
-            WorkQueueConfig(
-                wq_id=int(wq["wq_id"]),
-                size=int(wq["size"]),
-                mode=WqMode(wq["mode"]),
-                priority=int(wq["priority"]),
-                group_id=int(wq["group"]),
-            )
-        )
-    bench = _Workbench(system, topology, config.processes)
-
-    executed = 0
-    submissions = 0
-    waits = 0
-    handled = 0
-    violation: InvariantViolation | None = None
-
-    def apply(op: "dict[str, Any]") -> None:
-        nonlocal submissions, waits
-        kind = op["kind"]
-        if kind == "advance":
-            system.clock.advance(int(op["cycles"]))
-            device.advance_to(system.clock.now)
-        elif kind == "drain":
-            device.disable_wq(int(op["wq"]))
-        elif kind == "wait":
-            if bench.pending:
-                proc, wq_id, ticket = bench.pending.pop(0)
-                waits += 1
-                bench.procs[proc].portal(wq_id).wait(
-                    ticket, timeout_cycles=WAIT_TIMEOUT_CYCLES
-                )
-        elif kind == "submit":
-            portal = bench.procs[op["proc"]].portal(int(op["wq"]))
-            ticket = portal.submit(bench.descriptor(op))
-            submissions += 1
-            bench.pending.append((op["proc"], int(op["wq"]), ticket))
-        elif kind == "batch":
-            portal = bench.procs[op["proc"]].portal(int(op["wq"]))
-            submissions += 1
-            waits += 1
-            portal.submit_wait(
-                bench.batch(op), timeout_cycles=WAIT_TIMEOUT_CYCLES
-            )
-        else:  # submit_wait
-            portal = bench.procs[op["proc"]].portal(int(op["wq"]))
-            submissions += 1
-            waits += 1
-            portal.submit_wait(
-                bench.descriptor(op), timeout_cycles=WAIT_TIMEOUT_CYCLES
-            )
-
-    def contained(step: "Callable[[], None]") -> bool:
-        """Run one step; count handled pipeline errors, let trips out."""
-        nonlocal handled
-        try:
-            step()
-        except InvariantViolation:
-            raise
-        except ReproError:
-            # Handled pipeline outcome (queue full, poll timeout,
-            # translation fault): the soak contract is "handled or
-            # detected", so a typed error is a pass for that operation
-            # and the workload continues.
-            handled += 1
-            return False
-        return True
-
-    try:
-        for op in ops:
-            contained(lambda: apply(op))
-            executed += 1
-        # Settle: drain outstanding asynchronous tickets, then run the
-        # final full audit so end-of-run state is covered too.
-        while bench.pending:
-            proc, wq_id, ticket = bench.pending.pop(0)
-            waits += 1
-            contained(
-                lambda: bench.procs[proc].portal(wq_id).wait(
-                    ticket, timeout_cycles=WAIT_TIMEOUT_CYCLES
-                )
-            )
-        monitor.check_all()
-    except InvariantViolation as exc:
-        violation = exc
-
-    return SoakOutcome(
-        ok=violation is None,
-        violation=violation,
-        ops_executed=executed,
-        submissions=submissions,
-        waits=waits,
-        handled_errors=handled,
-        events_seen=monitor.events_seen,
-        audits_run=monitor.audits_run,
-    )
-
-
-# ----------------------------------------------------------------------
-# Shrinking and the driver
-# ----------------------------------------------------------------------
-def shrink(
-    config: SoakConfig,
-    ops: "Sequence[dict[str, Any]]",
-    invariant: str,
-    budget: "int | None" = None,
-) -> "tuple[list[dict[str, Any]], int]":
-    """Drop chunks of *ops* while the same *invariant* still trips,
-    within a re-execution *budget* (see :func:`repro.invariants.shrink.ddmin`).
-    Returns (minimal ops, runs)."""
-    if budget is None:
-        budget = config.shrink_budget
-
-    def still_fails(candidate: "list[dict[str, Any]]") -> bool:
-        outcome = execute(config, candidate)
-        return (
-            outcome.violation is not None
-            and outcome.violation.invariant == invariant
-        )
-
-    return ddmin(ops, still_fails, budget=budget)
-
-
 def repro_command(config: SoakConfig) -> str:
     """The one-command reproduction line carried into violations."""
     return (
@@ -379,24 +154,31 @@ def repro_command(config: SoakConfig) -> str:
         f" --operations {config.operations}"
         f" --processes {config.processes}"
         f" --mode {config.mode}"
+        f" --sample-every {config.sample_every}"
     )
 
 
 def run_soak(config: SoakConfig, shrink_failures: bool = True) -> SoakResult:
-    """One full soak run: generate, execute, and on failure shrink."""
-    _, ops = generate_workload(config)
+    """One full soak run: generate, execute, and on a finding shrink."""
+    topology, ops = generate_workload(config)
     repro = repro_command(config)
-    outcome = execute(config, ops, repro_hint=repro)
+    run = {
+        "seed": config.seed,
+        "processes": config.processes,
+        "mode": config.mode,
+        "sample_every": config.sample_every,
+    }
+    case = execute_case(ops, topology, repro_hint=repro, **run)
     minimal: "tuple[dict[str, Any], ...] | None" = None
     shrink_runs = 0
-    if outcome.violation is not None and shrink_failures:
-        reduced, shrink_runs = shrink(
-            config, ops, outcome.violation.invariant
+    if case.finding is not None and shrink_failures:
+        reduced, shrink_runs = shrink_case(
+            ops, topology, case.finding.signature, config.shrink_budget, **run
         )
         minimal = tuple(reduced)
     return SoakResult(
         config=config,
-        outcome=outcome,
+        case=case,
         repro=repro,
         minimal_ops=minimal,
         shrink_runs=shrink_runs,
@@ -437,7 +219,12 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    failures = 0
+    if args.processes < 1:
+        parser.error(f"--processes must be >= 1, got {args.processes}")
+    if args.operations < 0:
+        parser.error(f"--operations must be >= 0, got {args.operations}")
+
+    exit_code = 0
     for offset in range(args.runs):
         config = SoakConfig(
             seed=args.seed + offset,
@@ -447,26 +234,31 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             sample_every=args.sample_every,
         )
         result = run_soak(config, shrink_failures=not args.no_shrink)
-        outcome = result.outcome
-        if result.ok:
+        case = result.case
+        if case.finding is None:
             print(
                 f"soak seed={config.seed}: clean"
-                f" ({outcome.ops_executed} ops, {outcome.submissions} submissions,"
-                f" {outcome.handled_errors} handled errors,"
-                f" {outcome.events_seen} events, {outcome.audits_run} audits)"
+                f" ({case.ops_executed} ops, {case.submissions} submissions,"
+                f" {case.handled_errors} handled errors,"
+                f" {case.events_seen} events, {case.audits_run} audits)"
             )
             continue
-        failures += 1
-        assert outcome.violation is not None
-        print(f"soak seed={config.seed}: INVARIANT VIOLATION")
-        print(outcome.violation.describe())
+        if case.violation is not None:
+            exit_code = EXIT_INVARIANT
+            print(f"soak seed={config.seed}: INVARIANT VIOLATION")
+            print(case.violation.describe())
+        else:
+            exit_code = exit_code or EXIT_FINDINGS
+            print(f"soak seed={config.seed}: {case.finding.signature}")
+            print(case.finding.message)
+            print(f"repro: {result.repro}")
         if result.minimal_ops is not None:
             print(
                 f"minimal reproducer ({len(result.minimal_ops)} ops,"
                 f" {result.shrink_runs} shrink runs):"
             )
             print(json.dumps(list(result.minimal_ops), indent=2, sort_keys=True))
-    return EXIT_INVARIANT if failures else 0
+    return exit_code
 
 
 if __name__ == "__main__":

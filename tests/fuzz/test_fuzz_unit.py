@@ -1,5 +1,8 @@
 """Fast tier-1 units: generation, mutation, coverage, one executed case."""
 
+import pytest
+
+from repro.fuzz.__main__ import main
 from repro.fuzz.campaign import LANE_GUIDED, LANE_TOPOLOGY
 from repro.fuzz.coverage import CoverageMap, bucket
 from repro.fuzz.executor import execute_case
@@ -117,3 +120,11 @@ class TestExecutor:
             )
             new += result.new_features
         assert new == cov.features > 0
+
+
+class TestCli:
+    def test_zero_processes_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--processes", "0", "--dir", str(tmp_path / "campaign")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "campaign").exists()
