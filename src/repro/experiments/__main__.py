@@ -54,8 +54,9 @@ import sys
 from repro.errors import CheckpointError, ReproError, ResumeMismatchError
 from repro.experiments.checkpoint import (
     STATUS_COMPLETED,
-    atomic_write_pickle,
+    atomic_write_bytes,
     atomic_write_text,
+    dumps_payload,
 )
 from repro.experiments.runner import (
     EXIT_CONFIG_MISMATCH,
@@ -164,7 +165,9 @@ def run_one(
         print(f"({monotonic_clock() - started:.1f}s)\n")
         if outcome.run_dir is not None:
             atomic_write_text(outcome.run_dir / "report.txt", text + "\n")
-            atomic_write_pickle(outcome.run_dir / "result.pkl", outcome.result)
+            atomic_write_bytes(
+                outcome.run_dir / "result.pkl", dumps_payload(outcome.result)
+            )
         return EXIT_OK
 
     summary = (

@@ -14,8 +14,8 @@ persistence layer the supervised runner builds on:
   status, per-segment history, and circuit-breaker events.
 * **Trial journal** (``journal.jsonl``) — one JSON record per finished
   trial (success or contained failure), rewritten atomically on each
-  append.  Successful trials reference a pickled payload under
-  ``trials/`` so a resumed run can reload their results verbatim.
+  append.  Successful trials reference the bytes their result was
+  pickled to where it ran, written verbatim under ``trials/``.
 
 Nothing here knows how to *run* trials; see
 :mod:`repro.experiments.runner` for supervision and resume logic.
@@ -96,9 +96,18 @@ def atomic_write_json(path: str | Path, payload: Any) -> Path:
     return atomic_write_text(path, canonical_json(payload) + "\n")
 
 
-def atomic_write_pickle(path: str | Path, payload: Any) -> Path:
-    """Atomic pickle write (protocol pinned for stable bytes)."""
-    return atomic_write_bytes(path, pickle.dumps(payload, protocol=4))
+def dumps_payload(result: Any) -> bytes:
+    """Pickle a trial or run result (protocol pinned for stable bytes)."""
+    return pickle.dumps(result, protocol=4)
+
+
+def loads_payload(payload: bytes, key: str) -> Any:
+    """Unpickle trial *key*'s journaled result: the one place that does,
+    so every executor and every resume finalizes from equal objects."""
+    try:
+        return pickle.loads(payload)
+    except (pickle.UnpicklingError, EOFError) as exc:
+        raise CheckpointError(f"corrupt trial payload for {key!r}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +318,7 @@ class CheckpointJournal:
 
     Appends rewrite the whole JSONL file through the atomic path — the
     journal on disk is always a complete, parseable prefix of the run.
-    Successful trials pickle their result to ``trials/NNNN-<slug>.pkl``
+    Successful trials write their pickled result to ``trials/NNNN.pkl``
     (also atomically) before the journal references it, so a crash
     between the two writes leaves an orphan payload, never a dangling
     reference.
@@ -370,11 +379,11 @@ class CheckpointJournal:
         atomic_write_text(self.path, "\n".join(lines) + ("\n" if lines else ""))
 
     def record_success(
-        self, index: int, key: str, result: Any, elapsed_s: float
+        self, index: int, key: str, payload: bytes, elapsed_s: float
     ) -> JournalEntry:
-        """Pickle *result* and journal the trial as completed."""
+        """Write the pickled result *payload* verbatim; journal the trial."""
         payload_rel = f"{PAYLOAD_DIR}/{index:04d}.pkl"
-        atomic_write_pickle(self.run_dir / payload_rel, result)
+        atomic_write_bytes(self.run_dir / payload_rel, payload)
         entry = JournalEntry(
             index=index,
             key=key,
@@ -413,8 +422,9 @@ class CheckpointJournal:
         self._rewrite()
         return entry
 
-    def load_payload(self, key: str) -> Any:
-        """Unpickle the stored result of a completed trial."""
+    def read_payload(self, key: str) -> bytes:
+        """The pickled result of a completed trial, byte for byte as
+        :meth:`record_success` wrote it."""
         entry = self._by_key.get(key)
         if entry is None or not entry.ok or entry.payload is None:
             raise CheckpointError(f"no completed payload for trial {key!r}")
@@ -423,10 +433,8 @@ class CheckpointJournal:
             raise CheckpointError(
                 f"journal references missing payload {path} for trial {key!r}"
             )
-        try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError) as exc:
-            raise CheckpointError(
-                f"corrupt trial payload {path} for {key!r}: {exc}"
-            ) from exc
+        return path.read_bytes()
+
+    def load_payload(self, key: str) -> Any:
+        """Unpickle the stored result of a completed trial."""
+        return loads_payload(self.read_payload(key), key)

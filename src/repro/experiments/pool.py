@@ -15,7 +15,8 @@ interpreter start + plan rebuild on every run:
   near-zero startup.
 * **Results over the worker's pipe** — each worker replies on the same
   duplex ``multiprocessing`` pipe the parent sends it commands on, one
-  pickle per message.  A message that does not unpickle is a detected
+  pickle per message (a trial result rides in it as the bytes the
+  worker pickled).  A message that does not unpickle is a detected
   failure (:class:`~repro.errors.PoolProtocolError`), never silently
   parsed, and a closed pipe is a failed worker; either way the worker
   is killed and its unacknowledged trials requeued.
@@ -38,8 +39,8 @@ interpreter start + plan rebuild on every run:
 
 Equivalence contract: a pool run's journal, manifest, and finalized
 artifact are byte-identical to a serial run's (every trial result is
-recorded through the same ledger: journal entries iterate in plan-index
-order; manifests carry the same counts),
+recorded through the same ledger as the same pickled bytes, journal
+entries iterate in plan-index order, manifests carry the same counts),
 and ``--resume`` works across worker-count changes *and* across a pool
 restart (the journal is addressed by trial key).  See
 ``docs/parallel.md`` for the supervision state machine and
@@ -74,6 +75,7 @@ from repro.experiments.checkpoint import (
     STATUS_INTERRUPTED,
     STATUS_INVARIANT,
     STATUS_POISONED,
+    dumps_payload,
 )
 from repro.experiments.runner import (
     STOP_DEADLINE,
@@ -348,7 +350,7 @@ def _worker_run_shard(
         send(
             (
                 _MSG_TRIAL, worker_id, run_id, index, plan.trials[index].key,
-                result,
+                dumps_payload(result) if error is None else None,
                 None if error is None else (type(error).__name__, str(error)),
                 elapsed_s,
             ),
@@ -637,7 +639,7 @@ class WorkerPool:
         def _terminal_finish() -> RunOutcome:
             try:
                 checker.final_audit(
-                    len(ledger.successes()) + ledger.failed,
+                    len(ledger.results) + ledger.failed,
                     ledger.breaker_skips,
                 )
             except InvariantViolation as exc:
@@ -833,7 +835,7 @@ class WorkerPool:
                         member.started = (shard_id, index)
                     return None
                 if tag == _MSG_TRIAL:
-                    _, wid, rid, index, key, result, error, elapsed_s = message
+                    _, wid, rid, index, key, payload, error, elapsed_s = message
                     if rid != run_id:
                         return None  # stale leftovers of an aborted run
                     if (
@@ -850,7 +852,7 @@ class WorkerPool:
                     if member.shard is not None:
                         member.shard.received.add(index)
                     checker.note_result(index, wid)
-                    ledger.record(index, elapsed_s, result, error)
+                    ledger.record(index, elapsed_s, payload, error)
                     return None
                 if tag == _MSG_RUN_READY:
                     _, wid, rid, plan_hash, reused = message

@@ -14,8 +14,8 @@ tests, which inject frozen clocks, stay green.
 Flagged: a call site whose clock-tainted argument reaches one of the
 sink families below, resolved through the whole-program taint engine.
 Sanctioned clock uses stay out by construction: journal ``elapsed_s``
-is an exempt argument (the differential layer strips it), and the
-manifest's own timestamping lives in the sink-owning module
+is exempt (the differential layer strips it) wherever it is passed,
+and the manifest's own timestamping lives in the sink-owning module
 (``repro.experiments.checkpoint``), which is exempt for the atomic-write
 sinks it implements.
 
@@ -40,6 +40,8 @@ class SinkSpec:
     what: str  # human label for messages
     #: keyword arguments that legitimately carry host time.
     exempt_kwargs: frozenset[str] = frozenset()
+    #: positional indices that legitimately carry host time.
+    exempt_args: frozenset[int] = frozenset()
     #: highest positional index checked (exclusive); None = all.
     max_args: int | None = None
     #: calling modules exempt because they own the sink's sanctioned
@@ -55,6 +57,13 @@ SINKS: tuple[SinkSpec, ...] = (
         what="the checkpoint journal",
         exempt_kwargs=frozenset({"elapsed_s"}),
         max_args=3,
+    ),
+    SinkSpec(
+        # RunLedger.record(index, elapsed_s, payload, error)
+        suffixes=("ledger.record",),
+        what="the checkpoint journal",
+        exempt_kwargs=frozenset({"elapsed_s"}),
+        exempt_args=frozenset({1}),
     ),
     SinkSpec(
         suffixes=("TrialSpec",),
@@ -74,7 +83,6 @@ SINKS: tuple[SinkSpec, ...] = (
             "atomic_write_json",
             "atomic_write_text",
             "atomic_write_bytes",
-            "atomic_write_pickle",
         ),
         what="a durable checkpoint artifact",
         exempt_modules=frozenset({"repro.experiments.checkpoint"}),
@@ -119,6 +127,8 @@ class ClockTaintChecker(ProjectChecker):
                     else call.args[: spec.max_args]
                 )
                 for index, atoms in enumerate(checked):
+                    if index in spec.exempt_args:
+                        continue
                     if "clock" in analysis.resolve_atoms(qname, atoms):
                         tainted.append(f"argument {index + 1}")
                 for kw_name, atoms in sorted(call.keywords.items()):

@@ -16,6 +16,7 @@ from repro.experiments.checkpoint import (
     atomic_write_text,
     canonical_json,
     config_hash,
+    dumps_payload,
 )
 
 
@@ -112,10 +113,13 @@ class TestCheckpointJournal:
 
     def test_success_roundtrip(self, tmp_path):
         journal = CheckpointJournal(tmp_path)
-        journal.record_success(0, "t/0", {"value": 3}, elapsed_s=0.5)
+        payload = dumps_payload({"value": 3})
+        entry = journal.record_success(0, "t/0", payload, elapsed_s=0.5)
+        assert (tmp_path / entry.payload).read_bytes() == payload
         reloaded = CheckpointJournal.load(tmp_path)
         assert "t/0" in reloaded
         assert reloaded.get("t/0").ok
+        assert reloaded.read_payload("t/0") == payload
         assert reloaded.load_payload("t/0") == {"value": 3}
 
     def test_failure_roundtrip(self, tmp_path):
@@ -128,14 +132,14 @@ class TestCheckpointJournal:
 
     def test_append_preserves_previous_entries(self, tmp_path):
         journal = CheckpointJournal(tmp_path)
-        journal.record_success(0, "t/0", 1, elapsed_s=0.0)
-        journal.record_success(1, "t/1", 2, elapsed_s=0.0)
+        journal.record_success(0, "t/0", dumps_payload(1), elapsed_s=0.0)
+        journal.record_success(1, "t/1", dumps_payload(2), elapsed_s=0.0)
         keys = [e.key for e in CheckpointJournal.load(tmp_path).entries()]
         assert keys == ["t/0", "t/1"]
 
     def test_corrupt_journal_line_rejected(self, tmp_path):
         journal = CheckpointJournal(tmp_path)
-        journal.record_success(0, "t/0", 1, elapsed_s=0.0)
+        journal.record_success(0, "t/0", dumps_payload(1), elapsed_s=0.0)
         with open(journal.path, "a") as handle:
             handle.write("{ torn half-record\n")
         with pytest.raises(CheckpointError, match="corrupt journal"):
@@ -143,14 +147,16 @@ class TestCheckpointJournal:
 
     def test_missing_payload_detected(self, tmp_path):
         journal = CheckpointJournal(tmp_path)
-        entry = journal.record_success(0, "t/0", 1, elapsed_s=0.0)
+        entry = journal.record_success(0, "t/0", dumps_payload(1), elapsed_s=0.0)
         (tmp_path / entry.payload).unlink()
         with pytest.raises(CheckpointError, match="missing payload"):
             CheckpointJournal.load(tmp_path).load_payload("t/0")
 
     def test_truncated_payload_detected(self, tmp_path):
         journal = CheckpointJournal(tmp_path)
-        entry = journal.record_success(0, "t/0", list(range(100)), elapsed_s=0.0)
+        entry = journal.record_success(
+            0, "t/0", dumps_payload(list(range(100))), elapsed_s=0.0
+        )
         payload = tmp_path / entry.payload
         payload.write_bytes(payload.read_bytes()[:5])
         with pytest.raises(CheckpointError, match="corrupt trial payload"):
