@@ -1,7 +1,6 @@
 """Smoke + shape tests for the fingerprinting/keystroke/mitigation
 experiments (reduced scales; the benchmarks run the fuller versions)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -12,18 +11,13 @@ from repro.experiments import (
     fig14_mitigation,
     table4_comparison,
 )
-from repro.experiments.fig13_llm import LlmSamplerSettings
-from repro.experiments.wf_common import WfSamplerSettings
-from repro.workloads.llm import LLM_ZOO
-from tests.experiments.result_digests import GOLDEN, result_digest
-
-FAST_WF = WfSamplerSettings(sample_period_us=100.0, samples_per_slot=40, slots=80)
+from tests.experiments.result_digests import GOLDEN, result_digest, run_reduced
 
 
 class TestFig10:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig10_wf_traces.run(settings=FAST_WF)
+        return run_reduced("TestFig10")
 
     def test_result_digest(self, result):
         assert result_digest(result) == GOLDEN["TestFig10"]
@@ -42,9 +36,7 @@ class TestFig10:
 class TestFig11:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig11_wf_classification.run(
-            sites=4, visits_per_site=6, settings=FAST_WF, epochs=30, hidden=10
-        )
+        return run_reduced("TestFig11")
 
     def test_result_digest(self, result):
         assert result_digest(result) == GOLDEN["TestFig11"]
@@ -63,7 +55,7 @@ class TestFig11:
 class TestFig12:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig12_keystrokes.run(keystrokes=96, seed=5)
+        return run_reduced("TestFig12")
 
     def test_result_digest(self, result):
         assert result_digest(result) == GOLDEN["TestFig12"]
@@ -90,12 +82,7 @@ class TestFig12:
 class TestFig13:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig13_llm.run(
-            traces_per_model=4,
-            models=LLM_ZOO[:4],
-            settings=LlmSamplerSettings(slots=80),
-            epochs=30,
-        )
+        return run_reduced("TestFig13")
 
     def test_result_digest(self, result):
         assert result_digest(result) == GOLDEN["TestFig13"]
@@ -114,7 +101,7 @@ class TestFig13:
 class TestFig14:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig14_mitigation.run(sizes=(256, 65536), iterations=60)
+        return run_reduced("TestFig14")
 
     def test_result_digest(self, result):
         assert result_digest(result) == GOLDEN["TestFig14"]
@@ -133,7 +120,7 @@ class TestFig14:
 class TestTable4:
     @pytest.fixture(scope="class")
     def result(self):
-        return table4_comparison.run(covert_bits=96, keystrokes=48)
+        return run_reduced("TestTable4")
 
     def test_result_digest(self, result):
         assert result_digest(result) == GOLDEN["TestTable4"]

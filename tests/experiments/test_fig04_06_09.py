@@ -1,17 +1,16 @@
 """Smoke + shape tests for the Fig. 4 / 6 / 9 experiments."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import fig04_latency, fig06_queue_latency, fig09_covert
 from repro.hw.noise import Environment
-from tests.experiments.result_digests import GOLDEN, result_digest
+from tests.experiments.result_digests import GOLDEN, result_digest, run_reduced
 
 
 class TestFig4:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig04_latency.run(samples=120)
+        return run_reduced("TestFig4")
 
     def test_result_digest(self, result):
         assert result_digest(result) == GOLDEN["TestFig4"]
@@ -37,7 +36,7 @@ class TestFig4:
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig06_queue_latency.run(min_exp=10, max_exp=26, repeats=5)
+        return run_reduced("TestFig6")
 
     def test_result_digest(self, result):
         assert result_digest(result) == GOLDEN["TestFig6"]
@@ -64,12 +63,7 @@ class TestFig6:
 class TestFig9:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig09_covert.run(
-            payload_bits=128,
-            runs=1,
-            devtlb_windows=(100.0, 42.5, 25.0),
-            swq_windows=(180.0, 110.0),
-        )
+        return run_reduced("TestFig9")
 
     def test_result_digest(self, result):
         assert result_digest(result) == GOLDEN["TestFig9"]

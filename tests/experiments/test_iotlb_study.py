@@ -1,11 +1,20 @@
 """Tests for the IOTLB capacity extension study."""
 
+import pytest
+
 from repro.experiments import iotlb_study
+from tests.experiments.result_digests import GOLDEN, result_digest, run_reduced
 
 
 class TestIotlbStudy:
-    def test_inferred_capacity_matches_configuration(self):
-        result = iotlb_study.run(working_sets=(128, 512, 768), passes=2)
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_reduced("TestIotlbStudy")
+
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestIotlbStudy"]
+
+    def test_inferred_capacity_matches_configuration(self, result):
         assert result.inferred_capacity == 512
         assert result.knee_matches_configuration
 

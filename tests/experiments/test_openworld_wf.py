@@ -1,20 +1,20 @@
 """Smoke test for the open-world fingerprinting experiment."""
 
+import pytest
+
 from repro.experiments import openworld_wf
-from repro.experiments.wf_common import WfSamplerSettings
+from tests.experiments.result_digests import GOLDEN, result_digest, run_reduced
 
 
 class TestOpenWorldWf:
-    def test_tiny_run_produces_sane_scores(self):
-        result = openworld_wf.run(
-            monitored=3,
-            unmonitored=2,
-            visits_per_site=6,
-            settings=WfSamplerSettings(
-                sample_period_us=100.0, samples_per_slot=40, slots=80
-            ),
-            epochs=30,
-        )
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_reduced("TestOpenWorldWf")
+
+    def test_result_digest(self, result):
+        assert result_digest(result) == GOLDEN["TestOpenWorldWf"]
+
+    def test_tiny_run_produces_sane_scores(self, result):
         assert 0.0 < result.threshold < 1.0
         assert 0.0 <= result.scores.known_accuracy <= 1.0
         assert 0.0 <= result.scores.unknown_rejection_rate <= 1.0

@@ -8,6 +8,12 @@ plus resume-with-a-different-worker-count round trip.  The wider sweeps
 (4 workers, table3, fig11 with dataset checksums) are marked ``pool``
 (run via ``scripts/run_pool_smoke.sh`` or ``pytest -m pool``).
 
+The three-way test runs all 13 experiments at their pinned reduced
+scale serially, on two pool workers, and interrupted half way then
+resumed, and asserts one ``result.pkl`` digest (the pinned one) on all
+three paths.  The cheap experiments run in tier-1, the rest in the
+``pool`` lane.
+
 Comparison notes: manifest ``segments`` carry pids and wall-clock
 timestamps and journal records carry per-trial ``elapsed_s``, so those
 fields are masked; journal records are compared sorted by trial index
@@ -35,6 +41,8 @@ from repro.experiments.checkpoint import (
 from repro.experiments.pool import WorkerPool, shutdown_pools
 from repro.experiments.runner import ExperimentPlan, TrialSpec, run_experiment
 from repro.experiments.wf_common import WfSamplerSettings, dataset_from_run_dir
+from tests.experiments.result_digests import GOLDEN, REDUCED, result_digest
+from tests.experiments.test_resume import _assert_resume_equivalent
 
 FIG09_CONFIG = {
     "payload_bits": 48,
@@ -162,7 +170,7 @@ def _assert_parallel_matches_serial(plan_factory, plan_source, tmp_path, workers
     assert parallel.failed == serial.failed
     assert _dumps(parallel.result) == _dumps(serial.result)
     _assert_same_artifact(serial_dir, parallel_dir)
-    return serial_dir, parallel_dir
+    return serial, parallel
 
 
 class TestFig09Parallel:
@@ -230,18 +238,58 @@ class TestParallelSweeps:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_fig11_dataset_checksums_match(self, tmp_path, workers):
-        serial_dir, parallel_dir = _assert_parallel_matches_serial(
+        serial, parallel = _assert_parallel_matches_serial(
             lambda: fig11_wf_classification.trial_plan(**FIG11_CONFIG),
             fig11_wf_classification.plan_source(**FIG11_CONFIG),
             tmp_path,
             workers=workers,
         )
-        serial_ds = dataset_from_run_dir(serial_dir)
-        parallel_ds = dataset_from_run_dir(parallel_dir)
+        serial_ds = dataset_from_run_dir(serial.run_dir)
+        parallel_ds = dataset_from_run_dir(parallel.run_dir)
         assert _content_sha256(
             parallel_ds.traces, parallel_ds.labels
         ) == _content_sha256(serial_ds.traces, serial_ds.labels)
         assert parallel_ds.class_names == serial_ds.class_names
+
+
+#: Every pinned experiment, Table III at the sweep's scale above.
+THREE_WAY = {**REDUCED, "TestTable3": (table3_noise, TABLE3_CONFIG)}
+#: Cheap enough for tier-1; the rest run in the ``pool`` lane.
+THREE_WAY_TIER1 = (
+    "TestFig4",
+    "TestFig6",
+    "TestFig9",
+    "TestFig14",
+    "TestReverseEngineering",
+    "TestIotlbStudy",
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        name if name in THREE_WAY_TIER1 else pytest.param(name, marks=pytest.mark.pool)
+        for name in THREE_WAY
+    ],
+)
+def test_serial_pool_and_resume_give_one_digest(name, tmp_path):
+    """One ``result.pkl`` whichever way the experiment ran: serially, on
+    two pool workers, or interrupted half way and resumed — and it is
+    the pinned digest."""
+    module, config = THREE_WAY[name]
+    factory = functools.partial(module.trial_plan, **config)
+    serial, _ = _assert_parallel_matches_serial(
+        factory, module.plan_source(**config), tmp_path, workers=2
+    )
+    assert result_digest(serial.result) == GOLDEN[name]
+    resumed_dir = tmp_path / "resumed"
+    _assert_resume_equivalent(
+        factory,
+        len(serial.plan.trials) // 2,
+        resumed_dir,
+        reference=serial.result,
+    )
+    _assert_same_artifact(serial.run_dir, resumed_dir, drop=("resumed",))
 
 
 @pytest.mark.pool

@@ -11,11 +11,12 @@ import pickle
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 from repro.experiments import fig09_covert, table3_noise
 from repro.experiments.checkpoint import (
     STATUS_COMPLETED,
     STATUS_DEADLINE,
+    STATUS_FAILED,
     STATUS_INTERRUPTED,
     RunManifest,
 )
@@ -49,10 +50,12 @@ def _interrupt_at(plan: ExperimentPlan, k: int) -> ExperimentPlan:
     )
 
 
-def _assert_resume_equivalent(plan_factory, k, tmp_path):
+def _assert_resume_equivalent(plan_factory, k, tmp_path, reference=None):
     """Kill a checkpointed run at trial *k*, resume it, and compare the
-    artifact byte-for-byte against an uninterrupted run."""
-    reference = execute_plan(plan_factory())
+    artifact byte-for-byte against an uninterrupted run (*reference*'s
+    result, or a fresh in-memory run)."""
+    if reference is None:
+        reference = execute_plan(plan_factory())
 
     interrupted = run_experiment(_interrupt_at(plan_factory(), k), run_dir=tmp_path)
     assert interrupted.status == STATUS_INTERRUPTED
@@ -140,6 +143,31 @@ class TestDeadlineAfterResume:
             resumed.completed + resumed.failed + resumed.skipped
             == len(plan.trials)
         )
+
+
+class TestCorruptPayload:
+    def test_unpicklable_resumed_payload_fails_finalize(self, tmp_path):
+        """Resume reads journaled bytes back verbatim and finalize
+        unpickles them: bytes that no longer unpickle end the run as a
+        checkpoint failure (exit 4), never as a traceback."""
+        plan = ExperimentPlan(
+            name="corrupt-payload",
+            seed=0,
+            config={"trials": 2},
+            trials=tuple(
+                TrialSpec(key=f"t/{i}", fn=functools.partial(int, i))
+                for i in range(2)
+            ),
+            finalize=dict,
+        )
+        first = run_experiment(_interrupt_at(plan, 1), run_dir=tmp_path)
+        assert first.status == STATUS_INTERRUPTED
+        (tmp_path / "trials" / "0000.pkl").write_bytes(b"\x80\x04")
+        resumed = run_experiment(plan, run_dir=tmp_path, resume=True)
+        assert resumed.status == STATUS_FAILED
+        assert isinstance(resumed.error, CheckpointError)
+        assert "corrupt trial payload" in str(resumed.error)
+        assert resumed.exit_code == 4
 
 
 @pytest.mark.resume

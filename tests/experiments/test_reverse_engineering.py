@@ -1,24 +1,31 @@
 """The Section IV suite must reproduce every paper observation."""
 
+import pytest
+
 from repro.experiments import reverse_engineering
+from tests.experiments.result_digests import GOLDEN, result_digest, run_reduced
 
 
 class TestReverseEngineering:
-    def test_all_observations_reproduced(self):
-        results = reverse_engineering.run()
+    @pytest.fixture(scope="class")
+    def results(self):
+        return run_reduced("TestReverseEngineering")
+
+    def test_result_digest(self, results):
+        assert result_digest(results) == GOLDEN["TestReverseEngineering"]
+
+    def test_all_observations_reproduced(self, results):
         failing = [
             name for name, ok in results.observations.items() if not ok
         ]
         assert results.all_reproduced, f"not reproduced: {failing}"
 
-    def test_report_mentions_every_experiment(self):
-        results = reverse_engineering.run()
+    def test_report_mentions_every_experiment(self, results):
         text = reverse_engineering.report(results)
         for name in results.observations:
             assert name in text
 
-    def test_expected_experiment_set(self):
-        results = reverse_engineering.run()
+    def test_expected_experiment_set(self, results):
         assert set(results.observations) == {
             "listing2_single_slot",
             "listing3_independent_fields",
