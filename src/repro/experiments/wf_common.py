@@ -24,18 +24,13 @@ import numpy as np
 from repro.analysis.datasets import TraceDataset
 from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.core.sampling import DevTlbSampler, SamplerConfig
-from repro.errors import ConfigurationError, InsufficientTrialsError
+from repro.errors import InsufficientTrialsError
 from repro.experiments.checkpoint import CheckpointJournal, RunManifest
-from repro.experiments.runner import (
-    ExperimentPlan,
-    PlanHandle,
-    TrialSpec,
-    execute_plan,
-)
+from repro.experiments.runner import TrialSpec
 from repro.hw.noise import Environment
 from repro.virt.system import AttackTopology, CloudSystem
 from repro.workloads.vpp import VppVictim
-from repro.workloads.websites import WebsiteProfile, top_sites
+from repro.workloads.websites import WebsiteProfile
 
 
 @dataclass(frozen=True)
@@ -156,134 +151,6 @@ def assemble_website_dataset(
         traces.extend(site_traces)
         labels.extend([label] * len(site_traces))
     return np.stack(traces), np.array(labels)
-
-
-def website_dataset_plan(
-    profiles: list[WebsiteProfile],
-    visits_per_site: int,
-    settings: WfSamplerSettings | None = None,
-    seed: int = 1000,
-    environment: Environment = Environment.LOCAL,
-) -> ExperimentPlan:
-    """A dataset sweep as a supervised plan: one trial per (site, visit),
-    finalized into the ``(x, y)`` arrays.
-
-    The per-trial seeds match :func:`website_visit_trials`' global
-    enumeration, so checkpointed, resumed, serial, and pooled runs of
-    the same plan all produce the same arrays.
-    """
-    settings = settings or WfSamplerSettings()
-    trials = website_visit_trials(
-        profiles, visits_per_site, settings, seed, environment
-    )
-    return ExperimentPlan(
-        name="wf-dataset",
-        seed=seed,
-        config={
-            "sites": [profile.name for profile in profiles],
-            "visits_per_site": visits_per_site,
-            "sample_period_us": settings.sample_period_us,
-            "samples_per_slot": settings.samples_per_slot,
-            "slots": settings.slots,
-            "seed": seed,
-            "environment": environment.value,
-        },
-        trials=tuple(trials),
-        finalize=lambda results: assemble_website_dataset(
-            profiles, visits_per_site, results
-        ),
-    )
-
-
-def trial_plan(
-    sites: int | list[str] = 5,
-    visits_per_site: int = 4,
-    sample_period_us: float = 50.0,
-    samples_per_slot: int = 80,
-    slots: int = 250,
-    seed: int = 1000,
-    environment: str = "local",
-) -> ExperimentPlan:
-    """:func:`website_dataset_plan` from picklable primitives only.
-
-    This is the hook a :class:`~repro.experiments.runner.PlanHandle`
-    rebuilds in pool workers: *sites* is a count (the first N of
-    :func:`~repro.workloads.websites.top_sites`) or a list of catalog
-    site names, *environment* an :class:`~repro.hw.noise.Environment`
-    value string.
-    """
-    if isinstance(sites, int):
-        profiles = top_sites(sites)
-    else:
-        catalog = {profile.name: profile for profile in top_sites(100)}
-        missing = [name for name in sites if name not in catalog]
-        if missing:
-            raise ConfigurationError(
-                f"unknown site name(s) {missing}; choose from the "
-                "top_sites catalog"
-            )
-        profiles = [catalog[name] for name in sites]
-    return website_dataset_plan(
-        profiles,
-        visits_per_site,
-        WfSamplerSettings(
-            sample_period_us=sample_period_us,
-            samples_per_slot=samples_per_slot,
-            slots=slots,
-        ),
-        seed=seed,
-        environment=Environment(environment),
-    )
-
-
-def collect_website_dataset(
-    profiles: list[WebsiteProfile],
-    visits_per_site: int,
-    settings: WfSamplerSettings | None = None,
-    seed: int = 1000,
-    environment: Environment = Environment.LOCAL,
-    workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Traces and labels for a list of sites.
-
-    Returns ``(x, y)`` with ``x`` of shape ``(successes, slots)``.  A
-    visit whose collection fails transiently (calibration, injected
-    faults) is dropped rather than aborting the dataset; a site losing
-    *every* visit raises
-    :class:`~repro.errors.InsufficientTrialsError`.
-
-    With ``workers > 1`` the visits run on the worker pool
-    (observation-equivalent to serial; see docs/parallel.md).  The
-    profiles must then come from the :func:`top_sites` catalog so the
-    workers can rebuild the plan by name.
-    """
-    settings = settings or WfSamplerSettings()
-    plan = website_dataset_plan(
-        profiles, visits_per_site, settings, seed, environment
-    )
-    plan_source = None
-    if workers > 1:
-        catalog = {profile.name: profile for profile in top_sites(100)}
-        alien = [p.name for p in profiles if catalog.get(p.name) != p]
-        if alien:
-            raise ConfigurationError(
-                f"profiles {alien} are not top_sites catalog entries; "
-                "pool workers rebuild the plan by site name — run "
-                "serially or supply your own plan via run_experiment"
-            )
-        plan_source = PlanHandle(
-            __name__,
-            {
-                "sites": [profile.name for profile in profiles],
-                "visits_per_site": visits_per_site,
-                "sample_period_us": settings.sample_period_us,
-                "samples_per_slot": settings.samples_per_slot,
-                "slots": settings.slots,
-                "seed": seed,
-                "environment": environment.value,
-            },
-        )
-    return execute_plan(plan, workers=workers, plan_source=plan_source)
 
 
 def dataset_from_run_dir(
