@@ -22,7 +22,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.lint import Baseline, LintEngine
+from repro.lint import LintEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COLD_BUDGET_S = 30.0
@@ -34,13 +34,9 @@ BENCH_PATH = Path(
 
 
 def _run(cache_path):
-    baseline_path = REPO_ROOT / "lint-baseline.json"
-    baseline = (
-        Baseline.load(baseline_path) if baseline_path.exists() else None
-    )
     engine = LintEngine(root=REPO_ROOT, cache_path=cache_path)
     start = time.perf_counter()  # repro-lint: ignore[DET002]
-    report = engine.run(["src"], baseline=baseline)
+    report = engine.run(["src"])
     elapsed = time.perf_counter() - start  # repro-lint: ignore[DET002]
     return elapsed, report
 

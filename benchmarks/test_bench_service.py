@@ -4,10 +4,10 @@ Drives 10⁵ sessions through one `AttackService` run on a provisioned
 fleet (32 lanes at a 20k-cycle mean inter-arrival sits just under
 capacity) and records the result in ``BENCH_service.json`` at the repo
 root (override the path with ``BENCH_SERVICE_PATH``).  Excluded from
-tier-1 (marker ``loadtest``); run with::
+tier-1 (marker ``slow``); run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_service.py \
-        -o addopts="" -m loadtest -q
+        -o addopts="" -m slow -q
 
 Gates:
 
@@ -37,7 +37,7 @@ from repro.service.app import AttackService
 from repro.service.config import ServiceConfig, TenantPolicy
 from repro.service.loadgen import LoadConfig, build_schedule
 
-pytestmark = pytest.mark.loadtest
+pytestmark = pytest.mark.slow
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = Path(

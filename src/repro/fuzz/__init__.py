@@ -10,7 +10,7 @@ typed-exception catalog.  Findings shrink to minimal reproducers and the
 whole campaign is crash-safe and resumable (:mod:`repro.fuzz.campaign`),
 ending in a deterministic report (:mod:`repro.fuzz.report`).
 
-Run via ``python -m repro.fuzz`` or ``scripts/run_fuzz_smoke.sh``; see
+Run via ``python -m repro.fuzz`` or ``scripts/check.sh full``; see
 ``docs/fuzzing.md``.
 """
 

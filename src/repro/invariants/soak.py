@@ -17,7 +17,7 @@ soak must stay deterministic (docs/static-analysis.md, DET002).
 
 Exits 0 when clean, ``EXIT_INVARIANT`` (6) on an invariant violation
 and ``EXIT_FINDINGS`` (7) on an escaped exception.  Run via
-``scripts/run_fuzz_smoke.sh`` or ``python -m repro.invariants.soak``.
+``scripts/check.sh full`` or ``python -m repro.invariants.soak``.
 """
 
 from __future__ import annotations

@@ -27,14 +27,13 @@ over the summaries (:mod:`repro.lint.taint`) that powers the
 interprocedural rules.  Run it with ``python -m repro.lint`` (see
 :mod:`repro.lint.__main__`), or drive
 :class:`~repro.lint.engine.LintEngine` directly from tests.  The rule
-catalog, suppression policy, and baseline workflow live in
-``docs/static-analysis.md``.
+catalog and suppression policy live in ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
 from repro.lint.checker import Checker, FileContext, Finding, ProjectChecker
-from repro.lint.engine import Baseline, LintEngine, LintReport, run_lint
+from repro.lint.engine import LintEngine, LintReport
 from repro.lint.project import ModuleSummary, summarize
 from repro.lint.rules import (
     ALL_CHECKERS,
@@ -46,7 +45,6 @@ from repro.lint.taint import ProjectAnalysis, analyze
 
 __all__ = [
     "ALL_CHECKERS",
-    "Baseline",
     "Checker",
     "FileContext",
     "Finding",
@@ -59,6 +57,5 @@ __all__ = [
     "ProjectChecker",
     "RULES",
     "analyze",
-    "run_lint",
     "summarize",
 ]

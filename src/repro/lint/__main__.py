@@ -2,20 +2,18 @@
 
 Usage::
 
-    python -m repro.lint                     # lint src/ against the baseline
+    python -m repro.lint                     # lint src/
     python -m repro.lint src tests/foo.py    # explicit targets
     python -m repro.lint --scope all         # src + tests + benchmarks + scripts
     python -m repro.lint --format json       # machine-readable output
-    python -m repro.lint --format sarif      # SARIF 2.1.0 for CI annotations
     python -m repro.lint --select DET001,DET101
     python -m repro.lint --ignore EXC001
     python -m repro.lint --no-cache          # force a cold whole-repo analysis
-    python -m repro.lint --write-baseline    # grandfather current findings
     python -m repro.lint --list-rules
 
-Exit codes: ``0`` no new findings, ``1`` findings reported, ``2`` usage
-error.  A finding already recorded in the baseline file (default
-``lint-baseline.json`` when it exists) is counted but not fatal.
+Exit codes: ``0`` no findings, ``1`` findings reported, ``2`` usage
+error.  Only an inline ``# repro-lint: ignore[...]`` lets a finding
+through (docs/static-analysis.md).
 
 Phase-1 module summaries are cached in ``.repro-lint-cache.json``
 (git-ignored) keyed by file SHA-256, so warm re-lints only re-analyze
@@ -32,14 +30,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.lint.cache import DEFAULT_CACHE
-from repro.lint.engine import (
-    DEFAULT_BASELINE,
-    Baseline,
-    LintEngine,
-    LintReport,
-)
+from repro.lint.engine import LintEngine, LintReport
 from repro.lint.rules import PROJECT_RULES, RULES
-from repro.lint.sarif import render_sarif
 
 #: ``--scope`` presets: named sets of lint targets relative to --root.
 SCOPES: dict[str, tuple[str, ...]] = {
@@ -77,25 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=DEFAULT_BASELINE,
-        help=f"baseline of grandfathered findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -148,8 +124,7 @@ def _print_text(report: LintReport) -> None:
     print(
         f"repro.lint: {report.files_checked} files"
         f" ({report.cache_hits} cached, {report.parsed} parsed),"
-        f" {total} finding(s) ({tail}); {report.baselined} baselined,"
-        f" {report.suppressed} suppressed"
+        f" {total} finding(s) ({tail}); {report.suppressed} suppressed"
     )
 
 
@@ -178,34 +153,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    baseline_path = Path(args.root) / args.baseline
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        if baseline_path.exists():
-            try:
-                baseline = Baseline.load(baseline_path)
-            except (ValueError, json.JSONDecodeError) as exc:
-                print(f"repro.lint: {exc}", file=sys.stderr)
-                return 2
-
     paths = args.paths or list(SCOPES[args.scope])
     try:
-        report = engine.run(paths, baseline=baseline)
+        report = engine.run(paths)
     except FileNotFoundError as exc:
         parser.error(str(exc))
 
-    if args.write_baseline:
-        Baseline.from_findings(report).save(baseline_path)
-        print(
-            f"repro.lint: wrote {len(report.findings)} finding(s) to"
-            f" {baseline_path}"
-        )
-        return 0
-
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(render_sarif(report), end="")
     else:
         _print_text(report)
     return 1 if report.all_findings else 0

@@ -7,8 +7,8 @@ The cache therefore stores, per file, keyed by the SHA-256 of its
 source:
 
 * the extracted :class:`~repro.lint.project.ModuleSummary`,
-* the per-file rule findings (post-suppression, pre-baseline) with
-  their baseline fingerprints and the suppression count.
+* the per-file rule findings surviving inline suppression, and the
+  suppression count.
 
 A warm run re-parses only files whose hash changed; every other module
 contributes its cached summary to phase 2, which always re-runs — so an
@@ -74,17 +74,15 @@ class CacheEntry:
 
     sha256: str
     summary: ModuleSummary
-    #: ``[finding, fingerprint]`` pairs surviving inline suppression.
-    findings: list[tuple[Finding, str]] = field(default_factory=list)
+    #: Findings surviving inline suppression.
+    findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
 
     def to_json(self) -> dict[str, Any]:
         return {
             "sha256": self.sha256,
             "summary": self.summary.to_json(),
-            "findings": [
-                [f.to_json(), print_] for f, print_ in self.findings
-            ],
+            "findings": [f.to_json() for f in self.findings],
             "suppressed": self.suppressed,
         }
 
@@ -94,17 +92,14 @@ class CacheEntry:
             sha256=raw["sha256"],
             summary=ModuleSummary.from_json(raw["summary"]),
             findings=[
-                (
-                    Finding(
-                        path=f["path"],
-                        line=f["line"],
-                        col=f["col"],
-                        rule=f["rule"],
-                        message=f["message"],
-                    ),
-                    print_,
+                Finding(
+                    path=f["path"],
+                    line=f["line"],
+                    col=f["col"],
+                    rule=f["rule"],
+                    message=f["message"],
                 )
-                for f, print_ in raw["findings"]
+                for f in raw["findings"]
             ],
             suppressed=raw["suppressed"],
         )

@@ -1,4 +1,4 @@
-"""File discovery, the two-phase lint driver, suppressions, baselines.
+"""File discovery, the two-phase lint driver, and suppressions.
 
 :class:`LintEngine` runs a lint as two phases:
 
@@ -30,23 +30,12 @@ A finding is suppressed by a comment on its own physical line::
 (docs/static-analysis.md): suppressions are for the rare *intentional*
 exception and must carry a justification in an adjacent comment —
 determinism rules (DET001/DET002/DET101/DET102) are fixed, not
-suppressed.
-
-Baselines
----------
-A baseline file grandfathers pre-existing findings so the checker can be
-wired into CI before the backlog reaches zero.  Fingerprints hash the
-rule, file, and normalized source line (plus an occurrence counter for
-duplicates) — **not** the line number — so unrelated edits do not churn
-the baseline.  ``python -m repro.lint --write-baseline`` regenerates it;
-the committed ``lint-baseline.json`` is empty because every real finding
-was fixed at the source.
+suppressed.  An inline suppression is the only way a finding is let
+through: every other finding fails the run.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,12 +50,6 @@ from repro.lint.rules import (
     RULES,
 )
 from repro.lint.taint import ProjectAnalysis, analyze
-
-#: Baseline schema version, bumped on incompatible change.
-BASELINE_VERSION = 1
-
-#: Default baseline filename, resolved against the working directory.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 #: Directory name holding intentional-finding fixtures; skipped when a
 #: *parent* directory is walked (linting the fixtures directly still
@@ -93,69 +76,14 @@ def suppressed_rules(line: str) -> frozenset[str] | None:
     )
 
 
-def fingerprint(finding: Finding, source_line: str, occurrence: int) -> str:
-    """Line-number-independent identity of one finding."""
-    payload = "|".join(
-        [finding.rule, finding.path, source_line.strip(), str(occurrence)]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-@dataclass
-class Baseline:
-    """Grandfathered findings, addressed by fingerprint."""
-
-    fingerprints: dict[str, dict[str, str]] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        """Read a baseline file (raises ``ValueError`` when malformed)."""
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict) or raw.get("version") != BASELINE_VERSION:
-            raise ValueError(
-                f"unsupported baseline format in {path}; regenerate with"
-                " --write-baseline"
-            )
-        findings = raw.get("findings", {})
-        if not isinstance(findings, dict):
-            raise ValueError(f"baseline {path} has a malformed findings map")
-        return cls(fingerprints=dict(findings))
-
-    def save(self, path: str | Path) -> None:
-        """Write the baseline (sorted keys, stable bytes)."""
-        payload = {
-            "version": BASELINE_VERSION,
-            "findings": dict(sorted(self.fingerprints.items())),
-        }
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    @classmethod
-    def from_findings(cls, report: "LintReport") -> "Baseline":
-        """A baseline that grandfathers every finding in *report*."""
-        baseline = cls()
-        for finding, print_ in report.fingerprinted():
-            baseline.fingerprints[print_] = {
-                "rule": finding.rule,
-                "path": finding.path,
-                "message": finding.message,
-            }
-        return baseline
-
-
 @dataclass
 class LintReport:
     """Everything one lint run produced."""
 
     findings: list[Finding] = field(default_factory=list)
-    baselined: int = 0
     suppressed: int = 0
     files_checked: int = 0
     parse_errors: list[Finding] = field(default_factory=list)
-    #: ``(finding, fingerprint)`` pairs, parallel to :attr:`findings`.
-    _fingerprints: list[str] = field(default_factory=list)
     #: Phase-1 cache telemetry: files served from the summary cache vs
     #: parsed fresh this run.
     cache_hits: int = 0
@@ -163,10 +91,6 @@ class LintReport:
     #: Modules phase 2 re-verified because of this run's edits: the
     #: changed modules plus their transitive reverse importers.
     invalidated_modules: list[str] = field(default_factory=list)
-
-    def fingerprinted(self) -> list[tuple[Finding, str]]:
-        """Findings with their baseline fingerprints."""
-        return list(zip(self.findings, self._fingerprints))
 
     @property
     def all_findings(self) -> list[Finding]:
@@ -186,7 +110,6 @@ class LintReport:
             "findings": [f.to_json() for f in self.all_findings],
             "counts": self.counts_by_rule(),
             "files_checked": self.files_checked,
-            "baselined": self.baselined,
             "suppressed": self.suppressed,
             "cache": {
                 "hits": self.cache_hits,
@@ -197,7 +120,7 @@ class LintReport:
 
 
 class LintEngine:
-    """One configured lint run: selected rules, root, baseline, cache."""
+    """One configured lint run: selected rules, root, cache."""
 
     def __init__(
         self,
@@ -308,33 +231,23 @@ class LintEngine:
         self,
         raw: list[Finding],
         line_texts: dict[int, str],
-    ) -> tuple[list[tuple[Finding, str]], int]:
-        """Filter inline suppressions and fingerprint the survivors."""
-        kept: list[tuple[Finding, str]] = []
+    ) -> tuple[list[Finding], int]:
+        """Drop the findings an inline suppression covers."""
+        kept: list[Finding] = []
         suppressed = 0
-        occurrences: dict[str, int] = {}
         for finding in sorted(raw):
-            line_text = line_texts.get(finding.line, "")
-            directive = suppressed_rules(line_text)
+            directive = suppressed_rules(line_texts.get(finding.line, ""))
             if directive is not None and (
                 not directive or finding.rule in directive
             ):
                 suppressed += 1
                 continue
-            key = f"{finding.rule}|{finding.path}|{line_text.strip()}"
-            occurrences[key] = occurrences.get(key, 0) + 1
-            kept.append(
-                (finding, fingerprint(finding, line_text, occurrences[key]))
-            )
+            kept.append(finding)
         return kept, suppressed
 
     # -- the two-phase run ---------------------------------------------
-    def run(
-        self,
-        paths: Iterable[str | Path],
-        baseline: Baseline | None = None,
-    ) -> LintReport:
-        """Lint *paths*, apply suppressions and *baseline*, and report."""
+    def run(self, paths: Iterable[str | Path]) -> LintReport:
+        """Lint *paths*, apply inline suppressions, and report."""
         report = LintReport()
         cache: SummaryCache | None = None
         if self.cache_path is not None:
@@ -343,7 +256,6 @@ class LintEngine:
         summaries: list[ModuleSummary] = []
         changed_modules: set[str] = set()
         kept_rels: set[str] = set()
-        pending: list[tuple[Finding, str]] = []
 
         for path in self.discover(paths):
             rel = self._relpath(path)
@@ -359,7 +271,7 @@ class LintEngine:
                 report.cache_hits += 1
                 summaries.append(entry.summary)
                 report.suppressed += entry.suppressed
-                pending.extend(entry.findings)
+                report.findings.extend(entry.findings)
                 continue
             report.parsed += 1
             try:
@@ -388,7 +300,7 @@ class LintEngine:
             report.suppressed += suppressed
             summary = summarize(ctx)
             summaries.append(summary)
-            pending.extend(kept)
+            report.findings.extend(kept)
             if cache is not None:
                 cache.put(
                     rel,
@@ -431,21 +343,14 @@ class LintEngine:
                     by_rel[rel], texts_by_rel.get(rel, {})
                 )
                 report.suppressed += suppressed
-                pending.extend(kept)
+                report.findings.extend(kept)
             report.invalidated_modules = sorted(
                 analysis.transitive_importers(changed_modules)
             )
         else:
             report.invalidated_modules = sorted(changed_modules)
 
-        # -- baseline ---------------------------------------------------
-        for finding, print_ in sorted(pending):
-            if baseline is not None and print_ in baseline.fingerprints:
-                report.baselined += 1
-                continue
-            report.findings.append(finding)
-            report._fingerprints.append(print_)
-
+        report.findings.sort()
         if cache is not None:
             cache.prune(kept_rels)
             cache.save()
@@ -462,20 +367,3 @@ def _validate_rules(rules: Sequence[str]) -> set[str]:
         )
     return normalized
 
-
-def run_lint(
-    paths: Sequence[str | Path],
-    root: str | Path = ".",
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-    baseline_path: str | Path | None = None,
-    cache_path: str | Path | None = None,
-) -> LintReport:
-    """Convenience wrapper: configure an engine, load a baseline, run."""
-    engine = LintEngine(
-        root=root, select=select, ignore=ignore, cache_path=cache_path
-    )
-    baseline = None
-    if baseline_path is not None and Path(baseline_path).exists():
-        baseline = Baseline.load(baseline_path)
-    return engine.run(paths, baseline=baseline)

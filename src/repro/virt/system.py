@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class CloudSystem:
         memory_bytes: int = 8 * GIB,
         fault_plan: FaultPlan | None = None,
         invariants: str | None = None,
-        invariant_monitor: "object | None" = None,
     ) -> None:
         self.seed = seed
         self.memory = PhysicalMemory(total_bytes=memory_bytes)
@@ -79,14 +78,7 @@ class CloudSystem:
         self.rng = np.random.default_rng(seed)
         config = device_config or DsaDeviceConfig()
         if config.environment is not environment:
-            config = DsaDeviceConfig(
-                engine_count=config.engine_count,
-                total_wq_entries=config.total_wq_entries,
-                devtlb=config.devtlb,
-                timing=config.timing,
-                arbiter_policy=config.arbiter_policy,
-                environment=environment,
-            )
+            config = replace(config, environment=environment)
         self.device = DsaDevice(self.memory, self.clock, self.rng, config)
         self.timeline = Timeline(self.clock)
         self.pasid_allocator = PasidAllocator()
@@ -96,22 +88,20 @@ class CloudSystem:
         if fault_plan is not None:
             self.attach_faults(fault_plan.build_injector())
         self.invariant_monitor = None
-        if invariant_monitor is not None:
-            self.attach_invariants(invariant_monitor)
-        else:
-            # Opt-in monitoring: an explicit ``invariants=`` mode wins;
-            # otherwise the REPRO_INVARIANTS environment variable turns
-            # the monitor on globally (as scripts/run_chaos.sh does with
-            # ``strict``).  ``off``/empty leaves the hot path untouched.
-            mode = (
-                invariants
-                if invariants is not None
-                else os.environ.get("REPRO_INVARIANTS", "off")
-            )
-            if mode and mode.strip().lower() != "off":
-                from repro.invariants.monitor import InvariantMonitor
+        # Opt-in monitoring: an explicit ``invariants=`` mode wins;
+        # otherwise the REPRO_INVARIANTS environment variable turns the
+        # monitor on globally (as ``scripts/check.sh full`` does with
+        # ``strict`` for the chaos suite).  ``off``/empty leaves the hot
+        # path untouched.
+        mode = (
+            invariants
+            if invariants is not None
+            else os.environ.get("REPRO_INVARIANTS", "off")
+        )
+        if mode and mode.strip().lower() != "off":
+            from repro.invariants.monitor import InvariantMonitor
 
-                self.attach_invariants(InvariantMonitor(mode=mode))
+            self.attach_invariants(InvariantMonitor(mode=mode))
 
     def attach_faults(self, injector: FaultInjector) -> FaultInjector:
         """Hook *injector* into the device, engines, PRS, and timeline."""

@@ -22,8 +22,6 @@ from repro.invariants import InvariantMonitor
 
 from tests.conftest import build_host
 
-pytestmark = pytest.mark.invariants
-
 
 def _monitored_host(**kwargs):
     host = build_host(**kwargs)

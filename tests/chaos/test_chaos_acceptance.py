@@ -94,9 +94,9 @@ class TestFramedMessageUnderLoss:
         assert result.error_rate < 0.15
 
 
-@pytest.mark.chaos
+@pytest.mark.slow
 class TestLongFaultStorm:
-    """Heavier, longer storm — excluded from tier-1 (marker ``chaos``)."""
+    """Heavier, longer storm — excluded from tier-1 (marker ``slow``)."""
 
     def test_long_payload_survives_a_mixed_storm(self):
         plan = (

@@ -50,7 +50,7 @@ from repro.virt.scheduler import Timeline
 
 from tests.conftest import build_host
 
-# Everything here is chaos-marked (run via scripts/run_chaos.sh) except
+# Everything here is slow-marked (run via scripts/check.sh full) except
 # the serial case of the absorbed-fault test, which runs in tier-1.
 
 
@@ -100,7 +100,7 @@ DEVICE_MATRIX = {
 }
 
 
-@pytest.mark.chaos
+@pytest.mark.slow
 class TestMatrixCoversEverySite:
     def test_registry_is_fully_enumerated(self):
         """A new FaultSite must join this matrix to pass.
@@ -187,7 +187,7 @@ def _audited(trials, injector):
     return outcomes
 
 
-@pytest.mark.chaos
+@pytest.mark.slow
 class TestGuardAudit:
     def test_unacknowledged_fault_fails_the_trial(self):
         """A fired-but-never-acknowledged fault converts a green trial
@@ -314,8 +314,7 @@ SERVICE_MATRIX = {
 }
 
 
-@pytest.mark.chaos
-@pytest.mark.service
+@pytest.mark.slow
 class TestServiceFaultMatrix:
     """Handled-or-detected rows for the session service's control-plane
     sites: the site fires on the service injector, the effect surfaces
@@ -340,7 +339,7 @@ class TestServiceFaultMatrix:
         assert report.accounting.balances()
 
 
-@pytest.mark.chaos
+@pytest.mark.slow
 class TestChaosSoakComposition:
     def test_faulted_system_under_strict_monitor_stays_accountable(self):
         """A multi-site chaos storm with the monitor attached: every
@@ -522,8 +521,7 @@ class TestParallelFaultMatrix:
     surfaces as a typed journaled outcome or fails its trial — never a
     green trial over an unacknowledged ledger."""
 
-    @pytest.mark.chaos
-    @pytest.mark.pool
+    @pytest.mark.slow
     @pytest.mark.parametrize(
         "site",
         sorted(
@@ -563,7 +561,7 @@ class TestParallelFaultMatrix:
 
     @pytest.mark.parametrize(
         "workers",
-        [1, pytest.param(2, marks=(pytest.mark.chaos, pytest.mark.pool))],
+        [1, pytest.param(2, marks=pytest.mark.slow)],
     )
     def test_absorbed_worker_fault_fails_trial_in_merged_journal(
         self, workers, tmp_path

@@ -5,7 +5,7 @@ run — crashed workers respawned, stalled workers SIGKILLed by the
 watchdog, a corrupt (unpicklable) result message detected, the worker
 failed and its shard requeued.
 
-Also here (all marked ``pool``, run via ``scripts/run_pool_smoke.sh``):
+Also here (all marked ``slow``, run via ``scripts/check.sh full``):
 
 * external ``kill -9`` of a worker mid-shard (fig09 and table3), healed
   byte-identically;
@@ -43,7 +43,7 @@ from tests.experiments.test_parallel_equivalence import (
     _fig09_plan,
 )
 
-pytestmark = pytest.mark.pool
+pytestmark = pytest.mark.slow
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

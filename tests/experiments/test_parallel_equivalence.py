@@ -5,14 +5,14 @@ entries and payload pickles, same manifest counts.
 
 The fig09 cases (3 trials) run in tier-1, including a kill-at-trial-k
 plus resume-with-a-different-worker-count round trip.  The wider sweeps
-(4 workers, table3, fig11 with dataset checksums) are marked ``pool``
-(run via ``scripts/run_pool_smoke.sh`` or ``pytest -m pool``).
+(4 workers, table3, fig11 with dataset checksums) are marked ``slow``
+(run via ``scripts/check.sh full``).
 
 The three-way test runs all 13 experiments at their pinned reduced
 scale serially, on two pool workers, and interrupted half way then
 resumed, and asserts one ``result.pkl`` digest (the pinned one) on all
 three paths.  The cheap experiments run in tier-1, the rest in the
-``pool`` lane.
+``slow`` lane.
 
 Comparison notes: manifest ``segments`` carry pids and wall-clock
 timestamps and journal records carry per-trial ``elapsed_s``, so those
@@ -217,7 +217,7 @@ class TestFig09Parallel:
         assert [s["event"] for s in manifest.segments] == ["start", "resume"]
 
 
-@pytest.mark.pool
+@pytest.mark.slow
 class TestParallelSweeps:
     def test_fig09_four_workers(self, tmp_path):
         _assert_parallel_matches_serial(
@@ -254,7 +254,7 @@ class TestParallelSweeps:
 
 #: Every pinned experiment, Table III at the sweep's scale above.
 THREE_WAY = {**REDUCED, "TestTable3": (table3_noise, TABLE3_CONFIG)}
-#: Cheap enough for tier-1; the rest run in the ``pool`` lane.
+#: Cheap enough for tier-1; the rest run in the ``slow`` lane.
 THREE_WAY_TIER1 = (
     "TestFig4",
     "TestFig6",
@@ -268,7 +268,7 @@ THREE_WAY_TIER1 = (
 @pytest.mark.parametrize(
     "name",
     [
-        name if name in THREE_WAY_TIER1 else pytest.param(name, marks=pytest.mark.pool)
+        name if name in THREE_WAY_TIER1 else pytest.param(name, marks=pytest.mark.slow)
         for name in THREE_WAY
     ],
 )
@@ -292,7 +292,7 @@ def test_serial_pool_and_resume_give_one_digest(name, tmp_path):
     _assert_same_artifact(serial.run_dir, resumed_dir, drop=("resumed",))
 
 
-@pytest.mark.pool
+@pytest.mark.slow
 def test_pool_creates_no_shared_memory(monkeypatch):
     """Results and liveness both travel over the workers' pipes: a pool
     run creates no shared-memory segment at all."""

@@ -8,7 +8,7 @@ trials.
 
 The fig09 cases (3 trials) run in tier-1.  Chaos coverage (killed /
 stalled / corrupting workers) is ``tests/chaos/test_pool_fault_matrix``
-(marked ``pool``; run via ``scripts/run_pool_smoke.sh``).
+(marked ``slow``; run via ``scripts/check.sh full``).
 
 Comparison reuses the masking rules of the serial ≡ parallel suite
 (``test_parallel_equivalence``): manifest ``segments`` and per-trial

@@ -2,8 +2,8 @@
 must produce a byte-identical artifact to an uninterrupted run.
 
 The fig09 case is tiny and runs in tier-1; the table3 sweep exercises
-the full cross-experiment surface and is marked ``resume`` (run via
-``scripts/run_resume_smoke.sh`` or ``pytest -m resume``).
+the full cross-experiment surface and is marked ``slow`` (run via
+``scripts/check.sh full``).
 """
 
 import functools
@@ -170,7 +170,7 @@ class TestCorruptPayload:
         assert resumed.exit_code == 4
 
 
-@pytest.mark.resume
+@pytest.mark.slow
 class TestTable3Resume:
     def test_interrupted_resume_is_byte_identical(self, tmp_path):
         def factory():

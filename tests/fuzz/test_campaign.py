@@ -1,7 +1,7 @@
 """Campaign-level guarantees: determinism, resume, canaries, reports.
 
-Marked ``fuzz`` (excluded from tier-1); run via
-``scripts/run_fuzz_smoke.sh``.
+Marked ``slow`` (excluded from tier-1); run via
+``scripts/check.sh full``.
 """
 
 import json
@@ -16,7 +16,7 @@ from repro.fuzz.__main__ import main as fuzz_main
 from repro.fuzz.campaign import EXIT_FINDINGS, FuzzConfig, run_campaign
 from repro.fuzz.report import REPORT_HTML, REPORT_MD, write_report
 
-pytestmark = pytest.mark.fuzz
+pytestmark = pytest.mark.slow
 
 #: Trial budget for the heavier scenarios — enough for both canaries and
 #: for guided coverage to pull ahead of the baseline at seed 0.

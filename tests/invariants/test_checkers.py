@@ -25,8 +25,6 @@ from repro.invariants.checkers import (
 
 from tests.conftest import build_host
 
-pytestmark = pytest.mark.invariants
-
 
 def _attached(host, **kwargs):
     monitor = InvariantMonitor(mode="strict", **kwargs)

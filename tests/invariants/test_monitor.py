@@ -14,8 +14,6 @@ from repro.virt.system import CloudSystem
 
 from tests.conftest import build_host
 
-pytestmark = pytest.mark.invariants
-
 
 class TestModeCoercion:
     def test_accepts_enum_and_values(self):

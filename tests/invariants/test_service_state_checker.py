@@ -20,8 +20,6 @@ from repro.invariants.service import (
     ServiceStateChecker,
 )
 
-pytestmark = pytest.mark.invariants
-
 
 def _walk(checker, sid, *states):
     for state in states:

@@ -20,8 +20,6 @@ from repro.invariants.soak import (
     run_soak,
 )
 
-pytestmark = pytest.mark.invariants
-
 
 class TestGeneration:
     def test_workload_is_deterministic(self):
@@ -223,10 +221,10 @@ class TestCli:
             assert excinfo.value.code == 2
 
 
-@pytest.mark.fuzz
+@pytest.mark.slow
 class TestLongSoak:
     """The real budgeted soak: excluded from tier-1
-    (scripts/run_fuzz_smoke.sh)."""
+    (scripts/check.sh full)."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_strict_soak_across_seeds(self, seed):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.core.swq_attack import DsaSwqAttack
 from repro.dsa.descriptor import make_noop
+from repro.hw.noise import Environment
 from repro.hw.units import us_to_cycles
 from repro.mitigation.overhead import (
     measure_dsa_throughput,
@@ -90,6 +91,15 @@ class TestPrivilegedDmwr:
         assert portal.hidden_dmwr_drops == 0
         portal.enqcmd(big)  # fourth cannot fit within the retry slot
         assert portal.hidden_dmwr_drops == 1
+
+    @pytest.mark.parametrize("environment", list(Environment), ids=lambda e: e.name)
+    def test_mitigation_survives_every_environment(self, environment):
+        """Table III's environments keep the Section VII mitigation on."""
+        system = CloudSystem(
+            seed=6, environment=environment, device_config=privileged_dmwr_config()
+        )
+        assert system.device.config.environment is environment
+        assert system.device.config.dmwr_privileged
 
 
 class TestScrubber:

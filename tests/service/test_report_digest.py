@@ -1,7 +1,7 @@
 """Golden report digests for two whole service runs.
 
 The service must stay a pure function of ``(config, schedule)``.  The
-``service``-marked end-to-end suite checks that run against run; these
+``slow``-marked end-to-end suite checks that run against run; these
 pin the bytes themselves, so a speed-only change to the loop, the lane
 fleet or the device replay underneath cannot move a single session.
 

@@ -1,7 +1,7 @@
 """End-to-end service scenarios: clean, chaotic, drained, overloaded.
 
 These run whole service lifecycles on the device-time loop (marked
-``service``; run via ``scripts/run_service_smoke.sh``):
+``slow``; run via ``scripts/check.sh full``):
 
 * a clean run completes every offer with balanced books and a
   bit-identical report on re-run (the determinism bar);
@@ -33,7 +33,7 @@ from repro.service.app import CHECKPOINT_NAME, AttackService
 from repro.service.config import ServiceConfig
 from repro.service.loadgen import LoadConfig, build_schedule, make_session_killer
 
-pytestmark = pytest.mark.service
+pytestmark = pytest.mark.slow
 
 
 def _config(**kwargs):

@@ -1,5 +1,5 @@
-"""The linter's own test suite: golden fixtures, suppressions,
-baselines, rule selection, the CLI, and the self-scan of ``src/``.
+"""The linter's own test suite: golden fixtures, suppressions, rule
+selection, the CLI, and the self-scan of ``src/``.
 
 Each rule has a positive fixture (every construct it must flag) and a
 negative fixture (the sanctioned alternatives) under ``lint_fixtures/``;
@@ -17,17 +17,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import PROJECT_RULES, Baseline, LintEngine, RULES
+from repro.lint import PROJECT_RULES, LintEngine, RULES
 from repro.lint.__main__ import main as lint_main
-from repro.lint.engine import fingerprint, suppressed_rules
+from repro.lint.engine import suppressed_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 EXPECTED = json.loads((FIXTURES / "expected.json").read_text())
 
 
-def _findings(engine: LintEngine, *paths, baseline=None):
-    return engine.run([str(p) for p in paths], baseline=baseline)
+def _findings(engine: LintEngine, *paths):
+    return engine.run([str(p) for p in paths])
 
 
 # ----------------------------------------------------------------------
@@ -88,51 +88,6 @@ def test_suppressed_rules_parser():
 
 
 # ----------------------------------------------------------------------
-# Baseline: fingerprints survive line shifts; round-trips are stable.
-# ----------------------------------------------------------------------
-def test_baseline_roundtrip_and_line_shift(tmp_path):
-    src = FIXTURES / "det001_positive.py"
-    work = tmp_path / "det001_positive.py"
-    work.write_text(src.read_text())
-
-    engine = LintEngine(root=tmp_path)
-    first = _findings(engine, work)
-    assert first.findings
-
-    baseline = Baseline.from_findings(first)
-    baseline_path = tmp_path / "lint-baseline.json"
-    baseline.save(baseline_path)
-    reloaded = Baseline.load(baseline_path)
-    assert reloaded.fingerprints == baseline.fingerprints
-
-    # Shift every finding down two lines; fingerprints must still match.
-    lines = work.read_text().splitlines()
-    lines.insert(1, "# shifted")
-    lines.insert(1, "# shifted")
-    work.write_text("\n".join(lines) + "\n")
-
-    second = _findings(engine, work, baseline=reloaded)
-    assert second.findings == []
-    assert second.baselined == len(first.findings)
-
-
-def test_fingerprint_disambiguates_identical_lines():
-    from repro.lint.checker import Finding
-
-    finding = Finding(path="a.py", line=3, col=1, rule="DET001", message="m")
-    assert fingerprint(finding, "x = random.random()", 1) != fingerprint(
-        finding, "x = random.random()", 2
-    )
-
-
-def test_malformed_baseline_rejected(tmp_path):
-    bad = tmp_path / "lint-baseline.json"
-    bad.write_text('{"version": 99, "findings": {}}')
-    with pytest.raises(ValueError):
-        Baseline.load(bad)
-
-
-# ----------------------------------------------------------------------
 # Rule selection
 # ----------------------------------------------------------------------
 def test_select_runs_only_chosen_rules():
@@ -165,8 +120,7 @@ def test_syntax_error_becomes_finding(tmp_path):
 # ----------------------------------------------------------------------
 def test_cli_reports_findings_and_exit_code(capsys):
     code = lint_main(
-        ["det001_positive.py", "--root", str(FIXTURES), "--no-baseline",
-         "--no-cache"]
+        ["det001_positive.py", "--root", str(FIXTURES), "--no-cache"]
     )
     out = capsys.readouterr().out
     assert code == 1
@@ -176,8 +130,7 @@ def test_cli_reports_findings_and_exit_code(capsys):
 
 def test_cli_clean_file_exits_zero(capsys):
     code = lint_main(
-        ["det001_negative.py", "--root", str(FIXTURES), "--no-baseline",
-         "--no-cache"]
+        ["det001_negative.py", "--root", str(FIXTURES), "--no-cache"]
     )
     assert code == 0
     assert "clean" in capsys.readouterr().out
@@ -189,7 +142,6 @@ def test_cli_json_format(capsys):
             "det002_positive.py",
             "--root",
             str(FIXTURES),
-            "--no-baseline",
             "--no-cache",
             "--format",
             "json",
@@ -199,19 +151,6 @@ def test_cli_json_format(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"] == {"DET002": 6}
     assert all(f["rule"] == "DET002" for f in doc["findings"])
-
-
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    work = tmp_path / "fixture.py"
-    work.write_text((FIXTURES / "det003_positive.py").read_text())
-    assert lint_main(["fixture.py", "--root", str(tmp_path)]) == 1
-    assert (
-        lint_main(["fixture.py", "--root", str(tmp_path), "--write-baseline"])
-        == 0
-    )
-    capsys.readouterr()
-    assert lint_main(["fixture.py", "--root", str(tmp_path)]) == 0
-    assert "baselined" in capsys.readouterr().out
 
 
 def test_cli_list_rules(capsys):
@@ -231,22 +170,15 @@ def test_cli_unknown_rule_is_usage_error():
 # Self-scan: the tree this linter ships in must itself be clean.
 # ----------------------------------------------------------------------
 def test_src_tree_is_clean_in_process():
-    engine = LintEngine(root=REPO_ROOT)
-    baseline_path = REPO_ROOT / "lint-baseline.json"
-    baseline = Baseline.load(baseline_path) if baseline_path.exists() else None
-    report = engine.run(["src"], baseline=baseline)
+    # Every real finding is fixed at the source: only an inline
+    # suppression lets one through.
+    report = LintEngine(root=REPO_ROOT).run(["src"])
     assert report.all_findings == [], [
         f.format_text() for f in report.all_findings
     ]
 
 
-def test_committed_baseline_is_empty():
-    # Acceptance criterion: every real finding was fixed, not baselined.
-    baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-    assert baseline.fingerprints == {}
-
-
-@pytest.mark.lint
+@pytest.mark.slow
 def test_src_tree_is_clean_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "repro.lint", "src"],

@@ -1,6 +1,6 @@
 """Tests for the whole-program half of the linter: summary extraction,
 call-graph construction, taint propagation, the SHA-256 summary cache,
-the interprocedural golden fixtures, and SARIF output.
+and the interprocedural golden fixtures.
 
 The ``proj_*`` directories under ``lint_fixtures/`` are multi-file
 mini-projects (fixture-module directives fake their dotted paths);
@@ -14,7 +14,6 @@ import json
 import shutil
 from pathlib import Path
 
-import jsonschema
 import pytest
 
 from repro.lint import LintEngine
@@ -22,15 +21,11 @@ from repro.lint import cache as lint_cache
 from repro.lint.cache import SummaryCache, engine_fingerprint
 from repro.lint.checker import FileContext
 from repro.lint.project import summarize
-from repro.lint.sarif import render_sarif, to_sarif
 from repro.lint.taint import analyze
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 EXPECTED_PROJECT = json.loads(
     (FIXTURES / "expected_project.json").read_text()
-)
-SARIF_SCHEMA = json.loads(
-    (Path(__file__).resolve().parent / "sarif-2.1.0-subset.json").read_text()
 )
 
 
@@ -448,55 +443,3 @@ def test_summary_roundtrips_through_json(tmp_path):
         json.loads(json.dumps(summary.to_json()))
     )
     assert clone.to_json() == summary.to_json()
-
-
-# ----------------------------------------------------------------------
-# SARIF 2.1.0
-# ----------------------------------------------------------------------
-def test_sarif_output_validates_against_schema():
-    engine = LintEngine(root=FIXTURES)
-    report = engine.run([FIXTURES / "proj_det101"])
-    assert report.all_findings  # the fixture fires
-    doc = json.loads(render_sarif(report))
-    jsonschema.validate(doc, SARIF_SCHEMA)
-    assert doc["version"] == "2.1.0"
-    (run,) = doc["runs"]
-    assert {r["ruleId"] for r in run["results"]} == {"DET101"}
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"DET001", "DET101", "DET102", "PAR101", "EXC101"} <= rule_ids
-
-
-def test_sarif_clean_report_has_empty_results():
-    engine = LintEngine(root=FIXTURES)
-    report = engine.run([FIXTURES / "det001_negative.py"])
-    doc = to_sarif(report)
-    jsonschema.validate(doc, SARIF_SCHEMA)
-    assert doc["runs"][0]["results"] == []
-
-
-def test_cli_sarif_format(tmp_path, capsys):
-    from repro.lint.__main__ import main as lint_main
-
-    work = tmp_path / "dirty.py"
-    work.write_text(
-        "# repro-lint-fixture-module: repro.dsa.dirty\n"
-        "import random\n"
-        "\n"
-        "def roll():\n"
-        "    return random.random()\n"
-    )
-    code = lint_main(
-        [
-            "dirty.py",
-            "--root",
-            str(tmp_path),
-            "--no-baseline",
-            "--no-cache",
-            "--format",
-            "sarif",
-        ]
-    )
-    assert code == 1
-    doc = json.loads(capsys.readouterr().out)
-    jsonschema.validate(doc, SARIF_SCHEMA)
-    assert doc["runs"][0]["results"][0]["ruleId"] == "DET001"
