@@ -16,6 +16,7 @@ from repro.covert.channel import run_devtlb_covert_channel, run_swq_covert_chann
 from repro.dsa.device import DsaDeviceConfig
 from repro.dsa.engine import EngineTiming
 from repro.experiments import fig11_wf_classification
+from repro.experiments.runner import execute_plan
 from repro.experiments.wf_common import WfSamplerSettings
 from repro.mitigation.partitioning import (
     hardware_partitioned_config,
@@ -248,17 +249,19 @@ def test_bench_ablation_sampling_period(once):
     """Website-fingerprinting accuracy degrades as sampling coarsens."""
 
     def accuracy_at(period_us: float, samples_per_slot: int) -> float:
-        result = fig11_wf_classification.run(
-            sites=4,
-            visits_per_site=6,
-            settings=WfSamplerSettings(
-                sample_period_us=period_us,
-                samples_per_slot=samples_per_slot,
-                slots=100,
-            ),
-            epochs=30,
-            hidden=10,
-            seed=500,
+        result = execute_plan(
+            fig11_wf_classification.trial_plan(
+                sites=4,
+                visits_per_site=6,
+                settings=WfSamplerSettings(
+                    sample_period_us=period_us,
+                    samples_per_slot=samples_per_slot,
+                    slots=100,
+                ),
+                epochs=30,
+                hidden=10,
+                seed=500,
+            )
         )
         return result.bilstm_accuracy
 

@@ -1,11 +1,12 @@
 """Fig. 4 — DevTLB hit/miss latency across the four environments."""
 
 from repro.experiments import fig04_latency
+from repro.experiments.runner import execute_plan
 from repro.hw.noise import Environment
 
 
 def test_bench_fig04_latency(once):
-    result = once(fig04_latency.run, samples=300)
+    result = once(execute_plan, fig04_latency.trial_plan(samples=300))
     print()
     print(fig04_latency.report(result))
     local = result.for_environment(Environment.LOCAL)

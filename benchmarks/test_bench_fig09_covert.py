@@ -1,10 +1,11 @@
 """Fig. 9 — covert-channel capacity sweep over both primitives."""
 
 from repro.experiments import fig09_covert
+from repro.experiments.runner import execute_plan
 
 
 def test_bench_fig09_covert(once):
-    result = once(fig09_covert.run, payload_bits=192, runs=2)
+    result = once(execute_plan, fig09_covert.trial_plan(payload_bits=192, runs=2))
     print()
     print(fig09_covert.report(result))
     devtlb = result.best("devtlb")

@@ -1,10 +1,11 @@
 """Fig. 12 / Section VI-C — SSH keystroke detection with both primitives."""
 
 from repro.experiments import fig12_keystrokes
+from repro.experiments.runner import execute_plan
 
 
 def test_bench_fig12_keystrokes(once):
-    result = once(fig12_keystrokes.run, keystrokes=256)
+    result = once(execute_plan, fig12_keystrokes.trial_plan(keystrokes=256))
     print()
     print(fig12_keystrokes.report(result))
     devtlb = result.devtlb.evaluation

@@ -1,10 +1,11 @@
 """Fig. 14 — software-mitigation throughput overhead."""
 
 from repro.experiments import fig14_mitigation
+from repro.experiments.runner import execute_plan
 
 
 def test_bench_fig14_mitigation(once):
-    result = once(fig14_mitigation.run)
+    result = once(execute_plan, fig14_mitigation.trial_plan())
     print()
     print(fig14_mitigation.report(result))
     # Paper: up to 15.7% (native) / 17.9% (DTO) at 256 B, fading upward.

@@ -1,10 +1,11 @@
 """Extension: open-world website fingerprinting."""
 
 from repro.experiments import openworld_wf
+from repro.experiments.runner import execute_plan
 
 
 def test_bench_openworld_wf(once):
-    result = once(openworld_wf.run)
+    result = once(execute_plan, openworld_wf.trial_plan())
     print()
     print(openworld_wf.report(result))
     # Better than coin-flipping on both axes simultaneously.

@@ -26,6 +26,7 @@ asserts what reuse must protect, at any CPU count:
   serial run — the absolute price of starting workers stays bounded.
 """
 
+import functools
 import json
 import os
 import pickle
@@ -75,8 +76,8 @@ BENCH_PATH = Path(
 # Scaling benchmarks time the real host: injectable clocks would defeat
 # the measurement, hence the DET002 suppressions below.
 def _timed_run(config: dict, workers: int) -> tuple[float, bytes]:
-    plan = fig09_covert.trial_plan(**config)
-    source = fig09_covert.plan_source(**config) if workers > 1 else None
+    source = functools.partial(fig09_covert.trial_plan, **config)
+    plan = source()
     start = time.perf_counter()  # repro-lint: ignore[DET002]
     outcome = run_experiment(
         plan, workers=workers, executor="pool", plan_source=source

@@ -1,18 +1,21 @@
 """Table III — attack robustness across noisy environments."""
 
 from repro.experiments import table3_noise
+from repro.experiments.runner import execute_plan
 
 
 def test_bench_table3_noise(once):
     result = once(
-        table3_noise.run,
-        repeats=3,
-        covert_bits=160,
-        keystrokes=96,
-        wf_sites=4,
-        wf_visits=5,
-        llm_traces=4,
-        llm_models=4,
+        execute_plan,
+        table3_noise.trial_plan(
+            repeats=3,
+            covert_bits=160,
+            keystrokes=96,
+            wf_sites=4,
+            wf_visits=5,
+            llm_traces=4,
+            llm_models=4,
+        ),
     )
     print()
     print(table3_noise.report(result))

@@ -1,10 +1,11 @@
 """Table IV — comparison against prior cross-core/cross-VM attacks."""
 
 from repro.experiments import table4_comparison
+from repro.experiments.runner import execute_plan
 
 
 def test_bench_table4_comparison(once):
-    result = once(table4_comparison.run)
+    result = once(execute_plan, table4_comparison.trial_plan())
     print()
     print(table4_comparison.report(result))
     assert result.devtlb_fastest_covert

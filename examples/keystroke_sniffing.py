@@ -10,6 +10,7 @@ Run:  python examples/keystroke_sniffing.py
 """
 
 from repro.experiments import fig12_keystrokes
+from repro.experiments.runner import execute_plan
 
 
 def main() -> None:
@@ -17,7 +18,7 @@ def main() -> None:
     print("attacker 1: DevTLB Prime+Probe   (timing threshold on rdtsc)")
     print("attacker 2: SWQ Congest+Probe    (no timer at all: EFLAGS.ZF)")
     print()
-    result = fig12_keystrokes.run(keystrokes=192, seed=3)
+    result = execute_plan(fig12_keystrokes.trial_plan(keystrokes=192, seed=3))
     print(fig12_keystrokes.report(result))
     print()
     devtlb, swq = result.devtlb.evaluation, result.swq.evaluation

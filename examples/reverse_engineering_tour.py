@@ -12,6 +12,7 @@ Run:  python examples/reverse_engineering_tour.py
 from repro.core.primitives import Prober
 from repro.dsa.perfmon import Perfmon
 from repro.experiments import reverse_engineering
+from repro.experiments.runner import execute_plan
 from repro.virt.system import AttackTopology, CloudSystem
 
 
@@ -44,7 +45,7 @@ def show_perfmon_walkthrough() -> None:
 
 def main() -> None:
     show_perfmon_walkthrough()
-    results = reverse_engineering.run()
+    results = execute_plan(reverse_engineering.trial_plan())
     print(reverse_engineering.report(results))
     print()
     print(f"every paper observation reproduced: {results.all_reproduced}")

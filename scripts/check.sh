@@ -29,9 +29,10 @@ mode=$1
 # -- fast ---------------------------------------------------------------
 
 # The determinism and invariant rules (docs/static-analysis.md), the
-# whole-program rules included: any finding fails here.
+# whole-program rules included, over src, tests, benchmarks and
+# scripts: any finding fails here.
 echo "== repro.lint =="
-python -m repro.lint src
+python -m repro.lint --scope all
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="

@@ -24,31 +24,37 @@ import argparse
 import sys
 
 from repro.experiments import fig11_wf_classification, fig12_keystrokes, fig13_llm
-from repro.experiments.runner import monotonic_clock
+from repro.experiments.runner import execute_plan, monotonic_clock
 from repro.experiments.wf_common import PAPER_SCALE, WfSamplerSettings
 
 
 def run_fig11(args: argparse.Namespace) -> None:
     settings = PAPER_SCALE if args.paper_sampling else None
-    result = fig11_wf_classification.run(
-        sites=args.sites,
-        visits_per_site=args.visits,
-        settings=settings,
-        epochs=args.epochs,
-        hidden=args.hidden,
-        seed=args.seed,
+    result = execute_plan(
+        fig11_wf_classification.trial_plan(
+            sites=args.sites,
+            visits_per_site=args.visits,
+            settings=settings,
+            epochs=args.epochs,
+            hidden=args.hidden,
+            seed=args.seed,
+        )
     )
     print(fig11_wf_classification.report(result))
 
 
 def run_fig12(args: argparse.Namespace) -> None:
-    result = fig12_keystrokes.run(keystrokes=args.keystrokes, seed=args.seed)
+    result = execute_plan(
+        fig12_keystrokes.trial_plan(keystrokes=args.keystrokes, seed=args.seed)
+    )
     print(fig12_keystrokes.report(result))
 
 
 def run_fig13(args: argparse.Namespace) -> None:
-    result = fig13_llm.run(
-        traces_per_model=args.traces, epochs=args.epochs, seed=args.seed
+    result = execute_plan(
+        fig13_llm.trial_plan(
+            traces_per_model=args.traces, epochs=args.epochs, seed=args.seed
+        )
     )
     print(fig13_llm.report(result))
 

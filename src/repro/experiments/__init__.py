@@ -1,8 +1,12 @@
 """Per-table / per-figure experiment harnesses.
 
-Every module exposes ``run(...)`` returning a structured result and a
-``report(result)`` producing the text form of the paper's table or
-figure.  The benchmarks in ``benchmarks/`` call these entry points.
+Every module exports ``trial_plan(...)``, which enumerates the
+experiment as an :class:`~repro.experiments.runner.ExperimentPlan`, and
+``report(result)``, which renders the paper's table or figure as text.
+Run one in memory with ``execute_plan(module.trial_plan(...))``; a
+pooled run ships ``functools.partial(module.trial_plan, **overrides)``
+to its workers, which rebuild the plan from it.  The benchmarks in
+``benchmarks/`` call these entry points.
 
 ==================  ====================================================
 Module              Paper artifact
@@ -18,5 +22,7 @@ fig13_llm           Fig. 13 — LLM fingerprinting
 fig14_mitigation    Fig. 14 — mitigation overhead
 table3_noise        Table III — noise impact with confidence intervals
 table4_comparison   Table IV — comparison with prior attacks
+iotlb_study         IOTLB capacity study (extension)
+openworld_wf        open-world website fingerprinting (extension)
 ==================  ====================================================
 """

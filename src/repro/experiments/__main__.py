@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import importlib
-import signal
 import sys
 
 from repro.errors import CheckpointError, ReproError, ResumeMismatchError
@@ -64,10 +64,10 @@ from repro.experiments.runner import (
     EXIT_OK,
     EXIT_REPRO,
     BreakerConfig,
-    PlanHandle,
     monotonic_clock,
     run_experiment,
 )
+from repro.experiments.supervisor import sigterm_as_interrupt
 
 #: name -> (module path, human description).  Modules are imported only
 #: when their experiment runs, so ``list`` and a single experiment pay for
@@ -135,18 +135,18 @@ def run_one(
         else None
     )
     try:
-        plan = module.trial_plan(**(overrides or {}))
+        # Trial closures do not pickle; pool workers rebuild the plan
+        # from this recipe instead.
+        plan_source = functools.partial(module.trial_plan, **(overrides or {}))
         outcome = run_experiment(
-            plan,
+            plan_source(),
             run_dir=run_dir,
             resume=resume,
             deadline_s=deadline,
             breaker=breaker,
             workers=workers,
             executor=executor,
-            # Trial closures do not pickle; pool workers rebuild the
-            # plan from the module's trial_plan hook instead.
-            plan_source=PlanHandle(module_path, dict(overrides or {})),
+            plan_source=plan_source,
         )
     except (ResumeMismatchError, CheckpointError) as exc:
         print(f"{name}: checkpoint error: {exc}", file=sys.stderr)
@@ -188,19 +188,6 @@ def run_one(
             file=sys.stderr,
         )
     return outcome.exit_code
-
-
-def _install_sigterm_handler() -> None:
-    """Turn SIGTERM into ``KeyboardInterrupt`` so a scheduler kill
-    checkpoints exactly like ctrl-C (exit 130, resumable)."""
-
-    def _handler(signum, frame):
-        raise KeyboardInterrupt
-
-    try:
-        signal.signal(signal.SIGTERM, _handler)
-    except ValueError:
-        pass  # not the main thread (e.g. under a test runner)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -281,26 +268,27 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    _install_sigterm_handler()
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     worst = EXIT_OK
-    for name in names:
-        try:
-            code = run_one(
-                name,
-                overrides=overrides,
-                run_dir=args.resume or args.run_dir,
-                resume=bool(args.resume),
-                deadline=args.deadline,
-                breaker_threshold=args.breaker_threshold,
-                workers=args.workers,
-                executor=args.executor,
-            )
-        except KeyboardInterrupt:
-            # In-memory runs re-raise from require_result-free paths too.
-            print(f"{name}: interrupted", file=sys.stderr)
-            return EXIT_INTERRUPTED
-        worst = max(worst, code)
+    # SIGTERM checkpoints exactly like ctrl-C (exit 130, resumable).
+    with sigterm_as_interrupt():
+        for name in names:
+            try:
+                code = run_one(
+                    name,
+                    overrides=overrides,
+                    run_dir=args.resume or args.run_dir,
+                    resume=bool(args.resume),
+                    deadline=args.deadline,
+                    breaker_threshold=args.breaker_threshold,
+                    workers=args.workers,
+                    executor=args.executor,
+                )
+            except KeyboardInterrupt:
+                # In-memory runs re-raise from require_result-free paths too.
+                print(f"{name}: interrupted", file=sys.stderr)
+                return EXIT_INTERRUPTED
+            worst = max(worst, code)
     return worst
 
 

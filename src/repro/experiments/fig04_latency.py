@@ -21,9 +21,7 @@ from repro.core.calibration import calibrate_threshold
 from repro.core.primitives import Prober
 from repro.experiments.runner import (
     ExperimentPlan,
-    PlanHandle,
     TrialSpec,
-    execute_plan,
     require_all,
 )
 from repro.hw.noise import Environment
@@ -128,11 +126,6 @@ def trial_plan(samples: int = 300, seed: int = 4) -> ExperimentPlan:
     )
 
 
-def run(samples: int = 300, seed: int = 4) -> Fig4Result:
-    """Collect the distributions (through the supervised trial runner)."""
-    return execute_plan(trial_plan(samples=samples, seed=seed))
-
-
 def report(result: Fig4Result) -> str:
     """The figure as a table of distribution summaries."""
     rows = []
@@ -156,9 +149,3 @@ def report(result: Fig4Result) -> str:
         + f"\nCloud+Noise shift vs Local: {result.cloud_noise_shift:+.0f} cycles "
         f"(paper: ~+89)"
     )
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

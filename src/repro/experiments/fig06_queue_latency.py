@@ -26,9 +26,7 @@ from repro.analysis.reporting import format_table
 from repro.dsa.descriptor import make_memcpy
 from repro.experiments.runner import (
     ExperimentPlan,
-    PlanHandle,
     TrialSpec,
-    execute_plan,
     require_all,
 )
 from repro.virt.system import AttackTopology, CloudSystem
@@ -143,7 +141,8 @@ def trial_plan(
     iteration_cycles: int = 30_000,
     seed: int = 6,
 ) -> ExperimentPlan:
-    """One checkpointable trial per transfer size (fresh system each).
+    """One checkpointable trial per transfer size 2^min_exp .. 2^max_exp
+    (fresh system each).
 
     The DMWr-threshold claim needs the *whole* size axis, so every size
     is required in ``finalize``.
@@ -180,27 +179,6 @@ def trial_plan(
     )
 
 
-def run(
-    min_exp: int = 8,
-    max_exp: int = 27,
-    repeats: int = 20,
-    wq_size: int = 128,
-    iteration_cycles: int = 30_000,
-    seed: int = 6,
-) -> Fig6Result:
-    """Run the sweep over sizes 2^min_exp .. 2^max_exp."""
-    return execute_plan(
-        trial_plan(
-            min_exp=min_exp,
-            max_exp=max_exp,
-            repeats=repeats,
-            wq_size=wq_size,
-            iteration_cycles=iteration_cycles,
-            seed=seed,
-        )
-    )
-
-
 def report(result: Fig6Result) -> str:
     """The figure as a table."""
     rows = [
@@ -226,9 +204,3 @@ def report(result: Fig6Result) -> str:
         f"completion monotone: {result.completion_is_monotone}; "
         f"contention threshold: {threshold_text} (paper: 2^25)"
     )
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

@@ -18,7 +18,7 @@ from repro.covert.channel import (
     run_swq_covert_channel,
 )
 from repro.covert.protocol import CovertConfig
-from repro.experiments.runner import ExperimentPlan, PlanHandle, TrialSpec, execute_plan
+from repro.experiments.runner import ExperimentPlan, TrialSpec
 
 #: Bit windows swept for the DevTLB channel (us).
 DEVTLB_WINDOWS_US = (150.0, 100.0, 60.0, 42.5, 32.0, 25.0)
@@ -149,25 +149,6 @@ def trial_plan(
     )
 
 
-def run(
-    payload_bits: int = 192,
-    runs: int = 3,
-    seed: int = 2026,
-    devtlb_windows: tuple[float, ...] = DEVTLB_WINDOWS_US,
-    swq_windows: tuple[float, ...] = SWQ_WINDOWS_US,
-) -> Fig9Result:
-    """Run both sweeps (through the supervised trial runner)."""
-    return execute_plan(
-        trial_plan(
-            payload_bits=payload_bits,
-            runs=runs,
-            seed=seed,
-            devtlb_windows=devtlb_windows,
-            swq_windows=swq_windows,
-        )
-    )
-
-
 def report(result: Fig9Result) -> str:
     """The figure as a table plus headline points."""
     rows = [
@@ -193,9 +174,3 @@ def report(result: Fig9Result) -> str:
         + f"\nSWQ peak:    {swq.true_bps / 1e3:.2f} kbps @ "
         f"{swq.error_rate * 100:.2f}% (paper: 4.02 kbps @ 13.11%)"
     )
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

@@ -14,9 +14,7 @@ import numpy as np
 from repro.analysis.reporting import format_series
 from repro.experiments.runner import (
     ExperimentPlan,
-    PlanHandle,
     TrialSpec,
-    execute_plan,
     require_all,
 )
 from repro.experiments.wf_common import WfSamplerSettings, collect_website_trace
@@ -88,15 +86,6 @@ def trial_plan(
     )
 
 
-def run(
-    sites: tuple[str, ...] = EXAMPLE_SITES,
-    settings: WfSamplerSettings | None = None,
-    seed: int = 10,
-) -> Fig10Result:
-    """Collect one trace per example site."""
-    return execute_plan(trial_plan(sites=sites, settings=settings, seed=seed))
-
-
 def report(result: Fig10Result) -> str:
     """The figure as per-site slot series (downsampled for readability)."""
     lines = [f"Fig. 10 — DevTLB misses across {result.slots} slots"]
@@ -107,9 +96,3 @@ def report(result: Fig10Result) -> str:
         lines.append(format_series(xs, ys, name))
     lines.append(f"signatures distinguishable: {result.signatures_differ}")
     return "\n".join(lines)
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.experiments.runner import ExperimentPlan, PlanHandle, execute_plan
+from repro.experiments.runner import ExperimentPlan
 from repro.experiments.wf_common import (
     WfSamplerSettings,
     assemble_website_dataset,
@@ -111,29 +111,6 @@ def trial_plan(
     )
 
 
-def run(
-    sites: int = 10,
-    visits_per_site: int = 10,
-    settings: WfSamplerSettings | None = None,
-    seed: int = 100,
-    hidden: int = 12,
-    epochs: int = 60,
-    environment: Environment = Environment.LOCAL,
-) -> Fig11Result:
-    """Collect, train, and score."""
-    return execute_plan(
-        trial_plan(
-            sites=sites,
-            visits_per_site=visits_per_site,
-            settings=settings,
-            seed=seed,
-            hidden=hidden,
-            epochs=epochs,
-            environment=environment,
-        )
-    )
-
-
 def report(result: Fig11Result) -> str:
     """Accuracy summary plus the confusion matrix of the worst classes."""
     lines = [
@@ -153,9 +130,3 @@ def report(result: Fig11Result) -> str:
     lines.append("hardest classes:")
     lines.append(format_table(["site", "recall", "test traces"], rows))
     return "\n".join(lines)
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

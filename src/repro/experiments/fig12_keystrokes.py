@@ -32,9 +32,7 @@ from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.core.swq_attack import DsaSwqAttack
 from repro.experiments.runner import (
     ExperimentPlan,
-    PlanHandle,
     TrialSpec,
-    execute_plan,
     require_all,
 )
 from repro.hw.noise import Environment
@@ -190,17 +188,6 @@ def trial_plan(
     )
 
 
-def run(
-    keystrokes: int = 256,
-    seed: int = 12,
-    environment: Environment = Environment.LOCAL,
-) -> Fig12Result:
-    """Run both variants on independent sessions."""
-    return execute_plan(
-        trial_plan(keystrokes=keystrokes, seed=seed, environment=environment)
-    )
-
-
 def report(result: Fig12Result) -> str:
     """Section VI-C's metrics as a table."""
     rows = []
@@ -228,9 +215,3 @@ def report(result: Fig12Result) -> str:
          "F1", "timing std"],
         rows,
     )
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

@@ -16,7 +16,7 @@ from repro.analysis.reporting import format_table
 from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.core.sampling import DevTlbSampler, SamplerConfig
 from repro.errors import InsufficientTrialsError
-from repro.experiments.runner import ExperimentPlan, PlanHandle, TrialSpec, execute_plan
+from repro.experiments.runner import ExperimentPlan, TrialSpec
 from repro.hw.noise import Environment
 from repro.ml.baseline import NearestCentroidClassifier
 from repro.ml.metrics import accuracy, confusion_matrix
@@ -169,29 +169,6 @@ def trial_plan(
     )
 
 
-def run(
-    traces_per_model: int = 8,
-    settings: LlmSamplerSettings | None = None,
-    models: tuple[LlmModel, ...] = LLM_ZOO,
-    seed: int = 1300,
-    hidden: int = 12,
-    epochs: int = 60,
-    environment: Environment = Environment.LOCAL,
-) -> Fig13Result:
-    """Collect the dataset, train, and score."""
-    return execute_plan(
-        trial_plan(
-            traces_per_model=traces_per_model,
-            settings=settings,
-            models=models,
-            seed=seed,
-            hidden=hidden,
-            epochs=epochs,
-            environment=environment,
-        )
-    )
-
-
 def report(result: Fig13Result) -> str:
     """Accuracy summary plus trace statistics per model."""
     lines = [
@@ -214,9 +191,3 @@ def report(result: Fig13Result) -> str:
         format_table(["model", "mean misses/slot", "peak", "active slots"], rows)
     )
     return "\n".join(lines)
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

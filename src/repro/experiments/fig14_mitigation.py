@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from repro.analysis.reporting import format_table
 from repro.experiments.runner import (
     ExperimentPlan,
-    PlanHandle,
     TrialSpec,
-    execute_plan,
     require_all,
 )
 from repro.mitigation.overhead import OverheadRow, mitigation_overhead_sweep
@@ -96,23 +94,6 @@ def trial_plan(
     )
 
 
-def run(
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    iterations: int = 150,
-    scrub_period_us: float = 4.6,
-    seed: int = 99,
-) -> Fig14Result:
-    """Run the sweep."""
-    return execute_plan(
-        trial_plan(
-            sizes=sizes,
-            iterations=iterations,
-            scrub_period_us=scrub_period_us,
-            seed=seed,
-        )
-    )
-
-
 def report(result: Fig14Result) -> str:
     """The figure as a table."""
     rows = [
@@ -135,9 +116,3 @@ def report(result: Fig14Result) -> str:
         f"(paper: 15.7%), dto {result.max_overhead('dto'):.1f}% (paper: 17.9%); "
         f"shrinks with size: {result.overhead_shrinks_with_size}"
     )
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

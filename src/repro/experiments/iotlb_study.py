@@ -24,9 +24,7 @@ from repro.analysis.reporting import format_table
 from repro.core.primitives import Prober
 from repro.experiments.runner import (
     ExperimentPlan,
-    PlanHandle,
     TrialSpec,
-    execute_plan,
     require_all,
 )
 from repro.virt.system import AttackTopology, CloudSystem
@@ -101,17 +99,6 @@ def trial_plan(
     )
 
 
-def run(
-    working_sets: tuple[int, ...] = DEFAULT_WORKING_SETS,
-    passes: int = 3,
-    seed: int = 77,
-) -> IotlbStudyResult:
-    """Run the working-set sweep."""
-    return execute_plan(
-        trial_plan(working_sets=working_sets, passes=passes, seed=seed)
-    )
-
-
 def _sweep(
     working_sets: tuple[int, ...],
     passes: int,
@@ -154,9 +141,3 @@ def report(result: IotlbStudyResult) -> str:
         f"(configured: {result.configured_capacity}); "
         f"knee brackets configuration: {result.knee_matches_configuration}"
     )
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

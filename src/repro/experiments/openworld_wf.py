@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.experiments.runner import ExperimentPlan, PlanHandle, execute_plan
+from repro.experiments.runner import ExperimentPlan
 from repro.experiments.wf_common import (
     WfSamplerSettings,
     assemble_website_dataset,
@@ -131,31 +131,6 @@ def trial_plan(
     )
 
 
-def run(
-    monitored: int = 5,
-    unmonitored: int = 4,
-    visits_per_site: int = 8,
-    settings: WfSamplerSettings | None = None,
-    seed: int = 700,
-    epochs: int = 60,
-    hidden: int = 10,
-    target_known_recall: float = 0.85,
-) -> OpenWorldWfResult:
-    """Collect, train on the monitored world, evaluate openly."""
-    return execute_plan(
-        trial_plan(
-            monitored=monitored,
-            unmonitored=unmonitored,
-            visits_per_site=visits_per_site,
-            settings=settings,
-            seed=seed,
-            epochs=epochs,
-            hidden=hidden,
-            target_known_recall=target_known_recall,
-        )
-    )
-
-
 def report(result: OpenWorldWfResult) -> str:
     """Text summary."""
     rows = [
@@ -171,9 +146,3 @@ def report(result: OpenWorldWfResult) -> str:
         f"unmonitored: {', '.join(result.unmonitored_sites)}\n"
         + format_table(["metric", "value"], rows)
     )
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

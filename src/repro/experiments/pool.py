@@ -10,9 +10,10 @@ interpreter start + plan rebuild on every run:
 
 * **Persistent fork-server workers** — one long-lived process per pool
   slot (``forkserver`` start method, ``spawn`` fallback), reused across
-  runs.  A worker rebuilds ``plan_source(...)`` once per distinct plan
-  fingerprint and caches it, so repeated runs of the same experiment pay
-  near-zero startup.
+  runs.  A worker rebuilds the plan from its recipe,
+  ``functools.partial(module.trial_plan, **overrides)``, once per
+  distinct plan fingerprint and caches it, so repeated runs of the same
+  experiment pay near-zero startup.
 * **Results over the worker's pipe** — each worker replies on the same
   duplex ``multiprocessing`` pipe the parent sends it commands on, one
   pickle per message (a trial result rides in it as the bytes the
@@ -85,7 +86,6 @@ from repro.experiments.runner import (
     RunLedger,
     RunOutcome,
     WorkerContext,
-    _coerce_plan_source,
     monotonic_clock,
     run_guarded_trials,
     run_trials,
@@ -108,7 +108,6 @@ from repro.invariants.pool import PoolStateChecker
 __all__ = [
     "WorkerPool",
     "get_pool",
-    "run_pool_experiment",
     "shard_interleave",
     "shutdown_pools",
 ]
@@ -605,10 +604,18 @@ class WorkerPool:
         Same supervision surface and :class:`RunOutcome` contract as
         :func:`~repro.experiments.runner.run_experiment`; *force* skips
         the cost-model degradation decision (``executor="pool"``).
+        *plan_source* is required: the picklable recipe the workers
+        rebuild *plan* from, ``functools.partial(module.trial_plan,
+        **overrides)``.
         """
         if self.closed:
             raise PoolError("worker pool is closed")
-        source = _coerce_plan_source(plan, plan_source)
+        if plan_source is None:
+            raise ConfigurationError(
+                f"plan {plan.name!r} has no plan_source; pass "
+                "functools.partial(module.trial_plan, **overrides) so "
+                "workers can rebuild it"
+            )
         ledger = RunLedger(plan, run_dir, resume, deadline_s)
         pending = ledger.pending()
         checker = PoolStateChecker(len(plan.trials))
@@ -692,7 +699,7 @@ class WorkerPool:
             self.stats["runs"] += 1
             if self._stop_event.is_set():
                 self._stop_event.clear()
-            source_blob = pickle.dumps(source, protocol=4)
+            source_blob = pickle.dumps(plan_source, protocol=4)
             fingerprint = hashlib.sha256(source_blob + plan.hash.encode()).hexdigest()
             run_cmd = (
                 "run", run_id, fingerprint, source_blob, plan.hash, breaker,
@@ -1192,43 +1199,3 @@ def shutdown_pools() -> None:
 
 
 atexit.register(shutdown_pools)
-
-
-def run_pool_experiment(
-    plan: ExperimentPlan | None = None,
-    *,
-    plan_source: Callable[[], ExperimentPlan] | None = None,
-    workers: int = 2,
-    run_dir: str | Path | None = None,
-    resume: bool = False,
-    deadline_s: float | None = None,
-    breaker: BreakerConfig | None = None,
-    catch: tuple[type[Exception], ...] = (ReproError,),
-    executor: str = "auto",
-    config: PoolConfig | None = None,
-) -> RunOutcome:
-    """Execute *plan* on the process-wide persistent pool.
-
-    Prefer ``run_experiment(..., workers=N, executor="auto"|"pool")``,
-    which delegates here.  ``executor="pool"`` forces pooled execution
-    even when the cost model would degrade to the inline serial loop.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if plan is None:
-        if plan_source is None:
-            raise ValueError(
-                "run_pool_experiment needs a plan or a plan_source"
-            )
-        plan = plan_source()
-    pool = get_pool(workers, config=config)
-    return pool.run(
-        plan,
-        plan_source=plan_source,
-        run_dir=run_dir,
-        resume=resume,
-        deadline_s=deadline_s,
-        breaker=breaker,
-        catch=catch,
-        force=(executor == "pool"),
-    )

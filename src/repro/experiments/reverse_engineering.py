@@ -28,9 +28,7 @@ from repro.dsa.descriptor import BatchDescriptor, make_memcpy, make_noop
 from repro.dsa.perfmon import Perfmon
 from repro.experiments.runner import (
     ExperimentPlan,
-    PlanHandle,
     TrialSpec,
-    execute_plan,
     require_all,
 )
 from repro.hw.units import HUGE_PAGE_SIZE, PAGE_SIZE
@@ -383,11 +381,6 @@ def trial_plan() -> ExperimentPlan:
     )
 
 
-def run() -> ReverseEngineeringResults:
-    """Run the whole Section IV suite."""
-    return execute_plan(trial_plan())
-
-
 def report(results: ReverseEngineeringResults) -> str:
     """Text report of the suite."""
     lines = ["Section IV reverse-engineering observations:"]
@@ -395,9 +388,3 @@ def report(results: ReverseEngineeringResults) -> str:
         status = "reproduced" if observed else "NOT REPRODUCED"
         lines.append(f"  [{status}] {name}: {results.details[name]}")
     return "\n".join(lines)
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

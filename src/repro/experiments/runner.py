@@ -62,16 +62,13 @@ from __future__ import annotations
 import contextlib
 import enum
 import hashlib
-import importlib
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import (
     CheckpointError,
-    ConfigurationError,
     InsufficientTrialsError,
     InvariantViolation,
     ReproError,
@@ -347,55 +344,6 @@ class ExperimentPlan:
     def hash(self) -> str:
         """Hash of the configuration (what ``--resume`` validates)."""
         return config_hash(self.config)
-
-
-@dataclass(frozen=True)
-class PlanHandle:
-    """A picklable recipe for rebuilding an experiment plan in a worker.
-
-    ``PlanHandle("repro.experiments.fig09_covert", {"runs": 1})`` imports
-    the module and calls its ``trial_plan(**overrides)`` hook.  Every
-    experiment module exposes a ``plan_source(**overrides)`` convenience
-    returning exactly this.
-    """
-
-    module: str
-    overrides: Mapping[str, Any] = field(default_factory=dict)
-
-    def __call__(self) -> ExperimentPlan:
-        mod = importlib.import_module(self.module)
-        return mod.trial_plan(**dict(self.overrides))
-
-
-@dataclass(frozen=True)
-class _PickledPlan:
-    """Fallback plan source: the plan itself, serialized.
-
-    Only viable for plans whose trial callables pickle (module-level
-    functions, ``functools.partial`` of them); plans built from lambdas
-    need a :class:`PlanHandle` / factory instead.
-    """
-
-    payload: bytes
-
-    def __call__(self) -> ExperimentPlan:
-        return pickle.loads(self.payload)
-
-
-def _coerce_plan_source(
-    plan: ExperimentPlan, plan_source: Callable[[], ExperimentPlan] | None
-) -> Callable[[], ExperimentPlan]:
-    if plan_source is not None:
-        return plan_source
-    try:
-        return _PickledPlan(pickle.dumps(plan, protocol=4))
-    except (pickle.PicklingError, TypeError, AttributeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"plan {plan.name!r} does not pickle ({type(exc).__name__}: "
-            f"{exc}); pass plan_source= — e.g. the experiment module's "
-            "plan_source(**overrides) hook or any picklable zero-argument "
-            "factory — so workers can rebuild it"
-        ) from exc
 
 
 def spawn_trial_seed(run_seed: int, key: str) -> int:
@@ -889,11 +837,11 @@ def run_experiment(
     only — same loop, no persistence.
 
     With ``workers > 1`` the plan's trials run on the supervised worker
-    pool (:mod:`repro.experiments.pool`); *plan_source* must then be a
-    picklable zero-argument plan factory (e.g. a :class:`PlanHandle`)
-    unless the plan itself pickles.  A parallel run is
-    observation-equivalent to this serial loop: same journal, same
-    manifest, same finalized artifact (see ``docs/parallel.md``).
+    pool (:mod:`repro.experiments.pool`); *plan_source* must then be the
+    picklable recipe the workers rebuild the plan from,
+    ``functools.partial(module.trial_plan, **overrides)``.  A parallel
+    run is observation-equivalent to this serial loop: same journal,
+    same manifest, same finalized artifact (see ``docs/parallel.md``).
 
     *executor* is ``"auto"`` (the pool degrades to the serial loop
     in-process when its cost model says parallelism doesn't pay on this
@@ -906,18 +854,17 @@ def run_experiment(
             f"executor must be 'auto' or 'pool', got {executor!r}"
         )
     if workers > 1:
-        from repro.experiments.pool import run_pool_experiment
+        from repro.experiments.pool import get_pool
 
-        return run_pool_experiment(
+        return get_pool(workers).run(
             plan,
             plan_source=plan_source,
-            workers=workers,
             run_dir=run_dir,
             resume=resume,
             deadline_s=deadline_s,
             breaker=breaker,
             catch=catch,
-            executor=executor,
+            force=(executor == "pool"),
         )
 
     ledger = RunLedger(plan, run_dir, resume, deadline_s)
@@ -930,10 +877,10 @@ def run_experiment(
 def execute_plan(plan: ExperimentPlan, **supervision: Any) -> Any:
     """Run *plan* in memory and return the finalized result.
 
-    The modules' ``run()`` entry points delegate here, so *every*
-    experiment — CLI or direct call — flows through the same guarded
-    loop.  Failure modes raise exactly as they would have before the
-    runner existed (see :meth:`RunOutcome.require_result`).
+    Callers run an experiment as ``execute_plan(module.trial_plan(...))``,
+    so *every* experiment — CLI or direct call — flows through the same
+    guarded loop.  Failure modes raise exactly as they would have before
+    the runner existed (see :meth:`RunOutcome.require_result`).
     """
     return run_experiment(plan, **supervision).require_result()
 

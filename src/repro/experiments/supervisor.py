@@ -322,10 +322,9 @@ def interrupt_shield() -> Iterator[InterruptLatch]:
 def sigterm_as_interrupt() -> Iterator[None]:
     """Deliver SIGTERM as :class:`KeyboardInterrupt` for the duration.
 
-    The CLI installs a process-wide equivalent; this context manager
-    gives library callers of the worker pool the same
-    guarantee — a scheduler kill checkpoints exactly like ctrl-C — and
-    restores the previous handler on exit.  No-op off the main thread.
+    The CLI wraps its experiment loop in it and the worker pool wraps
+    every run, so a scheduler kill checkpoints exactly like ctrl-C; the
+    previous handler is restored on exit.  No-op off the main thread.
     """
     if not _on_main_thread():
         yield

@@ -23,7 +23,7 @@ from repro.analysis.stats import confidence_interval_95
 from repro.covert.channel import run_devtlb_covert_channel, run_swq_covert_channel
 from repro.errors import InsufficientTrialsError
 from repro.experiments import fig11_wf_classification, fig12_keystrokes, fig13_llm
-from repro.experiments.runner import ExperimentPlan, PlanHandle, TrialSpec, execute_plan
+from repro.experiments.runner import ExperimentPlan, TrialSpec, execute_plan
 from repro.experiments.wf_common import WfSamplerSettings
 from repro.hw.noise import Environment
 
@@ -114,13 +114,17 @@ def _metric_specs(
         return r.true_bps / 1e3
 
     def wf_sample(env, i):
-        r = fig11_wf_classification.run(
-            sites=wf_sites,
-            visits_per_site=wf_visits,
-            settings=WfSamplerSettings(sample_period_us=100.0, samples_per_slot=40, slots=100),
-            seed=seed + 17 * i,
-            epochs=40,
-            environment=env,
+        r = execute_plan(
+            fig11_wf_classification.trial_plan(
+                sites=wf_sites,
+                visits_per_site=wf_visits,
+                settings=WfSamplerSettings(
+                    sample_period_us=100.0, samples_per_slot=40, slots=100
+                ),
+                seed=seed + 17 * i,
+                epochs=40,
+                environment=env,
+            )
         )
         return r.bilstm_accuracy * 100
 
@@ -139,12 +143,14 @@ def _metric_specs(
     def llm_sample(env, i):
         from repro.workloads.llm import LLM_ZOO
 
-        r = fig13_llm.run(
-            traces_per_model=llm_traces,
-            models=LLM_ZOO[:llm_models],
-            seed=seed + 31 * i,
-            epochs=40,
-            environment=env,
+        r = execute_plan(
+            fig13_llm.trial_plan(
+                traces_per_model=llm_traces,
+                models=LLM_ZOO[:llm_models],
+                seed=seed + 31 * i,
+                epochs=40,
+                environment=env,
+            )
         )
         return r.bilstm_accuracy * 100
 
@@ -271,31 +277,6 @@ def trial_plan(
     )
 
 
-def run(
-    repeats: int = 4,
-    covert_bits: int = 192,
-    keystrokes: int = 96,
-    wf_sites: int = 4,
-    wf_visits: int = 5,
-    llm_traces: int = 4,
-    llm_models: int = 4,
-    seed: int = 33,
-) -> Table3Result:
-    """Run the reduced-scale Table III."""
-    return execute_plan(
-        trial_plan(
-            repeats=repeats,
-            covert_bits=covert_bits,
-            keystrokes=keystrokes,
-            wf_sites=wf_sites,
-            wf_visits=wf_visits,
-            llm_traces=llm_traces,
-            llm_models=llm_models,
-            seed=seed,
-        )
-    )
-
-
 def report(result: Table3Result) -> str:
     """Table III as text."""
     rows = []
@@ -317,9 +298,3 @@ def report(result: Table3Result) -> str:
         "Table III — noise impact\n" + table +
         f"\nall noisy measurements within the quiet-local CI: {result.all_within_ci}"
     )
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

@@ -14,7 +14,6 @@ from repro.covert.channel import run_devtlb_covert_channel, run_swq_covert_chann
 from repro.experiments import fig12_keystrokes
 from repro.experiments.runner import (
     ExperimentPlan,
-    PlanHandle,
     TrialSpec,
     execute_plan,
     require_all,
@@ -87,7 +86,12 @@ def trial_plan(
     seed: int = 44,
 ) -> ExperimentPlan:
     """One checkpointable trial per measured quantity (all required —
-    a comparison table with holes in our own rows is not an artifact)."""
+    a comparison table with holes in our own rows is not an artifact).
+
+    *wf_accuracy_percent* may carry a Fig. 11 result to avoid re-running
+    the (expensive) fingerprinting pipeline; by default the cell cites
+    the Fig. 11 experiment.
+    """
     measurements = {
         "covert/devtlb": lambda: run_devtlb_covert_channel(
             payload_bits=covert_bits, seed=seed
@@ -95,8 +99,8 @@ def trial_plan(
         "covert/swq": lambda: run_swq_covert_channel(
             payload_bits=covert_bits, seed=seed
         ),
-        "keystrokes": lambda: fig12_keystrokes.run(
-            keystrokes=keystrokes, seed=seed
+        "keystrokes": lambda: execute_plan(
+            fig12_keystrokes.trial_plan(keystrokes=keystrokes, seed=seed)
         ),
     }
     trials = tuple(TrialSpec(key=key, fn=fn) for key, fn in measurements.items())
@@ -121,28 +125,6 @@ def trial_plan(
         trials=trials,
         finalize=finalize,
         min_successes=len(trials),
-    )
-
-
-def run(
-    covert_bits: int = 192,
-    keystrokes: int = 192,
-    wf_accuracy_percent: float | None = None,
-    seed: int = 44,
-) -> Table4Result:
-    """Measure our rows and assemble the table.
-
-    *wf_accuracy_percent* may carry a Fig. 11 result to avoid re-running
-    the (expensive) fingerprinting pipeline; by default the cell cites
-    the Fig. 11 experiment.
-    """
-    return execute_plan(
-        trial_plan(
-            covert_bits=covert_bits,
-            keystrokes=keystrokes,
-            wf_accuracy_percent=wf_accuracy_percent,
-            seed=seed,
-        )
     )
 
 
@@ -193,9 +175,3 @@ def report(result: Table4Result) -> str:
         "Table IV — comparison to prior attacks\n" + table +
         f"\nDevTLB channel fastest covert channel: {result.devtlb_fastest_covert}"
     )
-
-
-def plan_source(**overrides) -> PlanHandle:
-    """Picklable factory for multi-process runs: pool workers rebuild
-    this module's plan via ``trial_plan(**overrides)``."""
-    return PlanHandle(__name__, overrides)

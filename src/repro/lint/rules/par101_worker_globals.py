@@ -18,10 +18,9 @@ state — ``global`` assignment, in-place container mutation
 can reach.
 
 **Fix:** thread the state through the plan (build it in
-``trial_plan()``/``plan_source()``) or return it through the result
-ring; per-process caches that are *provably* rebuilt per
-(run, fingerprint) may carry an inline
-``# repro-lint: ignore[PAR101]`` with a justifying comment.
+``trial_plan()``) or return it through the trial result; per-process
+caches that are *provably* rebuilt per (run, fingerprint) may carry an
+inline ``# repro-lint: ignore[PAR101]`` with a justifying comment.
 """
 
 from __future__ import annotations

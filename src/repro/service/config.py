@@ -66,10 +66,11 @@ class ServiceConfig:
     #: Dispatcher concurrency cap: sessions actually running (holding
     #: or queuing for lanes) at once.
     max_concurrent_sessions: int = 2048
-    #: Per-session budgets; ``retry_policy.max_attempts`` bounds lane
-    #: retries (revocation, transient attack errors) and the backoff
-    #: between attempts grows by ``retry_policy.sample_growth``.
-    default_deadline_cycles: int = 80_000_000
+    #: Per-session retry budget; ``retry_policy.max_attempts`` bounds
+    #: lane retries (revocation, transient attack errors) and the backoff
+    #: between attempts grows by ``retry_policy.sample_growth``.  A
+    #: session's deadline is ``SessionSpec.deadline_cycles``, set from
+    #: ``LoadConfig``.
     retry_policy: CalibrationPolicy = field(default_factory=CalibrationPolicy)
     #: Per-tenant isolation (one policy for every tenant).
     tenant_policy: TenantPolicy = field(default_factory=TenantPolicy)

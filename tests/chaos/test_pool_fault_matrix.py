@@ -32,7 +32,7 @@ from repro.experiments.checkpoint import (
     STATUS_INTERRUPTED,
     RunManifest,
 )
-from repro.experiments.pool import run_pool_experiment, shutdown_pools
+from repro.experiments.pool import get_pool, shutdown_pools
 from repro.experiments.runner import ExperimentPlan, TrialSpec, run_experiment
 from repro.experiments.supervisor import DEGRADED_SERIAL, PoolConfig
 from repro.faults import FaultPlan, FaultSite
@@ -138,13 +138,11 @@ class TestPoolSiteMatrix:
             _chaos_fig09_plan(site.value), run_dir=serial_dir
         )
         assert serial.status == STATUS_COMPLETED
-        healed = run_pool_experiment(
+        healed = get_pool(2, config=_CHAOS_CONFIG).run(
             _chaos_fig09_plan(site.value),
             plan_source=functools.partial(_chaos_fig09_plan, site.value),
-            workers=2,
             run_dir=pool_dir,
-            executor="pool",
-            config=_CHAOS_CONFIG,
+            force=True,
         )
         assert healed.status == STATUS_COMPLETED
         assert healed.pool["respawns"] >= 1, (
@@ -166,14 +164,13 @@ class TestExternalKillMidShard:
         assert serial.status == STATUS_COMPLETED
 
         flag = tmp_path / "killed.flag"
-        healed = run_pool_experiment(
+        healed = get_pool(2).run(
             _kill_once_plan(experiment, str(flag), 1),
             plan_source=functools.partial(
                 _kill_once_plan, experiment, str(flag), 1
             ),
-            workers=2,
             run_dir=pool_dir,
-            executor="pool",
+            force=True,
         )
         assert flag.exists(), "the kill never happened"
         assert healed.status == STATUS_COMPLETED
@@ -195,15 +192,13 @@ class TestRespawnBudgetDegradation:
         assert serial.status == STATUS_COMPLETED
 
         flag = tmp_path / "killed.flag"
-        degraded = run_pool_experiment(
+        degraded = get_pool(2, config=PoolConfig(respawn_budget=0)).run(
             _kill_once_plan("fig09", str(flag), 1),
             plan_source=functools.partial(
                 _kill_once_plan, "fig09", str(flag), 1
             ),
-            workers=2,
             run_dir=pool_dir,
-            executor="pool",
-            config=PoolConfig(respawn_budget=0),
+            force=True,
         )
         assert flag.exists(), "the kill never happened"
         assert degraded.status == STATUS_COMPLETED
@@ -242,17 +237,16 @@ def _idle_requeue_plan(flag_path: str) -> ExperimentPlan:
 class TestIdleWorkerGetsRequeuedShard:
     def test_idle_past_the_hang_floor_is_not_a_hang(self, tmp_path):
         flag = tmp_path / "killed.flag"
-        outcome = run_pool_experiment(
+        config = PoolConfig(
+            hang_suspect_s=0.25,
+            hang_floor_s=1.0,
+            hang_factor=1.0,
+            shards_per_worker=1,
+        )
+        outcome = get_pool(2, config=config).run(
             _idle_requeue_plan(str(flag)),
             plan_source=functools.partial(_idle_requeue_plan, str(flag)),
-            workers=2,
-            executor="pool",
-            config=PoolConfig(
-                hang_suspect_s=0.25,
-                hang_floor_s=1.0,
-                hang_factor=1.0,
-                shards_per_worker=1,
-            ),
+            force=True,
         )
         assert flag.exists(), "the kill never happened"
         assert outcome.status == STATUS_COMPLETED

@@ -242,12 +242,13 @@ class TestChooseRedundancy:
             choose_redundancy(0.1, target_frame_rate=1.0)
 
 
-def _guard_plan(fns, name="figure X", min_successes=1):
+def _guard_plan(trials, name="figure X", min_successes=1):
+    """A plan of *trials*, a mapping of trial key to trial function."""
     return ExperimentPlan(
         name=name,
         seed=0,
         config={},
-        trials=tuple(TrialSpec(key=f"t/{i}", fn=fn) for i, fn in enumerate(fns)),
+        trials=tuple(TrialSpec(key=key, fn=fn) for key, fn in trials.items()),
         finalize=dict,
         min_successes=min_successes,
     )
@@ -284,7 +285,7 @@ class TestExperimentGuard:
         def bad():
             raise QueueFullError("full")
 
-        outcome = run_experiment(_guard_plan([bad, bad]))
+        outcome = run_experiment(_guard_plan({"a": bad, "b": bad}))
         with pytest.raises(InsufficientTrialsError, match="0/2 trials"):
             outcome.require_result()
 
@@ -295,7 +296,9 @@ class TestExperimentGuard:
             time.sleep(0.05)
             return 1
 
-        outcome = run_experiment(_guard_plan([slow] * 10), deadline_s=0.08)
+        outcome = run_experiment(
+            _guard_plan({f"slow/{n}": slow for n in range(10)}), deadline_s=0.08
+        )
         assert outcome.status == STATUS_DEADLINE
         assert outcome.skipped > 0
         assert outcome.completed >= 1

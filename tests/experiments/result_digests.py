@@ -35,6 +35,7 @@ from repro.experiments import (
     table4_comparison,
 )
 from repro.experiments.fig13_llm import LlmSamplerSettings
+from repro.experiments.runner import execute_plan
 from repro.experiments.wf_common import WfSamplerSettings
 from repro.workloads.llm import LLM_ZOO
 
@@ -94,7 +95,7 @@ REDUCED = {
 def run_reduced(name: str):
     """Run the experiment pinned as *name* at its reduced scale."""
     module, config = REDUCED[name]
-    return module.run(**config)
+    return execute_plan(module.trial_plan(**config))
 
 
 def result_digest(result) -> str:

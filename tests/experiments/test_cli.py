@@ -20,11 +20,13 @@ class TestCli:
             "fig13", "fig14", "table3", "table4", "iotlb", "openworld",
         }
 
-    def test_every_module_has_run_and_report(self):
+    def test_every_module_exports_only_trial_plan_and_report(self):
         for path, _ in EXPERIMENTS.values():
             module = importlib.import_module(path)
-            assert callable(module.run)
-            assert callable(module.report)
+            assert callable(module.trial_plan), path
+            assert callable(module.report), path
+            assert not hasattr(module, "run"), path
+            assert not hasattr(module, "plan_source"), path
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -34,12 +34,13 @@ def _bad(message="transient"):
     return fn
 
 
-def _plan(fns, min_successes):
+def _plan(trials, min_successes):
+    """A plan of *trials*, a mapping of trial key to trial function."""
     return ExperimentPlan(
         name="edges",
         seed=0,
-        config={"trials": len(fns)},
-        trials=tuple(TrialSpec(key=f"t/{i}", fn=fn) for i, fn in enumerate(fns)),
+        config={"trials": len(trials)},
+        trials=tuple(TrialSpec(key=key, fn=fn) for key, fn in trials.items()),
         finalize=lambda results: list(results.values()),
         min_successes=min_successes,
     )
@@ -60,14 +61,14 @@ class TestDegenerateBudgets:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="positive or None"):
-            run_experiment(_plan([_ok()], 1), deadline_s=-5.0)
+            run_experiment(_plan({"only": _ok()}, 1), deadline_s=-5.0)
 
     def test_negative_floor_rejected(self):
         with pytest.raises(ValueError, match="min_successes"):
-            _plan([_ok()], -1)
+            _plan({"only": _ok()}, -1)
 
     def test_zero_floor_allows_total_failure(self):
-        outcome = run_experiment(_plan([_bad(), _bad()], 0))
+        outcome = run_experiment(_plan({"a": _bad(), "b": _bad()}, 0))
         assert outcome.status == STATUS_COMPLETED
         assert outcome.result == []
         assert outcome.failed == 2
@@ -75,12 +76,12 @@ class TestDegenerateBudgets:
 
 class TestExactFloor:
     def test_floor_equal_to_trial_count_passes_when_all_succeed(self):
-        outcome = run_experiment(_plan([_ok(1), _ok(2), _ok(3)], 3))
+        outcome = run_experiment(_plan({"a": _ok(1), "b": _ok(2), "c": _ok(3)}, 3))
         assert outcome.status == STATUS_COMPLETED
         assert outcome.result == [1, 2, 3]
 
     def test_floor_equal_to_trial_count_fails_on_any_failure(self):
-        outcome = run_experiment(_plan([_ok(), _bad(), _ok()], 3))
+        outcome = run_experiment(_plan({"a": _ok(), "b": _bad(), "c": _ok()}, 3))
         assert outcome.status == STATUS_INSUFFICIENT
         with pytest.raises(InsufficientTrialsError, match="2/3"):
             outcome.require_result()
@@ -89,16 +90,17 @@ class TestExactFloor:
 class TestFinalTrialFailure:
     def test_failure_on_final_trial_recorded_not_lost(self, tmp_path):
         outcome = run_experiment(
-            _plan([_ok(1), _ok(2), _bad("last gasp")], 2), run_dir=tmp_path
+            _plan({"a": _ok(1), "b": _ok(2), "last": _bad("last gasp")}, 2),
+            run_dir=tmp_path,
         )
         assert outcome.result == [1, 2]
         assert outcome.failed == 1
-        entry = CheckpointJournal.load(tmp_path).get("t/2")
+        entry = CheckpointJournal.load(tmp_path).get("last")
         assert entry.index == 2 and not entry.ok
         assert "last gasp" in entry.error
 
     def test_failure_on_final_trial_below_floor_aborts(self):
-        outcome = run_experiment(_plan([_ok(), _bad("last gasp")], 2))
+        outcome = run_experiment(_plan({"a": _ok(), "last": _bad("last gasp")}, 2))
         assert outcome.status == STATUS_INSUFFICIENT
         assert "last gasp" in str(outcome.error)
 
@@ -108,7 +110,14 @@ class TestBudgetExhaustion:
         """The first trial burns the whole deadline *and* fails:
         everything after it is skipped, nothing succeeded."""
         clock = FakeClock()
-        plan = _plan([_slow(clock, _bad("burned the budget")), _ok(), _ok()], 1)
+        plan = _plan(
+            {
+                "burner": _slow(clock, _bad("burned the budget")),
+                "a": _ok(),
+                "b": _ok(),
+            },
+            1,
+        )
         with override_clocks(monotonic=clock):
             outcome = run_experiment(plan, deadline_s=1.0)
         assert outcome.status == STATUS_DEADLINE

@@ -177,7 +177,7 @@ class TestFig09Parallel:
     def test_two_workers_match_serial_byte_for_byte(self, tmp_path):
         _assert_parallel_matches_serial(
             _fig09_plan,
-            fig09_covert.plan_source(**FIG09_CONFIG),
+            functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
             tmp_path,
             workers=2,
         )
@@ -205,7 +205,7 @@ class TestFig09Parallel:
             resume=True,
             workers=3,
             executor="pool",
-            plan_source=fig09_covert.plan_source(**FIG09_CONFIG),
+            plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
         )
         assert resumed.status == STATUS_COMPLETED
         assert resumed.resumed == interrupted.completed
@@ -222,7 +222,7 @@ class TestParallelSweeps:
     def test_fig09_four_workers(self, tmp_path):
         _assert_parallel_matches_serial(
             _fig09_plan,
-            fig09_covert.plan_source(**FIG09_CONFIG),
+            functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
             tmp_path,
             workers=4,
         )
@@ -231,7 +231,7 @@ class TestParallelSweeps:
     def test_table3_cross_experiment_sweep(self, tmp_path, workers):
         _assert_parallel_matches_serial(
             lambda: table3_noise.trial_plan(**TABLE3_CONFIG),
-            table3_noise.plan_source(**TABLE3_CONFIG),
+            functools.partial(table3_noise.trial_plan, **TABLE3_CONFIG),
             tmp_path,
             workers=workers,
         )
@@ -240,7 +240,7 @@ class TestParallelSweeps:
     def test_fig11_dataset_checksums_match(self, tmp_path, workers):
         serial, parallel = _assert_parallel_matches_serial(
             lambda: fig11_wf_classification.trial_plan(**FIG11_CONFIG),
-            fig11_wf_classification.plan_source(**FIG11_CONFIG),
+            functools.partial(fig11_wf_classification.trial_plan, **FIG11_CONFIG),
             tmp_path,
             workers=workers,
         )
@@ -278,9 +278,7 @@ def test_serial_pool_and_resume_give_one_digest(name, tmp_path):
     the pinned digest."""
     module, config = THREE_WAY[name]
     factory = functools.partial(module.trial_plan, **config)
-    serial, _ = _assert_parallel_matches_serial(
-        factory, module.plan_source(**config), tmp_path, workers=2
-    )
+    serial, _ = _assert_parallel_matches_serial(factory, factory, tmp_path, workers=2)
     assert result_digest(serial.result) == GOLDEN[name]
     resumed_dir = tmp_path / "resumed"
     _assert_resume_equivalent(
@@ -309,7 +307,7 @@ def test_pool_creates_no_shared_memory(monkeypatch):
     try:
         outcome = pool.run(
             _fig09_plan(),
-            plan_source=fig09_covert.plan_source(**FIG09_CONFIG),
+            plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
             force=True,
         )
     finally:

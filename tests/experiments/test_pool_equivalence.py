@@ -22,7 +22,7 @@ import signal
 
 import pytest
 
-from repro.errors import PoolError
+from repro.errors import ConfigurationError, PoolError
 from repro.experiments import fig09_covert
 from repro.experiments.checkpoint import (
     STATUS_COMPLETED,
@@ -89,7 +89,7 @@ class TestPoolMatchesSerial:
             run_dir=pool_dir,
             workers=2,
             executor="pool",
-            plan_source=fig09_covert.plan_source(**FIG09_CONFIG),
+            plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
         )
         assert serial.status == STATUS_COMPLETED
         assert pooled.status == STATUS_COMPLETED
@@ -98,7 +98,7 @@ class TestPoolMatchesSerial:
         _assert_same_artifact(serial_dir, pool_dir)
 
     def test_warm_pool_reuses_plan_and_workers(self, tmp_path):
-        source = fig09_covert.plan_source(**FIG09_CONFIG)
+        source = functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG)
         first = run_experiment(
             _fig09_plan(), workers=2, executor="pool", plan_source=source
         )
@@ -140,7 +140,7 @@ class TestPoolMatchesSerial:
             resume=True,
             workers=3,
             executor="pool",
-            plan_source=fig09_covert.plan_source(**FIG09_CONFIG),
+            plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
         )
         assert resumed.status == STATUS_COMPLETED
         assert resumed.resumed == interrupted.completed
@@ -165,7 +165,7 @@ class TestPoolMatchesSerial:
             run_dir=degraded_dir,
             workers=2,
             executor="auto",
-            plan_source=fig09_covert.plan_source(**FIG09_CONFIG),
+            plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
         )
         assert degraded.status == STATUS_COMPLETED
         assert degraded.pool["mode"] == DEGRADED_SERIAL
@@ -197,3 +197,20 @@ class TestPoisonedTrials:
         manifest = RunManifest.load(run_dir)
         assert manifest.poisoned == [poisoned_key]
         assert manifest.status == STATUS_POISONED
+
+
+class TestPlanSourceRequired:
+    def test_pooled_run_without_plan_source_is_rejected(self):
+        """A pooled run needs the recipe its workers rebuild the plan
+        from, even when the plan itself (trial functions and finalize)
+        would pickle: the plan is never shipped whole."""
+        plan = ExperimentPlan(
+            name="picklable",
+            seed=0,
+            config={},
+            trials=(TrialSpec(key="one", fn=functools.partial(int, 1)),),
+            finalize=dict,
+        )
+        assert pickle.loads(_dumps(plan)).trials[0].fn() == 1
+        with pytest.raises(ConfigurationError, match="plan_source"):
+            run_experiment(plan, workers=2)
