@@ -1,7 +1,7 @@
 """Wall-clock scaling of the worker pool on the fig09 covert plan.
 
 Runs the same :func:`fig09_covert.trial_plan` serially and on a cold
-pool (``executor="pool"``, fresh workers each time) at 2 and 4 workers,
+pool (fresh workers each time) at 2 and 4 workers,
 verifies the finalized artifacts are byte-identical across worker
 counts, and records the measured timings in ``BENCH_parallel.json`` at
 the repo root (override the path with ``BENCH_PARALLEL_PATH``).
@@ -79,9 +79,7 @@ def _timed_run(config: dict, workers: int) -> tuple[float, bytes]:
     source = functools.partial(fig09_covert.trial_plan, **config)
     plan = source()
     start = time.perf_counter()  # repro-lint: ignore[DET002]
-    outcome = run_experiment(
-        plan, workers=workers, executor="pool", plan_source=source
-    )
+    outcome = run_experiment(plan, workers=workers, plan_source=source)
     elapsed = time.perf_counter() - start  # repro-lint: ignore[DET002]
     assert outcome.status == "completed", outcome.status
     return elapsed, pickle.dumps(outcome.result, protocol=4)
@@ -152,7 +150,6 @@ def test_bench_parallel_scaling():
     pool_overhead_ratio = timings[4] / timings[1]
     record = {
         "experiment": "fig09_covert",
-        "executor": "pool",
         "config": FIG09_CONFIG,
         "cpu_count": cpus,
         "wall_clock_s": {str(w): round(timings[w], 3) for w in WORKER_COUNTS},

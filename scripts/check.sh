@@ -36,7 +36,7 @@ python -m repro.lint --scope all
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
-    ruff check src tests
+    ruff check src tests benchmarks scripts
 else
     echo "== ruff == (not installed; skipped)"
 fi
@@ -92,19 +92,16 @@ echo "   no new /dev/shm/psm_* segment"
 sweep=(fig09 --set payload_bits=256 --set runs=3)
 arrays=(fig13 --set traces_per_model=2 --set epochs=5)
 
-echo "== serial, pool and auto artifacts =="
+echo "== serial and pool artifacts =="
 python -m repro.experiments "${sweep[@]}" --run-dir "$workdir/serial09" >/dev/null
-python -m repro.experiments "${sweep[@]}" --workers 2 --executor pool \
+python -m repro.experiments "${sweep[@]}" --workers 2 \
     --run-dir "$workdir/pool09" >/dev/null
-python -m repro.experiments "${sweep[@]}" --workers 2 --executor auto \
-    --run-dir "$workdir/auto09" >/dev/null
 python -m repro.experiments "${arrays[@]}" --run-dir "$workdir/serial13" >/dev/null
-python -m repro.experiments "${arrays[@]}" --workers 2 --executor pool \
+python -m repro.experiments "${arrays[@]}" --workers 2 \
     --run-dir "$workdir/pool13" >/dev/null
 cmp "$workdir/serial09/result.pkl" "$workdir/pool09/result.pkl"
-cmp "$workdir/serial09/result.pkl" "$workdir/auto09/result.pkl"
 cmp "$workdir/serial13/result.pkl" "$workdir/pool13/result.pkl"
-echo "   pool and auto artifacts are byte-identical to the serial runs"
+echo "   pool artifacts are byte-identical to the serial runs"
 
 # Kill a sweep mid-run, resume it, and byte-compare against an
 # uninterrupted run: resume_check <experiment> [--set k=v ...]
@@ -206,8 +203,11 @@ python -m repro.invariants.soak --seed 0 --runs 8 --operations 300
 echo "== fuzz campaign (seed 0, 150 trials) =="
 python -m repro.fuzz --seed 0 --trials 150 --dir "$workdir/fuzz"
 
-# Its pool-reuse gates run nowhere else; it rewrites BENCH_parallel.json.
+# Its pool-reuse gates run nowhere else.  Its record goes to the workdir
+# and is printed, so the checkout stays clean.
 echo "== parallel-scaling bench =="
-python -m pytest benchmarks/test_bench_parallel_scaling.py -o addopts= -q -s
+BENCH_PARALLEL_PATH="$workdir/BENCH_parallel.json" \
+    python -m pytest benchmarks/test_bench_parallel_scaling.py -o addopts= -q -s
+cat "$workdir/BENCH_parallel.json"
 
 echo "full checks passed"

@@ -25,7 +25,7 @@ import sys
 
 from repro.experiments import fig11_wf_classification, fig12_keystrokes, fig13_llm
 from repro.experiments.runner import execute_plan, monotonic_clock
-from repro.experiments.wf_common import PAPER_SCALE, WfSamplerSettings
+from repro.experiments.wf_common import PAPER_SCALE
 
 
 def run_fig11(args: argparse.Namespace) -> None:

@@ -19,12 +19,11 @@ validating its config hash; ``--deadline S`` stops cleanly before a
 wall-clock budget expires; ``--breaker-threshold N`` opens the failure
 circuit breaker after N consecutive contained failures; ``--set k=v``
 overrides a ``trial_plan`` keyword (values parsed as Python literals);
-``--workers N`` runs the trials on a pool of N worker processes with
-output observation-equivalent to a serial run — a checkpointed run may
-even switch worker counts between ``--run-dir`` and ``--resume`` (see
-docs/parallel.md); ``--executor`` is ``auto`` (the supervised
-persistent pool, degrading to the serial loop when parallelism cannot
-pay on this host) or ``pool`` (the pool, unconditionally).
+``--workers N`` runs the trials on a pool of N worker processes on any
+host (a run with fewer than two trials left runs inline), with output
+observation-equivalent to a serial run — a checkpointed run may even
+switch worker counts between ``--run-dir`` and ``--resume`` (see
+docs/parallel.md).
 
 Exit codes (see :mod:`repro.experiments.runner` and docs/robustness.md):
 
@@ -116,7 +115,6 @@ def run_one(
     deadline: float | None = None,
     breaker_threshold: int | None = None,
     workers: int = 1,
-    executor: str = "auto",
 ) -> int:
     """Run one experiment under supervision; returns its exit code.
 
@@ -134,27 +132,30 @@ def run_one(
         if breaker_threshold is not None
         else None
     )
+    # Trial closures do not pickle; pool workers rebuild the plan from
+    # this recipe instead.
+    plan_source = functools.partial(module.trial_plan, **(overrides or {}))
     try:
-        # Trial closures do not pickle; pool workers rebuild the plan
-        # from this recipe instead.
-        plan_source = functools.partial(module.trial_plan, **(overrides or {}))
+        try:
+            plan = plan_source()
+        except TypeError as exc:
+            # Almost always a bad --set key; argparse conventions say 2.
+            # Only the plan build is covered: a TypeError from a trial
+            # or finalize is a bug (exit 1, traceback).
+            print(f"{name}: bad trial_plan arguments: {exc}", file=sys.stderr)
+            return 2
         outcome = run_experiment(
-            plan_source(),
+            plan,
             run_dir=run_dir,
             resume=resume,
             deadline_s=deadline,
             breaker=breaker,
             workers=workers,
-            executor=executor,
             plan_source=plan_source,
         )
     except (ResumeMismatchError, CheckpointError) as exc:
         print(f"{name}: checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_MISMATCH
-    except TypeError as exc:
-        # Almost always a bad --set key; argparse conventions say 2.
-        print(f"{name}: bad trial_plan arguments: {exc}", file=sys.stderr)
-        return 2
     except ReproError as exc:
         print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REPRO
@@ -235,16 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run trials on a pool of N worker processes (1 = serial; "
-        "results are identical either way)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("auto", "pool"),
-        default="auto",
-        help="how --workers runs: the supervised persistent pool with "
-        "cost-model degradation to serial (auto), or the pool "
-        "unconditionally (pool)",
+        help="run trials on a pool of N worker processes on any host "
+        "(1 = serial; results are identical either way)",
     )
     args = parser.parse_args(argv)
 
@@ -282,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
                     deadline=args.deadline,
                     breaker_threshold=args.breaker_threshold,
                     workers=args.workers,
-                    executor=args.executor,
                 )
             except KeyboardInterrupt:
                 # In-memory runs re-raise from require_result-free paths too.

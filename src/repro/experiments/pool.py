@@ -30,13 +30,12 @@ interpreter start + plan rebuild on every run:
   exponential backoff, and requeues their unacknowledged trials.  A
   trial that repeatedly takes workers down is quarantined to the
   manifest's ``poisoned`` list (exit code 8) instead of wedging the run.
-* **Graceful degradation** — when the measured
-  :class:`~repro.experiments.supervisor.CostModel` says parallelism
-  cannot pay (one effective CPU, tiny batch, overhead-dominated trials)
-  or the respawn budget is exhausted, the remaining trials run *inline*
-  in the parent through :func:`~repro.experiments.runner.run_trials` on
-  the run's :class:`~repro.experiments.runner.RunLedger` —
-  byte-identical to the serial loop, because it is the serial loop.
+* **One path rule** — :meth:`WorkerPool.run` pools unless fewer than
+  two trials are pending or the pool is marked broken (its respawn
+  budget ran out); then the trials run *inline* in the parent through
+  :func:`~repro.experiments.runner.run_trials` on the run's
+  :class:`~repro.experiments.runner.RunLedger` — byte-identical to the
+  serial loop, because it is the serial loop.
 
 Equivalence contract: a pool run's journal, manifest, and finalized
 artifact are byte-identical to a serial run's (every trial result is
@@ -93,7 +92,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.supervisor import (
     DEGRADED_SERIAL,
-    CostModel,
     PoisonLedger,
     PoolConfig,
     RespawnBackoff,
@@ -114,6 +112,19 @@ __all__ = [
 
 #: Supervision loop cadence (parent) / command poll cadence (worker).
 _POLL_S = 0.02
+
+#: How long a worker may sit in ``SPAWNING`` before it is failed.
+_SPAWN_TIMEOUT_S = 60.0
+#: Respawn backoff of one worker slot: ``min(base × 2^attempt, cap)`` s.
+_RESPAWN_BASE_S = 0.05
+_RESPAWN_CAP_S = 2.0
+#: Worker-kill strikes before a trial key is quarantined.
+_POISON_THRESHOLD = 2
+#: How long an aborting parent keeps draining finished results.
+_DRAIN_S = 30.0
+#: Ceiling on a POOL_WORKER_STALL fault when the spec carries no
+#: magnitude (so an undetected stall cannot wedge a worker forever).
+_STALL_CAP_S = 120.0
 
 #: The pseudo worker id the degraded-serial inline path reports to the
 #: pool-state checker (it is "the parent executing trials itself").
@@ -271,7 +282,6 @@ def _worker_run_shard(
     run: "_WorkerRun | None",
     worker_id: int,
     stop_event: Any,
-    config: PoolConfig,
     send: Callable[..., None],
 ) -> None:
     """Handle a ``shard`` command: execute the assigned trial indices."""
@@ -309,7 +319,7 @@ def _worker_run_shard(
         )
         if event is not None:
             injector.acknowledge(event, "pool-worker-stalled")
-            stall_s = config.stall_cap_s
+            stall_s = _STALL_CAP_S
             if event.magnitude_cycles:
                 stall_s = min(event.magnitude_cycles / 1e6, stall_s)
             deadline = monotonic_clock() + stall_s
@@ -392,12 +402,7 @@ def _worker_run_shard(
               run.shard_summary(guarded.skipped)))
 
 
-def _pool_worker_main(
-    worker_id: int,
-    conn: Any,
-    stop_event: Any,
-    config: PoolConfig,
-) -> None:
+def _pool_worker_main(worker_id: int, conn: Any, stop_event: Any) -> None:
     """The persistent worker: a command loop that outlives runs.
 
     Commands arrive on *conn* (``run`` / ``shard`` / ``exit``), and
@@ -437,9 +442,7 @@ def _pool_worker_main(
                 if verb == "run":
                     run = _worker_begin_run(command, plans, worker_id, send)
                 elif verb == "shard":
-                    _worker_run_shard(
-                        command, run, worker_id, stop_event, config, send
-                    )
+                    _worker_run_shard(command, run, worker_id, stop_event, send)
             except KeyboardInterrupt:
                 # Terminal SIGINT reaches the whole process group; report
                 # and stay alive — the pool survives an aborted run.
@@ -514,7 +517,6 @@ class WorkerPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.config = config or PoolConfig()
-        self.cost_model = CostModel()
         # Long-lived interpreters must agree on hash() with each other
         # and with the parent.
         os.environ.setdefault("PYTHONHASHSEED", _PINNED_HASH_SEED)
@@ -526,10 +528,7 @@ class WorkerPool:
         self._members = [
             _Member(
                 worker_id,
-                RespawnBackoff(
-                    base_s=self.config.respawn_base_s,
-                    cap_s=self.config.respawn_cap_s,
-                ),
+                RespawnBackoff(base_s=_RESPAWN_BASE_S, cap_s=_RESPAWN_CAP_S),
             )
             for worker_id in range(workers)
         ]
@@ -546,11 +545,6 @@ class WorkerPool:
         }
 
     # -- lifecycle ------------------------------------------------------
-    @property
-    def warm(self) -> bool:
-        """Whether any worker process is already alive (startup paid)."""
-        return any(member.alive for member in self._members)
-
     def close(self) -> None:
         """Stop workers and close their pipes.  Idempotent."""
         if self.closed:
@@ -597,16 +591,15 @@ class WorkerPool:
         deadline_s: float | None = None,
         breaker: BreakerConfig | None = None,
         catch: tuple[type[Exception], ...] = (ReproError,),
-        force: bool = False,
     ) -> RunOutcome:
-        """Execute *plan* on the pool (or inline, when that's smarter).
+        """Execute *plan* on the pool.
 
         Same supervision surface and :class:`RunOutcome` contract as
-        :func:`~repro.experiments.runner.run_experiment`; *force* skips
-        the cost-model degradation decision (``executor="pool"``).
-        *plan_source* is required: the picklable recipe the workers
-        rebuild *plan* from, ``functools.partial(module.trial_plan,
-        **overrides)``.
+        :func:`~repro.experiments.runner.run_experiment`.  The trials run
+        inline in the parent instead only when fewer than two are
+        pending or the pool is marked broken.  *plan_source* is
+        required: the picklable recipe the workers rebuild *plan* from,
+        ``functools.partial(module.trial_plan, **overrides)``.
         """
         if self.closed:
             raise PoolError("worker pool is closed")
@@ -619,7 +612,7 @@ class WorkerPool:
         ledger = RunLedger(plan, run_dir, resume, deadline_s)
         pending = ledger.pending()
         checker = PoolStateChecker(len(plan.trials))
-        poison = PoisonLedger(self.config.poison_threshold)
+        poison = PoisonLedger(_POISON_THRESHOLD)
         abort_status: str | None = None
         abort_error: Exception | None = None
         config_error: Exception | None = None
@@ -681,9 +674,6 @@ class WorkerPool:
             for index in remaining:
                 if index in ledger.trial_seconds:
                     checker.note_result(index, _INLINE_WORKER)
-                    self.cost_model.observe(
-                        plan.name, ledger.trial_seconds[index]
-                    )
             checker.note_unassign(remaining)
             if status is not None:
                 return _finish(status, error=error)
@@ -733,10 +723,7 @@ class WorkerPool:
                 parent_conn, child_conn = self._ctx.Pipe()
                 process = self._ctx.Process(
                     target=_pool_worker_main,
-                    args=(
-                        member.worker_id, child_conn, self._stop_event,
-                        self.config,
-                    ),
+                    args=(member.worker_id, child_conn, self._stop_event),
                     daemon=True,
                     name=f"repro-pool-{member.worker_id}",
                 )
@@ -855,7 +842,6 @@ class WorkerPool:
                         )
                         return None
                     longest_trial_s = max(longest_trial_s, elapsed_s)
-                    self.cost_model.observe(plan.name, elapsed_s)
                     if member.shard is not None:
                         member.shard.received.add(index)
                     checker.note_result(index, wid)
@@ -973,11 +959,9 @@ class WorkerPool:
                     )
                     return
                 if member.state is WorkerState.SPAWNING:
-                    if now - member.spawn_started > self.config.spawn_timeout_s:
+                    if now - member.spawn_started > _SPAWN_TIMEOUT_S:
                         _fail(
-                            member,
-                            f"spawn timeout after "
-                            f"{self.config.spawn_timeout_s:g}s",
+                            member, f"spawn timeout after {_SPAWN_TIMEOUT_S:g}s"
                         )
                     return
                 if member.shard is not None:
@@ -1106,9 +1090,7 @@ class WorkerPool:
                             break
                     else:
                         if drain_deadline is None:
-                            drain_deadline = (
-                                monotonic_clock() + self.config.drain_s
-                            )
+                            drain_deadline = monotonic_clock() + _DRAIN_S
                             abort_latch_count = latch.count
                         busy = [m for m in active if m.shard is not None]
                         if not busy:
@@ -1148,20 +1130,10 @@ class WorkerPool:
         with sigterm_as_interrupt():
             if not pending:
                 return _terminal_finish()
-            if not force:
-                if self.broken:
-                    return _run_inline(
-                        f"pool marked broken: {self.broken_reason}"
-                    )
-                pays, reason = self.cost_model.parallel_pays(
-                    plan.name,
-                    len(pending),
-                    self.workers,
-                    os.cpu_count() or 1,
-                    self.warm,
-                )
-                if not pays:
-                    return _run_inline(reason)
+            if len(pending) < 2:
+                return _run_inline("only 1 pending trial")
+            if self.broken:
+                return _run_inline(f"pool marked broken: {self.broken_reason}")
             outcome = _run_pooled()
             if outcome is not None:
                 return outcome

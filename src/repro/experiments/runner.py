@@ -827,7 +827,6 @@ def run_experiment(
     catch: tuple[type[Exception], ...] = (ReproError,),
     workers: int = 1,
     plan_source: Callable[[], ExperimentPlan] | None = None,
-    executor: str = "auto",
 ) -> RunOutcome:
     """Execute *plan* under supervision; never raises for expected
     failure modes (they land in the returned :class:`RunOutcome`).
@@ -842,17 +841,12 @@ def run_experiment(
     ``functools.partial(module.trial_plan, **overrides)``.  A parallel
     run is observation-equivalent to this serial loop: same journal,
     same manifest, same finalized artifact (see ``docs/parallel.md``).
-
-    *executor* is ``"auto"`` (the pool degrades to the serial loop
-    in-process when its cost model says parallelism doesn't pay on this
-    host) or ``"pool"`` (the pool, unconditionally).
+    *workers* alone decides where trials run: N worker processes on any
+    host, except that fewer than two pending trials, or a pool that
+    spent its respawn budget, run inline in this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if executor not in ("auto", "pool"):
-        raise ValueError(
-            f"executor must be 'auto' or 'pool', got {executor!r}"
-        )
     if workers > 1:
         from repro.experiments.pool import get_pool
 
@@ -864,7 +858,6 @@ def run_experiment(
             deadline_s=deadline_s,
             breaker=breaker,
             catch=catch,
-            force=(executor == "pool"),
         )
 
     ledger = RunLedger(plan, run_dir, resume, deadline_s)

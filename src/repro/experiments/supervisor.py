@@ -8,16 +8,13 @@ testable without spawning a single worker:
 * :class:`WorkerState` — the supervision state machine each pool member
   moves through (``spawning → healthy → suspect → respawning``, with
   ``retired`` as the terminal state and pool-level ``degraded-serial``
-  when parallelism stops paying); documented in ``docs/parallel.md``.
+  once the respawn budget is spent); documented in ``docs/parallel.md``.
 * :class:`RespawnBackoff` — capped exponential delay between respawns
   of the same worker slot, so a crash-looping environment cannot burn
   CPU respawning at full speed.
 * :class:`PoisonLedger` — strike accounting per trial key: a trial
   that repeatedly takes its worker down is quarantined (manifest-logged,
   exit code 8) instead of wedging the run in a kill/respawn loop.
-* :class:`CostModel` — EWMA per-trial cost per plan, backing the
-  "does parallelism pay?" decision that triggers graceful degradation
-  to the serial loop.
 * :func:`interrupt_shield` / :func:`sigterm_as_interrupt` — signal
   plumbing that guarantees checkpoint + manifest flushes complete even
   when SIGINT/SIGTERM lands mid-drain (the PR-5 teardown race).
@@ -36,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 __all__ = [
-    "CostModel",
     "InterruptLatch",
     "PoisonLedger",
     "PoolConfig",
@@ -65,9 +61,9 @@ class WorkerState(str, enum.Enum):
     RETIRED = "retired"
 
 
-#: Pool-level execution mode recorded when the pool abandons parallelism
-#: (cost model says it doesn't pay, or the respawn budget is exhausted)
-#: and runs the remaining trials inline in the parent.
+#: Pool-level execution mode recorded when the pool runs trials inline
+#: in the parent: fewer than two are pending, or the respawn budget is
+#: exhausted (this run's or, for a pool marked broken, an earlier one's).
 DEGRADED_SERIAL = "degraded-serial"
 
 
@@ -75,8 +71,6 @@ DEGRADED_SERIAL = "degraded-serial"
 class PoolConfig:
     """Tuning for one :class:`~repro.experiments.pool.WorkerPool`."""
 
-    #: How long a worker may sit in ``SPAWNING`` before it is failed.
-    spawn_timeout_s: float = 60.0
     #: Silence (no message of the run) that turns a shard-running
     #: worker ``SUSPECT``.
     hang_suspect_s: float = 5.0
@@ -86,28 +80,16 @@ class PoolConfig:
     #: worker liveness instead of the run budget.
     hang_floor_s: float = 30.0
     hang_factor: float = 3.0
-    #: Respawn backoff: ``min(base × 2^attempt, cap)`` seconds.
-    respawn_base_s: float = 0.05
-    respawn_cap_s: float = 2.0
     #: Total respawns one run tolerates before degrading to serial.
     respawn_budget: int = 8
-    #: Worker-kill strikes before a trial key is quarantined.
-    poison_threshold: int = 2
     #: Dynamic shard granularity: pending trials are cut into up to
     #: ``workers × shards_per_worker`` chunks so a respawn requeues a
     #: fraction of the run, not half of it.
     shards_per_worker: int = 4
-    #: How long an aborting parent keeps draining finished results.
-    drain_s: float = 30.0
-    #: Ceiling on a POOL_WORKER_STALL fault when the spec carries no
-    #: magnitude (so an undetected stall cannot wedge a worker forever).
-    stall_cap_s: float = 120.0
 
     def __post_init__(self) -> None:
         if self.respawn_budget < 0:
             raise ValueError("respawn_budget cannot be negative")
-        if self.poison_threshold < 1:
-            raise ValueError("poison_threshold must be >= 1")
         if self.shards_per_worker < 1:
             raise ValueError("shards_per_worker must be >= 1")
 
@@ -180,85 +162,6 @@ class PoisonLedger:
     def struck(self) -> tuple[str, ...]:
         """Every key with at least one strike, sorted."""
         return tuple(sorted(self.strikes))
-
-
-# ----------------------------------------------------------------------
-# Cost model
-# ----------------------------------------------------------------------
-class CostModel:
-    """Measured per-trial cost per plan, driving serial-vs-pool choice.
-
-    The pool records an exponentially-weighted moving average of trial
-    wall time for every plan name it executes.  Before engaging workers,
-    :meth:`parallel_pays` compares the projected pool run (startup +
-    dispatch overhead + compute spread over the effective worker count)
-    against the projected serial run; when parallelism cannot win — one
-    effective CPU, a tiny batch, or measured per-trial cost dwarfed by
-    overhead — the pool degrades gracefully to the inline serial loop.
-    """
-
-    def __init__(
-        self,
-        spawn_overhead_s: float = 0.35,
-        dispatch_overhead_s: float = 0.003,
-        alpha: float = 0.3,
-    ) -> None:
-        self.spawn_overhead_s = spawn_overhead_s
-        self.dispatch_overhead_s = dispatch_overhead_s
-        self.alpha = alpha
-        self._per_trial_s: dict[str, float] = {}
-
-    def observe(self, plan_name: str, elapsed_s: float) -> None:
-        """Feed one completed trial's wall time into the EWMA."""
-        previous = self._per_trial_s.get(plan_name)
-        if previous is None:
-            self._per_trial_s[plan_name] = elapsed_s
-        else:
-            self._per_trial_s[plan_name] = (
-                self.alpha * elapsed_s + (1.0 - self.alpha) * previous
-            )
-
-    def estimate(self, plan_name: str) -> float | None:
-        """EWMA seconds per trial for *plan_name*, if observed."""
-        return self._per_trial_s.get(plan_name)
-
-    def parallel_pays(
-        self,
-        plan_name: str,
-        pending: int,
-        workers: int,
-        cpu_count: int,
-        pool_warm: bool,
-    ) -> tuple[bool, str]:
-        """``(pays, reason)`` — whether to engage the pool at all."""
-        effective = max(1, min(workers, cpu_count))
-        if effective <= 1:
-            return False, (
-                f"effective parallelism is 1 (workers={workers}, "
-                f"cpus={cpu_count}): spawned interpreters would time-slice "
-                "one core"
-            )
-        if pending <= 1:
-            return False, f"only {pending} pending trial(s)"
-        per_trial = self.estimate(plan_name)
-        if per_trial is None:
-            return True, "no cost data yet; measuring under the pool"
-        serial_s = per_trial * pending
-        startup_s = 0.0 if pool_warm else self.spawn_overhead_s * workers
-        pool_s = (
-            startup_s
-            + per_trial * pending / effective
-            + self.dispatch_overhead_s * pending
-        )
-        if pool_s >= serial_s:
-            return False, (
-                f"cost model: pool ≈{pool_s:.3f}s vs serial "
-                f"≈{serial_s:.3f}s for {pending} trials at "
-                f"{per_trial * 1e3:.1f}ms/trial"
-            )
-        return True, (
-            f"cost model: pool ≈{pool_s:.3f}s beats serial ≈{serial_s:.3f}s"
-        )
 
 
 # ----------------------------------------------------------------------

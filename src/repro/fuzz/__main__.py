@@ -181,14 +181,14 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         )
         return EXIT_DEADLINE
 
-    md, html = write_report(result.run_dir)
+    report = write_report(result.run_dir)
     print(
         f"fuzz seed={config.seed}: {result.guided_trials} guided trials, "
         f"{result.guided_features} features "
         f"(baseline {result.baseline_features}), "
         f"corpus {result.corpus_size}, findings {len(result.findings)}"
     )
-    print(f"report: {md} / {html}")
+    print(f"report: {report}")
     for finding in result.findings:
         print(
             f"  finding {finding['kind']}:{finding['detail']} "

@@ -1,6 +1,6 @@
-"""Deterministic campaign reports (Markdown and HTML).
+"""The deterministic campaign report (Markdown).
 
-Both renderers are pure functions of ``state.json`` — no timestamps,
+The renderer is a pure function of ``state.json`` — no timestamps,
 hostnames, or absolute paths — so two campaigns with the same seed and
 configuration write byte-identical reports, and the determinism tests
 can diff them directly.  Finding repro commands use run-dir-relative
@@ -18,7 +18,6 @@ from repro.fuzz.campaign import load_state
 from repro.fuzz.coverage import CoverageMap
 
 REPORT_MD = "report.md"
-REPORT_HTML = "report.html"
 
 #: Coverage-history rows sampled into the growth table.
 CURVE_POINTS = 20
@@ -117,106 +116,10 @@ def render_markdown(state: "dict[str, Any]") -> str:
     return "\n".join(lines)
 
 
-def _svg_curve(
-    guided: "list[int]", baseline: "list[int]", width: int = 640, height: int = 200
-) -> str:
-    """An inline SVG polyline chart of the two coverage histories."""
-    peak = max(guided + baseline + [1])
-    total = max(len(guided), len(baseline), 1)
-
-    def points(series: "list[int]") -> str:
-        if not series:
-            return ""
-        coords = []
-        for index, value in enumerate(series):
-            x = 10 + (width - 20) * index / max(1, total - 1)
-            y = height - 10 - (height - 20) * value / peak
-            coords.append(f"{x:.1f},{y:.1f}")
-        return " ".join(coords)
-
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" height="{height}" '
-        'role="img" aria-label="coverage growth">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#fafafa" '
-        'stroke="#ddd"/>',
-    ]
-    if baseline:
-        parts.append(
-            f'<polyline points="{points(baseline)}" fill="none" '
-            'stroke="#999" stroke-width="1.5" stroke-dasharray="4 3"/>'
-        )
-    if guided:
-        parts.append(
-            f'<polyline points="{points(guided)}" fill="none" '
-            'stroke="#1f77b4" stroke-width="2"/>'
-        )
-    parts.append(
-        f'<text x="12" y="16" font-size="11" fill="#1f77b4">guided '
-        f'({guided[-1] if guided else 0})</text>'
-    )
-    if baseline:
-        parts.append(
-            f'<text x="12" y="30" font-size="11" fill="#777">baseline '
-            f'({baseline[-1]})</text>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def render_html(state: "dict[str, Any]") -> str:
-    """The HTML report: the Markdown content plus the SVG curve."""
-    config = state["config"]
-    findings = state["findings"]
-    guided = CoverageMap.from_json(state["coverage"])
-    baseline = CoverageMap.from_json(state["baseline_coverage"])
-    rows = []
-    for finding in findings:
-        rows.append(
-            "<tr>"
-            f"<td>{finding['file'].split('/')[-1].split('.')[0]}</td>"
-            f"<td>{finding['kind']}</td><td><code>{finding['detail']}</code></td>"
-            f"<td>{finding['ops']}</td>"
-            f"<td><code>{_replay_command(finding)}</code></td>"
-            "</tr>"
-        )
-    finding_table = (
-        "<table><tr><th>id</th><th>kind</th><th>detail</th><th>ops</th>"
-        "<th>repro</th></tr>" + "".join(rows) + "</table>"
-        if rows
-        else "<p>No findings.</p>"
-    )
-    return "\n".join(
-        [
-            "<!DOCTYPE html>",
-            '<html lang="en"><head><meta charset="utf-8">',
-            "<title>Fuzz campaign report</title>",
-            "<style>body{font-family:sans-serif;margin:2em;max-width:60em}"
-            "table{border-collapse:collapse}td,th{border:1px solid #ccc;"
-            "padding:4px 8px;text-align:left}</style>",
-            "</head><body>",
-            "<h1>Fuzz campaign report</h1>",
-            f"<p>seed <code>{config['seed']}</code>, "
-            f"{config['trials']} guided trials, "
-            f"{state['baseline_iter']} baseline trials, "
-            f"fault rate {config['fault_rate']}.</p>",
-            f"<p>Guided coverage <strong>{guided.features}</strong> features "
-            f"(corpus {len(state['corpus'])}); baseline "
-            f"{baseline.features} features; "
-            f"<strong>{len(findings)}</strong> findings.</p>",
-            "<h2>Coverage growth</h2>",
-            _svg_curve(state["coverage_history"], state["baseline_history"]),
-            "<h2>Findings</h2>",
-            finding_table,
-            "</body></html>",
-            "",
-        ]
-    )
-
-
-def write_report(run_dir: "str | Path") -> "tuple[Path, Path]":
-    """Render both reports from ``state.json`` into *run_dir*."""
+def write_report(run_dir: "str | Path") -> Path:
+    """Render the report from ``state.json`` into *run_dir*; returns its
+    path."""
     run_dir = Path(run_dir)
-    state = load_state(run_dir)
-    md = atomic_write_text(run_dir / REPORT_MD, render_markdown(state))
-    html = atomic_write_text(run_dir / REPORT_HTML, render_html(state))
-    return md, html
+    return atomic_write_text(
+        run_dir / REPORT_MD, render_markdown(load_state(run_dir))
+    )

@@ -502,11 +502,16 @@ def _absorbing_trial() -> str:
 
 
 def _absorbing_plan() -> ExperimentPlan:
+    """Two absorbing trials: one per shard at ``workers=2`` (a single
+    pending trial would run inline in the parent, not on a worker)."""
     return ExperimentPlan(
         name="chaos-parallel-absorbed",
         seed=5,
         config={"case": "absorbed"},
-        trials=(TrialSpec(key="absorbed/0", fn=_absorbing_trial),),
+        trials=(
+            TrialSpec(key="absorbed/0", fn=_absorbing_trial),
+            TrialSpec(key="absorbed/1", fn=_absorbing_trial),
+        ),
         finalize=_passthrough_finalize,
         min_successes=0,
         fault_plan=FaultPlan(seed=5).with_site(
@@ -538,7 +543,6 @@ class TestParallelFaultMatrix:
             _parallel_matrix_plan(site.value),
             run_dir=tmp_path,
             workers=2,
-            executor="pool",
             plan_source=functools.partial(_parallel_matrix_plan, site.value),
         )
         journal = CheckpointJournal.load(tmp_path)
@@ -572,11 +576,14 @@ class TestParallelFaultMatrix:
             _absorbing_plan(),
             run_dir=tmp_path,
             workers=workers,
-            executor="pool",
             plan_source=_absorbing_plan,
         )
-        assert outcome.failed == 1
-        entry = CheckpointJournal.load(tmp_path).get("absorbed/0")
-        assert entry is not None and not entry.ok
-        assert entry.error_type == "UnhandledFaultError"
-        assert "absorbed" in (entry.error or "")
+        assert outcome.failed == 2
+        if workers > 1:
+            assert outcome.pool["mode"] == "pool"
+        journal = CheckpointJournal.load(tmp_path)
+        for key in ("absorbed/0", "absorbed/1"):
+            entry = journal.get(key)
+            assert entry is not None and not entry.ok
+            assert entry.error_type == "UnhandledFaultError"
+            assert "absorbed" in (entry.error or "")

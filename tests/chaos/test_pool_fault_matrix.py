@@ -142,7 +142,6 @@ class TestPoolSiteMatrix:
             _chaos_fig09_plan(site.value),
             plan_source=functools.partial(_chaos_fig09_plan, site.value),
             run_dir=pool_dir,
-            force=True,
         )
         assert healed.status == STATUS_COMPLETED
         assert healed.pool["respawns"] >= 1, (
@@ -170,7 +169,6 @@ class TestExternalKillMidShard:
                 _kill_once_plan, experiment, str(flag), 1
             ),
             run_dir=pool_dir,
-            force=True,
         )
         assert flag.exists(), "the kill never happened"
         assert healed.status == STATUS_COMPLETED
@@ -198,7 +196,6 @@ class TestRespawnBudgetDegradation:
                 _kill_once_plan, "fig09", str(flag), 1
             ),
             run_dir=pool_dir,
-            force=True,
         )
         assert flag.exists(), "the kill never happened"
         assert degraded.status == STATUS_COMPLETED
@@ -246,7 +243,6 @@ class TestIdleWorkerGetsRequeuedShard:
         outcome = get_pool(2, config=config).run(
             _idle_requeue_plan(str(flag)),
             plan_source=functools.partial(_idle_requeue_plan, str(flag)),
-            force=True,
         )
         assert flag.exists(), "the kill never happened"
         assert outcome.status == STATUS_COMPLETED
@@ -272,8 +268,6 @@ def _run_cli_until_sigterm(tmp_path) -> tuple[int, Path]:
             "runs=2",
             "--workers",
             "2",
-            "--executor",
-            "pool",
             "--run-dir",
             str(run_dir),
         ],

@@ -6,7 +6,6 @@ import pytest
 from repro.core.calibration import (
     CalibrationPolicy,
     ThresholdMonitor,
-    calibrate_threshold,
     calibrate_with_recovery,
 )
 from repro.core.primitives import Prober

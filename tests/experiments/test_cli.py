@@ -4,6 +4,7 @@ import importlib
 
 import pytest
 
+from repro.experiments import __main__ as cli
 from repro.experiments.__main__ import EXPERIMENTS, main
 
 
@@ -37,3 +38,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "reverse-engineering" in out
         assert "reproduced" in out
+
+    def test_bad_set_key_is_a_usage_error(self, capsys):
+        assert main(["fig04", "--set", "no_such_knob=1"]) == 2
+        assert "bad trial_plan arguments" in capsys.readouterr().err
+
+    def test_type_error_from_the_run_propagates(self, monkeypatch):
+        """A TypeError raised inside a trial or finalize is a bug: it
+        leaves ``main`` (exit 1 with a traceback), not exit 2."""
+
+        def broken_run(*args, **kwargs):
+            raise TypeError("raised inside the run")
+
+        monkeypatch.setattr(cli, "run_experiment", broken_run)
+        with pytest.raises(TypeError, match="raised inside the run"):
+            main(["fig04"])

@@ -1,7 +1,7 @@
 """Serial ≡ parallel equivalence: a plan run with ``workers=N`` on the
-worker pool (``executor="pool"``) must leave the same observable
-artifact as the serial loop — same finalized result bytes, same journal
-entries and payload pickles, same manifest counts.
+worker pool must leave the same observable artifact as the serial
+loop — same finalized result bytes, same journal entries and payload
+pickles, same manifest counts.
 
 The fig09 cases (3 trials) run in tier-1, including a kill-at-trial-k
 plus resume-with-a-different-worker-count round trip.  The wider sweeps
@@ -160,8 +160,6 @@ def _assert_parallel_matches_serial(plan_factory, plan_source, tmp_path, workers
         plan_factory(),
         run_dir=parallel_dir,
         workers=workers,
-        # Forced, so the cost model cannot degrade the run to serial.
-        executor="pool",
         plan_source=plan_source,
     )
     assert serial.status == STATUS_COMPLETED
@@ -193,7 +191,6 @@ class TestFig09Parallel:
             _interrupted_fig09_plan(1),
             run_dir=run_dir,
             workers=2,
-            executor="pool",
             plan_source=functools.partial(_interrupted_fig09_plan, 1),
         )
         assert interrupted.status == STATUS_INTERRUPTED
@@ -204,7 +201,6 @@ class TestFig09Parallel:
             run_dir=run_dir,
             resume=True,
             workers=3,
-            executor="pool",
             plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
         )
         assert resumed.status == STATUS_COMPLETED
@@ -308,7 +304,6 @@ def test_pool_creates_no_shared_memory(monkeypatch):
         outcome = pool.run(
             _fig09_plan(),
             plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
-            force=True,
         )
     finally:
         pool.close()

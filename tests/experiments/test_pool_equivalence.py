@@ -37,7 +37,7 @@ from repro.experiments.runner import (
     TrialSpec,
     run_experiment,
 )
-from repro.experiments.supervisor import DEGRADED_SERIAL, CostModel
+from repro.experiments.supervisor import DEGRADED_SERIAL
 from tests.experiments.test_parallel_equivalence import (
     FIG09_CONFIG,
     _assert_same_artifact,
@@ -88,7 +88,6 @@ class TestPoolMatchesSerial:
             _fig09_plan(),
             run_dir=pool_dir,
             workers=2,
-            executor="pool",
             plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
         )
         assert serial.status == STATUS_COMPLETED
@@ -100,10 +99,10 @@ class TestPoolMatchesSerial:
     def test_warm_pool_reuses_plan_and_workers(self, tmp_path):
         source = functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG)
         first = run_experiment(
-            _fig09_plan(), workers=2, executor="pool", plan_source=source
+            _fig09_plan(), workers=2, plan_source=source
         )
         second = run_experiment(
-            _fig09_plan(), workers=2, executor="pool", plan_source=source
+            _fig09_plan(), workers=2, plan_source=source
         )
         assert first.status == STATUS_COMPLETED
         assert second.status == STATUS_COMPLETED
@@ -126,7 +125,6 @@ class TestPoolMatchesSerial:
             _interrupted_fig09_plan(1),
             run_dir=run_dir,
             workers=2,
-            executor="pool",
             plan_source=functools.partial(_interrupted_fig09_plan, 1),
         )
         assert interrupted.status == STATUS_INTERRUPTED
@@ -139,7 +137,6 @@ class TestPoolMatchesSerial:
             run_dir=run_dir,
             resume=True,
             workers=3,
-            executor="pool",
             plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
         )
         assert resumed.status == STATUS_COMPLETED
@@ -149,29 +146,53 @@ class TestPoolMatchesSerial:
         manifest = RunManifest.load(run_dir)
         assert [s["event"] for s in manifest.segments] == ["start", "resume"]
 
-    def test_auto_degrades_to_inline_serial_when_pool_cannot_pay(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(
-            CostModel,
-            "parallel_pays",
-            lambda self, *args, **kwargs: (False, "forced by test"),
-        )
-        serial_dir = tmp_path / "serial"
-        degraded_dir = tmp_path / "degraded"
-        serial = run_experiment(_fig09_plan(), run_dir=serial_dir)
-        degraded = run_experiment(
-            _fig09_plan(),
-            run_dir=degraded_dir,
-            workers=2,
-            executor="auto",
-            plan_source=functools.partial(fig09_covert.trial_plan, **FIG09_CONFIG),
-        )
-        assert degraded.status == STATUS_COMPLETED
-        assert degraded.pool["mode"] == DEGRADED_SERIAL
-        assert degraded.pool["degraded"] == "forced by test"
-        assert _dumps(degraded.result) == _dumps(serial.result)
-        _assert_same_artifact(serial_dir, degraded_dir)
+
+def _square(value: int) -> int:
+    return value * value
+
+
+def _fast_plan(trials: int = 8) -> ExperimentPlan:
+    """Microsecond trials of a module-level function: pooling them costs
+    more than it saves, and they pool anyway."""
+    return ExperimentPlan(
+        name="fast",
+        seed=0,
+        config={"trials": trials},
+        trials=tuple(
+            TrialSpec(key=f"fast/{i}", fn=functools.partial(_square, i))
+            for i in range(trials)
+        ),
+        finalize=dict,
+    )
+
+
+class TestPathRule:
+    """``workers`` alone decides where trials run: two or more pending
+    trials on a pool that is not marked broken always pool."""
+
+    def test_same_fast_plan_pools_on_every_run(self):
+        modes = [
+            run_experiment(
+                _fast_plan(), workers=2, plan_source=_fast_plan
+            ).pool["mode"]
+            for _ in range(3)
+        ]
+        assert modes == ["pool", "pool", "pool"]
+
+    def test_one_cpu_host_still_pools(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        outcome = run_experiment(_fast_plan(), workers=2, plan_source=_fast_plan)
+        assert outcome.status == STATUS_COMPLETED
+        assert outcome.pool["mode"] == "pool"
+        assert outcome.result == {f"fast/{i}": i * i for i in range(8)}
+
+    def test_single_pending_trial_runs_inline(self):
+        source = functools.partial(_fast_plan, 1)
+        outcome = run_experiment(source(), workers=2, plan_source=source)
+        assert outcome.status == STATUS_COMPLETED
+        assert outcome.pool["mode"] == DEGRADED_SERIAL
+        assert outcome.pool["degraded"] == "only 1 pending trial"
+        assert outcome.result == {"fast/0": 0}
 
 
 class TestPoisonedTrials:
@@ -181,7 +202,6 @@ class TestPoisonedTrials:
             _poisoned_fig09_plan(1),
             run_dir=run_dir,
             workers=2,
-            executor="pool",
             plan_source=functools.partial(_poisoned_fig09_plan, 1),
         )
         assert outcome.status == STATUS_POISONED

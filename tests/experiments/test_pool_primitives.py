@@ -1,6 +1,5 @@
 """Unit coverage for the pool's building blocks: worker-message
-decoding, respawn backoff, the poison ledger, the cost model, and the
-interrupt plumbing the parent relies on to drain cleanly.
+decoding, respawn backoff, the poison ledger, and the interrupt plumbing the parent relies on to drain cleanly.
 """
 
 import os
@@ -11,7 +10,6 @@ import pytest
 
 from repro.experiments.pool import PoolProtocolError, _decode
 from repro.experiments.supervisor import (
-    CostModel,
     PoisonLedger,
     PoolConfig,
     RespawnBackoff,
@@ -65,45 +63,6 @@ class TestPoisonLedger:
     def test_threshold_below_one_rejected(self):
         with pytest.raises(ValueError):
             PoisonLedger(threshold=0)
-
-
-class TestCostModel:
-    def test_single_effective_cpu_never_pays(self):
-        pays, reason = CostModel().parallel_pays(
-            "fig09", pending=100, workers=4, cpu_count=1, pool_warm=True
-        )
-        assert not pays and "effective parallelism is 1" in reason
-
-    def test_unmeasured_plan_gets_the_benefit_of_the_doubt(self):
-        pays, reason = CostModel().parallel_pays(
-            "fig09", pending=10, workers=2, cpu_count=4, pool_warm=False
-        )
-        assert pays and "no cost data" in reason
-
-    def test_tiny_trials_on_a_cold_pool_do_not_pay(self):
-        model = CostModel(spawn_overhead_s=0.35)
-        model.observe("fig09", 0.001)
-        pays, _ = model.parallel_pays(
-            "fig09", pending=4, workers=2, cpu_count=4, pool_warm=False
-        )
-        assert not pays
-
-    def test_warm_pool_flips_the_same_workload_to_paying(self):
-        model = CostModel(spawn_overhead_s=0.35, dispatch_overhead_s=0.0)
-        model.observe("fig09", 0.1)
-        cold, _ = model.parallel_pays(
-            "fig09", pending=4, workers=2, cpu_count=4, pool_warm=False
-        )
-        warm, _ = model.parallel_pays(
-            "fig09", pending=4, workers=2, cpu_count=4, pool_warm=True
-        )
-        assert not cold and warm
-
-    def test_observe_is_an_ewma_not_a_last_sample(self):
-        model = CostModel(alpha=0.5)
-        model.observe("fig09", 1.0)
-        model.observe("fig09", 0.0)
-        assert model.estimate("fig09") == pytest.approx(0.5)
 
 
 class TestPoolConfig:

@@ -119,11 +119,6 @@ class TestInMemoryRuns:
         outcome = run_experiment(plan)
         assert outcome.status == STATUS_INSUFFICIENT
 
-    @pytest.mark.parametrize("executor", ["spawn", "serial"])
-    def test_executor_is_auto_or_pool(self, executor):
-        with pytest.raises(ValueError, match=f"'auto' or 'pool', got '{executor}'"):
-            run_experiment(_plan({"a": lambda: 1}), workers=2, executor=executor)
-
 
 class TestWatchdog:
     def test_rejects_nonpositive_budget(self):

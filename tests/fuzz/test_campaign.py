@@ -14,7 +14,7 @@ from repro.experiments.runner import EXIT_CONFIG_MISMATCH, EXIT_DEADLINE
 from repro.faults.canary import CANARY_DEVTLB_EVICT, CANARY_ENV, CANARY_WQ_CREDIT
 from repro.fuzz.__main__ import main as fuzz_main
 from repro.fuzz.campaign import EXIT_FINDINGS, FuzzConfig, run_campaign
-from repro.fuzz.report import REPORT_HTML, REPORT_MD, write_report
+from repro.fuzz.report import REPORT_MD, write_report
 
 pytestmark = pytest.mark.slow
 
@@ -140,8 +140,6 @@ class TestReport:
             tmp_path, "rep", FuzzConfig(seed=0, trials=BUDGET, baseline=False)
         )
         md = (result.run_dir / REPORT_MD).read_text()
-        html = (result.run_dir / REPORT_HTML).read_text()
         assert "## Coverage growth" in md
         assert "--replay findings/0000.json" in md
         assert f"findings: **{len(result.findings)}**" in md
-        assert "<svg" in html and "polyline" in html
