@@ -4,6 +4,7 @@ Marked ``slow`` (excluded from tier-1); run via
 ``scripts/check.sh full``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -68,6 +69,34 @@ class TestDeterminism:
             run_campaign(
                 FuzzConfig(seed=6, trials=10), tmp_path / "c", resume=True
             )
+
+
+class TestCoverageGolden:
+    """A reduced seed-0 campaign's ``state.json``, byte for byte.
+
+    The state holds the guided and baseline feature sets and the corpus
+    bookkeeping, so any change to what the model reports to the coverage
+    map, or to how the map buckets it, moves this digest.
+    """
+
+    @pytest.mark.parametrize(
+        ("fault_rate", "digest"),
+        [
+            (
+                0.0,
+                "80576ee1fa68f10952f2989d11514e55dd9103b573dd4ff1449b45a255c6c37f",
+            ),
+            (
+                0.05,
+                "03bea1c29b4827866f1e4f7c664cd2a8ac5f336303eab36e69553db2c12abcbe",
+            ),
+        ],
+    )
+    def test_state_digest(self, tmp_path, fault_rate, digest):
+        config = FuzzConfig(seed=0, trials=BUDGET, fault_rate=fault_rate)
+        result = run_campaign(config, tmp_path / "golden")
+        state = (result.run_dir / "state.json").read_bytes()
+        assert hashlib.sha256(state).hexdigest() == digest
 
 
 class TestCleanCampaign:

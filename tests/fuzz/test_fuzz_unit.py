@@ -2,6 +2,14 @@
 
 import pytest
 
+from repro.dsa.descriptor import make_memcpy
+from repro.dsa.wq import WorkQueueConfig, WqMode
+from repro.errors import (
+    CompletionTimeoutError,
+    ConfigurationError,
+    QueueFullError,
+)
+from repro.faults.plan import FaultPlan, FaultSite
 from repro.fuzz.__main__ import main
 from repro.fuzz.campaign import LANE_GUIDED, LANE_TOPOLOGY
 from repro.fuzz.coverage import CoverageMap, bucket
@@ -15,6 +23,9 @@ from repro.fuzz.gen import (
     mutate,
     splice,
 )
+from repro.hw.units import PAGE_SIZE
+from repro.mitigation.partitioning import privileged_dmwr_config
+from repro.virt.system import CloudSystem
 
 
 def _topology(seed=0):
@@ -120,6 +131,244 @@ class TestExecutor:
             )
             new += result.new_features
         assert new == cov.features > 0
+
+
+#: A memmove this long outlasts every submission a case makes after it.
+LONG_COPY = 1 << 20
+
+
+class _Case:
+    """One hand-driven case: WQ 0 shared and WQ 1 dedicated, both of
+    size 2 on engine 0, one process with a portal on each."""
+
+    def __init__(self, device_config=None, fault_plan=None):
+        self.system = CloudSystem(
+            seed=0,
+            invariants="off",
+            device_config=device_config,
+            fault_plan=fault_plan,
+        )
+        device = self.device = self.system.device
+        device.configure_group(0, (0,))
+        for wq_id, mode in ((0, WqMode.SHARED), (1, WqMode.DEDICATED)):
+            device.configure_wq(
+                WorkQueueConfig(wq_id=wq_id, size=2, mode=mode, group_id=0)
+            )
+        self.proc = self.system.create_vm("vm").spawn_process("p")
+        self.portals = [self.system.open_portal(self.proc, wq) for wq in (0, 1)]
+        self.src = self.proc.buffer(LONG_COPY)
+        self.dst = self.proc.buffer(LONG_COPY)
+        self.comp = self.proc.buffer(PAGE_SIZE)
+        #: Past every mapping: a copy from here page-faults.
+        self.hole = self.comp + 16 * PAGE_SIZE
+
+    def copy(self, size=256, src=None):
+        """A memmove from *src* (default: the source buffer)."""
+        return make_memcpy(
+            self.proc.pasid,
+            self.src if src is None else src,
+            self.dst,
+            size,
+            self.comp,
+        )
+
+    def features(self, drive):
+        """The sorted ``site|token|bucket`` features *drive* produces."""
+        coverage = CoverageMap()
+        coverage.install(
+            self.device.devtlb,
+            self.device.agent,
+            self.device.prs,
+            *self.device.engines.values(),
+            *self.device.queue_space.queues(),
+            *self.portals,
+        )
+        coverage.begin_case()
+        drive(self)
+        coverage.end_case()
+        return coverage.to_json()["features"]
+
+
+def _fill_with_enqcmd(case):
+    for _ in range(3):
+        case.portals[0].enqcmd(case.copy(size=LONG_COPY))
+
+
+def _fill_with_movdir64b(case):
+    case.portals[1].movdir64b(case.copy(size=LONG_COPY))
+    case.portals[1].movdir64b(case.copy(size=LONG_COPY))
+    with pytest.raises(QueueFullError):
+        case.portals[1].movdir64b(case.copy(size=LONG_COPY))
+
+
+def _drain(case):
+    case.portals[0].enqcmd(case.copy(size=LONG_COPY))
+    case.portals[0].enqcmd(case.copy())
+    case.device.disable_wq(0)
+    case.device.disable_wq(0)
+
+
+def _resolved_page_fault(case):
+    def handler(pasid, address, write):
+        case.proc.space.map_range(address & ~(PAGE_SIZE - 1), PAGE_SIZE)
+        return True
+
+    case.device.prs.set_handler(handler)
+    case.portals[0].submit_wait(case.copy(src=case.hole))
+
+
+def _unresolved_page_fault(case):
+    case.portals[0].submit_wait(case.copy(src=case.hole))
+
+
+def _rejects_and_timeout(case):
+    with pytest.raises(ConfigurationError):
+        case.portals[1].enqcmd(case.copy())
+    with pytest.raises(ConfigurationError):
+        case.portals[0].movdir64b(case.copy())
+    case.portals[0].enqcmd(case.copy(size=LONG_COPY))
+    with pytest.raises(CompletionTimeoutError):
+        case.portals[0].submit_wait(case.copy(), timeout_cycles=1)
+
+
+def _injected_faults(case):
+    case.portals[0].submit_wait(case.copy())
+    case.portals[0].submit_wait(case.copy(src=case.hole))
+
+
+#: What one long memmove that dispatches at once reports.
+_LONG_COPY_RUN = [
+    "ats.translate|walk|3",
+    "devtlb.access|comp:miss|1",
+    "devtlb.access|dst:miss|1",
+    "devtlb.access|src:miss|1",
+    "engine.execute|memmove|1",
+    "engine.stream|comp:single|1",
+    "engine.stream|dst:multi|1",
+    "engine.stream|src:multi|1",
+]
+
+
+class TestCoveragePins:
+    """The exact feature list of one short case per model path.
+
+    These pin what each path reports to the coverage map, so rewiring
+    how the model reports to it must reproduce them.
+    """
+
+    def test_shared_enqcmd_accept_and_retry(self):
+        assert _Case().features(_fill_with_enqcmd) == sorted(
+            _LONG_COPY_RUN
+            + [
+                "portal.enqcmd|accept|2",
+                "portal.enqcmd|retry|1",
+                "wq.enqueue|shared:full|1",
+                "wq.enqueue|shared:q2|1",
+                "wq.enqueue|shared:q3|1",
+            ]
+        )
+
+    def test_hidden_enqcmd_reports_no_portal_answer(self):
+        # The privileged-DMWr path retries inside the device: the queue
+        # reports every attempt, the portal reports nothing.
+        case = _Case(device_config=privileged_dmwr_config())
+        assert case.features(_fill_with_enqcmd) == sorted(
+            _LONG_COPY_RUN
+            + [
+                "wq.enqueue|shared:full|5",
+                "wq.enqueue|shared:q2|1",
+                "wq.enqueue|shared:q3|1",
+            ]
+        )
+
+    def test_dedicated_movdir64b_accept_and_full(self):
+        assert _Case().features(_fill_with_movdir64b) == sorted(
+            _LONG_COPY_RUN
+            + [
+                "portal.movdir64b|accept|2",
+                "portal.movdir64b|full|1",
+                "wq.enqueue|dedicated:full|1",
+                "wq.enqueue|dedicated:q2|1",
+                "wq.enqueue|dedicated:q3|1",
+            ]
+        )
+
+    def test_drain_aborted_then_empty(self):
+        assert _Case().features(_drain) == sorted(
+            _LONG_COPY_RUN
+            + [
+                "portal.enqcmd|accept|2",
+                "wq.drain|aborted|1",
+                "wq.drain|empty|1",
+                "wq.enqueue|shared:q2|1",
+                "wq.enqueue|shared:q3|1",
+            ]
+        )
+
+    def test_translation_fault_resolved_by_prs(self):
+        assert _Case().features(_resolved_page_fault) == [
+            "ats.prs|resolved|1",
+            "ats.translate|prs-retry|1",
+            "ats.translate|walk|2",
+            "devtlb.access|comp:miss|1",
+            "devtlb.access|dst:miss|1",
+            "devtlb.access|src:miss|1",
+            "engine.execute|memmove|1",
+            "engine.stream|comp:single|1",
+            "engine.stream|dst:single|1",
+            "engine.stream|src:single|1",
+            "portal.enqcmd|accept|1",
+            "wq.enqueue|shared:q2|1",
+        ]
+
+    def test_translation_fault_unresolved(self):
+        assert _Case().features(_unresolved_page_fault) == [
+            "ats.prs|unresolved|1",
+            "ats.translate|prs-retry|1",
+            "devtlb.access|src:miss|1",
+            "engine.execute|memmove|1",
+            "engine.fault|translation|1",
+            "engine.stream|src:single|1",
+            "portal.enqcmd|accept|1",
+            "wq.enqueue|shared:q2|1",
+        ]
+
+    def test_portal_rejects_and_wait_timeout(self):
+        assert _Case().features(_rejects_and_timeout) == sorted(
+            _LONG_COPY_RUN
+            + [
+                "portal.enqcmd|accept|2",
+                "portal.enqcmd|dedicated-reject|1",
+                "portal.movdir64b|shared-reject|1",
+                "portal.wait|timeout|1",
+                "wq.enqueue|shared:q2|1",
+                "wq.enqueue|shared:q3|1",
+            ]
+        )
+
+    def test_injected_completion_error_and_prs_drop(self):
+        plan = (
+            FaultPlan(seed=0)
+            .with_site(FaultSite.COMPLETION_ERROR, probability=1.0)
+            .with_site(FaultSite.PRS_DROP, probability=1.0)
+        )
+        assert _Case(fault_plan=plan).features(_injected_faults) == [
+            "ats.prs|injected-drop|1",
+            "ats.translate|prs-retry|1",
+            "ats.translate|walk|3",
+            "devtlb.access|comp:miss|1",
+            "devtlb.access|dst:miss|1",
+            "devtlb.access|src:evict|1",
+            "devtlb.access|src:miss|1",
+            "engine.execute|memmove|2",
+            "engine.fault|injected|1",
+            "engine.fault|translation|1",
+            "engine.stream|comp:single|1",
+            "engine.stream|dst:single|1",
+            "engine.stream|src:single|2",
+            "portal.enqcmd|accept|2",
+            "wq.enqueue|shared:q2|2",
+        ]
 
 
 class TestCli:
