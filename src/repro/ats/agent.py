@@ -53,9 +53,6 @@ class TranslationAgent:
         self.prs = prs or PageRequestService()
         self.walks = 0
         self.invariant_monitor = None
-        #: Optional ``(site, token)`` callback installed by the fuzzer's
-        #: coverage map (:meth:`repro.fuzz.coverage.CoverageMap.install`).
-        self.coverage_probe = None
 
     def translate(
         self, pasid: int, virtual_address: int, write: bool = False, timestamp: int = 0
@@ -64,17 +61,16 @@ class TranslationAgent:
 
         The cost is the IOTLB lookup plus, on a miss, a full page walk.  A
         faulting walk goes through the PRS; if the PRS handler resolves the
-        fault the walk is retried once.
+        fault the walk is retried once.  A faulting walk is narrated by
+        the PRS's ``prs`` event instead of a ``translate`` event.
         """
-        if self.invariant_monitor is not None:
-            self.invariant_monitor.note("translate", pasid=pasid)
         space = self.pasid_table.lookup(pasid)
         vpn = virtual_address >> PAGE_SHIFT
         cycles = self.iotlb.lookup_cycles
         frame = self.iotlb.lookup(pasid, vpn)
         if frame is not None:
-            if self.coverage_probe is not None:
-                self.coverage_probe("ats.translate", "iotlb-hit")
+            if self.invariant_monitor is not None:
+                self.invariant_monitor.note("translate", pasid=pasid, outcome="iotlb-hit")
             pa = (frame << PAGE_SHIFT) | (virtual_address & (PAGE_SIZE - 1))
             return TranslationResult(physical_address=pa, cycles=cycles, iotlb_hit=True)
 
@@ -83,12 +79,10 @@ class TranslationAgent:
         self.walks += 1
         try:
             pa = space.translate(virtual_address, write=write)
-            if self.coverage_probe is not None:
-                self.coverage_probe("ats.translate", "walk")
+            if self.invariant_monitor is not None:
+                self.invariant_monitor.note("translate", pasid=pasid, outcome="walk")
         except TranslationFault:
             faulted = True
-            if self.coverage_probe is not None:
-                self.coverage_probe("ats.translate", "prs-retry")
             cycles += self.prs.report(pasid, virtual_address, write, timestamp)
             cycles += space.walk_cycles
             self.walks += 1

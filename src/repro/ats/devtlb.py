@@ -125,9 +125,6 @@ class DevTlb:
         self.stats = DevTlbStats()
         self._per_engine: dict[int, DevTlbStats] = {}
         self.invariant_monitor = None
-        #: Optional ``(site, token)`` callback installed by the fuzzer's
-        #: coverage map (:meth:`repro.fuzz.coverage.CoverageMap.install`).
-        self.coverage_probe = None
 
     def _evict_limit(self) -> int:
         """Slot count at which a miss evicts the sub-entry's LRU slot."""
@@ -177,12 +174,15 @@ class DevTlb:
         virtual_page: int,
         pasid: int,
         huge: bool = False,
+        stream_pages: int = 1,
     ) -> bool:
         """One translation request from an engine's processing unit.
 
         Returns ``True`` on a DevTLB hit.  On a miss, the new translation
         replaces the sub-entry's LRU slot, which models the paper's
         "the new entry evicts the old one directly" (Takeaway 1).
+        *stream_pages*, the page count of the stream this request
+        starts, only feeds the ``devtlb`` event.
         """
         sub = self._sub_entry(engine_id, field_type, pasid)
         engine_stats = self._engine_stats(engine_id)
@@ -196,36 +196,27 @@ class DevTlb:
                 engine_stats.hits += 1
                 engine_stats.no_alloc += 1
                 sub.slots.append(sub.slots.pop(index))  # mark MRU
-                if self.coverage_probe is not None:
-                    self.coverage_probe(
-                        "devtlb.access", f"{field_type.value}:hit"
-                    )
-                if self.invariant_monitor is not None:
-                    self.invariant_monitor.note(
-                        "devtlb", engine_id=engine_id, pasid=pasid, hit=1
-                    )
-                return True
-
-        pages = 512 if huge else 1
-        base_vpn = virtual_page - (virtual_page % pages) if huge else virtual_page
-        new_slot = _Slot(base_vpn=base_vpn, pages=pages, pasid=pasid)
-        evicted = None
-        if len(sub.slots) >= self._evict_limit():
-            evicted = sub.slots.pop(0)
-        sub.slots.append(new_slot)
-        if self.coverage_probe is not None:
-            if evicted is not None and evicted.pasid != pasid:
-                token = f"{field_type.value}:evict-xpasid"
-            elif evicted is not None:
-                token = f"{field_type.value}:evict"
-            else:
-                token = f"{field_type.value}:miss"
-            self.coverage_probe("devtlb.access", token)
+                outcome = "hit"
+                break
+        else:
+            pages = 512 if huge else 1
+            base_vpn = virtual_page - (virtual_page % pages) if huge else virtual_page
+            new_slot = _Slot(base_vpn=base_vpn, pages=pages, pasid=pasid)
+            outcome = "miss"
+            if len(sub.slots) >= self._evict_limit():
+                evicted = sub.slots.pop(0)
+                outcome = "evict" if evicted.pasid == pasid else "evict-xpasid"
+            sub.slots.append(new_slot)
         if self.invariant_monitor is not None:
             self.invariant_monitor.note(
-                "devtlb", engine_id=engine_id, pasid=pasid, hit=0
+                "devtlb",
+                engine_id=engine_id,
+                pasid=pasid,
+                field=field_type.value,
+                span="multi" if stream_pages > 1 else "single",
+                outcome=outcome,
             )
-        return False
+        return outcome == "hit"
 
     def fill(
         self,
@@ -249,7 +240,7 @@ class DevTlb:
         sub.slots.append(_Slot(base_vpn=base_vpn, pages=pages, pasid=pasid))
         if self.invariant_monitor is not None:
             self.invariant_monitor.note(
-                "devtlb", engine_id=engine_id, pasid=pasid, hit=0
+                "devtlb", engine_id=engine_id, pasid=pasid, field=field_type.value, outcome="fill"
             )
 
     def peek(

@@ -65,9 +65,7 @@ class PageRequestService:
         self.failed = 0
         self.dropped = 0
         self.fault_injector = None
-        #: Optional ``(site, token)`` callback installed by the fuzzer's
-        #: coverage map (:meth:`repro.fuzz.coverage.CoverageMap.install`).
-        self.coverage_probe = None
+        self.invariant_monitor = None
 
     def set_handler(self, handler: PageRequestHandler) -> None:
         """Install the OS-side fault handler."""
@@ -78,7 +76,8 @@ class PageRequestService:
 
         Raises :class:`~repro.errors.TranslationFault` when no handler is
         installed or the handler cannot resolve the fault — matching a
-        descriptor completing with a page-fault status.
+        descriptor completing with a page-fault status.  Narrated as one
+        ``prs`` event.
         """
         request = PageRequest(pasid, virtual_address, write, timestamp)
         if self._log.maxlen is not None and len(self._log) == self._log.maxlen:
@@ -96,8 +95,7 @@ class PageRequestService:
         if drop is not None:
             self.failed += 1
             self.fault_injector.acknowledge(drop, action="prs-request-dropped")
-            if self.coverage_probe is not None:
-                self.coverage_probe("ats.prs", "injected-drop")
+            self._narrate(pasid, "injected-drop")
             raise TranslationFault(
                 virtual_address,
                 f"injected unresolved device page fault at {virtual_address:#x} "
@@ -106,17 +104,19 @@ class PageRequestService:
             )
         if self._handler is not None and self._handler(pasid, virtual_address, write):
             self.resolved += 1
-            if self.coverage_probe is not None:
-                self.coverage_probe("ats.prs", "resolved")
+            self._narrate(pasid, "resolved")
             return PAGE_REQUEST_CYCLES
         self.failed += 1
-        if self.coverage_probe is not None:
-            self.coverage_probe("ats.prs", "unresolved")
+        self._narrate(pasid, "unresolved")
         raise TranslationFault(
             virtual_address,
             f"unresolved device page fault at {virtual_address:#x} (PASID {pasid})",
             pasid=pasid,
         )
+
+    def _narrate(self, pasid: int, outcome: str) -> None:
+        if self.invariant_monitor is not None:
+            self.invariant_monitor.note("prs", pasid=pasid, outcome=outcome)
 
     @property
     def log(self) -> tuple[PageRequest, ...]:

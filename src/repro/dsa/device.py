@@ -62,7 +62,12 @@ from repro.dsa.descriptor import BatchDescriptor, Descriptor
 from repro.dsa.engine import Engine, EngineTiming
 from repro.dsa.opcodes import DescriptorFlags, Opcode
 from repro.dsa.wq import HardwareQueueSpace, WorkQueue, WorkQueueConfig
-from repro.errors import ConfigurationError, QueueConfigurationError
+from repro.errors import (
+    ConfigurationError,
+    InvariantViolation,
+    QueueConfigurationError,
+    ReproError,
+)
 from repro.faults.plan import FaultSite
 from repro.hw.clock import TscClock
 from repro.hw.memory import PhysicalMemory
@@ -293,26 +298,37 @@ class DsaDevice:
         entry = wq.try_enqueue(descriptor, time)
         if entry is None:
             self.stats.submissions_retried += 1
-            if self.invariant_monitor is not None:
-                self.invariant_monitor.note(
-                    "submit", time, wq_id=wq_id, pasid=descriptor.pasid, accepted=0
-                )
-            return True, None
-        ticket = SubmissionTicket(
-            descriptor=descriptor,
-            wq_id=wq_id,
-            enqueue_time=time,
-            ticket_id=self._ticket_sequence,
-        )
-        self._ticket_sequence += 1
-        self._tickets[(wq_id, entry.sequence)] = ticket
-        self._pending_work += 1
-        self.stats.submissions_accepted += 1
-        if self.invariant_monitor is not None:
-            self.invariant_monitor.note(
-                "submit", time, wq_id=wq_id, pasid=descriptor.pasid, accepted=1
+        else:
+            ticket = SubmissionTicket(
+                descriptor=descriptor,
+                wq_id=wq_id,
+                enqueue_time=time,
+                ticket_id=self._ticket_sequence,
             )
-        self._dispatch_ready(time)
+            self._ticket_sequence += 1
+            self._tickets[(wq_id, entry.sequence)] = ticket
+            self._pending_work += 1
+            self.stats.submissions_accepted += 1
+        monitor = self.invariant_monitor
+        if monitor is not None:
+            monitor.note(
+                "submit",
+                time,
+                wq_id=wq_id,
+                pasid=descriptor.pasid,
+                accepted=int(entry is not None),
+                mode=wq.config.mode.value,
+                quartile=min(3, 4 * wq.occupancy // wq.config.size),
+            )
+        if entry is None:
+            return True, None
+        try:
+            self._dispatch_ready(time)
+        except ReproError as exc:
+            # The submitter gets this error instead of an answer.
+            if monitor is not None and not isinstance(exc, InvariantViolation):
+                monitor.note("submit-error", time, wq_id=wq_id, mode=wq.config.mode.value)
+            raise
         self._wake = self._next_wake(time)
         return False, ticket
 
@@ -490,6 +506,7 @@ class DsaDevice:
                 policy=self.arbiter.policy.value,
                 engine_id=engine_id,
                 source="wq" if choice.wq is not None else "batch",
+                opcode=descriptor.opcode.name,
             )
         outcome = engine.execute(descriptor, start)
         ticket.completion_time = start + outcome.cycles

@@ -144,9 +144,7 @@ class Engine:
         self.inflight: list[_InFlight] = []
         self.stats = EngineStats()
         self.fault_injector = None
-        #: Optional ``(site, token)`` callback installed by the fuzzer's
-        #: coverage map (:meth:`repro.fuzz.coverage.CoverageMap.install`).
-        self.coverage_probe = None
+        self.invariant_monitor = None
 
     # ------------------------------------------------------------------
     # Processing-unit admission
@@ -200,8 +198,6 @@ class Engine:
         misses = 0
         fault: TranslationFault | None = None
         injected_error = None
-        if self.coverage_probe is not None:
-            self.coverage_probe("engine.execute", descriptor.opcode.name.lower())
         if self.fault_injector is not None:
             cycles += self._pre_execution_faults(descriptor, timestamp)
 
@@ -215,8 +211,7 @@ class Engine:
             except TranslationFault as exc:
                 fault = exc
                 self.stats.faults += 1
-                if self.coverage_probe is not None:
-                    self.coverage_probe("engine.fault", "translation")
+                self._narrate_fault(descriptor, timestamp, "translation")
                 break
             hits += stream_hits
             misses += stream_misses
@@ -252,8 +247,7 @@ class Engine:
             )
         elif injected_error is not None:
             # The descriptor dies with an error status and moves no data.
-            if self.coverage_probe is not None:
-                self.coverage_probe("engine.fault", "injected")
+            self._narrate_fault(descriptor, timestamp, "injected")
             self.stats.faults += 1
             self.stats.injected_faults += 1
             status = (
@@ -276,6 +270,12 @@ class Engine:
         return ExecutionOutcome(
             cycles=cycles, record=record, devtlb_hits=hits, devtlb_misses=misses
         )
+
+    def _narrate_fault(self, descriptor: Descriptor, timestamp: int, cause: str) -> None:
+        if self.invariant_monitor is not None:
+            self.invariant_monitor.note(
+                "fault", timestamp, engine_id=self.engine_id, pasid=descriptor.pasid, cause=cause
+            )
 
     def _pre_execution_faults(self, descriptor: Descriptor, timestamp: int) -> int:
         """Apply injected faults that strike before translation.
@@ -340,18 +340,15 @@ class Engine:
         timing = self.timing
         pages = access.pages()
         space = self.agent.pasid_table.lookup(pasid)
-        if self.coverage_probe is not None:
-            span = "multi" if len(pages) > 1 else "single"
-            self.coverage_probe(
-                "engine.stream", f"{access.field_type.value}:{span}"
-            )
 
         first_va = access.address
         huge = space.is_mapped(first_va) and space.page_is_huge(first_va)
         cycles = 0
         hits = 0
         misses = 0
-        if self.devtlb.access(self.engine_id, access.field_type, pages[0], pasid, huge=huge):
+        if self.devtlb.access(
+            self.engine_id, access.field_type, pages[0], pasid, huge=huge, stream_pages=len(pages)
+        ):
             cycles += timing.devtlb_hit_cycles
             hits += 1
         else:

@@ -81,9 +81,6 @@ class Portal:
         self.last_ticket: SubmissionTicket | None = None
         self.hidden_dmwr_drops = 0
         self.faults_injected = 0
-        #: Optional ``(site, token)`` callback installed by the fuzzer's
-        #: coverage map (:meth:`repro.fuzz.coverage.CoverageMap.install`).
-        self.coverage_probe = None
 
     def _submission_fault(self, descriptor: Descriptor | BatchDescriptor) -> bool:
         """Consult the fault injector at the portal-write site.
@@ -131,8 +128,7 @@ class Portal:
         """
         wq = self.device.wq(self.wq_id)
         if wq.config.mode is not WqMode.SHARED:
-            if self.coverage_probe is not None:
-                self.coverage_probe("portal.enqcmd", "dedicated-reject")
+            self._narrate("reject", instruction="enqcmd")
             raise ConfigurationError(
                 f"enqcmd targets shared queues; WQ {self.wq_id} is dedicated"
             )
@@ -147,8 +143,6 @@ class Portal:
             return False
         zf, ticket = self.device.submit(self.wq_id, descriptor, self.clock.now)
         self.last_ticket = ticket
-        if self.coverage_probe is not None:
-            self.coverage_probe("portal.enqcmd", "retry" if zf else "accept")
         return zf
 
     def _enqcmd_hidden(self, descriptor: Descriptor | BatchDescriptor) -> bool:
@@ -190,8 +184,7 @@ class Portal:
         """
         wq = self.device.wq(self.wq_id)
         if wq.config.mode is not WqMode.DEDICATED:
-            if self.coverage_probe is not None:
-                self.coverage_probe("portal.movdir64b", "shared-reject")
+            self._narrate("reject", instruction="movdir64b")
             raise ConfigurationError(
                 f"movdir64b targets dedicated queues; WQ {self.wq_id} is shared"
             )
@@ -203,8 +196,6 @@ class Portal:
         if self._submission_fault(descriptor):
             return
         zf, ticket = self.device.submit(self.wq_id, descriptor, self.clock.now)
-        if self.coverage_probe is not None:
-            self.coverage_probe("portal.movdir64b", "full" if zf else "accept")
         if zf:
             wq = self.device.wq(self.wq_id)
             raise QueueFullError(
@@ -286,8 +277,7 @@ class Portal:
         while ticket.completion_time is None:
             now = clock.now
             if deadline is not None and now >= deadline:
-                if self.coverage_probe is not None:
-                    self.coverage_probe("portal.wait", "timeout")
+                self._narrate("timeout")
                 raise CompletionTimeoutError(
                     f"WQ {self.wq_id}: no completion record after "
                     f"{timeout_cycles} cycles",
@@ -304,6 +294,11 @@ class Portal:
         detect = device.config.timing.poll_detect_cycles
         clock.advance_to(ticket.completion_time + detect)
         device.advance_to(clock.now)
+
+    def _narrate(self, kind: str, **context: str) -> None:
+        monitor = self.device.invariant_monitor
+        if monitor is not None:
+            monitor.note(kind, self.clock.now, wq_id=self.wq_id, pasid=self.pasid, **context)
 
     def _stamp_pasid(
         self, descriptor: Descriptor | BatchDescriptor

@@ -73,9 +73,6 @@ class WorkQueue:
         self.enqueued_total = 0
         self.rejected_total = 0
         self.max_occupancy_seen = 0
-        #: Optional ``(site, token)`` callback installed by the fuzzer's
-        #: coverage map (:meth:`repro.fuzz.coverage.CoverageMap.install`).
-        self.coverage_probe = None
 
     @property
     def wq_id(self) -> int:
@@ -125,10 +122,6 @@ class WorkQueue:
                 # rejected batch still charges a slot credit, leaking
                 # occupancy the wq-credits ledger audit must catch.
                 self._outstanding += 1
-            if self.coverage_probe is not None:
-                self.coverage_probe(
-                    "wq.enqueue", f"{self.config.mode.value}:full"
-                )
             return None
         entry = QueuedEntry(descriptor=descriptor, enqueue_time=time, sequence=self._sequence)
         self._sequence += 1
@@ -136,13 +129,6 @@ class WorkQueue:
         self._outstanding += 1
         self.enqueued_total += 1
         self.max_occupancy_seen = max(self.max_occupancy_seen, self._outstanding)
-        if self.coverage_probe is not None:
-            # Quartile-bucketed occupancy makes "accepted while nearly
-            # full" a distinct coverage feature from "accepted empty".
-            quartile = min(3, 4 * self._outstanding // self.config.size)
-            self.coverage_probe(
-                "wq.enqueue", f"{self.config.mode.value}:q{quartile}"
-            )
         return entry
 
     def release_slot(self) -> None:
@@ -168,10 +154,6 @@ class WorkQueue:
         entries = list(self._entries)
         self._entries.clear()
         self._outstanding -= len(entries)
-        if self.coverage_probe is not None:
-            self.coverage_probe(
-                "wq.drain", "aborted" if entries else "empty"
-            )
         return entries
 
     def __len__(self) -> int:

@@ -2,8 +2,9 @@
 
 A seeded fuzzing campaign over the descriptor/portal/ATS surface: the
 generator (:mod:`repro.fuzz.gen`) produces valid-ish and malformed
-operation streams, lightweight coverage hooks in the model
-(:mod:`repro.fuzz.coverage`) steer mutation toward unexplored behavior,
+operation streams, a coverage map that subscribes to the invariant
+monitor's events (:mod:`repro.fuzz.coverage`) steers mutation toward
+unexplored behavior,
 and the oracles (:mod:`repro.fuzz.executor`) judge every case against
 the invariant monitor, the fault handled-or-detected contract, and the
 typed-exception catalog.  Findings shrink to minimal reproducers and the

@@ -44,6 +44,7 @@ from repro.faults.plan import FaultPlan, FaultSite
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.gen import BUFFER_BYTES, wq_owner
 from repro.hw.units import PAGE_SIZE
+from repro.invariants.checkers import default_checkers
 from repro.invariants.monitor import InvariantMonitor
 from repro.invariants.shrink import ddmin
 from repro.virt.system import CloudSystem
@@ -134,7 +135,6 @@ class FuzzBench:
     ) -> None:
         self.system = system
         self.procs = []
-        self.portals = []
         self.comp_slot = 0
         wqs = topology["wqs"]
         for index in range(processes):
@@ -142,9 +142,7 @@ class FuzzBench:
             proc = vm.spawn_process(f"fuzz-{index}")
             for wq in wqs:
                 if wq["mode"] == "shared" or wq_owner(wq, processes) == index:
-                    self.portals.append(
-                        system.open_portal(proc, int(wq["wq_id"]))
-                    )
+                    system.open_portal(proc, int(wq["wq_id"]))
             self.procs.append(proc)
         self.src = [proc.buffer(BUFFER_BYTES) for proc in self.procs]
         self.dst = [proc.buffer(BUFFER_BYTES) for proc in self.procs]
@@ -286,7 +284,12 @@ def execute_case(
     """
     system = CloudSystem(seed=seed, invariants="off", fault_plan=fault_plan)
     monitor = InvariantMonitor(
-        mode=mode, sample_every=sample_every, seed=seed, repro_hint=repro_hint
+        mode=mode,
+        sample_every=sample_every,
+        seed=seed,
+        repro_hint=repro_hint,
+        # Coverage first: it counts an event before a checker can trip on it.
+        checkers=None if coverage is None else (coverage, *default_checkers()),
     )
     monitor.attach_system(system)
     device = system.device
@@ -305,14 +308,6 @@ def execute_case(
     bench = FuzzBench(system, topology, processes)
     if coverage is not None:
         coverage.begin_case()
-        coverage.install(
-            device.devtlb,
-            device.agent,
-            device.prs,
-            *device.engines.values(),
-            *device.queue_space.queues(),
-            *bench.portals,
-        )
 
     executed = 0
     submissions = 0
@@ -385,7 +380,7 @@ def execute_case(
             contained(lambda: apply(op))
             executed += 1
             if coverage is not None:
-                coverage.note_state(_state_signature(device))
+                coverage.probe("state", _state_signature(device))
         # Settle: drain async tickets, then run the final full audit.
         while bench.pending:
             proc, wq_id, ticket = bench.pending.pop(0)

@@ -13,9 +13,9 @@ Kuper et al.'s quantitative DSA analysis):
                     (enqueue <= dispatch <= completion).
 ``devtlb``          Each engine owns at most five sub-entries, no
                     sub-entry exceeds its associativity, partitioned
-                    slots carry their partition's PASID, and
-                    translations are only requested for PASIDs the
-                    PASID table currently binds.
+                    slots carry their partition's PASID, and DevTLB
+                    traffic only names PASIDs the PASID table
+                    currently binds.
 ``arbiter``         Under ``WQ_PRIORITY``, no batch descriptor beats a
                     ready work-queue descriptor and no lower-priority
                     queue beats a ready higher-priority one; a bounded
@@ -217,16 +217,17 @@ class CompletionChecker(InvariantChecker):
 class DevTlbChecker(InvariantChecker):
     """DevTLB occupancy/eviction consistency and PASID-table agreement.
 
-    The PASID check runs at *translation time* only: a stale entry for a
+    The PASID check runs at *access time* only: a stale entry for a
     destroyed process is architecturally expected (the device offers no
     PASID-selective DevTLB invalidation — see
-    :meth:`repro.virt.system.CloudSystem.destroy_process`), but a fill
-    or translation request for a PASID the table does not bind means the
-    model fabricated traffic for a dead process.
+    :meth:`repro.virt.system.CloudSystem.destroy_process`), but a lookup
+    or fill for a PASID the table does not bind means the model
+    fabricated traffic for a dead process.  Translation requests need no
+    check here: the agent refuses an unbound PASID before it narrates.
     """
 
     name = "devtlb"
-    kinds = frozenset({"devtlb", "translate"})
+    kinds = frozenset({"devtlb"})
 
     def observe(
         self,
@@ -409,14 +410,12 @@ class TimelineChecker(InvariantChecker):
                     )
 
 
-def default_checkers(
-    starvation_limit: int = 50_000,
-) -> tuple[InvariantChecker, ...]:
+def default_checkers() -> tuple[InvariantChecker, ...]:
     """The full catalog, one fresh instance each (checkers are stateful)."""
     return (
         WqCreditChecker(),
         CompletionChecker(),
         DevTlbChecker(),
-        ArbiterFairnessChecker(starvation_limit=starvation_limit),
+        ArbiterFairnessChecker(),
         TimelineChecker(),
     )

@@ -3,11 +3,12 @@
 :class:`InvariantMonitor` hangs off the model the same way
 :class:`~repro.faults.injector.FaultInjector` does — duck-typed
 attachment, no imports of the model packages — and receives a
-:meth:`~InvariantMonitor.note` call at each model step point (submit,
-dispatch, complete, drain, DevTLB traffic, translation).  Registered
-checkers observe every event with O(1) bookkeeping; the more expensive
-full-state audits run at every event in ``strict`` mode and every
-``sample_every``-th event in ``sampling`` mode.
+:meth:`~InvariantMonitor.note` call, the model's only narration call, at
+each model step point (``docs/invariants.md`` lists the event kinds).
+Registered checkers, the fuzzer's coverage map among them, observe every
+event with O(1) bookkeeping; the more expensive full-state audits run at
+every event in ``strict`` mode and every ``sample_every``-th event in
+``sampling`` mode.
 
 A failed check raises :class:`~repro.errors.InvariantViolation` carrying
 the run seed, a bounded state snapshot, and the recent event window —
@@ -24,6 +25,9 @@ from collections import deque
 from typing import Any, Iterable
 
 from repro.errors import ConfigurationError, InvariantViolation
+
+#: Recent events retained for violation reports.
+EVENT_WINDOW = 64
 
 
 class MonitorMode(enum.Enum):
@@ -89,8 +93,6 @@ class InvariantMonitor:
         ``strict`` (audit every event) or ``sampling``.
     sample_every:
         Audit cadence in ``sampling`` mode.
-    event_window:
-        Recent events retained for violation reports.
     seed:
         The run seed carried into violations (filled in by
         :meth:`attach_system` when the system exposes one).
@@ -100,28 +102,19 @@ class InvariantMonitor:
     checkers:
         Checker instances; defaults to the full catalog from
         :func:`repro.invariants.checkers.default_checkers`.
-    starvation_limit:
-        Consecutive arbiter pass-overs tolerated before the fairness
-        checker trips (only used when *checkers* is defaulted).
     """
 
     def __init__(
         self,
         mode: "MonitorMode | str" = MonitorMode.STRICT,
         sample_every: int = 64,
-        event_window: int = 64,
         seed: "int | None" = None,
         repro_hint: str = "",
         checkers: "Iterable[InvariantChecker] | None" = None,
-        starvation_limit: int = 50_000,
     ) -> None:
         if sample_every < 1:
             raise ConfigurationError(
                 f"sample_every must be >= 1, got {sample_every}"
-            )
-        if event_window < 1:
-            raise ConfigurationError(
-                f"event_window must be >= 1, got {event_window}"
             )
         self.mode = coerce_mode(mode)
         self.sample_every = sample_every
@@ -134,14 +127,11 @@ class InvariantMonitor:
             # that supply their own checkers.
             from repro.invariants.checkers import default_checkers
 
-            checkers = default_checkers(starvation_limit=starvation_limit)
+            checkers = default_checkers()
         self.checkers: tuple[InvariantChecker, ...] = tuple(checkers)
-        self._events: "deque[tuple[int, str, int, tuple[tuple[str, Any], ...]]]"
-        self._events = deque(maxlen=event_window)
+        self._events: "deque[tuple[int, str, int, dict[str, Any]]]"
+        self._events = deque(maxlen=EVENT_WINDOW)
         self._by_kind: dict[str, tuple[InvariantChecker, ...]] = {}
-        self._always: tuple[InvariantChecker, ...] = tuple(
-            checker for checker in self.checkers if checker.kinds is None
-        )
         self._device: Any = None
         self._clock: Any = None
         self._clock_floor = 0
@@ -157,19 +147,20 @@ class InvariantMonitor:
         """Hook a :class:`~repro.dsa.device.DsaDevice` and its satellites.
 
         Sets the ``invariant_monitor`` attribute on the device, its
-        DevTLB, its translation agent, and the shared clock.  One
-        monitor per device: the checkers' ledgers assume a single event
-        stream.
+        DevTLB, translation agent, PRS and engines, and the shared
+        clock; the portals narrate through their device's attribute.
+        One monitor per device: the checkers' ledgers assume a single
+        event stream.
         """
         if self._device is not None and self._device is not device:
             raise ConfigurationError(
                 "this InvariantMonitor is already attached to a device;"
                 " build a fresh monitor per system"
             )
-        device.invariant_monitor = self
-        device.devtlb.invariant_monitor = self
-        device.agent.invariant_monitor = self
-        device.clock.invariant_monitor = self
+        for component in (device, device.devtlb, device.agent, device.prs, device.clock):
+            component.invariant_monitor = self
+        for engine in device.engines.values():
+            engine.invariant_monitor = self
         self._device = device
         self._clock = device.clock
         self._clock_floor = device.clock.now
@@ -216,12 +207,9 @@ class InvariantMonitor:
             ts = int(timestamp)
             if ts > self._last_timestamp:
                 self._last_timestamp = ts
-        context = {
-            name: value for name, value in context.items() if value is not None
-        }
-        self._events.append(
-            (self.events_seen, kind, ts, tuple(sorted(context.items())))
-        )
+        if None in context.values():
+            context = {k: v for k, v in context.items() if v is not None}
+        self._events.append((self.events_seen, kind, ts, context))
         for checker in self._interested(kind):
             checker.observe(self, kind, ts, context, payload)
         if (
@@ -282,7 +270,7 @@ class InvariantMonitor:
     def event_window(self) -> "tuple[dict[str, Any], ...]":
         """The retained events as dicts, oldest first."""
         return tuple(
-            {"seq": seq, "kind": kind, "t": ts, **dict(ctx)}
+            {"seq": seq, "kind": kind, "t": ts, **dict(sorted(ctx.items()))}
             for seq, kind, ts, ctx in self._events
         )
 

@@ -24,6 +24,7 @@ from repro.fuzz.gen import (
     splice,
 )
 from repro.hw.units import PAGE_SIZE
+from repro.invariants import InvariantMonitor
 from repro.mitigation.partitioning import privileged_dmwr_config
 from repro.virt.system import CloudSystem
 
@@ -105,7 +106,7 @@ class TestCoverage:
         cov = CoverageMap()
         cov.begin_case()
         cov.probe("state", "wq01e1d2")
-        cov.note_state("wq00e0d0")
+        cov.probe("state", "wq00e0d0")
         cov.end_case()
         clone = CoverageMap.from_json(cov.to_json())
         assert clone.to_json() == cov.to_json()
@@ -175,14 +176,7 @@ class _Case:
     def features(self, drive):
         """The sorted ``site|token|bucket`` features *drive* produces."""
         coverage = CoverageMap()
-        coverage.install(
-            self.device.devtlb,
-            self.device.agent,
-            self.device.prs,
-            *self.device.engines.values(),
-            *self.device.queue_space.queues(),
-            *self.portals,
-        )
+        InvariantMonitor(checkers=[coverage]).attach_system(self.system)
         coverage.begin_case()
         drive(self)
         coverage.end_case()

@@ -10,6 +10,7 @@ from repro.invariants import (
     MonitorMode,
     coerce_mode,
 )
+from repro.invariants.monitor import EVENT_WINDOW
 from repro.virt.system import CloudSystem
 
 from tests.conftest import build_host
@@ -30,8 +31,6 @@ class TestModeCoercion:
     def test_rejects_bad_cadence(self):
         with pytest.raises(ConfigurationError):
             InvariantMonitor(sample_every=0)
-        with pytest.raises(ConfigurationError):
-            InvariantMonitor(event_window=0)
 
 
 class TestAttachment:
@@ -41,6 +40,11 @@ class TestAttachment:
         assert host.device.invariant_monitor is monitor
         assert host.device.devtlb.invariant_monitor is monitor
         assert host.device.agent.invariant_monitor is monitor
+        assert host.device.prs.invariant_monitor is monitor
+        assert all(
+            engine.invariant_monitor is monitor
+            for engine in host.device.engines.values()
+        )
         assert host.device.clock.invariant_monitor is monitor
         assert monitor.device is host.device
         # Re-attaching the same device is idempotent.
@@ -123,12 +127,13 @@ class TestEventStream:
         assert all(sentinel not in event.values() for event in window)
 
     def test_event_window_is_bounded(self):
-        monitor = InvariantMonitor(checkers=[], event_window=4)
-        for i in range(10):
+        monitor = InvariantMonitor(checkers=[])
+        for i in range(EVENT_WINDOW + 6):
             monitor.note("submit", i)
         window = monitor.event_window()
-        assert len(window) == 4
-        assert [event["seq"] for event in window] == [7, 8, 9, 10]
+        assert len(window) == EVENT_WINDOW
+        assert window[0]["seq"] == 7
+        assert window[-1]["seq"] == EVENT_WINDOW + 6
 
     def test_missing_timestamp_reuses_latest(self):
         monitor = InvariantMonitor(checkers=[])
