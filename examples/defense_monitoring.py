@@ -12,9 +12,7 @@ Run:  python examples/defense_monitoring.py
 import numpy as np
 
 from repro.core.devtlb_attack import DsaDevTlbAttack
-from repro.core.swq_attack import DsaSwqAttack
 from repro.dsa.descriptor import make_noop
-from repro.hw.units import us_to_cycles
 from repro.mitigation.detector import AttackDetector, DetectorConfig
 from repro.mitigation.partitioning import DevTlbScrubber
 from repro.virt.system import AttackTopology, CloudSystem

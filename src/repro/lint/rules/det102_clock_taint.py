@@ -26,7 +26,7 @@ datasets, or corpus state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lint.checker import Finding, ProjectChecker
 from repro.lint.taint import ProjectAnalysis

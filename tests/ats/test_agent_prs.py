@@ -3,7 +3,6 @@
 import pytest
 
 from repro.ats.agent import TranslationAgent
-from repro.ats.iotlb import IoTlb
 from repro.ats.pasid import PasidTable
 from repro.ats.prs import PAGE_REQUEST_CYCLES, PageRequestService
 from repro.errors import ConfigurationError, TranslationFault

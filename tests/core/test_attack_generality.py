@@ -5,8 +5,6 @@ the victim may sit behind a dedicated queue (movdir64b) and still leak,
 which these tests pin down.
 """
 
-import pytest
-
 from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.dsa.descriptor import make_memcpy, make_noop
 from repro.dsa.wq import WorkQueueConfig, WqMode

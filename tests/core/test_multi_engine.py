@@ -1,6 +1,5 @@
 """Tests for whole-device monitoring and WQ disable semantics."""
 
-import numpy as np
 import pytest
 
 from repro.core.multi_engine import MultiEngineMonitor

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.covert.adaptive import AdaptiveResult, RateProbe, find_best_rate
+from repro.covert.adaptive import find_best_rate
 from repro.covert.channel import CovertChannelResult
 from repro.covert.metrics import true_capacity
 

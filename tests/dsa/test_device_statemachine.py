@@ -10,7 +10,6 @@ time advancement, and environment switches must never violate:
 * device-local replay time never exceeds the shared clock.
 """
 
-import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule

@@ -1,7 +1,6 @@
 """Property-style invariant tests on engine/device behavior."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

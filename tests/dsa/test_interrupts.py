@@ -1,7 +1,5 @@
 """Tests for completion interrupts."""
 
-import pytest
-
 from repro.dsa.descriptor import Descriptor, make_noop
 from repro.dsa.opcodes import (
     STANDARD_COMPLETION_FLAGS,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dsa.completion import CompletionStatus
 from repro.dsa.descriptor import Descriptor, make_memcpy, make_noop
-from repro.dsa.device import DsaDevice, DsaDeviceConfig, GroupConfig
+from repro.dsa.device import DsaDeviceConfig, GroupConfig
 from repro.dsa.opcodes import Opcode
 from repro.dsa.portal import Portal
 from repro.dsa.wq import WorkQueueConfig, WqMode

@@ -11,19 +11,11 @@ import math
 import pytest
 
 from repro.ats.devtlb import FieldType
-from repro.dsa.descriptor import make_memcpy, make_noop
+from repro.dsa.descriptor import make_memcpy
 from repro.dsa.device import SubmissionTicket
 from repro.errors import InvariantViolation
 from repro.invariants import InvariantMonitor
-from repro.invariants.checkers import (
-    ArbiterFairnessChecker,
-    CompletionChecker,
-    DevTlbChecker,
-    TimelineChecker,
-    WqCreditChecker,
-)
-
-from tests.conftest import build_host
+from repro.invariants.checkers import ArbiterFairnessChecker, CompletionChecker
 
 
 def _attached(host, **kwargs):

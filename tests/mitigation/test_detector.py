@@ -1,11 +1,7 @@
 """Tests for the attack detector."""
 
-import numpy as np
-import pytest
-
 from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.core.swq_attack import DsaSwqAttack
-from repro.dsa.descriptor import make_memcpy
 from repro.hw.units import us_to_cycles
 from repro.mitigation.detector import AttackDetector, DetectorConfig, FindingKind
 from repro.virt.system import AttackTopology, CloudSystem

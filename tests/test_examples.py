@@ -6,10 +6,7 @@ never rots.
 """
 
 import runpy
-import sys
 from pathlib import Path
-
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 

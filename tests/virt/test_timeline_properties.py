@@ -1,6 +1,5 @@
 """Hypothesis property tests for the multi-actor timeline."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Tests for the DTO transparent-offload shim."""
 
-import numpy as np
 import pytest
 
 from repro.virt.system import AttackTopology, CloudSystem
