@@ -19,11 +19,11 @@ validating its config hash; ``--deadline S`` stops cleanly before a
 wall-clock budget expires; ``--breaker-threshold N`` opens the failure
 circuit breaker after N consecutive contained failures; ``--set k=v``
 overrides a ``trial_plan`` keyword (values parsed as Python literals);
-``--workers N`` runs the trials on a pool of N worker processes on any
-host (a run with fewer than two trials left runs inline), with output
-observation-equivalent to a serial run — a checkpointed run may even
-switch worker counts between ``--run-dir`` and ``--resume`` (see
-docs/parallel.md).
+``--workers N`` (also for ``all``: one warm pool) runs the trials on N
+worker processes on any host (a run with fewer than two trials left runs
+inline), with output observation-equivalent to a serial run — a
+checkpointed run may even switch worker counts between ``--run-dir``
+and ``--resume`` (see docs/parallel.md).
 
 Exit codes (see :mod:`repro.experiments.runner` and docs/robustness.md):
 
@@ -236,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run trials on a pool of N worker processes on any host "
+        help="run trials on a pool of N worker processes on any host; "
+        "'all' runs every experiment on the same pool "
         "(1 = serial; results are identical either way)",
     )
     args = parser.parse_args(argv)
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     supervised = bool(
         args.run_dir or args.resume or args.deadline or args.overrides
-        or args.breaker_threshold is not None or args.workers > 1
+        or args.breaker_threshold is not None
     )
     if args.experiment == "all" and supervised:
         parser.error("supervision flags apply to a single experiment, not 'all'")

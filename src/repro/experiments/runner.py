@@ -520,9 +520,8 @@ class RunOutcome:
     def require_result(self) -> Any:
         """The finalized result, re-raising the captured failure mode.
 
-        This is what the modules' plain ``run()`` entry points call: an
-        in-memory run behaves exactly like pre-runner code — errors
-        raise, interrupts propagate.
+        :func:`execute_plan` returns through it, so an in-memory run
+        raises its error and propagates its interrupt.
         """
         if self.status == STATUS_COMPLETED:
             return self.result

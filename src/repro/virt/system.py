@@ -86,7 +86,9 @@ class CloudSystem:
         self._next_vm_base = 0x10_0000_0000
         self.fault_injector: FaultInjector | None = None
         if fault_plan is not None:
-            self.attach_faults(fault_plan.build_injector())
+            # Hooks the device, engines, PRS and timeline, and installs
+            # itself as ``self.fault_injector``.
+            fault_plan.build_injector().attach_system(self)
         self.invariant_monitor = None
         # Opt-in monitoring: an explicit ``invariants=`` mode wins;
         # otherwise the REPRO_INVARIANTS environment variable turns the
@@ -101,21 +103,9 @@ class CloudSystem:
         if mode and mode.strip().lower() != "off":
             from repro.invariants.monitor import InvariantMonitor
 
-            self.attach_invariants(InvariantMonitor(mode=mode))
-
-    def attach_faults(self, injector: FaultInjector) -> FaultInjector:
-        """Hook *injector* into the device, engines, PRS, and timeline."""
-        injector.attach_system(self)
-        return injector
-
-    def attach_invariants(self, monitor):
-        """Hook *monitor* into the device, DevTLB, agent, and clock.
-
-        The monitor adopts this system's seed (for replayable violation
-        reports) and installs itself as ``self.invariant_monitor``.
-        """
-        monitor.attach_system(self)
-        return monitor
+            # Adopts this system's seed (for replayable violation
+            # reports) and installs itself as ``self.invariant_monitor``.
+            InvariantMonitor(mode=mode).attach_system(self)
 
     # ------------------------------------------------------------------
     # VM / process lifecycle

@@ -53,3 +53,22 @@ class TestCli:
         monkeypatch.setattr(cli, "run_experiment", broken_run)
         with pytest.raises(TypeError, match="raised inside the run"):
             main(["fig04"])
+
+    def test_all_accepts_workers(self, monkeypatch):
+        """``all --workers N`` hands N to every experiment in the table,
+        so they all run on the one pool ``get_pool(N)`` keeps warm."""
+        table = {name: EXPERIMENTS[name] for name in ("re", "fig09")}
+        monkeypatch.setattr(cli, "EXPERIMENTS", table)
+        calls = []
+
+        def recording_run_one(name, **kwargs):
+            calls.append((name, kwargs["workers"]))
+            return 0
+
+        monkeypatch.setattr(cli, "run_one", recording_run_one)
+        assert main(["all", "--workers", "2"]) == 0
+        assert calls == [("re", 2), ("fig09", 2)]
+
+    def test_all_still_rejects_single_run_flags(self):
+        with pytest.raises(SystemExit):
+            main(["all", "--deadline", "5"])
