@@ -112,6 +112,7 @@ class CoverageMap(InvariantChecker):
         new = 0
         for (site, token), count in self._case.items():
             feature = (site, token, bucket(count))
+            # A withdrawn portal answer can leave a zero count: no hit.
             if count and feature not in self._seen:
                 self._seen.add(feature)
                 new += 1
