@@ -11,7 +11,10 @@ out -- polling the device every 200 cycles, as the paper's probes do.
 Three more drive :meth:`Portal.wait` and :meth:`Portal.submit_wait`
 themselves rather than the rig's poll loop: one wait behind a memcpy
 anchor that crosses several wake points, a wait woken by a batch
-child's ``available_time``, and a timeout off the spin grid.
+child's ``available_time``, and a timeout off the spin grid.  The last
+two put batch parents at a queue head while their engine is busy (with
+one and with two processing units), the one case where the dispatch
+pass may not skip a busy engine.
 
 The SHA-256 covers every ticket's ``(ticket_id, enqueue, dispatch,
 completion, engine_id, status)``, the device counters, and what each
@@ -406,6 +409,30 @@ def _timeout_off_spin_grid():
     return rig.run({0: [timeouts], 2: [lambda: rig.probe(timeout_cycles=1_050)]})
 
 
+def _batch_waits_behind_busy_engine(concurrent):
+    """Batch parents reach a queue head while every processing unit of
+    the engine is busy: the fetcher takes them anyway, so a dispatch pass
+    must not skip a busy engine while a batch waits in a work queue."""
+    rig = _Rig(concurrent=concurrent, queues=((0, 0, 0), (1, 0, 3)))
+    return rig.run(
+        {
+            0: [
+                lambda: rig.memcpy(64 * 1024),
+                lambda: rig.memcpy(32 * 1024),
+                lambda: rig.batch([0, 4096, 0]),
+                rig.noop,
+                lambda: rig.noop(wq_id=1),
+            ],
+            4: [lambda: rig.batch([0, 0], wq_id=1), rig.noop],
+            30: [
+                lambda: rig.memcpy(64 * 1024),
+                lambda: rig.batch([0], wq_id=1),
+                lambda: rig.noop(wq_id=1),
+            ],
+        }
+    )
+
+
 SCENARIOS = {
     "batch-children-late-wq-priority": lambda: _batch_children_late(
         ArbiterPolicy.WQ_PRIORITY
@@ -421,6 +448,8 @@ SCENARIOS = {
     "wait-across-wake-points": _wait_across_wake_points,
     "wait-on-batch-child": _wait_on_batch_child,
     "timeout-off-spin-grid": _timeout_off_spin_grid,
+    "batch-waits-behind-busy-engine": lambda: _batch_waits_behind_busy_engine(1),
+    "batch-waits-behind-busy-engine-2pu": lambda: _batch_waits_behind_busy_engine(2),
 }
 
 GOLDEN = {
@@ -436,6 +465,8 @@ GOLDEN = {
     "wait-across-wake-points": "1eaacf95658090372562a40e7c296f573aca16661ee5952b46c2622e8b46438d",
     "wait-on-batch-child": "5e6637677f5964924e9924f6d3f1443e03cc3436acb6d10f993bcb1ce388ceae",
     "timeout-off-spin-grid": "94d85529e9f688a5cb42198d32004a991159cb1484fb57f1021c388a723e6cdd",
+    "batch-waits-behind-busy-engine": "46f0abce684f99b976c75c3cf7368212650393a920ae771429c8a0204e3949fc",
+    "batch-waits-behind-busy-engine-2pu": "c07cc4f9a09cd4c8b18be83198e63375651dc71b49fbeae9e89e2eed47672418",
 }
 
 
