@@ -8,11 +8,19 @@ hot path) bare and monitored and holds sampling mode to the documented
 budget (see ``docs/invariants.md``):
 
 * **sampling** (``sample_every=64``): < ``SAMPLING_BUDGET`` = 1.8x bare
-  (measured ~1.4x)
+  (measured ~1.5x)
 * **strict** is reported for reference only — it audits at every event
   and is priced for soak/chaos runs, not figures.
+
+The sampling ratio is the median of ``_PAIRS`` ratios, each from one
+bare loop and one sampling loop run back to back (alternating which
+goes first).  A shared host's speed drifts over seconds; a pair sees
+the same speed on both sides, and the median drops the pairs a burst
+split.  The best of three bare and three sampling loops taken in two
+blocks read anywhere from 1.1x to 1.9x on the same code.
 """
 
+import statistics
 import time
 
 from repro.dsa.descriptor import make_memcpy
@@ -24,7 +32,7 @@ from tests.conftest import build_host
 SAMPLING_BUDGET = 1.8
 
 _PROBES = 800
-_REPEATS = 3
+_PAIRS = 15
 
 
 def _probe_loop(mode: str | None, probes: int = _PROBES) -> float:
@@ -46,25 +54,31 @@ def _probe_loop(mode: str | None, probes: int = _PROBES) -> float:
     return time.perf_counter() - start  # repro-lint: ignore[DET002]
 
 
-def _best(mode: str | None) -> float:
-    return min(_probe_loop(mode) for _ in range(_REPEATS))
+def _pair_ratio(mode: str, first_bare: bool) -> tuple[float, float]:
+    """``(bare seconds, monitored / bare)`` for one back-to-back pair."""
+    if first_bare:
+        bare = _probe_loop(None)
+        monitored = _probe_loop(mode)
+    else:
+        monitored = _probe_loop(mode)
+        bare = _probe_loop(None)
+    return bare, monitored / bare
 
 
 def test_bench_invariants_overhead(once):
     def measure():
-        bare = _best(None)
-        sampling = _best("sampling")
-        strict = _best("strict")
-        return bare, sampling, strict
+        pairs = [_pair_ratio("sampling", index % 2 == 0) for index in range(_PAIRS)]
+        bare = statistics.median(seconds for seconds, _ in pairs)
+        sampling_ratio = statistics.median(ratio for _, ratio in pairs)
+        _, strict_ratio = _pair_ratio("strict", first_bare=True)
+        return bare, sampling_ratio, strict_ratio
 
-    bare, sampling, strict = once(measure)
-    sampling_ratio = sampling / bare
-    strict_ratio = strict / bare
+    bare, sampling_ratio, strict_ratio = once(measure)
     print()
     print(
-        f"invariants overhead on {_PROBES} probes: bare {bare * 1e3:.1f} ms,"
-        f" sampling {sampling * 1e3:.1f} ms ({sampling_ratio:.2f}x),"
-        f" strict {strict * 1e3:.1f} ms ({strict_ratio:.2f}x)"
+        f"invariants overhead on {_PROBES} probes: bare {bare * 1e3:.1f} ms"
+        f" (median of {_PAIRS}), sampling {sampling_ratio:.2f}x (median"
+        f" pair ratio), strict {strict_ratio:.2f}x (one pair)"
     )
     assert sampling_ratio < SAMPLING_BUDGET, (
         f"sampling-mode monitor costs {sampling_ratio:.2f}x on the probe"

@@ -7,7 +7,9 @@
 #                           suite under the strict invariant monitor, the
 #                           CLI checks (serial = pool = resume artifacts,
 #                           the service lanes, a strict soak, a short
-#                           fuzz campaign) and the parallel-scaling bench
+#                           fuzz campaign), the benchmark's self-tests,
+#                           the invariants-overhead budget and the
+#                           parallel-scaling bench
 #
 # `full` runs its CLI checks in one temporary directory, removed on exit,
 # so it can run any number of times in a row.  Longer hunts call the
@@ -202,6 +204,15 @@ python -m repro.invariants.soak --seed 0 --runs 8 --operations 300
 
 echo "== fuzz campaign (seed 0, 150 trials) =="
 python -m repro.fuzz --seed 0 --trials 150 --dir "$workdir/fuzz"
+
+# perfbench's self-tests: every span target still exists, and traced
+# and untraced runs simulate the same bytes.
+echo "== perfbench self-tests =="
+python -m pytest perfbench -q
+
+# The sampling monitor's budget on the probe hot path (< 1.8x bare).
+echo "== invariants-overhead bench =="
+python -m pytest benchmarks/test_bench_invariants_overhead.py -o addopts= -q -s
 
 # Its pool-reuse gates run nowhere else.  Its record goes to the workdir
 # and is printed, so the checkout stays clean.

@@ -47,6 +47,11 @@ class FieldType(enum.Enum):
     DST2 = "dst2"
     COMP = "comp"
 
+    # Members are singletons that compare by identity, so the identity
+    # hash is consistent with equality; it spares every sub-entry lookup
+    # the Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 #: Number of sub-entries per engine — one per field type.
 SUB_ENTRIES_PER_ENGINE = len(FieldType)
@@ -105,9 +110,6 @@ class _Slot:
     pages: int  # coverage in 4 KiB pages (1 or 512)
     pasid: int  # only compared when partitioned
 
-    def covers(self, vpn: int) -> bool:
-        return self.base_vpn <= vpn < self.base_vpn + self.pages
-
 
 @dataclass
 class _SubEntry:
@@ -162,10 +164,15 @@ class DevTlb:
             self._per_engine[engine_id] = stats
         return stats
 
-    def _matches(self, slot: _Slot, vpn: int, pasid: int) -> bool:
-        if self.config.pasid_partitioned and slot.pasid != pasid:
-            return False
-        return slot.covers(vpn)
+    def _hit_index(self, slots: list[_Slot], vpn: int, pasid: int) -> int:
+        """Index of the slot that translates *vpn* for *pasid*, or -1."""
+        partitioned = self.config.pasid_partitioned
+        for index, slot in enumerate(slots):
+            if slot.base_vpn <= vpn < slot.base_vpn + slot.pages and (
+                not partitioned or slot.pasid == pasid
+            ):
+                return index
+        return -1
 
     def access(
         self,
@@ -184,35 +191,37 @@ class DevTlb:
         *stream_pages*, the page count of the stream this request
         starts, only feeds the ``devtlb`` event.
         """
-        sub = self._sub_entry(engine_id, field_type, pasid)
+        slots = self._sub_entry(engine_id, field_type, pasid).slots
         engine_stats = self._engine_stats(engine_id)
-        self.stats.alloc_requests += 1
+        stats = self.stats
+        stats.alloc_requests += 1
         engine_stats.alloc_requests += 1
 
-        for index, slot in enumerate(sub.slots):
-            if self._matches(slot, virtual_page, pasid):
-                self.stats.hits += 1
-                self.stats.no_alloc += 1
-                engine_stats.hits += 1
-                engine_stats.no_alloc += 1
-                sub.slots.append(sub.slots.pop(index))  # mark MRU
-                outcome = "hit"
-                break
+        index = self._hit_index(slots, virtual_page, pasid)
+        if index >= 0:
+            stats.hits += 1
+            stats.no_alloc += 1
+            engine_stats.hits += 1
+            engine_stats.no_alloc += 1
+            if index != len(slots) - 1:
+                slots.append(slots.pop(index))  # mark MRU
+            outcome = "hit"
         else:
             pages = 512 if huge else 1
             base_vpn = virtual_page - (virtual_page % pages) if huge else virtual_page
             new_slot = _Slot(base_vpn=base_vpn, pages=pages, pasid=pasid)
             outcome = "miss"
-            if len(sub.slots) >= self._evict_limit():
-                evicted = sub.slots.pop(0)
+            if len(slots) >= self._evict_limit():
+                evicted = slots.pop(0)
                 outcome = "evict" if evicted.pasid == pasid else "evict-xpasid"
-            sub.slots.append(new_slot)
+            slots.append(new_slot)
         if self.invariant_monitor is not None:
+            # ``_value_``: the ``.value`` property costs a Python call.
             self.invariant_monitor.note(
                 "devtlb",
                 engine_id=engine_id,
                 pasid=pasid,
-                field=field_type.value,
+                field=field_type._value_,
                 span="multi" if stream_pages > 1 else "single",
                 outcome=outcome,
             )
@@ -240,7 +249,7 @@ class DevTlb:
         sub.slots.append(_Slot(base_vpn=base_vpn, pages=pages, pasid=pasid))
         if self.invariant_monitor is not None:
             self.invariant_monitor.note(
-                "devtlb", engine_id=engine_id, pasid=pasid, field=field_type.value, outcome="fill"
+                "devtlb", engine_id=engine_id, pasid=pasid, field=field_type._value_, outcome="fill"
             )
 
     def peek(
@@ -253,9 +262,7 @@ class DevTlb:
             else (engine_id, field_type)
         )
         sub = self._entries.get(key)
-        if sub is None:
-            return False
-        return any(self._matches(slot, virtual_page, pasid) for slot in sub.slots)
+        return sub is not None and self._hit_index(sub.slots, virtual_page, pasid) >= 0
 
     # ------------------------------------------------------------------
     # Invalidation and inspection

@@ -75,10 +75,12 @@ class PasidTable:
 
     def lookup(self, pasid: int) -> AddressSpace:
         """Return the page table bound to *pasid*."""
-        space = self._entries.get(pasid)
-        if space is None:
-            raise ConfigurationError(f"PASID {pasid} has no page-table binding")
-        return space
+        try:
+            return self._entries[pasid]
+        except KeyError:
+            raise ConfigurationError(
+                f"PASID {pasid} has no page-table binding"
+            ) from None
 
     def is_bound(self, pasid: int) -> bool:
         """Return ``True`` when *pasid* has a binding."""

@@ -31,7 +31,7 @@ from repro.dsa.device import (
     GroupConfig,
     SubmissionTicket,
 )
-from repro.dsa.engine import Engine, EngineTiming, ExecutionOutcome
+from repro.dsa.engine import Engine, EngineTiming
 from repro.dsa.opcodes import DescriptorFlags, Opcode, STANDARD_COMPLETION_FLAGS
 from repro.dsa.perfmon import EVENTS, Perfmon, PerfmonEvent
 from repro.dsa.portal import Portal, ProbeResult
@@ -61,7 +61,6 @@ __all__ = [
     "EVENTS",
     "Engine",
     "EngineTiming",
-    "ExecutionOutcome",
     "FieldAccess",
     "GroupConfig",
     "HardwareQueueSpace",

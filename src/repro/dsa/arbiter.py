@@ -7,8 +7,9 @@ descriptors cannot be used to congest a queue and why the SWQ attack
 anchors with a plain memcpy work descriptor.
 
 Among work queues the arbiter honors the configured queue priority, then
-FIFO order by enqueue time.  :class:`ArbiterPolicy` exposes the FIFO
-alternative for the ablation benchmark.
+FIFO order by enqueue time, then the lower queue id.
+:class:`ArbiterPolicy` exposes the FIFO alternative for the ablation
+benchmark.
 """
 
 from __future__ import annotations
@@ -39,21 +40,9 @@ class BatchBufferEntry:
     sequence: int
 
 
-@dataclass(frozen=True)
-class ArbiterChoice:
-    """What the arbiter picked: exactly one source is non-None."""
-
-    wq: WorkQueue | None = None
-    wq_entry: QueuedEntry | None = None
-    batch_entry: BatchBufferEntry | None = None
-
-    @property
-    def ready_time(self) -> int:
-        """When the chosen descriptor became available for dispatch."""
-        if self.wq_entry is not None:
-            return self.wq_entry.enqueue_time
-        assert self.batch_entry is not None
-        return self.batch_entry.available_time
+#: What :meth:`Arbiter.choose` picked: the winning work queue (``None``
+#: for a batch-buffer entry), the entry itself, and when it became ready.
+Choice = tuple["WorkQueue | None", "QueuedEntry | BatchBufferEntry", int]
 
 
 class Arbiter:
@@ -67,53 +56,60 @@ class Arbiter:
         queues: Sequence[WorkQueue],
         batch_buffer: list[BatchBufferEntry],
         time: int,
-    ) -> ArbiterChoice | None:
+    ) -> Choice | None:
         """Pick the next descriptor available at *time*, or ``None``.
 
-        The returned entry is **not** removed from its source; the caller
-        pops it once admission succeeds.
+        Returns ``(queue, entry, ready_time)``; *queue* is ``None`` when
+        the entry comes from *batch_buffer*.  The entry is **not**
+        removed from its source; the caller pops it once admission
+        succeeds.
         """
-        wq_candidate = self._best_wq(queues, time)
-        batch_candidate = self._best_batch(batch_buffer, time)
-        if wq_candidate is None and batch_candidate is None:
-            return None
-        if self.policy is ArbiterPolicy.WQ_PRIORITY:
-            if wq_candidate is not None:
-                return wq_candidate
-            return batch_candidate
-        # FIFO ablation: earliest arrival wins, work queue breaking ties.
-        if wq_candidate is None:
-            return batch_candidate
-        if batch_candidate is None:
-            return wq_candidate
-        if batch_candidate.ready_time < wq_candidate.ready_time:
-            return batch_candidate
-        return wq_candidate
-
-    @staticmethod
-    def _best_wq(queues: Sequence[WorkQueue], time: int) -> ArbiterChoice | None:
-        best: tuple[int, int, int] | None = None
-        chosen: tuple[WorkQueue, QueuedEntry] | None = None
+        chosen = None
         for queue in queues:
             entry = queue.peek()
             if entry is None or entry.enqueue_time > time:
                 continue
-            key = (-queue.config.priority, entry.enqueue_time, queue.wq_id)
-            if best is None or key < best:
-                best = key
-                chosen = (queue, entry)
-        if chosen is None:
-            return None
-        return ArbiterChoice(wq=chosen[0], wq_entry=chosen[1])
+            if chosen is None:
+                chosen, best = queue, entry
+                continue
+            priority = queue.config.priority
+            best_priority = chosen.config.priority
+            if priority > best_priority or (
+                priority == best_priority
+                and (
+                    entry.enqueue_time < best.enqueue_time
+                    or (
+                        entry.enqueue_time == best.enqueue_time
+                        and queue.config.wq_id < chosen.config.wq_id
+                    )
+                )
+            ):
+                chosen, best = queue, entry
+        if chosen is not None and (
+            self.policy is ArbiterPolicy.WQ_PRIORITY or not batch_buffer
+        ):
+            return chosen, best, best.enqueue_time
+        batch = self._best_batch(batch_buffer, time) if batch_buffer else None
+        if batch is None:
+            return None if chosen is None else (chosen, best, best.enqueue_time)
+        # FIFO ablation: earliest arrival wins, work queue breaking ties.
+        if chosen is not None and best.enqueue_time <= batch.available_time:
+            return chosen, best, best.enqueue_time
+        return None, batch, batch.available_time
 
     @staticmethod
     def _best_batch(
         batch_buffer: list[BatchBufferEntry], time: int
-    ) -> ArbiterChoice | None:
-        if not batch_buffer:
-            return None
-        ready = [e for e in batch_buffer if e.available_time <= time]
-        if not ready:
-            return None
-        entry = min(ready, key=lambda e: (e.available_time, e.sequence))
-        return ArbiterChoice(batch_entry=entry)
+    ) -> BatchBufferEntry | None:
+        best = None
+        for entry in batch_buffer:
+            if entry.available_time <= time and (
+                best is None
+                or entry.available_time < best.available_time
+                or (
+                    entry.available_time == best.available_time
+                    and entry.sequence < best.sequence
+                )
+            ):
+                best = entry
+        return best

@@ -48,6 +48,8 @@ COMPLETION_ALIGN = 32
 
 _PACK = struct.Struct("<I H B B Q Q Q I H H Q 16x")
 
+_INTERRUPT = int(DescriptorFlags.REQUEST_COMPLETION_INTERRUPT)
+
 
 @dataclass(frozen=True)
 class FieldAccess:
@@ -87,14 +89,12 @@ class Descriptor:
     privileged: bool = False
 
     def __post_init__(self) -> None:
-        # Cache the flag test as a plain bool: IntFlag arithmetic is
-        # surprisingly expensive and this predicate runs on every
+        # Cache the flag tests as plain bools: IntFlag arithmetic is
+        # surprisingly expensive and these predicates run on every
         # submission, dispatch, and completion (hot attack loop).
-        object.__setattr__(
-            self,
-            "_wants_completion",
-            (int(self.flags) & 0x0C) == 0x0C,
-        )
+        flags = int(self.flags)
+        object.__setattr__(self, "_wants_completion", (flags & 0x0C) == 0x0C)
+        object.__setattr__(self, "_wants_interrupt", (flags & _INTERRUPT) != 0)
 
     @property
     def src2(self) -> int:
@@ -106,6 +106,11 @@ class Descriptor:
         """Whether the engine must write a completion record."""
         return self._wants_completion
 
+    @property
+    def wants_interrupt(self) -> bool:
+        """Whether completion raises an interrupt."""
+        return self._wants_interrupt
+
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
@@ -113,7 +118,7 @@ class Descriptor:
         """Raise :class:`InvalidDescriptorError` on malformed descriptors."""
         if self.pasid <= 0:
             raise InvalidDescriptorError(f"descriptor has invalid PASID {self.pasid}")
-        if self.wants_completion and self.completion_addr % COMPLETION_ALIGN:
+        if self._wants_completion and self.completion_addr % COMPLETION_ALIGN:
             raise InvalidDescriptorError(
                 f"completion record address {self.completion_addr:#x} "
                 f"is not {COMPLETION_ALIGN}-byte aligned"
@@ -136,24 +141,28 @@ class Descriptor:
         stream of a noop descriptor, which is why the paper's attack
         probes with noops.
         """
-        accesses: list[FieldAccess] = []
-        if self.opcode is Opcode.BATCH:
+        return [FieldAccess(*stream) for stream in self.streams()]
+
+    def streams(self) -> list[tuple[FieldType, int, int, bool]]:
+        """:meth:`field_accesses` as ``(field_type, address, size, write)``
+        tuples, the form the engine consumes."""
+        opcode = self.opcode
+        if opcode is Opcode.BATCH:
             # The batch fetcher's reads bypass the DevTLB entirely; the
             # batch engine model handles them out-of-band.
-            return accesses
-        if self.opcode in READS_SRC:
-            accesses.append(FieldAccess(FieldType.SRC, self.src, self.size, write=False))
-        if self.opcode in USES_SRC2:
-            accesses.append(FieldAccess(FieldType.SRC2, self.dst, self.size, write=False))
-        elif self.opcode in WRITES_DST:
-            accesses.append(FieldAccess(FieldType.DST, self.dst, self.size, write=True))
-        if self.opcode in WRITES_DST2:
-            accesses.append(FieldAccess(FieldType.DST2, self.dst2, self.size, write=True))
-        if self.wants_completion:
-            accesses.append(
-                FieldAccess(FieldType.COMP, self.completion_addr, 0, write=True)
-            )
-        return accesses
+            return []
+        streams = []
+        if opcode in READS_SRC:
+            streams.append((FieldType.SRC, self.src, self.size, False))
+        if opcode in USES_SRC2:
+            streams.append((FieldType.SRC2, self.dst, self.size, False))
+        elif opcode in WRITES_DST:
+            streams.append((FieldType.DST, self.dst, self.size, True))
+        if opcode in WRITES_DST2:
+            streams.append((FieldType.DST2, self.dst2, self.size, True))
+        if self._wants_completion:
+            streams.append((FieldType.COMP, self.completion_addr, 0, True))
+        return streams
 
     def pages_touched(self) -> int:
         """Total page translations the engine will request."""

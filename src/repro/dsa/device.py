@@ -26,16 +26,29 @@ exposes the bound read-only; a polled wait
 that reaches it.
 
 The bound is cheap to recompute: each engine's ``inflight`` list is
-sorted by completion time on insert, so the earliest completion is one
-head per engine, and the batch buffers are scanned only while
-``_buffered`` (batch children awaiting dispatch) is non-zero.
+sorted by completion time on insert, the earliest completion across
+the fixed engine tuple is cached (``_next_completion``, lowered on
+admit and recomputed by each retirement), and the batch buffers are
+scanned only while ``_buffered`` (batch children awaiting dispatch) is
+non-zero.
 
-A dispatch pass runs only while entries await dispatch
-(``_pending_work``): it repeats arbiter rounds while the last one
-dispatched something and work is still pending, so the round that
-empties the queues is the last.  Each round takes its group's queues
-from the per-group id-ordered tuples that ``HardwareQueueSpace``
-rebuilds on ``configure``/``remove``.
+One function dispatches, :meth:`DsaDevice._dispatch_ready`, and it runs
+only while entries await dispatch (``_pending_work``).  It repeats
+arbiter rounds while the last one dispatched something and work is
+still pending, so the round that empties the queues is the last.  Each
+round takes its group's queues from the per-group id-ordered tuples that
+``HardwareQueueSpace`` rebuilds on ``configure``/``remove``.  Batch
+parents, batch children, the FIFO ablation and the invariant monitor's
+ready-head snapshot are branches of that one path; the arbiter
+(:mod:`repro.dsa.arbiter`) alone decides which entry an engine gets.
+
+A round skips an engine that is *busy past the pass*: its
+``concurrent_descriptors``-th latest in-flight completion lies after
+the pass's time limit, so no work or batch-buffer descriptor can start
+on it.  The skip is exact only while no ``BatchDescriptor`` waits in a
+work queue (``_queued_batches`` is zero), because a batch parent goes
+to the batch fetcher even when its engine is busy; with one queued, the
+round asks the arbiter as usual.
 
 Work-queue/engine topology follows the real device's *group* concept: a
 group is a set of work queues feeding a set of engines.  Cross-group
@@ -55,12 +68,12 @@ from repro.ats.devtlb import DevTlb, DevTlbConfig
 from repro.ats.iotlb import IoTlb
 from repro.ats.pasid import PasidTable
 from repro.ats.prs import PageRequestService
-from repro.dsa.arbiter import Arbiter, ArbiterChoice, ArbiterPolicy, BatchBufferEntry
+from repro.dsa.arbiter import Arbiter, ArbiterPolicy, BatchBufferEntry
 from repro.dsa.batch import BatchFetcher
 from repro.dsa.completion import CompletionRecord, CompletionStatus
 from repro.dsa.descriptor import BatchDescriptor, Descriptor
 from repro.dsa.engine import Engine, EngineTiming
-from repro.dsa.opcodes import DescriptorFlags, Opcode
+from repro.dsa.opcodes import Opcode
 from repro.dsa.wq import HardwareQueueSpace, WorkQueue, WorkQueueConfig
 from repro.errors import (
     ConfigurationError,
@@ -201,6 +214,7 @@ class DsaDevice:
             )
             for engine_id in range(self.config.engine_count)
         }
+        self._engine_list = tuple(self.engines.values())
         self._groups: dict[int, GroupConfig] = {}
         self._batch_buffers: dict[int, list[BatchBufferEntry]] = {
             engine_id: [] for engine_id in self.engines
@@ -210,8 +224,10 @@ class DsaDevice:
         self._ticket_sequence = 0
         self._pending_work = 0  # entries awaiting dispatch (fast-path gate)
         self._buffered = 0  # batch children in the batch buffers
+        self._queued_batches = 0  # BatchDescriptors waiting in work queues
         self._time = 0
         self._wake: float = 0  # next possible replay event (module docstring)
+        self._next_completion: float = math.inf  # earliest in-flight completion
         self.interrupt_log: list[InterruptEvent] = []
         self.fault_injector = None
         self.invariant_monitor = None
@@ -296,6 +312,7 @@ class DsaDevice:
                 self.fault_injector.acknowledge(drain, action="wq-disable")
         wq = self.queue_space.get(wq_id)
         entry = wq.try_enqueue(descriptor, time)
+        monitor = self.invariant_monitor
         if entry is None:
             self.stats.submissions_retried += 1
         else:
@@ -308,16 +325,19 @@ class DsaDevice:
             self._ticket_sequence += 1
             self._tickets[(wq_id, entry.sequence)] = ticket
             self._pending_work += 1
+            if isinstance(descriptor, BatchDescriptor):
+                self._queued_batches += 1
             self.stats.submissions_accepted += 1
-        monitor = self.invariant_monitor
         if monitor is not None:
+            # Narration reads enum members' ``_value_``/``_name_``: the
+            # ``.value``/``.name`` properties cost a Python call apiece.
             monitor.note(
                 "submit",
                 time,
                 wq_id=wq_id,
                 pasid=descriptor.pasid,
                 accepted=int(entry is not None),
-                mode=wq.config.mode.value,
+                mode=wq.config.mode._value_,
                 quartile=min(3, 4 * wq.occupancy // wq.config.size),
             )
         if entry is None:
@@ -329,7 +349,7 @@ class DsaDevice:
             if monitor is not None and not isinstance(exc, InvariantViolation):
                 monitor.note("submit-error", time, wq_id=wq_id, mode=wq.config.mode.value)
             raise
-        self._wake = self._next_wake(time)
+        self._wake = self._next_wake(time) if self._buffered else self._next_completion
         return False, ticket
 
     # ------------------------------------------------------------------
@@ -343,13 +363,14 @@ class DsaDevice:
             self._time = time
             return
         while True:
-            self._dispatch_ready(time)
-            next_completion = self._next_completion_time()
+            if self._pending_work:
+                self._dispatch_ready(time)
+            next_completion = self._next_completion
             if next_completion > time:
                 break
             self._retire_at(next_completion)
         self._time = time
-        self._wake = self._next_wake(time)
+        self._wake = self._next_wake(time) if self._buffered else self._next_completion
 
     @property
     def next_event(self) -> float:
@@ -360,43 +381,47 @@ class DsaDevice:
         """
         return self._wake
 
-    def _next_completion_time(self) -> float:
-        """Earliest in-flight completion, or infinity when every engine is idle."""
-        best = math.inf
-        for engine in self.engines.values():
-            if engine.inflight and engine.inflight[0].completion_time < best:
-                best = engine.inflight[0].completion_time
-        return best
-
     def _next_wake(self, limit: int) -> float:
         """Lower bound on the next replay event after a dispatch pass at *limit*.
 
         Until then every engine's arbiter choice stays blocked or empty:
         no descriptor retires and no batch child becomes available.
         """
-        wake = self._next_completion_time()
-        if self._buffered:
-            for buffer in self._batch_buffers.values():
-                for entry in buffer:
-                    if limit < entry.available_time < wake:
-                        wake = entry.available_time
+        wake = self._next_completion
+        for buffer in self._batch_buffers.values():
+            for entry in buffer:
+                if limit < entry.available_time < wake:
+                    wake = entry.available_time
         return wake
 
     def _retire_at(self, time: int) -> None:
-        for engine in self.engines.values():
-            if engine.inflight:
-                for token in engine.retire_due(time):
-                    self._complete_ticket(token, time)
+        """Complete everything due at *time* and recompute the next completion."""
+        best = math.inf
+        for engine in self._engine_list:
+            inflight = engine.inflight
+            if not inflight:
+                continue
+            if inflight[0].completion_time <= time:
+                for ticket in engine.retire_due(time):
+                    self._complete_ticket(ticket, time)
+                if not inflight:
+                    continue
+            if inflight[0].completion_time < best:
+                best = inflight[0].completion_time
+        self._next_completion = best
 
     def _complete_ticket(self, ticket: SubmissionTicket, time: int) -> None:
-        """Write the completion record, free the WQ slot, resolve batches."""
+        """Write the completion record, free the WQ slot, resolve batches.
+
+        Only plain descriptors reach an engine, so *ticket* never holds a
+        batch parent (those complete in :meth:`_complete_batch_parent`).
+        """
         descriptor = ticket.descriptor
-        if isinstance(descriptor, Descriptor) and descriptor.wants_completion:
+        record = ticket.pending_record
+        if descriptor.wants_completion:
             space = self.pasid_table.lookup(descriptor.pasid)
-            space.write(descriptor.completion_addr, ticket.pending_record.encode())
-        if isinstance(descriptor, Descriptor) and (
-            int(descriptor.flags) & int(DescriptorFlags.REQUEST_COMPLETION_INTERRUPT)
-        ):
+            space.write(descriptor.completion_addr, record.encode())
+        if descriptor.wants_interrupt:
             self.interrupt_log.append(
                 InterruptEvent(
                     timestamp=time,
@@ -405,7 +430,7 @@ class DsaDevice:
                 )
             )
             self.stats.interrupts_raised += 1
-        ticket.record = ticket.pending_record
+        ticket.record = record
         if ticket.wq_id is not None:
             self.queue_space.get(ticket.wq_id).release_slot()
         self.stats.descriptors_completed += 1
@@ -422,13 +447,19 @@ class DsaDevice:
         if parent is not None:
             parent.children_pending -= 1
             if parent.children_pending == 0:
-                self._complete_batch_parent(parent, time)
+                batch = parent.descriptor
+                self._complete_batch_parent(
+                    parent,
+                    time,
+                    CompletionRecord(status=CompletionStatus.SUCCESS, result=batch.count),
+                )
 
-    def _complete_batch_parent(self, parent: SubmissionTicket, time: int) -> None:
+    def _complete_batch_parent(
+        self, parent: SubmissionTicket, time: int, record: CompletionRecord
+    ) -> None:
         """Batch parent record write — bypasses the DevTLB (Section IV-B)."""
         batch = parent.descriptor
         assert isinstance(batch, BatchDescriptor)
-        record = CompletionRecord(status=CompletionStatus.SUCCESS, result=batch.count)
         parent.completion_time = time
         space = self.pasid_table.lookup(batch.pasid)
         if batch.completion_addr:
@@ -450,102 +481,103 @@ class DsaDevice:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch_ready(self, limit: int) -> None:
-        """Dispatch everything that can start at or before *limit*."""
+        """Dispatch everything that can start at or before *limit*.
+
+        The device's only dispatch path (module docstring): one arbiter
+        choice per engine per round, then a branch per source.
+        """
+        choose = self.arbiter.choose
+        engines = self.engines
+        buffers = self._batch_buffers
+        concurrent = self.config.timing.concurrent_descriptors
+        monitor = self.invariant_monitor
         progressed = True
         while progressed and self._pending_work:
             progressed = False
             for group in self._groups.values():
-                queues = self.queue_space.group_queues(group.group_id)
+                queues = None
                 for engine_id in group.engine_ids:
-                    if self._try_dispatch_one(group, engine_id, queues, limit):
-                        progressed = True
+                    engine = engines[engine_id]
+                    inflight = engine.inflight
+                    if (
+                        not self._queued_batches
+                        and len(inflight) >= concurrent
+                        and inflight[-concurrent].completion_time > limit
+                    ):
+                        continue  # busy past the pass (module docstring)
+                    if queues is None:
+                        queues = self.queue_space.group_queues(group.group_id)
+                    buffer = buffers[engine_id]
+                    choice = choose(queues, buffer, limit)
+                    if choice is None:
+                        continue
+                    wq, entry, start = choice
+                    descriptor = entry.descriptor
+                    is_batch = isinstance(descriptor, BatchDescriptor)
+                    if inflight and not is_batch:  # an idle engine starts at once
+                        start = engine.earliest_start(
+                            after=start, needs_idle=descriptor.opcode is Opcode.DRAIN
+                        )
+                    if start > limit:
+                        continue
+                    snapshot = (
+                        self._ready_heads(queues, limit) if monitor is not None else None
+                    )
+                    # Remove the chosen entry from its source.
+                    self._pending_work -= 1
+                    if wq is not None:
+                        popped = wq.pop()
+                        assert popped is entry, "arbiter raced the queue"
+                        ticket = self._tickets.pop((wq.wq_id, entry.sequence))
+                    else:
+                        for index, buffered in enumerate(buffer):
+                            if buffered is entry:
+                                del buffer[index]
+                                break
+                        else:
+                            raise AssertionError("batch entry left its engine's buffer")
+                        self._buffered -= 1
+                        ticket = entry.parent_token
+                    ticket.dispatch_time = start
+                    progressed = True
+                    if monitor is not None:
+                        # None-valued fields drop out of the event.
+                        monitor.note(
+                            "dispatch",
+                            start,
+                            payload=snapshot,
+                            wq_id=wq.wq_id if wq is not None else None,
+                            priority=wq.config.priority if wq is not None else None,
+                            policy=self.arbiter.policy._value_,
+                            engine_id=None if is_batch else engine_id,
+                            source=(
+                                "batch-parent"
+                                if is_batch
+                                else "wq" if wq is not None else "batch"
+                            ),
+                            opcode=None if is_batch else descriptor.opcode._name_,
+                        )
+                    if is_batch:
+                        self._queued_batches -= 1
+                        self._fetch_batch(group, ticket, start)
+                        continue
+                    ticket.engine_id = engine_id
+                    cycles, record, hits, misses = engine.execute(descriptor, start)
+                    completion = start + cycles
+                    ticket.completion_time = completion
+                    ticket.devtlb_hits = hits
+                    ticket.devtlb_misses = misses
+                    ticket.pending_record = record
+                    engine.admit(ticket)
+                    if completion < self._next_completion:
+                        self._next_completion = completion
 
-    def _try_dispatch_one(
-        self,
-        group: GroupConfig,
-        engine_id: int,
-        queues: tuple[WorkQueue, ...],
-        limit: int,
-    ) -> bool:
-        engine = self.engines[engine_id]
-        buffer = self._batch_buffers[engine_id]
-        choice = self.arbiter.choose(queues, buffer, limit)
-        if choice is None:
-            return False
+    def _fetch_batch(self, group: GroupConfig, ticket: SubmissionTicket, start: int) -> None:
+        """Hand a dispatched batch parent to the batch engine (fetcher).
 
-        descriptor = (
-            choice.wq_entry.descriptor
-            if choice.wq_entry is not None
-            else choice.batch_entry.descriptor
-        )
-
-        if isinstance(descriptor, BatchDescriptor):
-            return self._dispatch_batch(group, choice, queues, limit)
-
-        start = engine.earliest_start(
-            after=choice.ready_time,
-            needs_idle=descriptor.opcode is Opcode.DRAIN,
-        )
-        if start > limit:
-            return False
-
-        monitor = self.invariant_monitor
-        snapshot = self._ready_heads(queues, limit) if monitor is not None else None
-        ticket = self._pop_choice(choice, buffer)
-        ticket.dispatch_time = start
-        ticket.engine_id = engine_id
-        if monitor is not None:
-            monitor.note(
-                "dispatch",
-                start,
-                payload=snapshot,
-                wq_id=choice.wq.wq_id if choice.wq is not None else None,
-                priority=(
-                    choice.wq.config.priority if choice.wq is not None else None
-                ),
-                policy=self.arbiter.policy.value,
-                engine_id=engine_id,
-                source="wq" if choice.wq is not None else "batch",
-                opcode=descriptor.opcode.name,
-            )
-        outcome = engine.execute(descriptor, start)
-        ticket.completion_time = start + outcome.cycles
-        ticket.devtlb_hits = outcome.devtlb_hits
-        ticket.devtlb_misses = outcome.devtlb_misses
-        ticket.pending_record = outcome.record
-        engine.admit(completion_time=ticket.completion_time, token=ticket)
-        return True
-
-    def _dispatch_batch(
-        self,
-        group: GroupConfig,
-        choice: ArbiterChoice,
-        queues: tuple[WorkQueue, ...],
-        limit: int,
-    ) -> bool:
-        """Hand a batch descriptor to the batch engine (fetcher)."""
-        assert choice.wq_entry is not None, "batches only arrive via work queues"
-        start = choice.ready_time
-        if start > limit:
-            return False
-        monitor = self.invariant_monitor
-        snapshot = self._ready_heads(queues, limit) if monitor is not None else None
-        ticket = self._pop_choice(choice)
-        batch = ticket.descriptor
-        assert isinstance(batch, BatchDescriptor)
-        ticket.dispatch_time = start
-        if monitor is not None:
-            assert choice.wq is not None
-            monitor.note(
-                "dispatch",
-                start,
-                payload=snapshot,
-                wq_id=choice.wq.wq_id,
-                priority=choice.wq.config.priority,
-                policy=self.arbiter.policy.value,
-                source="batch-parent",
-            )
-        result = self.fetcher.fetch(batch, start)
+        Its children land in one engine's batch buffer.
+        """
+        result = self.fetcher.fetch(ticket.descriptor, start)
         available = start + result.cycles
         ticket.children_pending = len(result.descriptors)
         engine_id = group.engine_ids[self._batch_sequence % len(group.engine_ids)]
@@ -569,7 +601,6 @@ class DsaDevice:
             self._batch_sequence += 1
             self._pending_work += 1
             self._buffered += 1
-        return True
 
     def _ready_heads(
         self, queues: tuple[WorkQueue, ...], time: int
@@ -588,28 +619,6 @@ class DsaDevice:
                     (queue.wq_id, queue.config.priority, entry.enqueue_time)
                 )
         return tuple(heads)
-
-    def _pop_choice(
-        self, choice: ArbiterChoice, buffer: list[BatchBufferEntry] | None = None
-    ) -> SubmissionTicket:
-        """Remove the chosen entry from its source and return its ticket.
-
-        A batch child is removed by identity from *buffer*, the engine
-        buffer the arbiter chose it from.
-        """
-        self._pending_work -= 1
-        if choice.wq_entry is not None:
-            assert choice.wq is not None
-            entry = choice.wq.pop()
-            assert entry is choice.wq_entry, "arbiter raced the queue"
-            return self._tickets.pop((choice.wq.wq_id, entry.sequence))
-        assert choice.batch_entry is not None and buffer is not None
-        for index, entry in enumerate(buffer):
-            if entry is choice.batch_entry:
-                del buffer[index]
-                self._buffered -= 1
-                return entry.parent_token
-        raise AssertionError("batch entry vanished from its engine's buffer")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -632,6 +641,8 @@ class DsaDevice:
             ticket = self._tickets.pop((wq_id, entry.sequence), None)
             self._pending_work -= 1
             descriptor = entry.descriptor
+            if isinstance(descriptor, BatchDescriptor):
+                self._queued_batches -= 1
             record = CompletionRecord(status=CompletionStatus.ABORT)
             if isinstance(descriptor, Descriptor) and descriptor.wants_completion:
                 space = self.pasid_table.lookup(descriptor.pasid)

@@ -40,7 +40,7 @@ import numpy as np
 from repro.ats.agent import TranslationAgent
 from repro.ats.devtlb import DevTlb, FieldType
 from repro.dsa.completion import CompletionRecord, CompletionStatus
-from repro.dsa.descriptor import Descriptor, FieldAccess
+from repro.dsa.descriptor import Descriptor
 from repro.dsa.opcodes import Opcode
 from repro.errors import TranslationFault
 from repro.faults.plan import FaultSite
@@ -72,25 +72,10 @@ class EngineTiming:
     data_move_limit: int = 1 << 20
 
 
-@dataclass
-class ExecutionOutcome:
-    """What one descriptor execution produced."""
-
-    cycles: int
-    record: CompletionRecord
-    devtlb_hits: int
-    devtlb_misses: int
-
-
-@dataclass
-class _InFlight:
-    """A descriptor currently executing on a processing unit."""
-
-    completion_time: int
-    token: object = None
-
-
 _completion_key = attrgetter("completion_time")
+
+#: The record of every successful noop and drain (records are immutable).
+_SUCCESS = CompletionRecord(status=CompletionStatus.SUCCESS)
 
 
 @dataclass
@@ -139,9 +124,10 @@ class Engine:
         self.noise = noise
         self.rng = rng
         self.timing = timing or EngineTiming()
-        #: Executing descriptors, sorted by completion time; equal times
+        #: Executing descriptors' tokens (anything with a
+        #: ``completion_time``), sorted by completion time; equal times
         #: keep admission order.
-        self.inflight: list[_InFlight] = []
+        self.inflight: list = []
         self.stats = EngineStats()
         self.fault_injector = None
         self.invariant_monitor = None
@@ -162,19 +148,15 @@ class Engine:
             return after
         return max(after, inflight[len(inflight) - 1 - limit].completion_time)
 
-    def admit(self, completion_time: int, token: object) -> None:
-        """Record a descriptor as executing until *completion_time*."""
-        bisect.insort(
-            self.inflight,
-            _InFlight(completion_time=completion_time, token=token),
-            key=_completion_key,
-        )
+    def admit(self, token) -> None:
+        """Record *token* as executing until its ``completion_time``."""
+        bisect.insort(self.inflight, token, key=_completion_key)
 
-    def retire_due(self, time: int) -> list[object]:
-        """Remove and return tokens of descriptors completed by *time*."""
+    def retire_due(self, time: int) -> list:
+        """Remove and return the tokens of descriptors completed by *time*."""
         inflight = self.inflight
         done = bisect.bisect_right(inflight, time, key=_completion_key)
-        tokens = [item.token for item in inflight[:done]]
+        tokens = inflight[:done]
         del inflight[:done]
         return tokens
 
@@ -186,54 +168,62 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, descriptor: Descriptor, timestamp: int) -> ExecutionOutcome:
+    def execute(
+        self, descriptor: Descriptor, timestamp: int
+    ) -> tuple[int, CompletionRecord, int, int]:
         """Run *descriptor*: charge timing, move data, build the record.
 
-        DevTLB and IOTLB state mutate here, at dispatch order — which is
-        what makes cross-descriptor eviction visible to later probes.
+        Returns ``(cycles, record, devtlb_hits, devtlb_misses)``.  DevTLB
+        and IOTLB state mutate here, at dispatch order — which is what
+        makes cross-descriptor eviction visible to later probes.
         """
         timing = self.timing
         cycles = timing.fixed_cycles
-        hits = 0
-        misses = 0
-        fault: TranslationFault | None = None
-        injected_error = None
-        if self.fault_injector is not None:
+        injector = self.fault_injector
+        if injector is not None:
             cycles += self._pre_execution_faults(descriptor, timestamp)
 
-        translate_total = 0
-        data_total = 0
-        for access in descriptor.field_accesses():
-            try:
-                translate_cycles, stream_hits, stream_misses = self._translate_stream(
-                    access, descriptor.pasid, timestamp
-                )
-            except TranslationFault as exc:
-                fault = exc
-                self.stats.faults += 1
-                self._narrate_fault(descriptor, timestamp, "translation")
-                break
-            hits += stream_hits
-            misses += stream_misses
-            translate_total += translate_cycles
-            if access.field_type is not FieldType.COMP:
-                data_total += int(access.size * timing.cycles_per_stream_byte)
+        hits = misses = translate_total = data_total = 0
+        fault: TranslationFault | None = None
+        streams = descriptor.streams()
+        if streams:
+            pasid = descriptor.pasid
+            space = self.agent.pasid_table.lookup(pasid)
+            for field_type, address, size, write in streams:
+                try:
+                    stream_cycles, stream_hits, stream_misses = self._translate_stream(
+                        space, pasid, field_type, address, size, write, timestamp
+                    )
+                except TranslationFault as exc:
+                    fault = exc
+                    self.stats.faults += 1
+                    self._narrate_fault(descriptor, timestamp, "translation")
+                    break
+                hits += stream_hits
+                misses += stream_misses
+                translate_total += stream_cycles
+                if field_type is not FieldType.COMP:
+                    data_total += int(size * timing.cycles_per_stream_byte)
         # Translation overlaps with data streaming: the descriptor costs
         # the longer of the two plus a small serialization residue.
         # Small transfers stay translation-bound (the Fig. 4 hit/miss
         # gap); large ones become bandwidth-bound (the Fig. 6 slope),
         # which also makes DevTLB disturbance cheap for bulk copies
         # (the Fig. 14 shape).
-        cycles += max(data_total, translate_total) + int(
-            0.2 * min(data_total, translate_total)
-        )
+        if data_total > translate_total:
+            cycles += data_total + int(0.2 * translate_total)
+        else:
+            cycles += translate_total + int(0.2 * data_total)
 
         if descriptor.wants_completion:
             cycles += timing.completion_write_cycles
-        cycles += max(0, self.noise.sample(self.rng))
+        noise = self.noise.sample(self.rng)
+        if noise > 0:
+            cycles += noise
 
-        if fault is None and self.fault_injector is not None:
-            injected_error = self.fault_injector.fire(
+        injected_error = None
+        if fault is None and injector is not None:
+            injected_error = injector.fire(
                 FaultSite.COMPLETION_ERROR,
                 timestamp=timestamp,
                 pasid=descriptor.pasid,
@@ -260,16 +250,17 @@ class Engine:
                 bytes_completed=0,
                 fault_address=descriptor.src if status is CompletionStatus.PAGE_FAULT else 0,
             )
-            self.fault_injector.acknowledge(injected_error, action="error-record")
+            injector.acknowledge(injected_error, action="error-record")
+        elif descriptor.opcode is Opcode.NOOP or descriptor.opcode is Opcode.DRAIN:
+            record = _SUCCESS
         else:
             record = self._perform_operation(descriptor)
 
-        self.stats.descriptors_executed += 1
-        self.stats.bytes_processed += descriptor.size
-        self.stats.busy_cycles += cycles
-        return ExecutionOutcome(
-            cycles=cycles, record=record, devtlb_hits=hits, devtlb_misses=misses
-        )
+        stats = self.stats
+        stats.descriptors_executed += 1
+        stats.bytes_processed += descriptor.size
+        stats.busy_cycles += cycles
+        return cycles, record, hits, misses
 
     def _narrate_fault(self, descriptor: Descriptor, timestamp: int, cause: str) -> None:
         if self.invariant_monitor is not None:
@@ -323,7 +314,14 @@ class Engine:
     # Translation
     # ------------------------------------------------------------------
     def _translate_stream(
-        self, access: FieldAccess, pasid: int, timestamp: int
+        self,
+        space,
+        pasid: int,
+        field_type: FieldType,
+        address: int,
+        size: int,
+        write: bool,
+        timestamp: int,
     ) -> tuple[int, int, int]:
         """Translate the page segments of one field stream.
 
@@ -337,51 +335,49 @@ class Engine:
           latency hides behind data streaming and the per-page IOTLB
           walk is skipped.
         """
-        timing = self.timing
-        pages = access.pages()
-        space = self.agent.pasid_table.lookup(pasid)
-
-        first_va = access.address
-        huge = space.is_mapped(first_va) and space.page_is_huge(first_va)
-        cycles = 0
-        hits = 0
-        misses = 0
-        if self.devtlb.access(
-            self.engine_id, access.field_type, pages[0], pasid, huge=huge, stream_pages=len(pages)
+        first = address >> PAGE_SHIFT
+        last = (address + size - 1) >> PAGE_SHIFT if size else first
+        extra = last - first
+        huge = space.is_mapped(address) and space.page_is_huge(address)
+        devtlb = self.devtlb
+        if devtlb.access(
+            self.engine_id, field_type, first, pasid, huge=huge, stream_pages=extra + 1
         ):
-            cycles += timing.devtlb_hit_cycles
-            hits += 1
+            cycles = self.timing.devtlb_hit_cycles
+            hits = 1
+            misses = 0
         else:
-            misses += 1
-            cycles += timing.ats_request_cycles
-            result = self.agent.translate(pasid, first_va, write=access.write, timestamp=timestamp)
-            cycles += result.cycles
+            hits = 0
+            misses = 1
+            cycles = self.timing.ats_request_cycles + self.agent.translate(
+                pasid, address, write=write, timestamp=timestamp
+            ).cycles
 
-        extra = len(pages) - 1
         if extra > 0:
-            last_va = pages[-1] << PAGE_SHIFT
+            last_va = last << PAGE_SHIFT
             if not space.is_mapped(last_va):
                 # Surface faults on the stream's tail even though the
                 # middle pages are charged arithmetically.
-                self.agent.translate(pasid, last_va, write=access.write, timestamp=timestamp)
+                self.agent.translate(pasid, last_va, write=write, timestamp=timestamp)
             misses += extra
-            self.devtlb.stats.alloc_requests += extra
-            self.devtlb.engine_stats(self.engine_id).alloc_requests += extra
-            self.devtlb.fill(self.engine_id, access.field_type, pages[-1], pasid)
+            devtlb.stats.alloc_requests += extra
+            devtlb.engine_stats(self.engine_id).alloc_requests += extra
+            devtlb.fill(self.engine_id, field_type, last, pasid)
         return cycles, hits, misses
 
     # ------------------------------------------------------------------
     # Data semantics
     # ------------------------------------------------------------------
     def _perform_operation(self, descriptor: Descriptor) -> CompletionRecord:
-        """Execute the data operation and build its completion record."""
+        """Execute the data operation and build its completion record.
+
+        Noops and drains never get here: :meth:`execute` gives them the
+        shared success record without a PASID lookup.
+        """
         space = self.agent.pasid_table.lookup(descriptor.pasid)
         op = descriptor.opcode
         size = descriptor.size
         move_data = size <= self.timing.data_move_limit
-
-        if op in (Opcode.NOOP, Opcode.DRAIN):
-            return CompletionRecord(status=CompletionStatus.SUCCESS)
 
         if op is Opcode.MEMMOVE:
             if move_data:

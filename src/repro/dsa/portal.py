@@ -83,16 +83,14 @@ class Portal:
         self.faults_injected = 0
 
     def _submission_fault(self, descriptor: Descriptor | BatchDescriptor) -> bool:
-        """Consult the fault injector at the portal-write site.
+        """Consult the device's fault injector at the portal-write site.
 
-        Applies an injected delay, then reports whether the write was
+        Callers check that the device has one.  Applies an injected delay, then reports whether the write was
         dropped outright.  A dropped write looks *accepted* to software
         (ZF clear / posted write) — the loss is only observable through
         the never-arriving completion record.
         """
         injector = self.device.fault_injector
-        if injector is None:
-            return False
         delay = injector.fire(
             FaultSite.SUBMISSION_DELAY,
             timestamp=self.clock.now,
@@ -126,22 +124,24 @@ class Portal:
         ``True`` (ZF set) means *retry*: the queue was full and nothing
         was enqueued.  Latency is charged identically either way.
         """
-        wq = self.device.wq(self.wq_id)
-        if wq.config.mode is not WqMode.SHARED:
+        device = self.device
+        if device.queue_space.get(self.wq_id).config.mode is not WqMode.SHARED:
             self._narrate("reject", instruction="enqcmd")
             raise ConfigurationError(
                 f"enqcmd targets shared queues; WQ {self.wq_id} is dedicated"
             )
-        descriptor = self._stamp_pasid(descriptor)
-        if self.device.config.dmwr_privileged and not self.privileged:
+        if descriptor.pasid != self.pasid:
+            descriptor = self._stamp_pasid(descriptor)
+        if device.config.dmwr_privileged and not self.privileged:
             return self._enqcmd_hidden(descriptor)
-        cycles = ENQCMD_SW_CYCLES + self.device.link.transaction_cycles(
-            TransactionKind.DMWR
+        now = self.clock.advance(
+            ENQCMD_SW_CYCLES + device.link.transaction_cycles(TransactionKind.DMWR)
         )
-        self.clock.advance(cycles)
-        if self._submission_fault(descriptor):
-            return False
-        zf, ticket = self.device.submit(self.wq_id, descriptor, self.clock.now)
+        if device.fault_injector is not None:
+            if self._submission_fault(descriptor):
+                return False
+            now = self.clock.now
+        zf, ticket = device.submit(self.wq_id, descriptor, now)
         self.last_ticket = ticket
         return zf
 
@@ -188,12 +188,13 @@ class Portal:
             raise ConfigurationError(
                 f"movdir64b targets dedicated queues; WQ {self.wq_id} is shared"
             )
-        descriptor = self._stamp_pasid(descriptor)
+        if descriptor.pasid != self.pasid:
+            descriptor = self._stamp_pasid(descriptor)
         cycles = MOVDIR_SW_CYCLES + self.device.link.transaction_cycles(
             TransactionKind.POSTED_WRITE
         )
         self.clock.advance(cycles)
-        if self._submission_fault(descriptor):
+        if self.device.fault_injector is not None and self._submission_fault(descriptor):
             return
         zf, ticket = self.device.submit(self.wq_id, descriptor, self.clock.now)
         if zf:
@@ -212,7 +213,7 @@ class Portal:
     # ------------------------------------------------------------------
     def submit(self, descriptor: Descriptor | BatchDescriptor) -> SubmissionTicket:
         """Submit through the queue's native instruction; raise when full."""
-        wq = self.device.wq(self.wq_id)
+        wq = self.device.queue_space.get(self.wq_id)
         if wq.config.mode is WqMode.DEDICATED:
             self.movdir64b(descriptor)
         else:
@@ -273,9 +274,9 @@ class Portal:
         """
         device = self.device
         clock = self.clock
-        deadline = None if timeout_cycles is None else clock.now + timeout_cycles
+        now = clock.now
+        deadline = None if timeout_cycles is None else now + timeout_cycles
         while ticket.completion_time is None:
-            now = clock.now
             if deadline is not None and now >= deadline:
                 self._narrate("timeout")
                 raise CompletionTimeoutError(
@@ -289,11 +290,10 @@ class Portal:
                 target = deadline
             # Take every spin up to the first one that reaches the target.
             spins = 1 if target == math.inf else max(1, -((now - target) // spin_cycles))
-            clock.advance(spins * spin_cycles)
-            device.advance_to(clock.now)
+            now = clock.advance(spins * spin_cycles)
+            device.advance_to(now)
         detect = device.config.timing.poll_detect_cycles
-        clock.advance_to(ticket.completion_time + detect)
-        device.advance_to(clock.now)
+        device.advance_to(clock.advance_to(ticket.completion_time + detect))
 
     def _narrate(self, kind: str, **context: str) -> None:
         monitor = self.device.invariant_monitor
@@ -303,6 +303,5 @@ class Portal:
     def _stamp_pasid(
         self, descriptor: Descriptor | BatchDescriptor
     ) -> Descriptor | BatchDescriptor:
-        if descriptor.pasid == self.pasid:
-            return descriptor
+        """The submission as the portal sends it: with the opener's PASID."""
         return replace(descriptor, pasid=self.pasid)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dsa.descriptor import BatchDescriptor, Descriptor
 from repro.errors import QueueConfigurationError
@@ -53,8 +54,7 @@ class WorkQueueConfig:
             )
 
 
-@dataclass(frozen=True)
-class QueuedEntry:
+class QueuedEntry(NamedTuple):
     """A descriptor waiting in a virtual queue."""
 
     descriptor: Descriptor | BatchDescriptor
@@ -67,17 +67,14 @@ class WorkQueue:
 
     def __init__(self, config: WorkQueueConfig) -> None:
         self.config = config
+        #: Queue identifier (portal index).
+        self.wq_id = config.wq_id
         self._entries: deque[QueuedEntry] = deque()
         self._outstanding = 0
         self._sequence = 0
         self.enqueued_total = 0
         self.rejected_total = 0
         self.max_occupancy_seen = 0
-
-    @property
-    def wq_id(self) -> int:
-        """Queue identifier (portal index)."""
-        return self.config.wq_id
 
     @property
     def occupancy(self) -> int:
@@ -113,7 +110,7 @@ class WorkQueue:
         A ``None`` return is the DMWr *retry* answer that sets
         ``EFLAGS.ZF`` for the submitter.
         """
-        if self.is_full:
+        if self._outstanding >= self.config.size:
             self.rejected_total += 1
             if isinstance(descriptor, BatchDescriptor) and canary_active(
                 CANARY_WQ_CREDIT
@@ -123,12 +120,13 @@ class WorkQueue:
                 # occupancy the wq-credits ledger audit must catch.
                 self._outstanding += 1
             return None
-        entry = QueuedEntry(descriptor=descriptor, enqueue_time=time, sequence=self._sequence)
+        entry = QueuedEntry(descriptor, time, self._sequence)
         self._sequence += 1
         self._entries.append(entry)
         self._outstanding += 1
         self.enqueued_total += 1
-        self.max_occupancy_seen = max(self.max_occupancy_seen, self._outstanding)
+        if self._outstanding > self.max_occupancy_seen:
+            self.max_occupancy_seen = self._outstanding
         return entry
 
     def release_slot(self) -> None:
@@ -201,10 +199,10 @@ class HardwareQueueSpace:
 
     def get(self, wq_id: int) -> WorkQueue:
         """Return the virtual queue *wq_id*."""
-        queue = self._queues.get(wq_id)
-        if queue is None:
-            raise QueueConfigurationError(f"WQ {wq_id} is not configured")
-        return queue
+        try:
+            return self._queues[wq_id]
+        except KeyError:
+            raise QueueConfigurationError(f"WQ {wq_id} is not configured") from None
 
     def queues(self) -> tuple[WorkQueue, ...]:
         """All configured queues, by id."""
@@ -212,7 +210,10 @@ class HardwareQueueSpace:
 
     def group_queues(self, group_id: int) -> tuple[WorkQueue, ...]:
         """The configured queues of group *group_id*, by id."""
-        return self._by_group.get(group_id, ())
+        try:
+            return self._by_group[group_id]
+        except KeyError:
+            return ()
 
     @property
     def entries_configured(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import OutOfMemoryError
-from repro.hw.units import HUGE_PAGE_SIZE, PAGE_SIZE, align_up
+from repro.hw.units import HUGE_PAGE_SIZE, PAGE_SHIFT, PAGE_SIZE, align_up
 
 
 @dataclass(frozen=True)
@@ -106,21 +106,23 @@ class PhysicalMemory:
     # ------------------------------------------------------------------
     # Data access
     # ------------------------------------------------------------------
-    def _frame(self, frame_number: int) -> bytearray:
-        frame = self._frames.get(frame_number)
-        if frame is None:
-            frame = bytearray(PAGE_SIZE)
-            self._frames[frame_number] = frame
-        return frame
-
     def write(self, pa: int, data: bytes) -> None:
         """Write *data* starting at physical address *pa*."""
-        self._check_bounds(pa, len(data))
+        size = len(data)
+        if pa < 0 or pa + size > self.total_bytes:
+            self._check_bounds(pa, size)
+        frames = self._frames
         offset = 0
-        while offset < len(data):
-            frame_number, in_frame = divmod(pa + offset, PAGE_SIZE)
-            chunk = min(PAGE_SIZE - in_frame, len(data) - offset)
-            frame = self._frame(frame_number)
+        while offset < size:
+            address = pa + offset
+            frame_number = address >> PAGE_SHIFT
+            in_frame = address & (PAGE_SIZE - 1)
+            chunk = PAGE_SIZE - in_frame
+            if chunk > size - offset:
+                chunk = size - offset
+            frame = frames.get(frame_number)
+            if frame is None:
+                frame = frames[frame_number] = bytearray(PAGE_SIZE)
             frame[in_frame : in_frame + chunk] = data[offset : offset + chunk]
             offset += chunk
 

@@ -59,11 +59,16 @@ class NoiseModel:
     spike_scale: float
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Draw one noise offset in cycles (may be slightly negative)."""
-        offset = rng.normal(self.mean_shift, self.jitter_std)
+        """Draw one noise offset in cycles (may be slightly negative).
+
+        ``mean + std * standard_normal()`` is the arithmetic
+        ``rng.normal(mean, std)`` performs, so the draws are the same
+        bits at less call overhead.
+        """
+        offset = self.mean_shift + self.jitter_std * rng.standard_normal()
         if self.spike_probability > 0 and rng.random() < self.spike_probability:
             offset += rng.exponential(self.spike_scale)
-        return int(round(offset))
+        return round(offset)
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Vectorized :meth:`sample` returning *count* offsets."""

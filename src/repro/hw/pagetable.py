@@ -145,10 +145,13 @@ class AddressSpace:
     # ------------------------------------------------------------------
     def write(self, va: int, data: bytes) -> None:
         """Write *data* at virtual address *va* (may span pages)."""
+        size = len(data)
         offset = 0
-        while offset < len(data):
+        while offset < size:
             in_page = (va + offset) & (PAGE_SIZE - 1)
-            chunk = min(PAGE_SIZE - in_page, len(data) - offset)
+            chunk = PAGE_SIZE - in_page
+            if chunk > size - offset:
+                chunk = size - offset
             pa = self.translate(va + offset, write=True)
             self.memory.write(pa, data[offset : offset + chunk])
             offset += chunk

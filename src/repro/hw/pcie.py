@@ -96,15 +96,18 @@ class PcieLink:
 
     def transaction_cycles(self, kind: TransactionKind) -> int:
         """Charge one transaction of *kind* and return its latency."""
-        cycles = self.base_cycles + self._noise.sample(self.rng)
-        if kind is not TransactionKind.POSTED_WRITE:
-            cycles += NON_POSTED_EXTRA_CYCLES
-        cycles = max(cycles, self.base_cycles // 2)
+        base = self.base_cycles
+        cycles = base + self._noise.sample(self.rng)
+        stats = self.stats
         if kind is TransactionKind.POSTED_WRITE:
-            self.stats.posted_writes += 1
-        elif kind is TransactionKind.NON_POSTED_READ:
-            self.stats.non_posted_reads += 1
+            stats.posted_writes += 1
         else:
-            self.stats.dmwr += 1
-        self.stats.total_cycles += cycles
+            cycles += NON_POSTED_EXTRA_CYCLES
+            if kind is TransactionKind.NON_POSTED_READ:
+                stats.non_posted_reads += 1
+            else:
+                stats.dmwr += 1
+        if cycles < base // 2:
+            cycles = base // 2
+        stats.total_cycles += cycles
         return cycles

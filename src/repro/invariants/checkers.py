@@ -203,9 +203,8 @@ class CompletionChecker(InvariantChecker):
         if device is None:
             return
         for engine_id in sorted(device.engines):
-            for item in device.engines[engine_id].inflight:
-                token = item.token
-                if token is not None and getattr(token, "record", None) is not None:
+            for token in device.engines[engine_id].inflight:
+                if getattr(token, "record", None) is not None:
                     monitor.fail(
                         self.name,
                         f"engine {engine_id}: in-flight descriptor already"
@@ -361,6 +360,9 @@ class TimelineChecker(InvariantChecker):
 
     def __init__(self) -> None:
         self._device_time_floor = 0
+        #: Latest event stamp already checked against the clock; the
+        #: clock never moves back, so no stamp at or below it can fail.
+        self._checked = 0
 
     def observe(
         self,
@@ -370,6 +372,8 @@ class TimelineChecker(InvariantChecker):
         context: dict[str, Any],
         payload: Any,
     ) -> None:
+        if timestamp <= self._checked:
+            return
         clock = monitor.clock
         if clock is not None and timestamp > clock.now:
             monitor.fail(
@@ -377,6 +381,7 @@ class TimelineChecker(InvariantChecker):
                 f"{kind} event stamped at {timestamp}, beyond the shared"
                 f" TSC at {clock.now}",
             )
+        self._checked = timestamp
 
     def audit(self, monitor: InvariantMonitor) -> None:
         device = monitor.device

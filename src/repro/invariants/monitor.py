@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import ConfigurationError, InvariantViolation
 
@@ -118,6 +118,7 @@ class InvariantMonitor:
             )
         self.mode = coerce_mode(mode)
         self.sample_every = sample_every
+        self._audit_every = 1 if self.mode is MonitorMode.STRICT else sample_every
         self.seed = seed
         self.repro_hint = repro_hint
         if checkers is None:
@@ -131,9 +132,11 @@ class InvariantMonitor:
         self.checkers: tuple[InvariantChecker, ...] = tuple(checkers)
         self._events: "deque[tuple[int, str, int, dict[str, Any]]]"
         self._events = deque(maxlen=EVENT_WINDOW)
-        self._by_kind: dict[str, tuple[InvariantChecker, ...]] = {}
-        self._device: Any = None
-        self._clock: Any = None
+        self._by_kind: "dict[str, tuple[Callable[..., None], ...]]" = {}
+        #: The attached device and its shared clock (``None`` before
+        #: attachment); read-only for everyone but :meth:`attach_device`.
+        self.device: Any = None
+        self.clock: Any = None
         self._clock_floor = 0
         self._last_timestamp = 0
         self.events_seen = 0
@@ -152,7 +155,7 @@ class InvariantMonitor:
         One monitor per device: the checkers' ledgers assume a single
         event stream.
         """
-        if self._device is not None and self._device is not device:
+        if self.device is not None and self.device is not device:
             raise ConfigurationError(
                 "this InvariantMonitor is already attached to a device;"
                 " build a fresh monitor per system"
@@ -161,8 +164,8 @@ class InvariantMonitor:
             component.invariant_monitor = self
         for engine in device.engines.values():
             engine.invariant_monitor = self
-        self._device = device
-        self._clock = device.clock
+        self.device = device
+        self.clock = device.clock
         self._clock_floor = device.clock.now
 
     def attach_system(self, system: Any) -> None:
@@ -171,16 +174,6 @@ class InvariantMonitor:
         if self.seed is None:
             self.seed = getattr(system, "seed", None)
         system.invariant_monitor = self
-
-    @property
-    def device(self) -> Any:
-        """The attached device (``None`` before attachment)."""
-        return self._device
-
-    @property
-    def clock(self) -> Any:
-        """The attached shared clock (``None`` before attachment)."""
-        return self._clock
 
     # ------------------------------------------------------------------
     # The hot path
@@ -200,7 +193,7 @@ class InvariantMonitor:
         the arbiter's ready snapshot) and is **not** retained in the
         event window — only scalar *context* is.
         """
-        self.events_seen += 1
+        seen = self.events_seen = self.events_seen + 1
         if timestamp is None:
             ts = self._last_timestamp
         else:
@@ -209,13 +202,14 @@ class InvariantMonitor:
                 self._last_timestamp = ts
         if None in context.values():
             context = {k: v for k, v in context.items() if v is not None}
-        self._events.append((self.events_seen, kind, ts, context))
-        for checker in self._interested(kind):
-            checker.observe(self, kind, ts, context, payload)
-        if (
-            self.mode is MonitorMode.STRICT
-            or self.events_seen % self.sample_every == 0
-        ):
+        self._events.append((seen, kind, ts, context))
+        try:
+            observers = self._by_kind[kind]
+        except KeyError:
+            observers = self._interested(kind)
+        for observe in observers:
+            observe(self, kind, ts, context, payload)
+        if not seen % self._audit_every:
             self._audit()
 
     def observe_clock(self, now: int) -> None:
@@ -227,11 +221,12 @@ class InvariantMonitor:
             )
         self._clock_floor = now
 
-    def _interested(self, kind: str) -> tuple[InvariantChecker, ...]:
+    def _interested(self, kind: str) -> "tuple[Callable[..., None], ...]":
+        """The ``observe`` methods of the checkers scoped to *kind*."""
         cached = self._by_kind.get(kind)
         if cached is None:
             cached = tuple(
-                checker
+                checker.observe
                 for checker in self.checkers
                 if checker.kinds is None or kind in checker.kinds
             )
@@ -281,11 +276,11 @@ class InvariantMonitor:
             "monitor.audits_run": self.audits_run,
             "monitor.mode": self.mode.value,
         }
-        device = self._device
+        device = self.device
         if device is None:
             return snap
-        if self._clock is not None:
-            snap["clock.now"] = self._clock.now
+        if self.clock is not None:
+            snap["clock.now"] = self.clock.now
         snap["device.time"] = device.time
         stats = getattr(device, "stats", None)
         if stats is not None:

@@ -30,8 +30,8 @@ class TestArbiterUnit:
         batch_buffer = [
             BatchBufferEntry(descriptor=_noop(), available_time=5, parent_token=None, sequence=0)
         ]
-        choice = arbiter.choose([wq], batch_buffer, time=200)
-        assert choice.wq_entry is not None
+        chosen_wq, entry, _ready = arbiter.choose([wq], batch_buffer, time=200)
+        assert chosen_wq is wq and entry is wq.peek()
 
     def test_batch_dispatches_when_wq_empty(self):
         arbiter = Arbiter(ArbiterPolicy.WQ_PRIORITY)
@@ -39,8 +39,8 @@ class TestArbiterUnit:
         batch_buffer = [
             BatchBufferEntry(descriptor=_noop(), available_time=5, parent_token=None, sequence=0)
         ]
-        choice = arbiter.choose([wq], batch_buffer, time=200)
-        assert choice.batch_entry is not None
+        chosen_wq, entry, ready = arbiter.choose([wq], batch_buffer, time=200)
+        assert chosen_wq is None and entry is batch_buffer[0] and ready == 5
 
     def test_fifo_ablation_lets_batch_win(self):
         arbiter = Arbiter(ArbiterPolicy.FIFO)
@@ -49,8 +49,8 @@ class TestArbiterUnit:
         batch_buffer = [
             BatchBufferEntry(descriptor=_noop(), available_time=5, parent_token=None, sequence=0)
         ]
-        choice = arbiter.choose([wq], batch_buffer, time=200)
-        assert choice.batch_entry is not None
+        chosen_wq, entry, _ready = arbiter.choose([wq], batch_buffer, time=200)
+        assert chosen_wq is None and entry is batch_buffer[0]
 
     def test_higher_priority_queue_wins(self):
         arbiter = Arbiter()
@@ -58,8 +58,8 @@ class TestArbiterUnit:
         high = WorkQueue(WorkQueueConfig(wq_id=1, size=4, priority=8))
         low.try_enqueue(_noop(), time=0)
         high.try_enqueue(_noop(), time=50)
-        choice = arbiter.choose([low, high], [], time=100)
-        assert choice.wq is high
+        chosen_wq, _entry, ready = arbiter.choose([low, high], [], time=100)
+        assert chosen_wq is high and ready == 50
 
     def test_fifo_within_same_priority(self):
         arbiter = Arbiter()
@@ -67,8 +67,8 @@ class TestArbiterUnit:
         b = WorkQueue(WorkQueueConfig(wq_id=1, size=4))
         b.try_enqueue(_noop(), time=10)
         a.try_enqueue(_noop(), time=20)
-        choice = arbiter.choose([a, b], [], time=100)
-        assert choice.wq is b
+        chosen_wq, _entry, _ready = arbiter.choose([a, b], [], time=100)
+        assert chosen_wq is b
 
     def test_nothing_ready_returns_none(self):
         arbiter = Arbiter()

@@ -146,7 +146,7 @@ class TestCompletion:
         )
         engine = host.device.engines[0]
         assert engine.inflight, "large copy should still be in flight"
-        engine.inflight[0].token.record = object()  # written before retirement
+        engine.inflight[0].record = object()  # written before retirement
         with pytest.raises(InvariantViolation) as info:
             monitor.check_all()
         assert info.value.invariant == "completion"
