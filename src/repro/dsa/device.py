@@ -77,9 +77,11 @@ from repro.dsa.opcodes import Opcode
 from repro.dsa.wq import HardwareQueueSpace, WorkQueue, WorkQueueConfig
 from repro.errors import (
     ConfigurationError,
+    InvalidDescriptorError,
     InvariantViolation,
     QueueConfigurationError,
     ReproError,
+    TranslationFault,
 )
 from repro.faults.plan import FaultSite
 from repro.hw.clock import TscClock
@@ -575,9 +577,24 @@ class DsaDevice:
     def _fetch_batch(self, group: GroupConfig, ticket: SubmissionTicket, start: int) -> None:
         """Hand a dispatched batch parent to the batch engine (fetcher).
 
-        Its children land in one engine's batch buffer.
+        Its children land in one engine's batch buffer.  A descriptor
+        list that cannot be fetched (an undecodable or foreign-PASID
+        child, or an untranslatable list page) completes the parent at
+        once with ``BATCH_FAIL`` (``PAGE_FAULT`` for the translation) and
+        frees its slot.
         """
-        result = self.fetcher.fetch(ticket.descriptor, start)
+        batch = ticket.descriptor
+        try:
+            result = self.fetcher.fetch(batch, start)
+        except (InvalidDescriptorError, TranslationFault) as exc:
+            if isinstance(exc, TranslationFault):
+                record = CompletionRecord(
+                    status=CompletionStatus.PAGE_FAULT, fault_address=exc.address
+                )
+            else:
+                record = CompletionRecord(status=CompletionStatus.BATCH_FAIL)
+            self._complete_batch_parent(ticket, start, record)
+            return
         available = start + result.cycles
         ticket.children_pending = len(result.descriptors)
         engine_id = group.engine_ids[self._batch_sequence % len(group.engine_ids)]

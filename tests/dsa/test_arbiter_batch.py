@@ -175,8 +175,39 @@ class TestBatchEngine:
             pasid=proc.pasid, desc_list_addr=list_addr, count=1,
             completion_addr=proc.comp_record(),
         )
-        from repro.errors import InvalidDescriptorError
+        ticket = proc.portal.submit(batch)
+        proc.portal.wait(ticket)
+        # The fetcher refuses the list: the parent fails, no child runs.
+        assert ticket.record.status is CompletionStatus.BATCH_FAIL
+        assert host.device.fetcher.descriptors_fetched == 0
+        assert host.device.stats.descriptors_completed == 1
 
-        with pytest.raises(InvalidDescriptorError):
-            ticket = proc.portal.submit(batch)
-            proc.portal.wait(ticket)
+    @pytest.mark.parametrize(
+        ("child_pasid", "list_mapped", "status"),
+        [
+            (0, True, CompletionStatus.BATCH_FAIL),
+            (None, False, CompletionStatus.PAGE_FAULT),
+        ],
+    )
+    def test_unfetchable_batch_frees_its_slot(self, child_pasid, list_mapped, status):
+        """A batch whose list cannot be fetched completes with an error
+        record and releases its shared-WQ slot; the submitter sees no
+        exception."""
+        host = build_host()
+        proc = host.new_process()
+        pasid = proc.pasid if child_pasid is None else child_pasid
+        list_addr = proc.buffer(4096)
+        write_batch_list(
+            proc.space, list_addr, [make_noop(pasid, proc.comp_record())]
+        )
+        if not list_mapped:
+            list_addr += 1 << 30  # no mapping there
+        batch = BatchDescriptor(
+            pasid=proc.pasid, desc_list_addr=list_addr, count=1,
+            completion_addr=proc.comp_record(),
+        )
+        ticket = proc.portal.submit(batch)
+        proc.portal.wait(ticket)
+        assert ticket.record.status is status
+        assert host.device.wq(0).occupancy == 0
+        assert host.device.stats.descriptors_completed == 1

@@ -84,11 +84,11 @@ class TestCoverageGolden:
         [
             (
                 0.0,
-                "80576ee1fa68f10952f2989d11514e55dd9103b573dd4ff1449b45a255c6c37f",
+                "cbbd06729d7bc8e51bedbcf782f1e58035712d023064efc5de53ea4c08cad9fa",
             ),
             (
                 0.05,
-                "03bea1c29b4827866f1e4f7c664cd2a8ac5f336303eab36e69553db2c12abcbe",
+                "7d4d8427b08d346e9d41e994c629fe2f5da9a685d109f99e404ba9bf48c57b49",
             ),
         ],
     )
