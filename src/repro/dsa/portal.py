@@ -83,9 +83,10 @@ class Portal:
         self.faults_injected = 0
 
     def _submission_fault(self, descriptor: Descriptor | BatchDescriptor) -> bool:
-        """Consult the device's fault injector at the portal-write site.
+        """Consult the device's fault injector (callers check it has one)
+        at the portal-write site.
 
-        Callers check that the device has one.  Applies an injected delay, then reports whether the write was
+        Applies an injected delay, then reports whether the write was
         dropped outright.  A dropped write looks *accepted* to software
         (ZF clear / posted write) — the loss is only observable through
         the never-arriving completion record.
@@ -140,7 +141,7 @@ class Portal:
         if device.fault_injector is not None:
             if self._submission_fault(descriptor):
                 return False
-            now = self.clock.now
+            now = self.clock.now  # an injected delay moved the clock
         zf, ticket = device.submit(self.wq_id, descriptor, now)
         self.last_ticket = ticket
         return zf

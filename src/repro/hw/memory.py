@@ -110,31 +110,35 @@ class PhysicalMemory:
         """Write *data* starting at physical address *pa*."""
         size = len(data)
         if pa < 0 or pa + size > self.total_bytes:
-            self._check_bounds(pa, size)
+            raise self._bounds_error(pa, size)
         frames = self._frames
         offset = 0
         while offset < size:
             address = pa + offset
-            frame_number = address >> PAGE_SHIFT
             in_frame = address & (PAGE_SIZE - 1)
             chunk = PAGE_SIZE - in_frame
             if chunk > size - offset:
                 chunk = size - offset
-            frame = frames.get(frame_number)
+            frame = frames.get(address >> PAGE_SHIFT)
             if frame is None:
-                frame = frames[frame_number] = bytearray(PAGE_SIZE)
+                frame = frames[address >> PAGE_SHIFT] = bytearray(PAGE_SIZE)
             frame[in_frame : in_frame + chunk] = data[offset : offset + chunk]
             offset += chunk
 
     def read(self, pa: int, size: int) -> bytes:
         """Read *size* bytes starting at physical address *pa*."""
-        self._check_bounds(pa, size)
+        if pa < 0 or size < 0 or pa + size > self.total_bytes:
+            raise self._bounds_error(pa, size)
+        frames = self._frames
         parts: list[bytes] = []
         offset = 0
         while offset < size:
-            frame_number, in_frame = divmod(pa + offset, PAGE_SIZE)
-            chunk = min(PAGE_SIZE - in_frame, size - offset)
-            frame = self._frames.get(frame_number)
+            address = pa + offset
+            in_frame = address & (PAGE_SIZE - 1)
+            chunk = PAGE_SIZE - in_frame
+            if chunk > size - offset:
+                chunk = size - offset
+            frame = frames.get(address >> PAGE_SHIFT)
             if frame is None:
                 parts.append(bytes(chunk))
             else:
@@ -148,9 +152,8 @@ class PhysicalMemory:
             raise ValueError(f"fill value must be a byte, got {value}")
         self.write(pa, bytes([value]) * size)
 
-    def _check_bounds(self, pa: int, size: int) -> None:
-        if pa < 0 or size < 0 or pa + size > self.total_bytes:
-            raise ValueError(
-                f"physical access [{pa:#x}, {pa + size:#x}) is out of bounds "
-                f"for {self.total_bytes:#x}-byte memory"
-            )
+    def _bounds_error(self, pa: int, size: int) -> ValueError:
+        return ValueError(
+            f"physical access [{pa:#x}, {pa + size:#x}) is out of bounds "
+            f"for {self.total_bytes:#x}-byte memory"
+        )

@@ -222,16 +222,14 @@ class InvariantMonitor:
         self._clock_floor = now
 
     def _interested(self, kind: str) -> "tuple[Callable[..., None], ...]":
-        """The ``observe`` methods of the checkers scoped to *kind*."""
-        cached = self._by_kind.get(kind)
-        if cached is None:
-            cached = tuple(
-                checker.observe
-                for checker in self.checkers
-                if checker.kinds is None or kind in checker.kinds
-            )
-            self._by_kind[kind] = cached
-        return cached
+        """Cache and return the ``observe`` methods scoped to *kind*."""
+        observers = tuple(
+            checker.observe
+            for checker in self.checkers
+            if checker.kinds is None or kind in checker.kinds
+        )
+        self._by_kind[kind] = observers
+        return observers
 
     def _audit(self) -> None:
         self.audits_run += 1
