@@ -45,6 +45,11 @@ FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
         # Batch-buffer count: an outside write could make the replay
         # gate skip a buffered batch child's availability.
         "_buffered": ("repro.dsa.device",),
+        # Cached earliest completion and queued-batch count: an outside
+        # write could make advance_to skip a retirement, or a dispatch
+        # pass skip a busy engine while a batch parent waits.
+        "_next_completion": ("repro.dsa.device",),
+        "_queued_batches": ("repro.dsa.device",),
         # Lane choice: a lock's live-waiter count; an outside write
         # would steer sessions to the wrong lane queue.
         "_live_waiters": ("repro.service.loop",),
