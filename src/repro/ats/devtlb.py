@@ -15,8 +15,9 @@ that DSA's DevTLB:
   share the sub-entries, which is the vulnerability behind
   ``DSA_DevTLB``;
 * caches only the translation of the **final page segment** of a
-  cross-page transfer (the engine model enforces this by issuing one
-  :meth:`DevTlb.access` per page segment in order);
+  cross-page transfer: the engine sends a stream's first page through
+  :meth:`DevTlb.access`, and :meth:`DevTlb.fill` counts every later
+  page as a request and leaves only the last one cached;
 * is bypassed entirely by the batch fetcher's descriptor reads and
   completion writes (enforced by the batch-engine model).
 
@@ -33,7 +34,7 @@ proposed hardware fix) and the number of slots per sub-entry.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.faults.canary import CANARY_DEVTLB_EVICT, canary_active
 
@@ -111,58 +112,39 @@ class _Slot:
     pasid: int  # only compared when partitioned
 
 
-@dataclass
-class _SubEntry:
-    """The slot list of one (engine, field) sub-entry; front = LRU."""
-
-    slots: list[_Slot] = field(default_factory=list)
-
-
 class DevTlb:
-    """The device-side TLB shared by all work queues of each engine."""
+    """The device-side TLB shared by all work queues of each engine.
+
+    Each ``(engine, field)`` sub-entry (``(engine, field, pasid)`` when
+    partitioned) is a plain list of :class:`_Slot`, front = LRU.
+    """
 
     def __init__(self, config: DevTlbConfig | None = None) -> None:
         self.config = config or DevTlbConfig()
-        self._entries: dict[tuple, _SubEntry] = {}
+        self._entries: dict[tuple, list[_Slot]] = {}
         self.stats = DevTlbStats()
         self._per_engine: dict[int, DevTlbStats] = {}
-        self.invariant_monitor = None
-
-    def _evict_limit(self) -> int:
-        """Slot count at which a miss evicts the sub-entry's LRU slot."""
-        limit = self.config.slots_per_subentry
+        # Slot count at which a miss evicts the sub-entry's LRU slot.
+        self._evict_at = self.config.slots_per_subentry
         if canary_active(CANARY_DEVTLB_EVICT):
-            # Seeded canary bug (REPRO_FUZZ_CANARY=devtlb-evict): the
-            # eviction check runs one slot too late, letting a sub-entry
-            # exceed its associativity — the devtlb census audit must
-            # catch the oversized slot list.
-            limit += 1
-        return limit
+            # Seeded canary bug (REPRO_FUZZ_CANARY=devtlb-evict, read once
+            # here): the eviction check runs one slot too late, letting a
+            # sub-entry exceed its associativity — the devtlb census
+            # audit must catch the oversized slot list.
+            self._evict_at += 1
+        self.invariant_monitor = None
 
     # ------------------------------------------------------------------
     # Lookup / fill
     # ------------------------------------------------------------------
-    def _sub_entry(self, engine_id: int, field_type: FieldType, pasid: int) -> _SubEntry:
+    def _key(self, engine_id: int, field_type: FieldType, pasid: int | None) -> tuple:
         # The proposed hardware fix partitions the structure by PASID:
         # each PASID owns private sub-entries, so no cross-tenant hit
         # *or eviction* is possible.  The real device has one shared
         # sub-entry per (engine, field).
         if self.config.pasid_partitioned:
-            key: tuple = (engine_id, field_type, pasid)
-        else:
-            key = (engine_id, field_type)
-        sub = self._entries.get(key)
-        if sub is None:
-            sub = _SubEntry()
-            self._entries[key] = sub
-        return sub
-
-    def _engine_stats(self, engine_id: int) -> DevTlbStats:
-        stats = self._per_engine.get(engine_id)
-        if stats is None:
-            stats = DevTlbStats()
-            self._per_engine[engine_id] = stats
-        return stats
+            return (engine_id, field_type, pasid)
+        return (engine_id, field_type)
 
     def _hit_index(self, slots: list[_Slot], vpn: int, pasid: int) -> int:
         """Index of the slot that translates *vpn* for *pasid*, or -1."""
@@ -191,8 +173,8 @@ class DevTlb:
         *stream_pages*, the page count of the stream this request
         starts, only feeds the ``devtlb`` event.
         """
-        slots = self._sub_entry(engine_id, field_type, pasid).slots
-        engine_stats = self._engine_stats(engine_id)
+        slots = self._entries.setdefault(self._key(engine_id, field_type, pasid), [])
+        engine_stats = self._per_engine.get(engine_id) or self.engine_stats(engine_id)
         stats = self.stats
         stats.alloc_requests += 1
         engine_stats.alloc_requests += 1
@@ -211,7 +193,7 @@ class DevTlb:
             base_vpn = virtual_page - (virtual_page % pages) if huge else virtual_page
             new_slot = _Slot(base_vpn=base_vpn, pages=pages, pasid=pasid)
             outcome = "miss"
-            if len(slots) >= self._evict_limit():
+            if len(slots) >= self._evict_at:
                 evicted = slots.pop(0)
                 outcome = "evict" if evicted.pasid == pasid else "evict-xpasid"
             slots.append(new_slot)
@@ -233,20 +215,22 @@ class DevTlb:
         field_type: FieldType,
         virtual_page: int,
         pasid: int,
-        huge: bool = False,
+        skipped: int,
     ) -> None:
-        """Install a translation without touching the event counters.
+        """Finish a cross-page stream whose first page went through :meth:`access`.
 
-        Used by the engine's bulk cross-page path: the counters for the
-        skipped pages are adjusted arithmetically, and this leaves the
-        final page cached (the paper's cross-page takeaway).
+        The *skipped* pages after the first are each a translation
+        request (``EV_ATC_ALLOC``) that neither hits nor is charged, and
+        only the stream's final page, *virtual_page*, stays cached (the
+        paper's cross-page takeaway).  Not routed through :meth:`access`:
+        the skipped pages emit no ``devtlb`` access event.
         """
-        sub = self._sub_entry(engine_id, field_type, pasid)
-        pages = 512 if huge else 1
-        base_vpn = virtual_page - (virtual_page % pages) if huge else virtual_page
-        if len(sub.slots) >= self._evict_limit():
-            sub.slots.pop(0)
-        sub.slots.append(_Slot(base_vpn=base_vpn, pages=pages, pasid=pasid))
+        self.stats.alloc_requests += skipped
+        self.engine_stats(engine_id).alloc_requests += skipped
+        slots = self._entries.setdefault(self._key(engine_id, field_type, pasid), [])
+        if len(slots) >= self._evict_at:
+            slots.pop(0)
+        slots.append(_Slot(base_vpn=virtual_page, pages=1, pasid=pasid))
         if self.invariant_monitor is not None:
             self.invariant_monitor.note(
                 "devtlb", engine_id=engine_id, pasid=pasid, field=field_type._value_, outcome="fill"
@@ -256,31 +240,29 @@ class DevTlb:
         self, engine_id: int, field_type: FieldType, virtual_page: int, pasid: int
     ) -> bool:
         """Non-mutating "would this hit" check (testing/diagnostics only)."""
-        key = (
-            (engine_id, field_type, pasid)
-            if self.config.pasid_partitioned
-            else (engine_id, field_type)
-        )
-        sub = self._entries.get(key)
-        return sub is not None and self._hit_index(sub.slots, virtual_page, pasid) >= 0
+        slots = self._entries.get(self._key(engine_id, field_type, pasid), [])
+        return self._hit_index(slots, virtual_page, pasid) >= 0
 
     # ------------------------------------------------------------------
     # Invalidation and inspection
     # ------------------------------------------------------------------
     def invalidate_engine(self, engine_id: int) -> None:
         """Drop every sub-entry of *engine_id* (device reset path)."""
-        for key, sub in self._entries.items():
+        for key, slots in self._entries.items():
             if key[0] == engine_id:
-                sub.slots.clear()
+                slots.clear()
 
     def invalidate_all(self) -> None:
         """Drop everything (ATS global invalidate)."""
-        for sub in self._entries.values():
-            sub.slots.clear()
+        for slots in self._entries.values():
+            slots.clear()
 
     def engine_stats(self, engine_id: int) -> DevTlbStats:
         """Return (and lazily create) the counter block of one engine."""
-        return self._engine_stats(engine_id)
+        stats = self._per_engine.get(engine_id)
+        if stats is None:
+            stats = self._per_engine[engine_id] = DevTlbStats()
+        return stats
 
     def cached_pages(
         self, engine_id: int, field_type: FieldType, pasid: int | None = None
@@ -288,21 +270,18 @@ class DevTlb:
         """Base page numbers currently cached in one sub-entry (LRU first).
 
         With a partitioned DevTLB the sub-entry is per-PASID, so *pasid*
-        selects whose partition to inspect.
+        selects whose partition to inspect; ``None`` lists every
+        partition's pages.
         """
-        if self.config.pasid_partitioned:
-            if pasid is None:
-                pages = []
-                for key, sub in self._entries.items():
-                    if key[0] == engine_id and key[1] is field_type:
-                        pages.extend(slot.base_vpn for slot in sub.slots)
-                return pages
-            sub = self._entries.get((engine_id, field_type, pasid))
-        else:
-            sub = self._entries.get((engine_id, field_type))
-        if sub is None:
-            return []
-        return [slot.base_vpn for slot in sub.slots]
+        if pasid is None and self.config.pasid_partitioned:
+            return [
+                slot.base_vpn
+                for key, slots in self._entries.items()
+                if key[0] == engine_id and key[1] is field_type
+                for slot in slots
+            ]
+        slots = self._entries.get(self._key(engine_id, field_type, pasid), [])
+        return [slot.base_vpn for slot in slots]
 
     def census(self) -> "list[tuple[int, str, int | None, tuple[int, ...]]]":
         """A read-only walk over every sub-entry for the invariant audit.
@@ -311,20 +290,18 @@ class DevTlb:
         sub-entry; ``key_pasid`` is ``None`` on the real (unpartitioned)
         device, where sub-entries carry no PASID tag.
         """
-        rows = []
-        for key, sub in self._entries.items():
-            key_pasid = key[2] if self.config.pasid_partitioned else None
-            rows.append(
-                (
-                    key[0],
-                    key[1].value,
-                    key_pasid,
-                    tuple(slot.pasid for slot in sub.slots),
-                )
+        partitioned = self.config.pasid_partitioned
+        return [
+            (
+                key[0],
+                key[1].value,
+                key[2] if partitioned else None,
+                tuple(slot.pasid for slot in slots),
             )
-        return rows
+            for key, slots in self._entries.items()
+        ]
 
     @property
     def occupancy(self) -> int:
         """Total valid slots across all sub-entries."""
-        return sum(len(sub.slots) for sub in self._entries.values())
+        return sum(len(slots) for slots in self._entries.values())

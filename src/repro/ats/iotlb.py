@@ -12,15 +12,7 @@ the DevTLB, which sits on the device side of the link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class IoTlbTag:
-    """Cache tag: the PASID makes entries per-process."""
-
-    pasid: int
-    virtual_page: int
+from dataclasses import dataclass
 
 
 @dataclass
@@ -40,14 +32,6 @@ class IoTlbStats:
     def hit_rate(self) -> float:
         """Fraction of lookups that hit (0 when no lookups yet)."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-
-@dataclass
-class _Set:
-    """One cache set; ``order`` front = LRU, back = MRU."""
-
-    entries: dict[IoTlbTag, int] = field(default_factory=dict)
-    order: list[IoTlbTag] = field(default_factory=list)
 
 
 class IoTlb:
@@ -71,45 +55,38 @@ class IoTlb:
         self.sets = sets
         self.ways = ways
         self.lookup_cycles = lookup_cycles
-        self._sets = [_Set() for _ in range(sets)]
+        # One insertion-ordered dict per set, keyed ``(pasid, vpn)``: the
+        # PASID tag makes entries per-process, and key order is the LRU
+        # order (first key = LRU, last = MRU).
+        self._sets: list[dict[tuple[int, int], int]] = [{} for _ in range(sets)]
         self.stats = IoTlbStats()
-
-    def _set_for(self, virtual_page: int) -> _Set:
-        return self._sets[virtual_page & (self.sets - 1)]
 
     def lookup(self, pasid: int, virtual_page: int) -> int | None:
         """Look up a translation; return the physical frame or ``None``."""
-        tag = IoTlbTag(pasid=pasid, virtual_page=virtual_page)
-        cache_set = self._set_for(virtual_page)
-        frame = cache_set.entries.get(tag)
+        cache_set = self._sets[virtual_page & (self.sets - 1)]
+        key = (pasid, virtual_page)
+        frame = cache_set.pop(key, None)
         if frame is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        cache_set.order.remove(tag)
-        cache_set.order.append(tag)
+        cache_set[key] = frame  # re-inserted: now the MRU key
         return frame
 
     def insert(self, pasid: int, virtual_page: int, physical_frame: int) -> None:
-        """Install a translation, evicting the set's LRU entry if full."""
-        tag = IoTlbTag(pasid=pasid, virtual_page=virtual_page)
-        cache_set = self._set_for(virtual_page)
-        if tag in cache_set.entries:
-            cache_set.order.remove(tag)
-        elif len(cache_set.entries) >= self.ways:
-            victim = cache_set.order.pop(0)
-            del cache_set.entries[victim]
-        cache_set.entries[tag] = physical_frame
-        cache_set.order.append(tag)
+        """Install a translation as MRU, evicting the set's LRU entry if full."""
+        cache_set = self._sets[virtual_page & (self.sets - 1)]
+        key = (pasid, virtual_page)
+        if cache_set.pop(key, None) is None and len(cache_set) >= self.ways:
+            del cache_set[next(iter(cache_set))]
+        cache_set[key] = physical_frame
 
     def invalidate_pasid(self, pasid: int) -> int:
         """Drop every entry of *pasid* (VT-d PASID-selective invalidation)."""
         dropped = 0
         for cache_set in self._sets:
-            victims = [tag for tag in cache_set.entries if tag.pasid == pasid]
-            for tag in victims:
-                del cache_set.entries[tag]
-                cache_set.order.remove(tag)
+            for key in [key for key in cache_set if key[0] == pasid]:
+                del cache_set[key]
                 dropped += 1
         self.stats.invalidations += dropped
         return dropped
@@ -117,11 +94,10 @@ class IoTlb:
     def invalidate_all(self) -> None:
         """Global invalidation."""
         for cache_set in self._sets:
-            self.stats.invalidations += len(cache_set.entries)
-            cache_set.entries.clear()
-            cache_set.order.clear()
+            self.stats.invalidations += len(cache_set)
+            cache_set.clear()
 
     @property
     def occupancy(self) -> int:
         """Number of valid entries."""
-        return sum(len(s.entries) for s in self._sets)
+        return sum(len(cache_set) for cache_set in self._sets)

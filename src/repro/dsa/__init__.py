@@ -17,7 +17,6 @@ from repro.dsa.descriptor import (
     DESCRIPTOR_SIZE,
     BatchDescriptor,
     Descriptor,
-    FieldAccess,
     make_dualcast,
     make_memcmp,
     make_memcpy,
@@ -61,7 +60,6 @@ __all__ = [
     "EVENTS",
     "Engine",
     "EngineTiming",
-    "FieldAccess",
     "GroupConfig",
     "HardwareQueueSpace",
     "Opcode",

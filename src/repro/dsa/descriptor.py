@@ -20,7 +20,7 @@ Layout (little-endian, byte offsets):
 ``dst`` and ``src2`` share bytes 24-31 and are distinguished only by the
 opcode — the encoding overlap probed by Listing 4 of the paper.  The
 DevTLB nevertheless indexes them as *different* field types, which
-:meth:`Descriptor.field_accesses` reflects.
+:meth:`Descriptor.streams` reflects.
 """
 
 from __future__ import annotations
@@ -49,24 +49,6 @@ COMPLETION_ALIGN = 32
 _PACK = struct.Struct("<I H B B Q Q Q I H H Q 16x")
 
 _INTERRUPT = int(DescriptorFlags.REQUEST_COMPLETION_INTERRUPT)
-
-
-@dataclass(frozen=True)
-class FieldAccess:
-    """One memory stream of a descriptor, as the engine will issue it."""
-
-    field_type: FieldType
-    address: int
-    size: int
-    write: bool
-
-    def pages(self) -> list[int]:
-        """4 KiB page numbers touched, in access order."""
-        if self.size == 0:
-            return [self.address >> 12]
-        first = self.address >> 12
-        last = (self.address + self.size - 1) >> 12
-        return list(range(first, last + 1))
 
 
 @dataclass(frozen=True)
@@ -134,18 +116,14 @@ class Descriptor:
     # ------------------------------------------------------------------
     # Memory streams
     # ------------------------------------------------------------------
-    def field_accesses(self) -> list[FieldAccess]:
-        """The memory streams this descriptor generates, in engine order.
+    def streams(self) -> list[tuple[FieldType, int, int, bool]]:
+        """The memory streams this descriptor generates, in engine order,
+        as ``(field_type, address, size, write)`` tuples.
 
         The completion-record write is always last; it is the *only*
         stream of a noop descriptor, which is why the paper's attack
         probes with noops.
         """
-        return [FieldAccess(*stream) for stream in self.streams()]
-
-    def streams(self) -> list[tuple[FieldType, int, int, bool]]:
-        """:meth:`field_accesses` as ``(field_type, address, size, write)``
-        tuples, the form the engine consumes."""
         opcode = self.opcode
         if opcode is Opcode.BATCH:
             # The batch fetcher's reads bypass the DevTLB entirely; the
@@ -166,7 +144,7 @@ class Descriptor:
 
     def pages_touched(self) -> int:
         """Total page translations the engine will request."""
-        return sum(len(access.pages()) for access in self.field_accesses())
+        return sum(spans_pages(address, size) for _, address, size, _ in self.streams())
 
     # ------------------------------------------------------------------
     # Wire format
@@ -305,7 +283,6 @@ __all__ = [
     "COMPLETION_ALIGN",
     "DESCRIPTOR_SIZE",
     "Descriptor",
-    "FieldAccess",
     "make_dualcast",
     "make_memcmp",
     "make_memcpy",

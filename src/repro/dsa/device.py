@@ -415,14 +415,19 @@ class DsaDevice:
     def _complete_ticket(self, ticket: SubmissionTicket, time: int) -> None:
         """Write the completion record, free the WQ slot, resolve batches.
 
+        A record that cannot be written is dropped (:meth:`_record_write_fault`).
         Only plain descriptors reach an engine, so *ticket* never holds a
         batch parent (those complete in :meth:`_complete_batch_parent`).
         """
         descriptor = ticket.descriptor
         record = ticket.pending_record
         if descriptor.wants_completion:
-            space = self.pasid_table.lookup(descriptor.pasid)
-            space.write(descriptor.completion_addr, record.encode())
+            try:
+                self.pasid_table.lookup(descriptor.pasid).write(
+                    descriptor.completion_addr, record.encode()
+                )
+            except (ConfigurationError, TranslationFault):
+                self._record_write_fault(time, descriptor.pasid, ticket.engine_id)
         if descriptor.wants_interrupt:
             self.interrupt_log.append(
                 InterruptEvent(
@@ -463,9 +468,13 @@ class DsaDevice:
         batch = parent.descriptor
         assert isinstance(batch, BatchDescriptor)
         parent.completion_time = time
-        space = self.pasid_table.lookup(batch.pasid)
         if batch.completion_addr:
-            space.write(batch.completion_addr, record.encode())
+            try:
+                self.pasid_table.lookup(batch.pasid).write(
+                    batch.completion_addr, record.encode()
+                )
+            except (ConfigurationError, TranslationFault):
+                self._record_write_fault(time, batch.pasid)
         parent.record = record
         if parent.wq_id is not None:
             self.queue_space.get(parent.wq_id).release_slot()
@@ -477,6 +486,21 @@ class DsaDevice:
                 payload=parent,
                 wq_id=parent.wq_id,
                 pasid=batch.pasid,
+            )
+
+    def _record_write_fault(
+        self, time: int, pasid: int, engine_id: int | None = None
+    ) -> None:
+        """Narrate a completion record that could not be written.
+
+        Its page is unmapped or its PASID was unbound (a tenant torn down
+        with work in flight).  Real DSA reports this in SWERR and still
+        completes the descriptor, so the caller drops the write and goes
+        on to free the slot.
+        """
+        if self.invariant_monitor is not None:
+            self.invariant_monitor.note(
+                "fault", time, engine_id=engine_id, pasid=pasid, cause="record-write"
             )
 
     # ------------------------------------------------------------------
@@ -662,8 +686,12 @@ class DsaDevice:
                 self._queued_batches -= 1
             record = CompletionRecord(status=CompletionStatus.ABORT)
             if isinstance(descriptor, Descriptor) and descriptor.wants_completion:
-                space = self.pasid_table.lookup(descriptor.pasid)
-                space.write(descriptor.completion_addr, record.encode())
+                try:
+                    self.pasid_table.lookup(descriptor.pasid).write(
+                        descriptor.completion_addr, record.encode()
+                    )
+                except (ConfigurationError, TranslationFault):
+                    self._record_write_fault(self._time, descriptor.pasid)
             if ticket is not None:
                 ticket.completion_time = self._time
                 ticket.record = record

@@ -254,7 +254,17 @@ class Engine:
         elif descriptor.opcode is Opcode.NOOP or descriptor.opcode is Opcode.DRAIN:
             record = _SUCCESS
         else:
-            record = self._perform_operation(descriptor)
+            try:
+                record = self._perform_operation(descriptor)
+            except TranslationFault as exc:
+                # A hole in a middle page, which translation skipped.
+                self.stats.faults += 1
+                self._narrate_fault(descriptor, timestamp, "translation")
+                record = CompletionRecord(
+                    status=CompletionStatus.PAGE_FAULT,
+                    bytes_completed=0,
+                    fault_address=exc.address,
+                )
 
         stats = self.stats
         stats.descriptors_executed += 1
@@ -330,10 +340,12 @@ class Engine:
         * The **first** page goes through the precise DevTLB + ATS path
           and its cost is charged (this is the entire stream for every
           probe descriptor).
-        * Later pages update the DevTLB counters and leave the **final**
-          page cached (single-slot eviction), but their translation
-          latency hides behind data streaming and the per-page IOTLB
-          walk is skipped.
+        * Later pages go to :meth:`DevTlb.fill`, which counts them and
+          leaves the **final** page cached (single-slot eviction); their
+          translation latency hides behind data streaming and the
+          per-page IOTLB walk is skipped.  Only the final page is
+          checked for a mapping here: a hole in a middle page faults
+          when the data moves (:meth:`execute`).
         """
         first = address >> PAGE_SHIFT
         last = (address + size - 1) >> PAGE_SHIFT if size else first
@@ -360,9 +372,7 @@ class Engine:
                 # middle pages are charged arithmetically.
                 self.agent.translate(pasid, last_va, write=write, timestamp=timestamp)
             misses += extra
-            devtlb.stats.alloc_requests += extra
-            devtlb.engine_stats(self.engine_id).alloc_requests += extra
-            devtlb.fill(self.engine_id, field_type, last, pasid)
+            devtlb.fill(self.engine_id, field_type, last, pasid, extra)
         return cycles, hits, misses
 
     # ------------------------------------------------------------------

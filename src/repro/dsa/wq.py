@@ -75,6 +75,8 @@ class WorkQueue:
         self.enqueued_total = 0
         self.rejected_total = 0
         self.max_occupancy_seen = 0
+        # Seeded canary bug (REPRO_FUZZ_CANARY=wq-credit), read once here.
+        self._credit_canary = canary_active(CANARY_WQ_CREDIT)
 
     @property
     def occupancy(self) -> int:
@@ -112,9 +114,7 @@ class WorkQueue:
         """
         if self._outstanding >= self.config.size:
             self.rejected_total += 1
-            if isinstance(descriptor, BatchDescriptor) and canary_active(
-                CANARY_WQ_CREDIT
-            ):
+            if self._credit_canary and isinstance(descriptor, BatchDescriptor):
                 # Seeded canary bug (REPRO_FUZZ_CANARY=wq-credit): the
                 # rejected batch still charges a slot credit, leaking
                 # occupancy the wq-credits ledger audit must catch.

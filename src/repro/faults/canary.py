@@ -21,9 +21,12 @@ The two bugs (chosen so each trips a *different* invariant checker):
     ``devtlb`` census audit.
 
 Arming: set ``REPRO_FUZZ_CANARY`` to a canary name, a comma-separated
-list of names, or ``all``/``1`` for every canary.  The flag is read at
-the buggy code path (not cached at import), so tests can arm and disarm
-canaries per test via ``monkeypatch.setenv``.
+list of names, or ``all``/``1`` for every canary.  The flag is read once,
+when the buggy structure is built (``DevTlb`` and ``WorkQueue``
+construction), so an unarmed model pays nothing per operation.  Arming
+takes effect for structures built after the variable is set: every fuzz
+case, soak run and ``--replay`` builds a fresh ``CloudSystem``, so tests
+still arm and disarm canaries per test via ``monkeypatch.setenv``.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
     {
         # WQ credit conservation: the per-queue occupancy register.
         "_outstanding": ("repro.dsa.wq",),
-        # Entry storage: the WQ deque, the DevTLB sub-entry map, and the
-        # PASID/IOTLB tables all use this conventional name.
+        # Entry storage: the WQ deque, the DevTLB's map of sub-entry slot
+        # lists, and the PASID/IOTLB tables all use this conventional name.
         "_entries": (
             "repro.dsa.wq",
             "repro.ats.devtlb",
@@ -63,8 +63,6 @@ FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
         # Engine occupancy: the in-flight descriptor list, kept sorted
         # by completion time.
         "inflight": ("repro.dsa.engine",),
-        # DevTLB slot lists inside each sub-entry.
-        "slots": ("repro.ats.devtlb",),
         # Timeline monotonicity: the TSC counter itself.
         "_now": ("repro.hw.clock",),
     }

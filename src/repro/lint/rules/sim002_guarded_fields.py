@@ -18,7 +18,7 @@ ownership map :data:`repro.invariants.fields.FIELD_OWNERS`:
   declaring an unrelated attribute that merely shares the name (field
   matching is name-based, so an empty fresh value on ``self`` is read
   as a declaration, not a mutation of monitored state);
-* a mutating container-method call (``X.slots.append(...)``,
+* a mutating container-method call (``X._entries.popitem()``,
   ``X._entries.clear()`` — the verbs in
   :data:`repro.invariants.fields.MUTATING_METHODS`) on a guarded
   attribute outside its owners;

@@ -15,6 +15,7 @@ from repro.ats.devtlb import (
     DevTlbConfig,
     FieldType,
 )
+from repro.faults.canary import CANARY_DEVTLB_EVICT, CANARY_ENV
 
 
 @pytest.fixture
@@ -135,6 +136,15 @@ class TestCounters:
         assert delta.hits == 1
         assert delta.alloc_requests == 1
 
+    def test_fill_counts_skipped_pages_and_caches_the_last(self, tlb):
+        """A 3-page stream: access counts page 1, fill the other two."""
+        tlb.access(0, FieldType.SRC, 1, pasid=1, stream_pages=3)
+        tlb.fill(0, FieldType.SRC, 3, pasid=1, skipped=2)
+        assert tlb.stats.alloc_requests == 3  # EV_ATC_ALLOC: every page
+        assert tlb.engine_stats(0).alloc_requests == 3
+        assert tlb.stats.hits == tlb.stats.no_alloc == 0
+        assert tlb.cached_pages(0, FieldType.SRC) == [3]
+
     def test_peek_does_not_mutate(self, tlb):
         tlb.access(0, FieldType.SRC, 1, pasid=1)
         before = tlb.stats.snapshot()
@@ -177,6 +187,20 @@ class TestConfig:
         assert tlb.peek(0, FieldType.SRC, 1, pasid=1)
         assert not tlb.peek(0, FieldType.SRC, 2, pasid=1)
         assert tlb.peek(0, FieldType.SRC, 3, pasid=1)
+
+
+class TestCanaryArming:
+    def test_devtlb_evict_canary_is_read_at_construction(self, monkeypatch):
+        monkeypatch.setenv(CANARY_ENV, CANARY_DEVTLB_EVICT)
+        armed = DevTlb()
+        monkeypatch.delenv(CANARY_ENV)
+        clean = DevTlb()
+        monkeypatch.setenv(CANARY_ENV, CANARY_DEVTLB_EVICT)
+        for tlb in (armed, clean):
+            tlb.access(0, FieldType.SRC, 1, pasid=1)
+            tlb.access(0, FieldType.SRC, 2, pasid=1)
+        assert armed.occupancy == 2  # the armed off-by-one overfills
+        assert clean.occupancy == 1
 
 
 class TestDevTlbProperties:

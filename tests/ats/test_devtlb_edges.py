@@ -139,9 +139,9 @@ class TestCrossPasidAliasing:
         victim = host.new_process()
         tlb = host.device.devtlb
         tlb.access(0, FieldType.SRC, 0x42, pasid=victim.pasid)
-        key, sub = next(iter(tlb._entries.items()))
+        key, slots = next(iter(tlb._entries.items()))
         assert key[2] == victim.pasid  # partitioned key carries the PASID
-        sub.slots[0].pasid = victim.pasid + 99  # the "bug"
+        slots[0].pasid = victim.pasid + 99  # the "bug"
         with pytest.raises(InvariantViolation) as info:
             monitor.check_all()
         assert info.value.invariant == "devtlb"

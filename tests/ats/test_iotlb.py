@@ -46,6 +46,12 @@ class TestIoTlbBasics:
         assert tlb.lookup(1, 0xA) == 1
         assert tlb.lookup(1, 0xB) is None
         assert tlb.lookup(1, 0xC) == 3
+        # Re-inserting an existing key makes it MRU, like a hit does.
+        tlb.insert(1, 0xA, 4)  # C is now LRU
+        tlb.insert(1, 0xD, 5)  # evicts C
+        assert tlb.lookup(1, 0xC) is None
+        assert tlb.lookup(1, 0xA) == 4
+        assert tlb.lookup(1, 0xD) == 5
 
     def test_reinsert_updates_frame(self):
         tlb = IoTlb()

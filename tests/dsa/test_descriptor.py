@@ -22,12 +22,12 @@ from repro.errors import InvalidDescriptorError
 class TestFieldAccesses:
     def test_noop_touches_only_comp(self):
         desc = make_noop(pasid=1, completion_addr=0x1000)
-        fields = [a.field_type for a in desc.field_accesses()]
+        fields = [stream[0] for stream in desc.streams()]
         assert fields == [FieldType.COMP]
 
     def test_memcpy_fields(self):
         desc = make_memcpy(pasid=1, src=0x1000, dst=0x2000, size=64, completion_addr=0x3000)
-        fields = [(a.field_type, a.write) for a in desc.field_accesses()]
+        fields = [(stream[0], stream[3]) for stream in desc.streams()]
         assert fields == [
             (FieldType.SRC, False),
             (FieldType.DST, True),
@@ -37,7 +37,7 @@ class TestFieldAccesses:
     def test_memcmp_uses_src2_not_dst(self):
         """The byte-24 slot is src2 for compares (Listing 4's overlap)."""
         desc = make_memcmp(pasid=1, src=0x1000, src2=0x2000, size=64, completion_addr=0x3000)
-        fields = [a.field_type for a in desc.field_accesses()]
+        fields = [stream[0] for stream in desc.streams()]
         assert FieldType.SRC2 in fields
         assert FieldType.DST not in fields
 
@@ -45,7 +45,7 @@ class TestFieldAccesses:
         desc = make_dualcast(
             pasid=1, src=0x1000, dst=0x2000, dst2=0x4000, size=64, completion_addr=0x3000
         )
-        fields = [a.field_type for a in desc.field_accesses()]
+        fields = [stream[0] for stream in desc.streams()]
         assert fields == [
             FieldType.SRC,
             FieldType.DST,
@@ -55,11 +55,11 @@ class TestFieldAccesses:
 
     def test_comp_always_last(self):
         desc = make_memcpy(pasid=1, src=0, dst=0x2000, size=8, completion_addr=0x3000)
-        assert desc.field_accesses()[-1].field_type == FieldType.COMP
+        assert desc.streams()[-1][0] == FieldType.COMP
 
     def test_batch_has_no_devtlb_streams(self):
         batch = BatchDescriptor(pasid=1, desc_list_addr=0x1000, count=4)
-        # batches bypass the DevTLB; Descriptor.field_accesses only covers
+        # batches bypass the DevTLB; Descriptor.streams only covers
         # work descriptors, and BatchDescriptor never reaches an engine PU.
         assert batch.opcode is Opcode.BATCH
 
@@ -67,7 +67,7 @@ class TestFieldAccesses:
         desc = Descriptor(
             opcode=Opcode.NOOP, pasid=1, flags=DescriptorFlags.NONE
         )
-        assert desc.field_accesses() == []
+        assert desc.streams() == []
 
     def test_pages_touched_counts_cross_page(self):
         desc = make_memcpy(
@@ -78,8 +78,10 @@ class TestFieldAccesses:
 
     def test_field_access_pages(self):
         desc = make_memcpy(pasid=1, src=0xFFF, dst=0x5000, size=2, completion_addr=0x9000)
-        src_access = desc.field_accesses()[0]
-        assert src_access.pages() == [0, 1]
+        field_type, address, size, write = desc.streams()[0]
+        assert (field_type, write) == (FieldType.SRC, False)
+        assert address >> 12 == 0
+        assert spans_pages(address, size) == 2
 
 
 class TestValidation:

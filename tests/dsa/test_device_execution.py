@@ -142,6 +142,34 @@ class TestBasicExecution:
         assert result.record.status is CompletionStatus.PAGE_FAULT
         assert result.record.fault_address == 0xDEAD_0000_000
 
+    def test_hole_in_a_middle_source_page_reports_page_fault(self, host, proc):
+        """Translation checks a stream's first and last page only; the
+        unmapped middle page faults when the data moves, and the
+        descriptor still completes and frees its slot."""
+        pages = [proc.buffer() for _ in range(3)]
+        assert pages[2] - pages[0] == 2 * PAGE_SIZE  # one contiguous range
+        proc.space.unmap(pages[1])
+        dst = proc.buffer(3 * PAGE_SIZE)
+        comp = proc.comp_record()
+        result = proc.portal.submit_wait(
+            make_memcpy(proc.pasid, pages[0], dst, 3 * PAGE_SIZE, comp)
+        )
+        assert result.record.status is CompletionStatus.PAGE_FAULT
+        assert result.record.fault_address == pages[1]
+        assert host.device.engines[0].stats.faults == 1
+        assert host.device.wq(0).occupancy == 0
+
+    def test_unwritable_completion_record_still_completes(self, host, proc):
+        """A record write that faults is dropped (real DSA reports it in
+        SWERR): the descriptor completes and frees its slot."""
+        comp = proc.comp_record()
+        proc.space.unmap(comp)
+        ticket = proc.portal.submit(make_noop(proc.pasid, comp))
+        proc.portal.wait(ticket)
+        assert ticket.record.status is CompletionStatus.PAGE_FAULT
+        assert host.device.stats.descriptors_completed == 1
+        assert host.device.wq(0).occupancy == 0
+
 
 class TestQueueSemantics:
     def test_enqcmd_zf_when_full(self):

@@ -173,11 +173,10 @@ class TestDevTlb:
         proc = host.new_process()
         tlb = host.device.devtlb
         tlb.access(0, FieldType.SRC, 0x100, pasid=proc.pasid)
-        key = next(iter(tlb._entries))
-        sub = tlb._entries[key]
+        slots = next(iter(tlb._entries.values()))
         limit = tlb.config.slots_per_subentry
         for extra in range(limit + 1):
-            sub.slots.append(_Slot(base_vpn=0x200 + extra, pages=1, pasid=proc.pasid))
+            slots.append(_Slot(base_vpn=0x200 + extra, pages=1, pasid=proc.pasid))
         with pytest.raises(InvariantViolation) as info:
             monitor.check_all()
         assert info.value.invariant == "devtlb"

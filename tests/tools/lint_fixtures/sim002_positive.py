@@ -15,8 +15,8 @@ def rewind_clock(clock, cycles: int) -> None:
     clock._now = clock._now - cycles
 
 
-def evict_by_hand(sub_entry) -> None:
-    sub_entry.slots.pop()
+def evict_by_hand(devtlb) -> None:
+    devtlb._entries.popitem()
 
 
 def scrub_queue(wq) -> None:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.ats.devtlb import FieldType
-from repro.dsa.descriptor import make_noop
+from repro.dsa.completion import CompletionStatus
+from repro.dsa.descriptor import make_memcpy, make_noop
 from repro.errors import ConfigurationError
 from repro.virt.system import AttackTopology, CloudSystem
 
@@ -29,6 +30,34 @@ class TestDestroyProcess:
         system.destroy_process(proc)
         with pytest.raises(ConfigurationError):
             system.destroy_process(proc)
+
+    def test_teardown_with_work_in_flight_completes_it(self):
+        """A tenant destroyed while its memcpy runs: the record write has
+        no page table left, so it is dropped (narrated as a fault) and the
+        descriptor still completes; the other tenant is unaffected."""
+        system = CloudSystem(seed=35, invariants="strict")
+        handles = system.setup_topology(AttackTopology.E0_SHARED_WQ_SHARED_ENGINE)
+        victim, attacker = handles.victim, handles.attacker
+        size = 64 * 1024
+        ticket = victim.portal(handles.victim_wq).submit(
+            make_memcpy(
+                victim.pasid, victim.buffer(size), victim.buffer(size), size,
+                victim.comp_record(),
+            )
+        )
+        system.destroy_process(victim)
+        assert ticket.record is None  # still in flight
+        result = attacker.portal(handles.attacker_wq).submit_wait(
+            make_noop(attacker.pasid, attacker.comp_record())
+        )
+        assert result.record.status is CompletionStatus.SUCCESS
+        assert ticket.record.status is CompletionStatus.SUCCESS
+        assert system.device.wq(handles.attacker_wq).occupancy == 0
+        faults = [
+            event for event in system.invariant_monitor.event_window()
+            if event["kind"] == "fault"
+        ]
+        assert [event["cause"] for event in faults] == ["record-write"]
 
     def test_iotlb_scrubbed_on_teardown(self):
         system = CloudSystem(seed=33)
