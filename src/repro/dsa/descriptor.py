@@ -209,6 +209,8 @@ class BatchDescriptor:
     completion_addr: int = 0
     flags: DescriptorFlags = STANDARD_COMPLETION_FLAGS
     opcode: Opcode = field(default=Opcode.BATCH, init=False)
+    #: A batch parent raises no completion interrupt (not a field).
+    wants_interrupt = False
 
     def validate(self) -> None:
         """Raise :class:`InvalidDescriptorError` on malformed batches."""
@@ -218,6 +220,11 @@ class BatchDescriptor:
             raise InvalidDescriptorError("batch must contain at least one descriptor")
         if self.completion_addr % COMPLETION_ALIGN:
             raise InvalidDescriptorError("batch completion record is misaligned")
+
+    @property
+    def wants_completion(self) -> bool:
+        """Whether the batch's own record is written: iff it has an address."""
+        return self.completion_addr != 0
 
     def list_bytes(self) -> int:
         """Size of the descriptor array the fetcher reads."""

@@ -15,15 +15,15 @@ later than the last dispatch pass (infinity when idle).  Every full
 ``advance_to`` pass and every accepted :meth:`DsaDevice.submit`
 recompute it, and ``advance_to(t)`` with ``t < _wake`` only moves the
 replay cursor.  Configuration changes (``configure_group``,
-``configure_wq``) reset it to 0.  So does :meth:`DsaDevice.disable_wq`:
-removing work usually leaves a stale bound that is merely conservative,
-but aborting a queued ``DRAIN`` (which waits for an idle engine) can
-free a processing unit for work behind it before the bound.  Tearing
-down an empty queue (``queue_space.remove``) changes no dispatch
-candidate and leaves the bound valid.  :attr:`DsaDevice.next_event`
-exposes the bound read-only; a polled wait
-(:meth:`repro.dsa.portal.Portal.wait`) jumps its clock to the first spin
-that reaches it.
+``configure_wq``) reset it to 0.  So do :meth:`DsaDevice.disable_wq`
+and :meth:`DsaDevice.abort_pasid`: removing work usually leaves a stale
+bound that is merely conservative, but aborting a queued ``DRAIN``
+(which waits for an idle engine) can free a processing unit for work
+behind it before the bound.  Tearing down an empty queue
+(``queue_space.remove``) changes no dispatch candidate and leaves the
+bound valid.  :attr:`DsaDevice.next_event` exposes the bound read-only;
+a polled wait (:meth:`repro.dsa.portal.Portal.wait`) jumps its clock to
+the first spin that reaches it.
 
 The bound is cheap to recompute: each engine's ``inflight`` list is
 sorted by completion time on insert, the earliest completion across
@@ -74,13 +74,11 @@ from repro.dsa.completion import CompletionRecord, CompletionStatus
 from repro.dsa.descriptor import BatchDescriptor, Descriptor
 from repro.dsa.engine import Engine, EngineTiming
 from repro.dsa.opcodes import Opcode
-from repro.dsa.wq import HardwareQueueSpace, WorkQueue, WorkQueueConfig
+from repro.dsa.wq import HardwareQueueSpace, QueuedEntry, WorkQueue, WorkQueueConfig
 from repro.errors import (
     ConfigurationError,
     InvalidDescriptorError,
-    InvariantViolation,
     QueueConfigurationError,
-    ReproError,
     TranslationFault,
 )
 from repro.faults.plan import FaultSite
@@ -88,6 +86,9 @@ from repro.hw.clock import TscClock
 from repro.hw.memory import PhysicalMemory
 from repro.hw.noise import Environment, noise_model_for
 from repro.hw.pcie import PcieLink
+
+#: The record of every aborted descriptor (records are immutable).
+_ABORTED = CompletionRecord(status=CompletionStatus.ABORT)
 
 
 @dataclass
@@ -344,13 +345,7 @@ class DsaDevice:
             )
         if entry is None:
             return True, None
-        try:
-            self._dispatch_ready(time)
-        except ReproError as exc:
-            # The submitter gets this error instead of an answer.
-            if monitor is not None and not isinstance(exc, InvariantViolation):
-                monitor.note("submit-error", time, wq_id=wq_id, mode=wq.config.mode.value)
-            raise
+        self._dispatch_ready(time)
         self._wake = self._next_wake(time) if self._buffered else self._next_completion
         return False, ticket
 
@@ -405,29 +400,38 @@ class DsaDevice:
                 continue
             if inflight[0].completion_time <= time:
                 for ticket in engine.retire_due(time):
-                    self._complete_ticket(ticket, time)
+                    self._finish(ticket, time, ticket.pending_record)
                 if not inflight:
                     continue
             if inflight[0].completion_time < best:
                 best = inflight[0].completion_time
         self._next_completion = best
 
-    def _complete_ticket(self, ticket: SubmissionTicket, time: int) -> None:
-        """Write the completion record, free the WQ slot, resolve batches.
+    def _finish(
+        self, ticket: SubmissionTicket, time: int, record: CompletionRecord
+    ) -> None:
+        """End *ticket*'s descriptor with *record*: the only code that does.
 
-        A record that cannot be written is dropped (:meth:`_record_write_fault`).
-        Only plain descriptors reach an engine, so *ticket* never holds a
-        batch parent (those complete in :meth:`_complete_batch_parent`).
+        Retirement, batch parents and aborts all end here, so each
+        descriptor writes its record and frees its slot exactly once.  A
+        record that cannot be written (unmapped page, or a PASID unbound
+        with work in flight) is dropped as a ``record-write`` fault, as
+        real DSA reports it in SWERR.  Batch parent records bypass the
+        DevTLB (Section IV-B).
         """
         descriptor = ticket.descriptor
-        record = ticket.pending_record
+        monitor = self.invariant_monitor
         if descriptor.wants_completion:
             try:
                 self.pasid_table.lookup(descriptor.pasid).write(
                     descriptor.completion_addr, record.encode()
                 )
             except (ConfigurationError, TranslationFault):
-                self._record_write_fault(time, descriptor.pasid, ticket.engine_id)
+                if monitor is not None:
+                    monitor.note(
+                        "fault", time, engine_id=ticket.engine_id,
+                        pasid=descriptor.pasid, cause="record-write",
+                    )
         if descriptor.wants_interrupt:
             self.interrupt_log.append(
                 InterruptEvent(
@@ -437,12 +441,13 @@ class DsaDevice:
                 )
             )
             self.stats.interrupts_raised += 1
+        ticket.completion_time = time
         ticket.record = record
         if ticket.wq_id is not None:
             self.queue_space.get(ticket.wq_id).release_slot()
         self.stats.descriptors_completed += 1
-        if self.invariant_monitor is not None:
-            self.invariant_monitor.note(
+        if monitor is not None:
+            monitor.note(
                 "complete",
                 time,
                 payload=ticket,
@@ -454,54 +459,13 @@ class DsaDevice:
         if parent is not None:
             parent.children_pending -= 1
             if parent.children_pending == 0:
-                batch = parent.descriptor
-                self._complete_batch_parent(
+                self._finish(
                     parent,
                     time,
-                    CompletionRecord(status=CompletionStatus.SUCCESS, result=batch.count),
+                    CompletionRecord(
+                        status=CompletionStatus.SUCCESS, result=parent.descriptor.count
+                    ),
                 )
-
-    def _complete_batch_parent(
-        self, parent: SubmissionTicket, time: int, record: CompletionRecord
-    ) -> None:
-        """Batch parent record write — bypasses the DevTLB (Section IV-B)."""
-        batch = parent.descriptor
-        assert isinstance(batch, BatchDescriptor)
-        parent.completion_time = time
-        if batch.completion_addr:
-            try:
-                self.pasid_table.lookup(batch.pasid).write(
-                    batch.completion_addr, record.encode()
-                )
-            except (ConfigurationError, TranslationFault):
-                self._record_write_fault(time, batch.pasid)
-        parent.record = record
-        if parent.wq_id is not None:
-            self.queue_space.get(parent.wq_id).release_slot()
-        self.stats.descriptors_completed += 1
-        if self.invariant_monitor is not None:
-            self.invariant_monitor.note(
-                "complete",
-                time,
-                payload=parent,
-                wq_id=parent.wq_id,
-                pasid=batch.pasid,
-            )
-
-    def _record_write_fault(
-        self, time: int, pasid: int, engine_id: int | None = None
-    ) -> None:
-        """Narrate a completion record that could not be written.
-
-        Its page is unmapped or its PASID was unbound (a tenant torn down
-        with work in flight).  Real DSA reports this in SWERR and still
-        completes the descriptor, so the caller drops the write and goes
-        on to free the slot.
-        """
-        if self.invariant_monitor is not None:
-            self.invariant_monitor.note(
-                "fault", time, engine_id=engine_id, pasid=pasid, cause="record-write"
-            )
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -617,7 +581,7 @@ class DsaDevice:
                 )
             else:
                 record = CompletionRecord(status=CompletionStatus.BATCH_FAIL)
-            self._complete_batch_parent(ticket, start, record)
+            self._finish(ticket, start, record)
             return
         available = start + result.cycles
         ticket.children_pending = len(result.descriptors)
@@ -669,39 +633,51 @@ class DsaDevice:
         return self.queue_space.get(wq_id)
 
     def disable_wq(self, wq_id: int) -> int:
-        """Disable a queue: abort undispatched entries, free their slots.
+        """Disable a queue: abort its undispatched entries.
 
         Mirrors the idxd driver's WQ-disable path: descriptors already on
-        an engine run to completion; queued ones are aborted with an
-        ``ABORT`` completion status so pollers do not hang.  Returns the
-        number of aborted descriptors.
+        an engine run to completion; queued ones end with an ``ABORT``
+        record so pollers do not hang.  Returns the number aborted.
         """
-        queue = self.queue_space.get(wq_id)
-        aborted = 0
-        for entry in queue.drain_pending():
-            ticket = self._tickets.pop((wq_id, entry.sequence), None)
-            self._pending_work -= 1
-            descriptor = entry.descriptor
-            if isinstance(descriptor, BatchDescriptor):
-                self._queued_batches -= 1
-            record = CompletionRecord(status=CompletionStatus.ABORT)
-            if isinstance(descriptor, Descriptor) and descriptor.wants_completion:
-                try:
-                    self.pasid_table.lookup(descriptor.pasid).write(
-                        descriptor.completion_addr, record.encode()
-                    )
-                except (ConfigurationError, TranslationFault):
-                    self._record_write_fault(self._time, descriptor.pasid)
-            if ticket is not None:
-                ticket.completion_time = self._time
-                ticket.record = record
-            aborted += 1
-        self._wake = 0
+        aborted = self._abort_queued(wq_id, self.queue_space.get(wq_id).take_pending())
         if self.invariant_monitor is not None:
             self.invariant_monitor.note(
                 "drain", self._time, wq_id=wq_id, aborted=aborted
             )
         return aborted
+
+    def abort_pasid(self, pasid: int) -> int:
+        """Abort every descriptor of *pasid* that has not reached an engine.
+
+        Mirrors DSA's Abort PASID command, which the driver issues before
+        it unbinds a PASID: the PASID's entries in every work queue and
+        its children in the batch buffers end with an ``ABORT`` record.
+        Descriptors already on an engine run to completion.  Returns the
+        number aborted.
+        """
+        aborted = 0
+        for queue in self.queue_space.queues():
+            aborted += self._abort_queued(queue.wq_id, queue.take_pending(pasid))
+        for buffer in self._batch_buffers.values():
+            children = [entry for entry in buffer if entry.descriptor.pasid == pasid]
+            buffer[:] = [entry for entry in buffer if entry.descriptor.pasid != pasid]
+            self._pending_work -= len(children)
+            self._buffered -= len(children)
+            for entry in children:
+                self._finish(entry.parent_token, self._time, _ABORTED)
+            aborted += len(children)
+        return aborted
+
+    def _abort_queued(self, wq_id: int, entries: list[QueuedEntry]) -> int:
+        """End *entries*, taken from WQ *wq_id*, with ``ABORT``; reset ``_wake``."""
+        for entry in entries:
+            ticket = self._tickets.pop((wq_id, entry.sequence))
+            self._pending_work -= 1
+            if isinstance(entry.descriptor, BatchDescriptor):
+                self._queued_batches -= 1
+            self._finish(ticket, self._time, _ABORTED)
+        self._wake = 0
+        return len(entries)
 
     @property
     def time(self) -> int:

@@ -73,12 +73,6 @@ class CoverageMap(InvariantChecker):
             answer = _answer(monitor, context["mode"], accepted)
             if answer is not None:
                 probe(*answer)
-        elif kind == "submit-error":
-            # The accepted submission's dispatch pass raised, so the
-            # portal never saw the answer its submit event counted.
-            answer = _answer(monitor, context["mode"], True)
-            if answer is not None:
-                self._case[answer] -= 1
         elif kind == "devtlb":
             if context["outcome"] != "fill":
                 probe("engine.stream", f"{context['field']}:{context['span']}")
@@ -112,8 +106,7 @@ class CoverageMap(InvariantChecker):
         new = 0
         for (site, token), count in self._case.items():
             feature = (site, token, bucket(count))
-            # A withdrawn portal answer can leave a zero count: no hit.
-            if count and feature not in self._seen:
+            if feature not in self._seen:
                 self._seen.add(feature)
                 new += 1
         self._case = {}

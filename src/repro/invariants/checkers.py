@@ -6,8 +6,8 @@ Kuper et al.'s quantitative DSA analysis):
 
 ==================  ====================================================
 ``wq-credits``      WQ slot credits are conserved: occupancy moves only
-                    by accepted submissions, completions, and drain
-                    aborts, and stays within configured bounds.
+                    by accepted submissions and completions (aborts
+                    included), and stays within configured bounds.
 ``completion``      Completion records are written exactly once per
                     ticket and the ticket lifecycle is ordered
                     (enqueue <= dispatch <= completion).
@@ -42,15 +42,16 @@ class WqCreditChecker(InvariantChecker):
     """WQ credit conservation and occupancy bounds.
 
     Maintains a monitor-side ledger of expected occupancy per queue from
-    the event stream (accepted submit ``+1``, completion ``-1``, drain
-    ``-aborted``) and compares it against the actual occupancy register
-    at audit time — a leaked credit (completion without a slot release)
-    or a double release shows up as a ledger divergence even though each
-    individual mutation looked locally sane.
+    the event stream (accepted submit ``+1``, completion ``-1``; an
+    aborted descriptor completes like any other) and compares it against
+    the actual occupancy register at audit time — a leaked credit
+    (completion without a slot release) or a double release shows up as
+    a ledger divergence even though each individual mutation looked
+    locally sane.
     """
 
     name = "wq-credits"
-    kinds = frozenset({"submit", "complete", "drain"})
+    kinds = frozenset({"submit", "complete"})
 
     def __init__(self) -> None:
         self._ledger: dict[int, int] = {}
@@ -91,8 +92,6 @@ class WqCreditChecker(InvariantChecker):
                 expected += 1
         elif kind == "complete":
             expected -= 1
-        elif kind == "drain":
-            expected -= int(context.get("aborted", 0))
         if expected < 0:
             monitor.fail(
                 self.name,

@@ -132,11 +132,14 @@ class CloudSystem:
         return portal
 
     def destroy_process(self, process: GuestProcess) -> None:
-        """Tear a process down: unbind its PASID and scrub the IOTLB.
+        """Tear a process down: abort its queued work, unbind its PASID.
 
-        Mirrors the driver's release path: the PASID-table entry is
-        removed, the IOMMU's IOTLB gets a PASID-selective invalidation,
-        and the PASID returns to the allocator.  Deliberately **not**
+        Mirrors the driver's release path: the device aborts the PASID's
+        unstarted descriptors (:meth:`~repro.dsa.device.DsaDevice.abort_pasid`;
+        those on an engine complete, their record writes dropped), the
+        PASID-table entry is removed, the IOMMU's IOTLB gets a
+        PASID-selective invalidation, and the PASID returns to the
+        allocator.  Deliberately **not**
         touched: the DevTLB — the device offers no PASID-selective
         DevTLB invalidation, so a translation cached for the dead
         process lingers until the sub-entry is naturally evicted (one
@@ -148,6 +151,7 @@ class CloudSystem:
                 f"process {process.name!r} is not live on this host"
             )
         self.device.advance_to(self.clock.now)
+        self.device.abort_pasid(process.pasid)
         self.device.agent.invalidate_pasid(process.pasid)
         self.device.pasid_table.unbind(process.pasid)
         self.pasid_allocator.release(process.pasid)

@@ -1,10 +1,12 @@
 """Hypothesis state-machine test of device-level invariants.
 
 Random interleavings of submissions (both queue modes, all sizes),
-time advancement, and environment switches must never violate:
+time advancement, environment switches and queue disables must never
+violate:
 
 * queue occupancy stays within [0, size];
-* accepted submissions eventually all complete (conservation);
+* accepted submissions eventually all complete (conservation; an
+  aborted descriptor completes too);
 * the engine never runs more descriptors concurrently than it has
   processing units;
 * device-local replay time never exceeds the shared clock.
@@ -47,6 +49,10 @@ class DeviceMachine(RuleBasedStateMachine):
     @rule(environment=st.sampled_from(list(Environment)))
     def switch_environment(self, environment):
         self.host.device.set_environment(environment)
+
+    @rule()
+    def disable(self):
+        self.host.device.disable_wq(0)
 
     @invariant()
     def occupancy_bounded(self):

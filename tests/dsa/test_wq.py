@@ -53,13 +53,29 @@ class TestWorkQueue:
         assert wq.peek() is entry
         assert wq.occupancy == 1
 
-    def test_drain_pending(self):
+    def test_take_pending(self):
         wq = WorkQueue(WorkQueueConfig(wq_id=0, size=4))
         wq.try_enqueue(_noop(), 0)
         wq.try_enqueue(_noop(), 1)
-        drained = wq.drain_pending()
-        assert len(drained) == 2
+        taken = wq.take_pending()
+        assert [entry.enqueue_time for entry in taken] == [0, 1]
+        assert wq.queued == 0
+        # A taken entry keeps its slot until the device completes it.
+        assert wq.occupancy == 2
+        wq.release_slot()
+        wq.release_slot()
         assert wq.occupancy == 0
+
+    def test_take_pending_filters_by_pasid(self):
+        wq = WorkQueue(WorkQueueConfig(wq_id=0, size=4))
+        wq.try_enqueue(make_noop(1, 0x1000), 0)
+        wq.try_enqueue(make_noop(2, 0x1000), 1)
+        wq.try_enqueue(make_noop(1, 0x1000), 2)
+        taken = wq.take_pending(pasid=1)
+        assert [entry.enqueue_time for entry in taken] == [0, 2]
+        assert wq.peek().descriptor.pasid == 2
+        assert wq.queued == 1
+        assert wq.occupancy == 3
 
     def test_max_occupancy_tracked(self):
         wq = WorkQueue(WorkQueueConfig(wq_id=0, size=4))

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.ats.devtlb import FieldType
-from repro.dsa.completion import CompletionStatus
-from repro.dsa.descriptor import make_memcpy, make_noop
+from repro.dsa.batch import write_batch_list
+from repro.dsa.completion import CompletionRecord, CompletionStatus
+from repro.dsa.descriptor import BatchDescriptor, make_memcpy, make_noop
 from repro.errors import ConfigurationError
 from repro.virt.system import AttackTopology, CloudSystem
 
@@ -58,6 +59,84 @@ class TestDestroyProcess:
             if event["kind"] == "fault"
         ]
         assert [event["cause"] for event in faults] == ["record-write"]
+
+    def test_teardown_with_queued_work_aborts_it(self):
+        """A tenant destroyed with memcpys still queued on a shared WQ: the
+        queued one ends with ``ABORT`` and frees its slot, so the other
+        tenant's next submit is served instead of raising."""
+        system = CloudSystem(seed=5, invariants="strict")
+        handles = system.setup_topology(AttackTopology.E0_SHARED_WQ_SHARED_ENGINE)
+        victim, attacker = handles.victim, handles.attacker
+        size = 64 * 1024
+        running, queued = (
+            victim.portal(handles.victim_wq).submit(
+                make_memcpy(
+                    victim.pasid, victim.buffer(size), victim.buffer(size), size,
+                    victim.comp_record(),
+                )
+            )
+            for _ in range(2)
+        )
+        assert queued.dispatch_time is None
+        system.destroy_process(victim)
+        assert queued.record.status is CompletionStatus.ABORT
+        result = attacker.portal(handles.attacker_wq).submit_wait(
+            make_noop(attacker.pasid, attacker.comp_record())
+        )
+        assert result.record.status is CompletionStatus.SUCCESS
+        assert running.record.status is CompletionStatus.SUCCESS
+        device = system.device
+        assert device.wq(handles.attacker_wq).occupancy == 0
+        assert device.stats.descriptors_completed == device.stats.submissions_accepted
+
+    def test_teardown_aborts_batch_children_in_the_buffer(self):
+        """A tenant destroyed while its batch children wait in a batch
+        buffer behind its own memcpy: the children abort, the batch parent
+        completes and frees its slot, and the other tenant is served."""
+        system = CloudSystem(seed=5, invariants="strict")
+        handles = system.setup_topology(AttackTopology.E0_SHARED_WQ_SHARED_ENGINE)
+        victim, attacker = handles.victim, handles.attacker
+        portal = victim.portal(handles.victim_wq)
+        size = 64 * 1024
+        portal.submit(
+            make_memcpy(
+                victim.pasid, victim.buffer(size), victim.buffer(size), size,
+                victim.comp_record(),
+            )
+        )
+        children = [
+            make_memcpy(
+                victim.pasid, victim.buffer(), victim.buffer(), 4096,
+                victim.comp_record(),
+            )
+            for _ in range(3)
+        ]
+        list_addr = victim.buffer()
+        write_batch_list(victim.space, list_addr, children)
+        batch_comp = victim.comp_record()
+        batch = portal.submit(
+            BatchDescriptor(
+                pasid=victim.pasid, desc_list_addr=list_addr, count=3,
+                completion_addr=batch_comp,
+            )
+        )
+        device = system.device
+        device.advance_to(system.clock.now)
+        assert batch.dispatch_time is not None  # fetched: children buffered
+        assert batch.record is None
+        system.destroy_process(victim)
+        for child in children:
+            record = CompletionRecord.decode(victim.read(child.completion_addr, 32))
+            assert record.status is CompletionStatus.ABORT
+        assert batch.record is not None
+        result = attacker.portal(handles.attacker_wq).submit_wait(
+            make_noop(attacker.pasid, attacker.comp_record())
+        )
+        assert result.record.status is CompletionStatus.SUCCESS
+        assert device.wq(handles.attacker_wq).occupancy == 0
+        assert device.stats.descriptors_completed == (
+            device.stats.submissions_accepted + len(children)
+        )
 
     def test_iotlb_scrubbed_on_teardown(self):
         system = CloudSystem(seed=33)
