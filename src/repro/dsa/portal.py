@@ -81,6 +81,8 @@ class Portal:
         self.last_ticket: SubmissionTicket | None = None
         self.hidden_dmwr_drops = 0
         self.faults_injected = 0
+        #: Set when the opener is destroyed: the mapping is gone.
+        self.closed = False
 
     def _submission_fault(self, descriptor: Descriptor | BatchDescriptor) -> bool:
         """Consult the device's fault injector (callers check it has one)
@@ -125,6 +127,8 @@ class Portal:
         ``True`` (ZF set) means *retry*: the queue was full and nothing
         was enqueued.  Latency is charged identically either way.
         """
+        if self.closed:
+            raise self._closed_error()
         device = self.device
         if device.queue_space.get(self.wq_id).config.mode is not WqMode.SHARED:
             self._narrate("reject", instruction="enqcmd")
@@ -183,6 +187,8 @@ class Portal:
         full queue therefore raises :class:`QueueFullError` to flag the
         software bug the model cannot otherwise express.
         """
+        if self.closed:
+            raise self._closed_error()
         wq = self.device.wq(self.wq_id)
         if wq.config.mode is not WqMode.DEDICATED:
             self._narrate("reject", instruction="movdir64b")
@@ -295,6 +301,12 @@ class Portal:
             device.advance_to(now)
         detect = device.config.timing.poll_detect_cycles
         device.advance_to(clock.advance_to(ticket.completion_time + detect))
+
+    def _closed_error(self) -> ConfigurationError:
+        return ConfigurationError(
+            f"portal for WQ {self.wq_id} is closed: PASID {self.pasid}'s"
+            " process was destroyed"
+        )
 
     def _narrate(self, kind: str, **context: str) -> None:
         monitor = self.device.invariant_monitor

@@ -50,9 +50,10 @@ FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
         # pass skip a busy engine while a batch parent waits.
         "_next_completion": ("repro.dsa.device",),
         "_queued_batches": ("repro.dsa.device",),
-        # Lane choice: a lock's live-waiter count; an outside write
-        # would steer sessions to the wrong lane queue.
-        "_live_waiters": ("repro.service.loop",),
+        # Lane choice: a lock's waiter queue, whose length is the lane's
+        # queue depth; an outside write would steer sessions to the
+        # wrong lane queue.
+        "_waiters": ("repro.service.loop",),
         # Exactly-once completion: only the device writes records and
         # ticket lifecycle timestamps.
         "record": ("repro.dsa.device",),

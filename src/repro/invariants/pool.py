@@ -28,6 +28,7 @@ import edge back into :mod:`repro.experiments`.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Mapping
 
 from repro.errors import InvariantViolation
@@ -69,7 +70,8 @@ class PoolStateChecker:
         self._assigned: dict[int, int] = {}  # trial index -> worker id
         self._completed: set[int] = set()
         self._poisoned: set[int] = set()
-        self._transitions: list[dict[str, object]] = []
+        # Only the last ten events reach a violation report.
+        self._transitions: deque[dict[str, object]] = deque(maxlen=10)
 
     # -- violation plumbing ---------------------------------------------
     def _trip(self, message: str, **snapshot: object) -> None:
@@ -83,7 +85,7 @@ class PoolStateChecker:
                 "total_trials": self.total_trials,
                 **snapshot,
             },
-            events=tuple(self._transitions[-10:]),
+            events=tuple(self._transitions),
         )
 
     # -- worker lifecycle -----------------------------------------------

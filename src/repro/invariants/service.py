@@ -33,12 +33,12 @@ into the package it audits.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Mapping
 
 from repro.errors import InvariantViolation
 
-#: Session lifecycle states, mirroring ``repro.service.session`` values
-#: by construction.
+#: Session lifecycle states; :mod:`repro.service` narrates these.
 STATE_OFFERED = "offered"
 STATE_ADMITTED = "admitted"
 STATE_CALIBRATING = "calibrating"
@@ -66,10 +66,17 @@ _VALID_TRANSITIONS: Mapping[str | None, frozenset[str]] = {
     STATE_CLOSED: frozenset(),
 }
 
-#: The closed set of terminal exit paths (the accounting alphabet).
+#: Terminal exit paths (the accounting alphabet): every session ends
+#: in exactly one of these.
+EXIT_COMPLETED = "completed"
+EXIT_REJECTED = "rejected"
+EXIT_SHED = "shed"
+EXIT_FAILED = "failed"
+EXIT_QUARANTINED = "quarantined"
+EXIT_CHECKPOINTED = "checkpointed"
 EXIT_PATHS = frozenset(
-    {"completed", "rejected", "shed", "failed", "quarantined",
-     "checkpointed"}
+    {EXIT_COMPLETED, EXIT_REJECTED, EXIT_SHED, EXIT_FAILED,
+     EXIT_QUARANTINED, EXIT_CHECKPOINTED}
 )
 
 
@@ -83,7 +90,8 @@ class ServiceStateChecker:
         self._exits: dict[str, str] = {}
         self._lane_holder: dict[int, str] = {}  # lane id -> session id
         self._session_lane: dict[str, int] = {}  # session id -> lane id
-        self._transitions: list[dict[str, object]] = []
+        # Only the last ten events reach a violation report.
+        self._transitions: deque[dict[str, object]] = deque(maxlen=10)
         self.lane_handoffs = 0
 
     # -- violation plumbing ---------------------------------------------
@@ -97,7 +105,7 @@ class ServiceStateChecker:
                 "lanes_held": len(self._lane_holder),
                 **snapshot,
             },
-            events=tuple(self._transitions[-10:]),
+            events=tuple(self._transitions),
         )
 
     def _record(self, **event: object) -> None:

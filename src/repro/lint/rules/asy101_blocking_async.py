@@ -2,12 +2,14 @@
 
 The always-on service (:mod:`repro.service`) runs every coroutine on
 :class:`~repro.service.loop.DeviceTimeLoop`, a *virtual-time*
-cooperative scheduler: time only advances when every task is parked on
-a loop primitive.  A host-blocking call — ``time.sleep``, synchronous
-file I/O, ``threading.Event.wait`` — does not park; it freezes the
-entire loop, stalling all 10⁵ multiplexed sessions at once, and (worse)
-it re-couples the schedule to the host clock, breaking the service's
-pure-function-of-``(config, seed)`` reproducibility bar.
+cooperative scheduler that steps the coroutines itself: time only
+advances when no task is ready to run.  The loop rejects an await of
+anything but its own primitives the moment it happens, but a
+host-blocking call — ``time.sleep``, synchronous file I/O,
+``threading.Event.wait`` — never awaits, so the loop cannot see it: it
+freezes the entire loop, stalling all 10⁵ multiplexed sessions at once,
+and (worse) it re-couples the schedule to the host clock, breaking the
+service's pure-function-of-``(config, seed)`` reproducibility bar.
 
 No per-file rule can catch this: the blocking call typically hides in a
 sync helper two hops below the ``async def``.  This rule walks the

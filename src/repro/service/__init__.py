@@ -9,9 +9,9 @@ a fleet of simulated :class:`~repro.virt.system.CloudSystem` devices.
 
 The robustness layer is the headline, not the attacks themselves:
 
-* :mod:`repro.service.loop` — a deterministic *device-time* asyncio
-  driver: sessions park on simulated-cycle wakeups, never the host
-  clock, so an identical seed replays an identical run;
+* :mod:`repro.service.loop` — a deterministic *device-time* coroutine
+  loop (no asyncio): sessions park on simulated-cycle wakeups, never
+  the host clock, so an identical seed replays an identical run;
 * :mod:`repro.service.admission` — token-bucket admission with typed
   rejection (:class:`~repro.errors.AdmissionRejected`) and per-tenant
   isolation budgets;

@@ -28,7 +28,6 @@ checks exactly that, session id by session id.
 
 from __future__ import annotations
 
-import asyncio
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,24 +48,31 @@ from repro.experiments.runner import (
     EXIT_OVERLOAD,
 )
 from repro.faults.sites import SERVICE_SITES, SITE_OWNERS
-from repro.invariants.service import ServiceStateChecker
-from repro.service.admission import AdmissionController
-from repro.service.config import ServiceConfig
-from repro.service.controller import OverloadController
-from repro.service.devices import DeviceFleet
-from repro.service.loop import BoundedQueue, DeviceTimeLoop, VirtualEvent
-from repro.service.session import (
-    AttackSession,
+from repro.invariants.service import (
     EXIT_CHECKPOINTED,
+    EXIT_COMPLETED,
     EXIT_FAILED,
+    EXIT_QUARANTINED,
+    EXIT_REJECTED,
     EXIT_SHED,
-    SessionOutcome,
-    SessionSpec,
     STATE_ADMITTED,
     STATE_CLOSED,
     STATE_DRAINING,
     STATE_OFFERED,
+    ServiceStateChecker,
 )
+from repro.service.admission import AdmissionController
+from repro.service.config import ServiceConfig
+from repro.service.controller import OverloadController
+from repro.service.devices import DeviceFleet
+from repro.service.loop import (
+    BoundedQueue,
+    DeviceTimeLoop,
+    Task,
+    TaskCancelled,
+    VirtualEvent,
+)
+from repro.service.session import AttackSession, SessionOutcome, SessionSpec
 
 #: File name of the drain checkpoint inside the checkpoint directory.
 CHECKPOINT_NAME = "service-checkpoint.json"
@@ -370,7 +376,7 @@ class AttackService:
         self.admission = AdmissionController(cfg, self.checker, self.injector)
         self.controller = OverloadController(cfg)
         self.run_queue = BoundedQueue(self.loop, cfg.queue_capacity)
-        self._active: dict[str, tuple[AttackSession, asyncio.Task]] = {}
+        self._active: dict[str, tuple[AttackSession, Task]] = {}
         self._open_offers = 0
         self._feeding = True
         self._done = VirtualEvent(self.loop)
@@ -457,8 +463,8 @@ class AttackService:
             self.accounting.rejected.get(reason, 0) + 1
         )
         self.checker.note_state(sid, STATE_CLOSED)
-        self.checker.note_exit(sid, "rejected")
-        self._note_id("rejected", sid)
+        self.checker.note_exit(sid, EXIT_REJECTED)
+        self._note_id(EXIT_REJECTED, sid)
         self._finish_one()
 
     def _finish_one(self) -> None:
@@ -552,7 +558,7 @@ class AttackService:
             )
 
     async def _supervise(
-        self, session: AttackSession, task: asyncio.Task
+        self, session: AttackSession, task: Task
     ) -> None:
         await self.loop.join(task)
         spec = session.spec
@@ -581,7 +587,7 @@ class AttackService:
                 self.checker.note_state(sid, STATE_CLOSED)
                 outcome = SessionOutcome(
                     spec=spec,
-                    exit_path="quarantined",
+                    exit_path=EXIT_QUARANTINED,
                     reason=type(exc).__name__,
                     latency_cycles=self.loop.now - session.admitted_at,
                     rounds_done=session.rounds_done,
@@ -593,7 +599,7 @@ class AttackService:
         spec = outcome.spec
         sid = spec.session_id
         acct = self.accounting
-        if outcome.exit_path == "completed":
+        if outcome.exit_path == EXIT_COMPLETED:
             acct.completed += 1
             self._latencies.append(outcome.latency_cycles)
             self.controller.observe_latency(outcome.latency_cycles)
@@ -602,7 +608,7 @@ class AttackService:
         elif outcome.exit_path == EXIT_CHECKPOINTED:
             acct.checkpointed += 1
             self._checkpoint_specs.append(outcome.resume_spec)
-        elif outcome.exit_path == "quarantined":
+        elif outcome.exit_path == EXIT_QUARANTINED:
             acct.quarantined += 1
         else:
             reason = outcome.reason or "error"
@@ -627,7 +633,7 @@ class AttackService:
         """
         try:
             await coro
-        except asyncio.CancelledError:
+        except TaskCancelled:
             raise
         except BaseException as exc:  # repro-lint: ignore[EXC001]
             # Deliberate: recorded here, re-raised by the main coroutine.

@@ -33,21 +33,6 @@ from repro.service.loop import DeviceTimeLoop, VirtualLock
 from repro.virt.system import AttackTopology, CloudSystem
 
 
-class RoundResult:
-    """Aggregates of one probe round on a lane."""
-
-    __slots__ = ("cycles", "probes", "evictions", "max_latency_cycles")
-
-    def __init__(
-        self, cycles: int, probes: int, evictions: int,
-        max_latency_cycles: int,
-    ) -> None:
-        self.cycles = cycles
-        self.probes = probes
-        self.evictions = evictions
-        self.max_latency_cycles = max_latency_cycles
-
-
 class DeviceLane:
     """One calibrated attack system plus its custody lock."""
 
@@ -65,7 +50,6 @@ class DeviceLane:
         self.lock = VirtualLock(loop)
         self.revoked = False
         self.rounds_served = 0
-        self.cycles_charged = 0
         self.recalibrations = 0
         self._policy = policy
         self._calibration_samples = calibration_samples
@@ -94,36 +78,23 @@ class DeviceLane:
             self.monitor.reset(result.threshold)
             self.recalibrations += 1
 
-    def run_round(self, probes: int, idle_us: float) -> RoundResult:
+    def run_round(self, probes: int, idle_us: float) -> int:
         """One prime + idle/probe round, synchronously, on device time.
 
-        Consumes the lane system's own timeline; the caller charges the
-        returned ``cycles`` to the service clock (and the tenant's
-        budget) afterwards.
+        Consumes the lane system's own timeline and returns the cycles
+        it took; the caller charges them to the service clock (and the
+        tenant's budget) afterwards.
         """
         if self.revoked:
             raise LaneRevokedError(lane_id=self.lane_id)
         clock = self.system.clock
         start = clock.now
         self.attack.prime()
-        evictions = 0
-        max_latency = 0
         for _ in range(max(1, probes)):
             self.system.timeline.idle_for_us(idle_us)
-            outcome = self.attack.probe()
-            self.monitor.observe(outcome.latency_cycles)
-            max_latency = max(max_latency, outcome.latency_cycles)
-            if outcome.evicted:
-                evictions += 1
-        cycles = clock.now - start
+            self.monitor.observe(self.attack.probe().latency_cycles)
         self.rounds_served += 1
-        self.cycles_charged += cycles
-        return RoundResult(
-            cycles=cycles,
-            probes=max(1, probes),
-            evictions=evictions,
-            max_latency_cycles=max_latency,
-        )
+        return clock.now - start
 
 
 class DeviceFleet:

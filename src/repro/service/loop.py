@@ -1,74 +1,144 @@
-"""Deterministic device-time asyncio: the service's only clock.
+"""Deterministic device-time coroutines: the service's only clock.
 
 The service multiplexes up to 10⁵ session coroutines, yet must stay a
 pure function of ``(config, seed)`` — the same reproducibility bar the
-batch runner meets.  Host-clock asyncio cannot deliver that: wakeup
-order would depend on scheduler jitter.  So the service runs on
+batch runner meets.  A host-clock event loop cannot deliver that:
+wakeup order would depend on scheduler jitter.  So the service runs on
 *device time* instead: a single integer cycle counter that only
-advances when every task is parked, exactly like
+advances when no task can run, exactly like
 :class:`repro.virt.scheduler.Timeline` but for coroutines.
 
-How it works
-------------
-:class:`DeviceTimeLoop` wraps a vanilla asyncio loop and keeps
+:class:`DeviceTimeLoop` steps the ``async def`` coroutines itself
+(``send``/``throw``, no asyncio underneath) and keeps ``now``, a FIFO
+*ready queue* of task steps and join wakeups, and a min-heap of
+``(due_cycles, seq, park)`` timed wakeups.  Every await in service code
+ends at a :class:`_Park`, the one object a task may hand the loop.  The
+driver runs the ready queue until it is empty, then advances ``now`` to
+the earliest live heap entry and readies every wakeup due by then, in
+heap order; ties resolve by insertion order, so the whole schedule is
+deterministic.  A primitive that wakes a waiter (an event set, a lock
+release, a queue hand-off, a finished task's joiner) puts it on the
+heap at the current instant: it runs in the next batch.
 
-* ``now`` — the current virtual cycle count;
-* a min-heap of ``(due_cycles, seq, future)`` wakeups;
-* a *busy counter* — the number of live tasks **not** parked on a loop
-  primitive.
+Cancelling a parked task takes it off its park at once; the task
+unwinds in the next batch, ahead of that batch's wakeups and after
+``now`` has advanced (``_unwinding`` holds it until then).  Cancelling
+a ready task throws into its queued step instead.
 
-The driver lets asyncio run (``await asyncio.sleep(0)``) until the busy
-counter hits zero — every task has either finished or parked — then
-pops the earliest heap entry, advances ``now`` to its due time, and
-wakes it (incrementing busy *before* resolving the future, so time can
-never advance past a pending wakeup).  Ties resolve by insertion order,
-making the whole schedule deterministic.
-
-The contract this imposes on service code — **every** await must go
-through a loop primitive (:meth:`DeviceTimeLoop.sleep_cycles`,
-:class:`VirtualEvent`, :class:`VirtualLock`, :class:`BoundedQueue`,
-:meth:`DeviceTimeLoop.join`) and blocking host calls (``time.sleep``,
-sync file I/O, ``Event.wait``) are forbidden in anything the loop can
-reach — is enforced statically by the ``ASY101`` lint rule.
+Failure detection is exact: with the ready queue, the pending unwinds
+and the heap all empty but the main coroutine unfinished, the loop is
+deadlocked; a task that awaits anything but a loop primitive raises
+:class:`~repro.errors.ServiceError` naming it, before ``now`` moves.
+Host-blocking calls (``time.sleep``, sync file I/O, ``Event.wait``)
+never await, so the loop cannot see them; the ``ASY101`` lint rule
+forbids them in anything the loop can reach.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 from collections import deque
-from typing import Any, Coroutine
+from typing import Any, Coroutine, Generator
 
 from repro.errors import ServiceError
 
-#: Consecutive zero-progress scheduler passes tolerated before the
-#: driver declares the loop wedged (a task awaited something that is
-#: not a loop primitive).  Each pass runs every ready callback once, so
-#: legitimate hand-off chains finish in a handful of passes.
-MAX_IDLE_SPINS = 100_000
+
+class TaskCancelled(BaseException):
+    """Thrown into a cancelled task at the await it is parked on.
+
+    A :class:`BaseException`, like :class:`asyncio.CancelledError`, so
+    that an ``except ReproError`` containment boundary never swallows a
+    shed or a kill.
+    """
+
+
+class _Park:
+    """What a task awaits: one wakeup, from the heap or a waiter queue.
+
+    ``task`` is the parked task until a wakeup or a cancel takes it.  A
+    park made with *waiters* appends itself there; a cancel takes it out
+    again at once, so a waiter queue's length counts live waiters only.
+    """
+
+    __slots__ = ("task", "waiters")
+
+    def __init__(self, waiters: "deque[_Park] | None" = None) -> None:
+        self.task: Task | None = None
+        self.waiters = waiters
+        if waiters is not None:
+            waiters.append(self)
+
+    def __await__(self) -> Generator["_Park", None, None]:
+        yield self
+
+
+class Task:
+    """A coroutine driven by a :class:`DeviceTimeLoop`."""
+
+    __slots__ = (
+        "name", "_loop", "_coro", "_park", "_must_cancel", "_joiners",
+        "_done", "_result", "_exception",
+    )
+
+    def __init__(
+        self, loop: "DeviceTimeLoop", coro: Coroutine[Any, Any, Any], name: str
+    ) -> None:
+        self.name = name
+        self._loop = loop
+        self._coro = coro
+        self._park: _Park | None = None
+        self._must_cancel = False
+        self._joiners: deque[_Park] = deque()
+        self._done = False
+        self._result: Any = None
+        # What the coroutine raised; a TaskCancelled if it was cancelled.
+        self._exception: BaseException | None = None
+
+    def done(self) -> bool:
+        return self._done
+
+    def cancelled(self) -> bool:
+        return type(self._exception) is TaskCancelled
+
+    def exception(self) -> "BaseException | None":
+        return self._exception
+
+    def result(self) -> Any:
+        """The coroutine's return value; re-raises how it ended otherwise."""
+        if self._exception is not None:
+            raise self._exception
+        return self._result
+
+    def cancel(self) -> bool:
+        """Request cancellation; ``False`` if the task already finished."""
+        if self._done:
+            return False
+        self._must_cancel = True
+        park = self._park
+        if park is not None:
+            self._park = park.task = None
+            if park.waiters is not None:
+                park.waiters.remove(park)
+            self._loop._unwinding.append(self)
+        return True
 
 
 class DeviceTimeLoop:
-    """A virtual-time cooperative scheduler over asyncio."""
+    """A virtual-time cooperative scheduler for ``async def`` coroutines."""
 
     def __init__(self, start_cycles: int = 0) -> None:
         self._cycles = int(start_cycles)
-        self._heap: list[tuple[int, int, asyncio.Future]] = []
+        self._ready: deque[Task | _Park] = deque()
+        self._unwinding: list[Task] = []
+        self._heap: list[tuple[int, int, _Park]] = []
         self._seq = 0
-        self._busy = 0
-        self._tasks: set[asyncio.Task] = set()
-        self._aio: asyncio.AbstractEventLoop | None = None
-        self.wakeups = 0
+        self._tasks: dict[Task, None] = {}
+        self._driving = False
 
     @property
     def now(self) -> int:
         """Current virtual time in cycles."""
         return self._cycles
-
-    @property
-    def live_tasks(self) -> int:
-        """Tasks spawned on this loop that have not finished."""
-        return len(self._tasks)
 
     # ------------------------------------------------------------------
     # Driving
@@ -80,100 +150,100 @@ class DeviceTimeLoop:
         alive when *main* finishes are cancelled — the root coroutine
         owns the lifecycle of everything it spawned.
         """
-        return asyncio.run(self._drive(main))
-
-    async def _drive(self, main: Coroutine[Any, Any, Any]) -> Any:
-        self._aio = asyncio.get_running_loop()
+        self._driving = True
         root = self.spawn(main, name="service-main")
         try:
             while True:
-                await self._settle()
+                self._run_ready()
                 if root.done():
                     break
-                self._prune()
-                if self._heap:
-                    self._fire_due()
-                    continue
-                # Empty heap with tasks alive is *usually* a deadlock —
-                # but a just-cancelled task's CancelledError step may
-                # still sit in asyncio's ready queue, not yet counted
-                # busy.  Grant a few grace passes to flush it (each
-                # pass drains the whole ready queue once; a pending
-                # wakeup raises ``busy`` or posts a heap entry within
-                # two) before declaring the loop dead.
-                for _ in range(8):
-                    await asyncio.sleep(0)
-                    self._prune()
-                    if self._busy > 0 or self._heap:
-                        break
-                else:
-                    raise ServiceError(
-                        "device-time deadlock: every task is parked and"
-                        f" no wakeup is scheduled ({self.live_tasks} live"
-                        f" tasks at cycle {self._cycles})"
-                    )
+                self._advance()
         finally:
+            self._driving = False
             for task in list(self._tasks):
                 task.cancel()
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
-            self._aio = None
+            self._ready.extend(self._unwinding)
+            self._unwinding.clear()
+            self._run_ready()
         return root.result()
 
-    async def _settle(self) -> None:
-        """Yield to asyncio until every live task is parked.
+    def _run_ready(self) -> None:
+        ready = self._ready
+        while ready:
+            item = ready.popleft()
+            if type(item) is Task:
+                self._step(item)
+            else:
+                # A finished task's joiner: woken at this instant.
+                self._schedule(self._cycles, item)
 
-        Always yields at least once: a just-cancelled task is *ready*
-        (asyncio queued its ``CancelledError`` step) but not counted
-        busy until it actually runs, so a pass is owed even when the
-        counter already reads zero.
-        """
-        spins = 0
-        while True:
-            await asyncio.sleep(0)
-            if self._busy <= 0:
-                return
-            spins += 1
-            if spins > MAX_IDLE_SPINS:
+    def _advance(self) -> None:
+        """Advance ``now`` to the earliest live wakeup and ready the batch."""
+        heap = self._heap
+        # Drop cancelled parks from the head so virtual time never
+        # advances to a wakeup nobody is waiting on.
+        while heap and heap[0][2].task is None:
+            heapq.heappop(heap)
+        if heap:
+            self._cycles = heap[0][0]
+        elif not self._unwinding:
+            raise ServiceError(
+                "device-time deadlock: every task is parked and"
+                f" no wakeup is scheduled ({len(self._tasks)} live"
+                f" tasks at cycle {self._cycles})"
+            )
+        ready = self._ready
+        ready.extend(self._unwinding)
+        self._unwinding.clear()
+        while heap and heap[0][0] <= self._cycles:
+            park = heapq.heappop(heap)[2]
+            task = park.task
+            if task is not None:
+                park.task = task._park = None
+                ready.append(task)
+
+    def _step(self, task: Task) -> None:
+        """Run *task* up to its next park (or its end)."""
+        try:
+            if task._must_cancel:
+                task._must_cancel = False
+                park = task._coro.throw(TaskCancelled())
+            else:
+                park = task._coro.send(None)
+        except StopIteration as stop:
+            task._result = stop.value
+        except (TaskCancelled, Exception) as exc:  # repro-lint: ignore[EXC001]
+            # Deliberate: kept on the task for its joiner to inspect.
+            task._exception = exc
+        else:
+            if type(park) is not _Park:
                 raise ServiceError(
-                    f"device-time loop wedged: {self._busy} task(s) stayed"
-                    f" runnable for {MAX_IDLE_SPINS} scheduler passes —"
-                    " something awaited outside the loop's primitives"
+                    f"task {task.name!r} awaited {park!r}, which is not a"
+                    " device-time loop primitive"
                 )
-
-    def _prune(self) -> None:
-        """Drop dead wakeups (cancelled parks) from the heap head so
-        virtual time never advances to a wakeup nobody is waiting on."""
-        while self._heap and self._heap[0][2].done():
-            heapq.heappop(self._heap)
-
-    def _fire_due(self) -> None:
-        """Advance ``now`` to the earliest wakeup and fire the batch."""
-        self._cycles = max(self._cycles, self._heap[0][0])
-        while self._heap and self._heap[0][0] <= self._cycles:
-            _, _, fut = heapq.heappop(self._heap)
-            self._wake(fut)
+            park.task = task
+            task._park = park
+            return
+        # It ended: wake its joiners at this instant, in turn.
+        task._done = True
+        del self._tasks[task]
+        self._ready.extend(task._joiners)
 
     # ------------------------------------------------------------------
     # Task management
     # ------------------------------------------------------------------
-    def spawn(self, coro: Coroutine[Any, Any, Any], name: str = "") -> asyncio.Task:
-        """Schedule *coro* as a task counted by the busy tracker."""
-        if self._aio is None:
+    def spawn(self, coro: Coroutine[Any, Any, Any], name: str = "") -> Task:
+        """Queue *coro* as a new task behind everything ready now."""
+        if not self._driving:
             raise ServiceError(
                 "spawn() outside run(): the device-time loop is not driving"
             )
-        task = self._aio.create_task(coro, name=name or f"svc-{self._seq}")
-        self._busy += 1
-        self._tasks.add(task)
-        task.add_done_callback(self._on_task_done)
+        task = Task(self, coro, name or f"svc-{self._seq}")
+        self._tasks[task] = None
+        self._ready.append(task)
         return task
 
-    def _on_task_done(self, task: asyncio.Task) -> None:
-        self._busy -= 1
-        self._tasks.discard(task)
-
-    async def join(self, task: asyncio.Task) -> None:
+    async def join(self, task: Task) -> None:
         """Park until *task* finishes (by any means).
 
         Deliberately does **not** re-raise the task's exception — the
@@ -181,11 +251,8 @@ class DeviceTimeLoop:
         itself, which is how poisoned sessions are contained without a
         broad ``except``.
         """
-        if task.done():
-            return
-        fut = self._future()
-        task.add_done_callback(lambda _t: self._wake_soon(fut))
-        await self._park(fut)
+        if not task.done():
+            await _Park(task._joiners)
 
     # ------------------------------------------------------------------
     # Time primitives
@@ -196,48 +263,20 @@ class DeviceTimeLoop:
 
     async def sleep_until(self, due_cycles: int) -> None:
         """Park until virtual time reaches *due_cycles*."""
-        fut = self._future()
-        self._schedule(max(int(due_cycles), self._cycles), fut)
-        await self._park(fut)
+        park = _Park()
+        self._schedule(max(int(due_cycles), self._cycles), park)
+        await park
 
-    # ------------------------------------------------------------------
-    # Internals shared with the primitives below
-    # ------------------------------------------------------------------
-    def _running(self) -> asyncio.AbstractEventLoop:
-        if self._aio is None:
-            raise ServiceError("loop primitive used outside run()")
-        return self._aio
-
-    def _future(self) -> asyncio.Future:
-        return self._running().create_future()
-
-    def _schedule(self, due: int, fut: asyncio.Future) -> None:
-        heapq.heappush(self._heap, (due, self._seq, fut))
+    def _schedule(self, due: int, park: _Park) -> None:
+        heapq.heappush(self._heap, (due, self._seq, park))
         self._seq += 1
 
-    def _wake_soon(self, fut: asyncio.Future) -> None:
-        """Queue *fut* to fire at the current virtual instant."""
-        self._schedule(self._cycles, fut)
-
-    def _wake(self, fut: asyncio.Future) -> None:
-        if not fut.done():
-            self._busy += 1
-            self.wakeups += 1
-            fut.set_result(None)
-
-    async def _park(self, fut: asyncio.Future) -> None:
-        """Block the calling task on *fut*, maintaining the busy count.
-
-        The waker (heap pop, event set, lock release) increments busy
-        *before* resolving the future; cancellation is the one wake
-        path with no waker, so it restores the count itself.
-        """
-        self._busy -= 1
-        try:
-            await fut
-        except asyncio.CancelledError:
-            self._busy += 1
-            raise
+    def _wake_first(self, waiters: "deque[_Park]") -> None:
+        """Wake the oldest of *waiters*, if any, at the current instant."""
+        if waiters:
+            park = waiters.popleft()
+            park.waiters = None
+            self._schedule(self._cycles, park)
 
 
 class VirtualEvent:
@@ -246,7 +285,7 @@ class VirtualEvent:
     def __init__(self, loop: DeviceTimeLoop) -> None:
         self._loop = loop
         self._flag = False
-        self._waiters: deque[asyncio.Future] = deque()
+        self._waiters: deque[_Park] = deque()
 
     def is_set(self) -> bool:
         return self._flag
@@ -255,40 +294,14 @@ class VirtualEvent:
         """Set the flag; every waiter wakes at the current instant."""
         self._flag = True
         while self._waiters:
-            self._loop._wake_soon(self._waiters.popleft())
+            self._loop._wake_first(self._waiters)
 
     def clear(self) -> None:
         self._flag = False
 
     async def wait(self) -> None:
         while not self._flag:
-            fut = self._loop._future()
-            self._waiters.append(fut)
-            await self._loop._park(fut)
-
-
-class _LockWaiter(asyncio.Future):
-    """A lock waiter's future: cancelling it while it is still queued
-    takes it out of the lock's live count at once.
-
-    ``Task.cancel`` cancels the future its task is parked on
-    synchronously, so the count drops before any other task runs --
-    the cancelled task's own ``CancelledError`` step may come much
-    later (the controller sheds many sessions in one tick).
-    """
-
-    __slots__ = ("lock",)
-
-    def __init__(self, lock: "VirtualLock", loop: asyncio.AbstractEventLoop) -> None:
-        super().__init__(loop=loop)
-        self.lock: VirtualLock | None = lock
-
-    def cancel(self, msg: Any = None) -> bool:
-        cancelled = super().cancel(msg)
-        if cancelled and self.lock is not None:
-            self.lock._live_waiters -= 1
-            self.lock = None
-        return cancelled
+            await _Park(self._waiters)
 
 
 class VirtualLock:
@@ -296,15 +309,13 @@ class VirtualLock:
 
     Custody of a device lane flows through one of these: waiters queue
     deterministically and the release hands the wake to the head of the
-    queue at the current virtual instant.  Cancelled waiters stay in the
-    queue until a release skips them; ``_live_waiters`` counts the rest.
+    queue at the current virtual instant.
     """
 
     def __init__(self, loop: DeviceTimeLoop) -> None:
         self._loop = loop
         self._locked = False
-        self._waiters: deque[_LockWaiter] = deque()
-        self._live_waiters = 0
+        self._waiters: deque[_Park] = deque()
 
     @property
     def locked(self) -> bool:
@@ -313,27 +324,18 @@ class VirtualLock:
     @property
     def waiting(self) -> int:
         """Waiters parked on this lock: not woken, not cancelled."""
-        return self._live_waiters
+        return len(self._waiters)
 
     async def acquire(self) -> None:
         while self._locked:
-            fut = _LockWaiter(self, self._loop._running())
-            self._waiters.append(fut)
-            self._live_waiters += 1
-            await self._loop._park(fut)
+            await _Park(self._waiters)
         self._locked = True
 
     def release(self) -> None:
         if not self._locked:
             raise ServiceError("release() of an unlocked VirtualLock")
         self._locked = False
-        while self._waiters:
-            fut = self._waiters.popleft()
-            if not fut.done():
-                fut.lock = None
-                self._live_waiters -= 1
-                self._loop._wake_soon(fut)
-                break
+        self._loop._wake_first(self._waiters)
 
     async def __aenter__(self) -> "VirtualLock":
         await self.acquire()
@@ -359,8 +361,8 @@ class BoundedQueue:
         self._loop = loop
         self._capacity = capacity
         self._items: deque[Any] = deque()
-        self._getters: deque[asyncio.Future] = deque()
-        self._putters: deque[asyncio.Future] = deque()
+        self._getters: deque[_Park] = deque()
+        self._putters: deque[_Park] = deque()
         self.high_water = 0
 
     @property
@@ -370,36 +372,25 @@ class BoundedQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    def _wake_one(self, waiters: "deque[asyncio.Future]") -> None:
-        while waiters:
-            fut = waiters.popleft()
-            if not fut.done():
-                self._loop._wake_soon(fut)
-                return
-
     def try_put(self, item: Any) -> bool:
         """Enqueue *item*, or report backpressure without blocking."""
         if len(self._items) >= self._capacity:
             return False
         self._items.append(item)
         self.high_water = max(self.high_water, len(self._items))
-        self._wake_one(self._getters)
+        self._loop._wake_first(self._getters)
         return True
 
     async def put(self, item: Any) -> None:
         """Enqueue *item*, parking (backpressured) while the queue is full."""
         while not self.try_put(item):
-            fut = self._loop._future()
-            self._putters.append(fut)
-            await self._loop._park(fut)
+            await _Park(self._putters)
 
     async def get(self) -> Any:
         while not self._items:
-            fut = self._loop._future()
-            self._getters.append(fut)
-            await self._loop._park(fut)
+            await _Park(self._getters)
         item = self._items.popleft()
-        self._wake_one(self._putters)
+        self._loop._wake_first(self._putters)
         return item
 
     def drain(self) -> list[Any]:
@@ -407,5 +398,5 @@ class BoundedQueue:
         items = list(self._items)
         self._items.clear()
         while self._putters:
-            self._wake_one(self._putters)
+            self._loop._wake_first(self._putters)
         return items

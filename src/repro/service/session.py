@@ -42,25 +42,19 @@ from repro.errors import (
     TranslationFault,
 )
 from repro.faults.plan import FaultSite
+from repro.invariants.service import (
+    EXIT_CHECKPOINTED,
+    EXIT_COMPLETED,
+    EXIT_FAILED,
+    STATE_ACTIVE,
+    STATE_ADMITTED,
+    STATE_CALIBRATING,
+    STATE_CLOSED,
+    STATE_DRAINING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.service.app import AttackService
-
-# Lifecycle states (narrated to the ServiceStateChecker).
-STATE_OFFERED = "offered"
-STATE_ADMITTED = "admitted"
-STATE_CALIBRATING = "calibrating"
-STATE_ACTIVE = "active"
-STATE_DRAINING = "draining"
-STATE_CLOSED = "closed"
-
-# Terminal exit paths (the accounting alphabet).
-EXIT_COMPLETED = "completed"
-EXIT_REJECTED = "rejected"
-EXIT_SHED = "shed"
-EXIT_FAILED = "failed"
-EXIT_QUARANTINED = "quarantined"
-EXIT_CHECKPOINTED = "checkpointed"
 
 #: Stall duration applied when a ``service_session_stall`` spec carries
 #: no ``magnitude_cycles`` of its own.
@@ -133,9 +127,6 @@ class SessionOutcome:
     reason: str = ""
     latency_cycles: int = 0
     rounds_done: int = 0
-    evictions: int = 0
-    attempts: int = 0
-    lane_visits: int = 0
     device_cycles: int = 0
 
     @property
@@ -156,39 +147,24 @@ class AttackSession:
         #: Set by the service before a deliberate cancel so the
         #: supervisor can attribute the cancellation (shed/kill/drain).
         self.cancel_reason = ""
-        # (rounds_done, evictions, lane_visits, calibrated): progress
-        # that survives a retryable mid-attempt failure.
-        self._progress = (spec.rounds_done, 0, 0, False)
-
-    @property
-    def rounds_done(self) -> int:
-        """Rounds completed so far (valid even after a cancel)."""
-        return self._progress[0]
+        # Progress that survives a retryable mid-attempt failure (a
+        # revoked lane does not erase completed rounds), and a cancel.
+        self.rounds_done = spec.rounds_done
+        self.calibrated = False
 
     # ------------------------------------------------------------------
     def _set_state(self, state: str) -> None:
         self.state = state
         self._svc.checker.note_state(self.spec.session_id, state)
 
-    def _close(
-        self,
-        exit_path: str,
-        reason: str,
-        rounds_done: int,
-        evictions: int,
-        attempts: int,
-        lane_visits: int,
-    ) -> SessionOutcome:
+    def _close(self, exit_path: str, reason: str = "") -> SessionOutcome:
         self._set_state(STATE_CLOSED)
         return SessionOutcome(
             spec=self.spec,
             exit_path=exit_path,
             reason=reason,
             latency_cycles=self._svc.loop.now - self.admitted_at,
-            rounds_done=rounds_done,
-            evictions=evictions,
-            attempts=attempts,
-            lane_visits=lane_visits,
+            rounds_done=self.rounds_done,
             device_cycles=self.device_cycles,
         )
 
@@ -228,93 +204,52 @@ class AttackSession:
         untyped escapes to the supervisor's quarantine path.
         """
         svc = self._svc
-        spec = self.spec
         policy = svc.config.retry_policy
-        rounds_done = spec.rounds_done
-        evictions = 0
         attempts = 0
-        lane_visits = 0
-        calibrated = False
         while True:
             try:
-                outcome = await self._attempt(
-                    rounds_done, evictions, lane_visits, attempts, calibrated
-                )
+                return await self._attempt()
             except SessionDeadlineExceeded:
-                return self._close(
-                    EXIT_FAILED, "deadline", rounds_done, evictions,
-                    attempts, lane_visits,
-                )
+                return self._close(EXIT_FAILED, "deadline")
             except _RETRYABLE as err:
                 attempts += 1
                 if attempts >= policy.max_attempts:
                     return self._close(
-                        EXIT_FAILED,
-                        f"retries-exhausted:{type(err).__name__}",
-                        rounds_done, evictions, attempts, lane_visits,
+                        EXIT_FAILED, f"retries-exhausted:{type(err).__name__}"
                     )
                 backoff = int(
                     policy.min_separation_cycles
                     * policy.sample_growth ** attempts
                 )
                 await svc.loop.sleep_cycles(backoff)
-                rounds_done = self._progress[0]
-                evictions = self._progress[1]
-                lane_visits = self._progress[2]
-                calibrated = self._progress[3]
-                continue
-            outcome.attempts = attempts
-            return outcome
 
-    async def _attempt(
-        self,
-        rounds_done: int,
-        evictions: int,
-        lane_visits: int,
-        attempts: int,
-        calibrated: bool,
-    ) -> SessionOutcome:
+    async def _attempt(self) -> SessionOutcome:
         """One bounded attempt: acquire a lane, run rounds, release."""
         svc = self._svc
         spec = self.spec
-        # Progress survives a retryable failure mid-attempt (a revoked
-        # lane does not erase completed rounds).
-        self._progress = (rounds_done, evictions, lane_visits, calibrated)
         lane = await svc.fleet.acquire(spec.session_id)
-        lane_visits += 1
-        self._progress = (rounds_done, evictions, lane_visits, calibrated)
         try:
             self._check_deadline()
-            if not calibrated:
+            if not self.calibrated:
                 self._set_state(STATE_CALIBRATING)
                 lane.ensure_calibrated()
-                calibrated = True
-                self._progress = (
-                    rounds_done, evictions, lane_visits, calibrated
-                )
+                self.calibrated = True
             self._set_state(STATE_ACTIVE)
-            while rounds_done < spec.probe_rounds:
+            while self.rounds_done < spec.probe_rounds:
                 if svc.drain_requested:
                     self._set_state(STATE_DRAINING)
-                    return self._close(
-                        EXIT_CHECKPOINTED, "drain", rounds_done,
-                        evictions, attempts, lane_visits,
-                    )
+                    return self._close(EXIT_CHECKPOINTED, "drain")
                 await self._stall_opportunity()
                 self._check_deadline()
-                result = lane.run_round(spec.probes_per_round, spec.idle_us)
-                self.device_cycles += result.cycles
-                evictions += result.evictions
-                rounds_done += 1
-                self._progress = (
-                    rounds_done, evictions, lane_visits, calibrated
-                )
+                cycles = lane.run_round(spec.probes_per_round, spec.idle_us)
+                self.device_cycles += cycles
+                self.rounds_done += 1
                 # Charge the round's device time to the service clock,
                 # then pace the next round at the controller's cadence
                 # (stretched under overload: degrade, don't fail).
-                await svc.loop.sleep_cycles(result.cycles)
+                await svc.loop.sleep_cycles(cycles)
                 self._check_deadline()
-                if rounds_done < spec.probe_rounds:
+                if self.rounds_done < spec.probe_rounds:
                     gap = (
                         svc.config.inter_round_gap_cycles
                         * svc.controller.cadence_multiplier()
@@ -322,7 +257,4 @@ class AttackSession:
                     await svc.loop.sleep_cycles(gap)
         finally:
             svc.fleet.release(lane, spec.session_id)
-        return self._close(
-            EXIT_COMPLETED, "", rounds_done, evictions, attempts,
-            lane_visits,
-        )
+        return self._close(EXIT_COMPLETED)

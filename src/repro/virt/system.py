@@ -139,7 +139,8 @@ class CloudSystem:
         those on an engine complete, their record writes dropped), the
         PASID-table entry is removed, the IOMMU's IOTLB gets a
         PASID-selective invalidation, and the PASID returns to the
-        allocator.  Deliberately **not**
+        allocator.  Portals the process opened are closed: a kept
+        reference refuses to submit.  Deliberately **not**
         touched: the DevTLB — the device offers no PASID-selective
         DevTLB invalidation, so a translation cached for the dead
         process lingers until the sub-entry is naturally evicted (one
@@ -155,6 +156,8 @@ class CloudSystem:
         self.device.agent.invalidate_pasid(process.pasid)
         self.device.pasid_table.unbind(process.pasid)
         self.pasid_allocator.release(process.pasid)
+        for portal in process.portals.values():
+            portal.closed = True
         process.portals.clear()
         del vm.processes[process.name]
 

@@ -2,8 +2,8 @@
 
 The loop is the service's only clock, so these run in tier-1: wakeup
 ordering must be a pure function of the schedule, cancellation must
-never wedge or time-travel the loop, and every primitive must preserve
-the busy-count accounting that lets virtual time advance.
+never stall or time-travel the loop, and a misuse (a foreign await, a
+wait nothing will end) must fail at once instead of hanging.
 """
 
 import pytest
@@ -110,6 +110,34 @@ class TestCancellation:
         _, result = drive(main)
         assert result == 200
 
+    def test_cancel_after_the_wakeup_fired_throws_into_the_step(self):
+        log = []
+
+        async def sleeper(loop):
+            try:
+                await loop.sleep_until(10)
+                log.append("resumed")
+            finally:
+                log.append(("unwound", loop.now))
+
+        async def canceller(loop, victims):
+            await loop.sleep_until(10)
+            # Same batch: the victim's wakeup is queued behind this step.
+            victims[0].cancel()
+
+        async def main(loop):
+            victims = []
+            loop.spawn(canceller(loop, victims))
+            victim = loop.spawn(sleeper(loop))
+            victims.append(victim)
+            await loop.join(victim)
+            await loop.sleep_cycles(5)
+            return victim.cancelled(), loop.now
+
+        _, result = drive(main)
+        assert result == (True, 15)
+        assert log == [("unwound", 10)]
+
     def test_cancelled_event_waiter_is_pruned(self):
         async def main(loop):
             event = VirtualEvent(loop)
@@ -136,28 +164,63 @@ class TestCancellation:
         assert result == "ValueError"
 
 
-class TestFailureModes:
-    def test_foreign_park_is_detected_as_deadlock(self):
-        import asyncio
+    def test_cancelled_task_unwinds_at_the_next_instant(self):
+        log = []
 
-        async def foreign_wait(loop):
-            # Parks on a future no loop primitive will ever resolve.
-            # _park is never used, so the busy counter still counts the
-            # task runnable and the wedge detector fires.
-            await asyncio.get_running_loop().create_future()
+        async def holder(loop, lock):
+            await lock.acquire()
+            try:
+                await loop.sleep_cycles(10**6)
+            finally:
+                log.append(("a-finally", loop.now))
+                lock.release()
+
+        async def waiter(loop, lock):
+            await lock.acquire()
+            log.append(("b-acquired", loop.now))
+            lock.release()
 
         async def main(loop):
-            loop.spawn(foreign_wait(loop))
+            lock = VirtualLock(loop)
+            a = loop.spawn(holder(loop, lock))
+            b = loop.spawn(waiter(loop, lock))
+            await loop.sleep_until(100)
+            a.cancel()
+            await loop.sleep_cycles(50)
+            log.append(("main-woke", loop.now))
+            await loop.join(b)
+            assert a.cancelled()
+
+        drive(main)
+        assert log == [
+            ("a-finally", 150),
+            ("main-woke", 150),
+            ("b-acquired", 150),
+        ]
+
+
+class TestFailureModes:
+    def test_foreign_await_names_the_task_before_time_advances(self):
+        class Foreign:
+            def __await__(self):
+                yield "not a park"
+
+        async def strays(loop):
+            await Foreign()
+
+        async def main(loop):
+            loop.spawn(strays(loop), name="stray")
             await loop.sleep_cycles(10**9)
 
         loop = DeviceTimeLoop()
-        with pytest.raises(ServiceError, match="wedged"):
+        with pytest.raises(ServiceError, match="task 'stray' awaited"):
             loop.run(main(loop))
+        assert loop.now == 0
 
     def test_no_wakeup_deadlock_is_detected(self):
         async def waits_forever(loop):
-            # Parks correctly (busy drops) but nothing will ever set
-            # the event: empty heap + zero busy = declared deadlock.
+            # Parks correctly but nothing will ever set the event:
+            # nothing ready, nothing unwinding, empty heap = deadlock.
             await VirtualEvent(loop).wait()
 
         loop = DeviceTimeLoop()
@@ -270,8 +333,7 @@ class TestLockWaiting:
             await loop.sleep_cycles(10)
             seen["parked"] = lock.waiting
             tasks[1].cancel()
-            # Same step: the cancelled task has not run its
-            # CancelledError step yet.
+            # Same step: the cancelled task has not unwound yet.
             seen["one_cancelled"] = lock.waiting
             tasks[2].cancel()
             seen["two_cancelled"] = lock.waiting

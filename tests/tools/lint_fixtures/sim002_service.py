@@ -1,6 +1,6 @@
 # repro-lint-fixture-module: repro.service.devices
-"""SIM002 fixture: the fleet reads a lane lock's live-waiter count but
-only repro.service.loop may write it."""
+"""SIM002 fixture: the fleet reads a lane lock's waiter queue depth but
+only repro.service.loop may change the queue."""
 
 
 def least_loaded(lanes):
@@ -8,4 +8,4 @@ def least_loaded(lanes):
 
 
 def forget_waiter(lane) -> None:
-    lane.lock._live_waiters -= 1
+    lane.lock._waiters.clear()

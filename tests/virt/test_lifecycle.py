@@ -138,6 +138,30 @@ class TestDestroyProcess:
             device.stats.submissions_accepted + len(children)
         )
 
+    def test_kept_portal_refuses_to_submit_after_teardown(self):
+        """A portal reference kept past teardown is closed: a submission
+        through it raises a typed error before anything is enqueued, so no
+        WQ slot is held and the device counts nothing."""
+        system = CloudSystem(seed=5, invariants="strict")
+        handles = system.setup_topology(AttackTopology.E0_SHARED_WQ_SHARED_ENGINE)
+        victim = handles.victim
+        portal = victim.portal(handles.victim_wq)
+        memcpy = make_memcpy(
+            victim.pasid, victim.buffer(), victim.buffer(), 4096,
+            victim.comp_record(),
+        )
+        device = system.device
+        accepted = device.stats.submissions_accepted
+        system.destroy_process(victim)
+        with pytest.raises(ConfigurationError, match="closed"):
+            portal.submit(memcpy)
+        assert device.wq(handles.victim_wq).occupancy == 0
+        assert device.stats.submissions_accepted == accepted
+        result = handles.attacker.portal(handles.attacker_wq).submit_wait(
+            make_noop(handles.attacker.pasid, handles.attacker.comp_record())
+        )
+        assert result.record.status is CompletionStatus.SUCCESS
+
     def test_iotlb_scrubbed_on_teardown(self):
         system = CloudSystem(seed=33)
         handles = system.setup_topology(AttackTopology.E0_SHARED_WQ_SHARED_ENGINE)
