@@ -106,6 +106,9 @@ class SubmissionTicket:
     devtlb_hits: int = 0
     devtlb_misses: int = 0
     children_pending: int = 0
+    #: Set on a batch parent when any child ends with a status other
+    #: than ``SUCCESS``; the parent then completes with ``BATCH_FAIL``.
+    children_failed: bool = False
     parent: "SubmissionTicket | None" = None
     #: Device-wide monotonic id, used by the exactly-once completion
     #: invariant (``-1`` for tickets that never reached the device).
@@ -416,8 +419,10 @@ class DsaDevice:
         descriptor writes its record and frees its slot exactly once.  A
         record that cannot be written (unmapped page, or a PASID unbound
         with work in flight) is dropped as a ``record-write`` fault, as
-        real DSA reports it in SWERR.  Batch parent records bypass the
-        DevTLB (Section IV-B).
+        real DSA reports it in SWERR.  A batch parent ends with its last
+        child: ``BATCH_FAIL`` if any child did not succeed, else
+        ``SUCCESS``, with ``result = count`` either way.  Batch parent
+        records bypass the DevTLB (Section IV-B).
         """
         descriptor = ticket.descriptor
         monitor = self.invariant_monitor
@@ -458,12 +463,17 @@ class DsaDevice:
         parent = ticket.parent
         if parent is not None:
             parent.children_pending -= 1
+            if record.status is not CompletionStatus.SUCCESS:
+                parent.children_failed = True
             if parent.children_pending == 0:
                 self._finish(
                     parent,
                     time,
                     CompletionRecord(
-                        status=CompletionStatus.SUCCESS, result=parent.descriptor.count
+                        status=CompletionStatus.BATCH_FAIL
+                        if parent.children_failed
+                        else CompletionStatus.SUCCESS,
+                        result=parent.descriptor.count,
                     ),
                 )
 

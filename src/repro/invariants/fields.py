@@ -61,6 +61,7 @@ FIELD_OWNERS: Mapping[str, tuple[str, ...]] = MappingProxyType(
         "completion_time": ("repro.dsa.device",),
         "dispatch_time": ("repro.dsa.device",),
         "children_pending": ("repro.dsa.device",),
+        "children_failed": ("repro.dsa.device",),
         # Engine occupancy: the in-flight descriptor list, kept sorted
         # by completion time.
         "inflight": ("repro.dsa.engine",),

@@ -10,7 +10,7 @@ import pytest
 from repro.ats.devtlb import FieldType
 from repro.dsa.arbiter import Arbiter, ArbiterPolicy, BatchBufferEntry
 from repro.dsa.batch import write_batch_list
-from repro.dsa.completion import CompletionStatus
+from repro.dsa.completion import CompletionRecord, CompletionStatus
 from repro.dsa.descriptor import BatchDescriptor, make_memcpy, make_noop
 from repro.dsa.wq import WorkQueue, WorkQueueConfig
 
@@ -181,6 +181,33 @@ class TestBatchEngine:
         assert ticket.record.status is CompletionStatus.BATCH_FAIL
         assert host.device.fetcher.descriptors_fetched == 0
         assert host.device.stats.descriptors_completed == 1
+
+    def test_page_faulted_child_fails_the_batch(self):
+        """A child whose source page is unmapped ends with ``PAGE_FAULT``;
+        its parent then ends with ``BATCH_FAIL``, still counting every
+        child in ``result``."""
+        host = build_host()
+        proc = host.new_process()
+        list_addr = proc.buffer(4096)
+        faulting = make_memcpy(
+            proc.pasid, proc.buffer() + (1 << 30), proc.buffer(), 4096,
+            proc.comp_record(),
+        )
+        children = [make_noop(proc.pasid, proc.comp_record()), faulting]
+        write_batch_list(proc.space, list_addr, children)
+        batch = BatchDescriptor(
+            pasid=proc.pasid, desc_list_addr=list_addr, count=2,
+            completion_addr=proc.comp_record(),
+        )
+        ticket = proc.portal.submit(batch)
+        proc.portal.wait(ticket)
+        child_record = CompletionRecord.decode(
+            proc.read(faulting.completion_addr, 32)
+        )
+        assert child_record.status is CompletionStatus.PAGE_FAULT
+        assert ticket.record.status is CompletionStatus.BATCH_FAIL
+        assert ticket.record.result == 2
+        assert host.device.stats.descriptors_completed == 3
 
     @pytest.mark.parametrize(
         ("child_pasid", "list_mapped", "status"),

@@ -92,7 +92,8 @@ class TestDestroyProcess:
     def test_teardown_aborts_batch_children_in_the_buffer(self):
         """A tenant destroyed while its batch children wait in a batch
         buffer behind its own memcpy: the children abort, the batch parent
-        completes and frees its slot, and the other tenant is served."""
+        completes with ``BATCH_FAIL`` and frees its slot, and the other
+        tenant is served."""
         system = CloudSystem(seed=5, invariants="strict")
         handles = system.setup_topology(AttackTopology.E0_SHARED_WQ_SHARED_ENGINE)
         victim, attacker = handles.victim, handles.attacker
@@ -128,7 +129,8 @@ class TestDestroyProcess:
         for child in children:
             record = CompletionRecord.decode(victim.read(child.completion_addr, 32))
             assert record.status is CompletionStatus.ABORT
-        assert batch.record is not None
+        assert batch.record.status is CompletionStatus.BATCH_FAIL
+        assert batch.record.result == 3
         result = attacker.portal(handles.attacker_wq).submit_wait(
             make_noop(attacker.pasid, attacker.comp_record())
         )
