@@ -503,7 +503,7 @@ GOLDEN = {
     "reconfigure-across-groups": "93cfdf8cf64e579e29beec231af8a3664c96351bf55992e1d5b19977c60c4078",
     "disable-wq-in-flight": "886bb8b9a50f1219d5270f8fe60ced6eb06a4077b122243700434767b12d759d",
     "disable-unblocks-batch-child": "ef1027d0a6d686492ca6a32590dce5b1f50c5686395eeacebfe808054bebb73e",
-    "teardown-with-queued-work": "ca35b905823f3c6f96ef90fa55c91ff34802f0f39e4472894957701987a7e61e",
+    "teardown-with-queued-work": "5284a044588d9b3d2890c79a9300f86abcd137718335cd160787abb8c3c805b7",
     "timeout-poll": "d24cff7b37e885a0ba56559adf6fbe68a3d94b73e363bd1ff3b32914b39778fe",
     "wait-across-wake-points": "1eaacf95658090372562a40e7c296f573aca16661ee5952b46c2622e8b46438d",
     "wait-on-batch-child": "5e6637677f5964924e9924f6d3f1443e03cc3436acb6d10f993bcb1ce388ceae",
