@@ -10,7 +10,11 @@ where DRAINING is entered only on graceful drain (the session stops at
 a round boundary and its remaining work is checkpointed) and CLOSED is
 reached from any live state (completion, deadline, shed, kill,
 quarantine).  Every transition is narrated to the
-``ServiceStateChecker``, which enforces the legality table.
+``ServiceStateChecker``, which enforces the legality table.  The
+session narrates every state but CLOSED: :meth:`AttackSession.run`
+returns ``(exit_path, reason)``, and the service's one exit,
+``AttackService._end``, closes the session when its supervisor joins
+the task (a shed, kill or quarantine ends the task without a return).
 
 Budgets, not hope, bound every failure mode:
 
@@ -30,7 +34,7 @@ Budgets, not hope, bound every failure mode:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, TYPE_CHECKING
 
 from repro.errors import (
@@ -47,9 +51,7 @@ from repro.invariants.service import (
     EXIT_COMPLETED,
     EXIT_FAILED,
     STATE_ACTIVE,
-    STATE_ADMITTED,
     STATE_CALIBRATING,
-    STATE_CLOSED,
     STATE_DRAINING,
 )
 
@@ -118,30 +120,12 @@ class SessionSpec:
         )
 
 
-@dataclass
-class SessionOutcome:
-    """The terminal record of one session (fed to the accounting)."""
-
-    spec: SessionSpec
-    exit_path: str
-    reason: str = ""
-    latency_cycles: int = 0
-    rounds_done: int = 0
-    device_cycles: int = 0
-
-    @property
-    def resume_spec(self) -> SessionSpec:
-        """The spec to re-offer when this outcome is ``checkpointed``."""
-        return replace(self.spec, rounds_done=self.rounds_done)
-
-
 class AttackSession:
     """Drives one :class:`SessionSpec` through its lifecycle."""
 
     def __init__(self, spec: SessionSpec, service: "AttackService") -> None:
         self.spec = spec
         self._svc = service
-        self.state = STATE_ADMITTED
         self.admitted_at = service.loop.now
         self.device_cycles = 0
         #: Set by the service before a deliberate cancel so the
@@ -154,19 +138,7 @@ class AttackSession:
 
     # ------------------------------------------------------------------
     def _set_state(self, state: str) -> None:
-        self.state = state
         self._svc.checker.note_state(self.spec.session_id, state)
-
-    def _close(self, exit_path: str, reason: str = "") -> SessionOutcome:
-        self._set_state(STATE_CLOSED)
-        return SessionOutcome(
-            spec=self.spec,
-            exit_path=exit_path,
-            reason=reason,
-            latency_cycles=self._svc.loop.now - self.admitted_at,
-            rounds_done=self.rounds_done,
-            device_cycles=self.device_cycles,
-        )
 
     def _check_deadline(self) -> None:
         elapsed = self._svc.loop.now - self.admitted_at
@@ -196,12 +168,14 @@ class AttackSession:
         await self._svc.loop.sleep_cycles(stall)
 
     # ------------------------------------------------------------------
-    async def run(self) -> SessionOutcome:
-        """The state machine; returns the terminal outcome.
+    async def run(self) -> tuple[str, str]:
+        """The state machine; returns ``(exit_path, reason)``.
 
         Raises nothing typed — :class:`~repro.errors.ReproError`
-        failures are converted into ``failed`` outcomes here.  Anything
-        untyped escapes to the supervisor's quarantine path.
+        failures are converted into ``failed`` exits here.  Anything
+        untyped escapes to the supervisor's quarantine path.  The
+        session never closes itself: the service's ``_end`` narrates
+        ``closed`` when the supervisor joins this task.
         """
         svc = self._svc
         policy = svc.config.retry_policy
@@ -210,11 +184,11 @@ class AttackSession:
             try:
                 return await self._attempt()
             except SessionDeadlineExceeded:
-                return self._close(EXIT_FAILED, "deadline")
+                return EXIT_FAILED, "deadline"
             except _RETRYABLE as err:
                 attempts += 1
                 if attempts >= policy.max_attempts:
-                    return self._close(
+                    return (
                         EXIT_FAILED, f"retries-exhausted:{type(err).__name__}"
                     )
                 backoff = int(
@@ -223,7 +197,7 @@ class AttackSession:
                 )
                 await svc.loop.sleep_cycles(backoff)
 
-    async def _attempt(self) -> SessionOutcome:
+    async def _attempt(self) -> tuple[str, str]:
         """One bounded attempt: acquire a lane, run rounds, release."""
         svc = self._svc
         spec = self.spec
@@ -238,7 +212,7 @@ class AttackSession:
             while self.rounds_done < spec.probe_rounds:
                 if svc.drain_requested:
                     self._set_state(STATE_DRAINING)
-                    return self._close(EXIT_CHECKPOINTED, "drain")
+                    return EXIT_CHECKPOINTED, "drain"
                 await self._stall_opportunity()
                 self._check_deadline()
                 cycles = lane.run_round(spec.probes_per_round, spec.idle_us)
@@ -257,4 +231,4 @@ class AttackSession:
                     await svc.loop.sleep_cycles(gap)
         finally:
             svc.fleet.release(lane, spec.session_id)
-        return self._close(EXIT_COMPLETED)
+        return EXIT_COMPLETED, ""
