@@ -53,10 +53,6 @@ class TokenBucket:
         self._tokens = float(burst)
         self._stamp = 0
 
-    @property
-    def burst(self) -> int:
-        return int(self._burst)
-
     def tokens(self, now: int) -> float:
         """Tokens available at device time *now* (never negative)."""
         self._refill(now)
@@ -147,7 +143,6 @@ class AdmissionController:
             config.admission_rate_per_mcycle, config.admission_burst
         )
         self._tenants: dict[str, TenantBudget] = {}
-        self.admitted = 0
         self.rejected_by_reason: dict[str, int] = {}
 
     def tenant(self, name: str) -> TenantBudget:
@@ -156,10 +151,6 @@ class AdmissionController:
             budget = TenantBudget(name, self._config.tenant_policy)
             self._tenants[name] = budget
         return budget
-
-    @property
-    def tenants(self) -> dict[str, TenantBudget]:
-        return dict(self._tenants)
 
     def _reject(
         self,
@@ -193,7 +184,6 @@ class AdmissionController:
         if resumed:
             budget = self.tenant(spec.tenant)
             budget.admit()
-            self.admitted += 1
             self._note_tenant(budget)
             return budget
         if self._injector is not None:
@@ -213,7 +203,6 @@ class AdmissionController:
         if not budget.can_admit():
             raise self._reject(spec, "tenant-quota")
         budget.admit()
-        self.admitted += 1
         self._note_tenant(budget)
         return budget
 

@@ -65,10 +65,6 @@ class DeviceLane:
         )
         self.monitor = ThresholdMonitor(result.threshold)
 
-    @property
-    def threshold(self) -> int:
-        return self.attack.threshold
-
     def ensure_calibrated(self) -> None:
         """Recalibrate if the drift monitor says the threshold decayed."""
         if self.monitor.drifting:
@@ -141,10 +137,6 @@ class DeviceFleet:
         )
         self._next_lane_id += 1
         return lane
-
-    @property
-    def lane_count(self) -> int:
-        return len(self.lanes)
 
     def _revoke(self, lane: DeviceLane) -> None:
         lane.revoked = True

@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.service.session import SessionSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.app import AttackService, ServiceReport
+    from repro.service.app import AttackService
 
 
 @dataclass(frozen=True)
@@ -133,21 +133,3 @@ def make_session_killer(config: LoadConfig):
 
     return _killer
 
-
-def run_load(
-    service_config: "object",
-    load_config: LoadConfig,
-    *,
-    resume_from: "object | None" = None,
-    checkpoint_dir: "object | None" = None,
-) -> "ServiceReport":
-    """Build the schedule and drive one service run end to end."""
-    from repro.service.app import AttackService
-
-    service = AttackService(service_config)
-    return service.run(
-        build_schedule(load_config),
-        chaos=make_session_killer(load_config),
-        resume_from=resume_from,
-        checkpoint_dir=checkpoint_dir,
-    )
