@@ -8,12 +8,12 @@ table, selected by PASID).
 
 The model is a flat page-number map rather than a literal 4-level radix
 tree; the radix depth only matters for the *cost* of a walk, which is
-captured by :attr:`AddressSpace.walk_cycles`.
+captured by :attr:`AddressSpace.walk_cycles`.  Like a hardware page-table
+entry, an entry is one int: the page's physical address with the
+writable and huge flag bits in its low 12 bits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.errors import TranslationFault
 from repro.hw.memory import FrameRange, PhysicalMemory
@@ -31,14 +31,10 @@ from repro.hw.units import (
 DEFAULT_WALK_CYCLES = 420
 
 
-@dataclass(frozen=True)
-class Mapping:
-    """One virtual-to-physical mapping at page granularity."""
-
-    virtual_page: int
-    physical_frame: int
-    huge: bool
-    writable: bool = True
+#: Flag bits in the low 12 bits of a page-table entry.
+_WRITABLE = 1
+_HUGE = 2
+_FLAGS = PAGE_SIZE - 1
 
 
 class AddressSpace:
@@ -65,7 +61,7 @@ class AddressSpace:
         self.memory = memory
         self.walk_cycles = walk_cycles
         self._next_va = base_va
-        self._pages: dict[int, Mapping] = {}
+        self._pages: dict[int, int] = {}
         self._ranges: list[tuple[int, FrameRange]] = []
 
     # ------------------------------------------------------------------
@@ -81,18 +77,15 @@ class AddressSpace:
         if not is_aligned(va, granule):
             raise ValueError(f"va {va:#x} is not aligned to {granule:#x}")
         size = align_up(size, granule)
+        first = va >> PAGE_SHIFT
+        vpns = range(first, first + (size >> PAGE_SHIFT))
+        if not self._pages.keys().isdisjoint(vpns):
+            clash = next(vpn for vpn in vpns if vpn in self._pages)
+            raise ValueError(f"virtual page {clash:#x} is already mapped")
         frames = self.memory.allocate(size, huge=huge)
+        flags = (_WRITABLE if writable else 0) | (_HUGE if huge else 0)
+        self._pages.update(zip(vpns, range(frames.base | flags, frames.end, PAGE_SIZE)))
         self._ranges.append((va, frames))
-        for offset in range(0, size, PAGE_SIZE):
-            vpn = (va + offset) >> PAGE_SHIFT
-            if vpn in self._pages:
-                raise ValueError(f"virtual page {vpn:#x} is already mapped")
-            self._pages[vpn] = Mapping(
-                virtual_page=vpn,
-                physical_frame=(frames.base + offset) >> PAGE_SHIFT,
-                huge=huge,
-                writable=writable,
-            )
 
     def mmap(self, size: int, huge: bool = False, writable: bool = True) -> int:
         """Allocate and map *size* bytes at a fresh virtual address."""
@@ -122,12 +115,12 @@ class AddressSpace:
         Raises :class:`~repro.errors.TranslationFault` for unmapped pages
         and for write access to read-only pages.
         """
-        mapping = self._pages.get(va >> PAGE_SHIFT)
-        if mapping is None:
+        entry = self._pages.get(va >> PAGE_SHIFT)
+        if entry is None:
             raise TranslationFault(va)
-        if write and not mapping.writable:
+        if write and not entry & _WRITABLE:
             raise TranslationFault(va, f"write to read-only page at {va:#x}")
-        return (mapping.physical_frame << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
+        return (entry & ~_FLAGS) | (va & _FLAGS)
 
     def is_mapped(self, va: int) -> bool:
         """Return ``True`` when the page containing *va* is mapped."""
@@ -135,10 +128,10 @@ class AddressSpace:
 
     def page_is_huge(self, va: int) -> bool:
         """Return ``True`` when *va* lies in a 2 MiB mapping."""
-        mapping = self._pages.get(va >> PAGE_SHIFT)
-        if mapping is None:
+        entry = self._pages.get(va >> PAGE_SHIFT)
+        if entry is None:
             raise TranslationFault(va)
-        return mapping.huge
+        return bool(entry & _HUGE)
 
     # ------------------------------------------------------------------
     # Data access through the mapping

@@ -1,5 +1,7 @@
 """Unit and property tests for virtual address spaces."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,36 @@ class TestMapping:
         space.map_range(0x10_0000, PAGE_SIZE)
         with pytest.raises(ValueError):
             space.map_range(0x10_0000, PAGE_SIZE)
+
+    def test_colliding_map_range_changes_nothing(self, space, memory):
+        space.map_range(0x20_2000, PAGE_SIZE)
+        before = (space.mapped_pages, memory.allocated_bytes, len(space._ranges))
+        with pytest.raises(ValueError, match="virtual page 0x202 is already mapped"):
+            space.map_range(0x20_0000, 4 * PAGE_SIZE)
+        assert (space.mapped_pages, memory.allocated_bytes, len(space._ranges)) == before
+        assert not space.is_mapped(0x20_0000)
+
+    def test_mapping_cost_does_not_grow_with_size(self, memory):
+        """Mapping is per range: 32 MiB costs no more Python calls than 8 KiB."""
+
+        def calls_to_map(size):
+            space = AddressSpace(memory)
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                if event == "call":
+                    calls += 1
+
+            sys.setprofile(count)
+            try:
+                space.mmap(size)
+            finally:
+                sys.setprofile(None)
+            assert space.mapped_pages == size // PAGE_SIZE
+            return calls
+
+        assert calls_to_map(32 * MIB) <= calls_to_map(2 * PAGE_SIZE)
 
     def test_unmap_releases_pages(self, space):
         va = space.mmap(2 * PAGE_SIZE)
