@@ -129,6 +129,95 @@ class TestLstm:
             assert np.allclose(grad, numeric_gradient(loss, param), atol=1e-5)
 
 
+def reference_lstm(cell, x, grad_hs):
+    """The textbook one-direction loop: forward, then BPTT.
+
+    Returns ``(hs, grad_x, [grad_w_x, grad_w_h, grad_bias])``.  The
+    fused recurrence must reproduce it bit for bit.
+    """
+    batch, steps, _ = x.shape
+    hidden = cell.hidden
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    hs = np.zeros((batch, steps, hidden))
+    cache = []
+    for t in range(steps):
+        z = x[:, t, :] @ cell.w_x + h @ cell.w_h + cell.bias
+        i = sigmoid(z[:, :hidden])
+        f = sigmoid(z[:, hidden : 2 * hidden])
+        o = sigmoid(z[:, 2 * hidden : 3 * hidden])
+        g = np.tanh(z[:, 3 * hidden :])
+        c_prev, h_prev = c, h
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs[:, t, :] = h
+        cache.append((i, f, o, g, c, c_prev, h_prev))
+    grads = [np.zeros_like(cell.w_x), np.zeros_like(cell.w_h), np.zeros_like(cell.bias)]
+    grad_x = np.zeros_like(x)
+    dh_next = np.zeros((batch, hidden))
+    dc_next = np.zeros((batch, hidden))
+    for t in range(steps - 1, -1, -1):
+        i, f, o, g, c, c_prev, h_prev = cache[t]
+        tanh_c = np.tanh(c)
+        dh = grad_hs[:, t, :] + dh_next
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c**2) + dc_next
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dc_next = dc * f
+        dz = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g**2)],
+            axis=1,
+        )
+        grads[0] += x[:, t, :].T @ dz
+        grads[1] += h_prev.T @ dz
+        grads[2] += dz.sum(axis=0)
+        grad_x[:, t, :] = dz @ cell.w_x.T
+        dh_next = dz @ cell.w_h.T
+    return hs, grad_x, grads
+
+
+def assert_bit_identical(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert a.shape == e.shape
+        assert a.tobytes() == e.tobytes()
+
+
+#: ``(batch, steps, in_features, hidden)``: a single step, a single
+#: trace, widths that leave SIMD tails, and the model's own widths.
+RECURRENCE_SHAPES = [(1, 1, 1, 1), (1, 7, 1, 3), (3, 5, 2, 5), (16, 20, 1, 12), (8, 11, 24, 12)]
+
+
+class TestFusedRecurrenceMatchesReference:
+    @pytest.mark.parametrize("batch,steps,features,hidden", RECURRENCE_SHAPES)
+    def test_lstm_cell(self, batch, steps, features, hidden):
+        rng = np.random.default_rng(batch * 100 + hidden)
+        cell = LstmCell(features, hidden, rng)
+        x = rng.normal(size=(batch, steps, features)) * 2
+        grad_out = rng.normal(size=(batch, steps, hidden))
+        hs, grad_x, grads = reference_lstm(cell, x, grad_out)
+        out = cell.forward(x)
+        assert_bit_identical([out, cell.backward(grad_out), *cell.grads()], [hs, grad_x, *grads])
+
+    @pytest.mark.parametrize("batch,steps,features,hidden", RECURRENCE_SHAPES)
+    def test_bilstm_layer(self, batch, steps, features, hidden):
+        rng = np.random.default_rng(batch * 100 + hidden + 1)
+        layer = BiLstmLayer(features, hidden, rng)
+        x = rng.normal(size=(batch, steps, features)) * 2
+        grad_out = rng.normal(size=(batch, steps, 2 * hidden))
+        fwd = reference_lstm(layer.forward_cell, x, grad_out[:, :, :hidden])
+        bwd = reference_lstm(layer.backward_cell, x[:, ::-1, :], grad_out[:, ::-1, hidden:])
+        out = layer.forward(x)
+        expected_out = np.concatenate([fwd[0], bwd[0][:, ::-1, :]], axis=2)
+        expected_grad_x = fwd[1] + bwd[1][:, ::-1, :]
+        assert_bit_identical(
+            [out, layer.backward(grad_out), *layer.grads()],
+            [expected_out, expected_grad_x, *fwd[2], *bwd[2]],
+        )
+
+
 class TestBiLstm:
     def test_output_concatenates_directions(self):
         layer = BiLstmLayer(2, 3, np.random.default_rng(0))
