@@ -7,19 +7,10 @@ bit window encodes 1 as "submit a descriptor" (DevTLB eviction / SWQ slot
 consumption) and 0 as silence.
 """
 
-from repro.covert.adaptive import choose_redundancy, find_best_rate
 from repro.covert.channel import (
     CovertChannelResult,
     run_devtlb_covert_channel,
-    run_devtlb_framed_message,
     run_swq_covert_channel,
-)
-from repro.covert.framing import (
-    DecodeReport,
-    Frame,
-    decode_frames,
-    frame_message,
-    goodput_bps,
 )
 from repro.covert.metrics import (
     binary_entropy,
@@ -33,18 +24,10 @@ __all__ = [
     "CovertChannelResult",
     "CovertConfig",
     "CovertSender",
-    "DecodeReport",
-    "Frame",
-    "choose_redundancy",
-    "decode_frames",
-    "find_best_rate",
-    "frame_message",
-    "goodput_bps",
     "binary_entropy",
     "bit_error_rate",
     "random_bits",
     "run_devtlb_covert_channel",
-    "run_devtlb_framed_message",
     "run_swq_covert_channel",
     "true_capacity",
 ]

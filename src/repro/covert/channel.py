@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.core.swq_attack import DsaSwqAttack
-from repro.covert.framing import DecodeReport, decode_frames, frame_message
 from repro.covert.metrics import bit_error_rate, random_bits, true_capacity
 from repro.covert.protocol import CovertConfig, CovertSender
 from repro.errors import ConfigurationError
@@ -292,29 +291,6 @@ def _result(
     )
 
 
-def _devtlb_channel_parts(
-    config: CovertConfig,
-    seed: int,
-    system: CloudSystem | None,
-    probe_timeout_cycles: int | None,
-) -> tuple[CloudSystem, CovertSender, DevTlbCovertReceiver]:
-    """Build the system/sender/receiver triple for the DevTLB channel."""
-    if system is None:
-        system = CloudSystem(seed=seed)
-    handles = system.setup_topology(AttackTopology.E1_SEPARATE_WQ_SHARED_ENGINE)
-    attack = DsaDevTlbAttack(
-        handles.attacker,
-        wq_id=handles.attacker_wq,
-        probe_timeout_cycles=probe_timeout_cycles,
-    )
-    attack.calibrate(samples=60)
-    sender = CovertSender(
-        handles.victim, handles.victim_wq, config, system.rng, evict_devtlb=True
-    )
-    receiver = DevTlbCovertReceiver(attack, config)
-    return system, sender, receiver
-
-
 def run_devtlb_covert_channel(
     payload_bits: int = 512,
     config: CovertConfig | None = None,
@@ -329,44 +305,26 @@ def run_devtlb_covert_channel(
     submission loss, so a dropped probe is retried inside its own window.
     """
     config = config or CovertConfig()
-    system, sender, receiver = _devtlb_channel_parts(
-        config, seed, system, probe_timeout_cycles
+    if system is None:
+        system = CloudSystem(seed=seed)
+    handles = system.setup_topology(AttackTopology.E1_SEPARATE_WQ_SHARED_ENGINE)
+    attack = DsaDevTlbAttack(
+        handles.attacker,
+        wq_id=handles.attacker_wq,
+        probe_timeout_cycles=probe_timeout_cycles,
     )
+    attack.calibrate(samples=60)
+    sender = CovertSender(
+        handles.victim, handles.victim_wq, config, system.rng, evict_devtlb=True
+    )
+    receiver = DevTlbCovertReceiver(attack, config)
+
     payload = random_bits(system.rng, payload_bits)
     start = system.clock.now + us_to_cycles(5 * config.bit_window_us)
     sender.schedule_message(system.timeline, payload, start)
     estimated_start = receiver.synchronize(system.timeline)
     received = receiver.receive(system.timeline, estimated_start, payload_bits)
     return _result(payload, received, config)
-
-
-def run_devtlb_framed_message(
-    data: bytes,
-    config: CovertConfig | None = None,
-    seed: int = 2026,
-    system: CloudSystem | None = None,
-    redundancy: int = 1,
-    probe_timeout_cycles: int | None = None,
-) -> tuple[DecodeReport, CovertChannelResult]:
-    """Move real bytes across the DevTLB channel with loss-tolerant framing.
-
-    *data* is framed (sequence number + CRC-8 per frame, repeated
-    *redundancy* times — see :func:`~repro.covert.framing.frame_message`),
-    transmitted, and decoded.  Returns the decode report and the raw
-    channel result; ``report.data[:len(data)]`` recovers the message when
-    every frame survived.
-    """
-    config = config or CovertConfig()
-    system, sender, receiver = _devtlb_channel_parts(
-        config, seed, system, probe_timeout_cycles
-    )
-    payload = frame_message(data, redundancy=redundancy)
-    start = system.clock.now + us_to_cycles(5 * config.bit_window_us)
-    sender.schedule_message(system.timeline, payload, start)
-    estimated_start = receiver.synchronize(system.timeline)
-    received = receiver.receive(system.timeline, estimated_start, len(payload))
-    report = decode_frames(received, redundancy=redundancy)
-    return report, _result(payload, received, config)
 
 
 def run_swq_covert_channel(

@@ -341,8 +341,7 @@ class CheckpointJournal:
 
         Index order (not append order) is the canonical order: a pooled
         run journals trials as workers finish them, and sorting
-        here is what makes its journal — and everything derived from it,
-        like :func:`~repro.experiments.wf_common.dataset_from_run_dir` —
+        here is what makes its journal — and everything derived from it —
         byte-identical to a serial run's.
         """
         return iter(sorted(self._by_key.values(), key=lambda e: e.index))

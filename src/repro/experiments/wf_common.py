@@ -9,23 +9,18 @@ measured, not synthesized.
 Collection is expressed as independent per-visit trials
 (:func:`website_visit_trials`) so the crash-safe runner can checkpoint a
 dataset sweep visit-by-visit; :func:`assemble_website_dataset` rebuilds
-the ``(x, y)`` arrays from whichever trials succeeded, and
-:func:`dataset_from_run_dir` lifts a (possibly partial) checkpointed run
-directory into a :class:`~repro.analysis.datasets.TraceDataset`.
+the ``(x, y)`` arrays from whichever trials succeeded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.datasets import TraceDataset
 from repro.core.devtlb_attack import DsaDevTlbAttack
 from repro.core.sampling import DevTlbSampler, SamplerConfig
 from repro.errors import InsufficientTrialsError
-from repro.experiments.checkpoint import CheckpointJournal, RunManifest
 from repro.experiments.runner import TrialSpec
 from repro.hw.noise import Environment
 from repro.virt.system import AttackTopology, CloudSystem
@@ -152,45 +147,3 @@ def assemble_website_dataset(
         labels.extend([label] * len(site_traces))
     return np.stack(traces), np.array(labels)
 
-
-def dataset_from_run_dir(
-    run_dir: str | Path, key_prefix: str = ""
-) -> TraceDataset:
-    """Lift a checkpointed fingerprinting run into a
-    :class:`~repro.analysis.datasets.TraceDataset`.
-
-    Works on *partial* runs — interrupted, deadline-stopped, or
-    breaker-degraded — returning whatever visits were journaled, so a
-    crashed overnight sweep is still analyzable (and mergeable with its
-    resumed continuation via :meth:`TraceDataset.merge`).
-    """
-    journal = CheckpointJournal.load(run_dir)
-    manifest = RunManifest.load(run_dir)
-    prefix = key_prefix + "site/"
-    traces: list[np.ndarray] = []
-    names: list[str] = []
-    class_names: list[str] = []
-    for entry in journal.entries():
-        if not entry.ok or not entry.key.startswith(prefix):
-            continue
-        site = entry.key[len(prefix):].split("/visit/")[0]
-        traces.append(np.asarray(journal.load_payload(entry.key)))
-        names.append(site)
-        if site not in class_names:
-            class_names.append(site)
-    if not traces:
-        raise InsufficientTrialsError(
-            f"{run_dir}: no completed visit trials in checkpoint journal"
-        )
-    labels = np.array([class_names.index(name) for name in names])
-    return TraceDataset(
-        traces=np.stack(traces),
-        labels=labels,
-        class_names=tuple(class_names),
-        metadata={
-            "experiment": manifest.experiment,
-            "config_hash": manifest.config_hash,
-            "run_status": manifest.status,
-            "seed": manifest.seed,
-        },
-    )

@@ -6,8 +6,8 @@ sufficient: the injectable ``wall_clock()``/``monotonic_clock()``
 helpers are legitimately called all over the orchestration layer, and
 nothing per-file stops one of those values from flowing — through any
 number of helpers — into an artifact that must be a pure function of
-``(config, seed)``: a trial key, a journal payload, a dataset, the fuzz
-corpus state.  One such leak and resume-equals-uninterrupted (and the
+``(config, seed)``: a trial key, a journal payload, the fuzz corpus
+state.  One such leak and resume-equals-uninterrupted (and the
 serial≡parallel byte-identity) silently breaks in production while
 tests, which inject frozen clocks, stay green.
 
@@ -21,7 +21,7 @@ sinks it implements.
 
 **Fix:** keep host time in telemetry fields that the equivalence layer
 already normalizes, or drop it; never fold it into keys, payloads,
-datasets, or corpus state.
+or corpus state.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class SinkSpec:
 
 
 #: The sink catalog: trial payloads, checkpoint journals, manifests,
-#: datasets, fuzz corpus state, trial keys/seeds.
+#: fuzz corpus state, trial keys/seeds.
 SINKS: tuple[SinkSpec, ...] = (
     SinkSpec(
         suffixes=("record_success", "record_failure_info"),
@@ -72,11 +72,6 @@ SINKS: tuple[SinkSpec, ...] = (
     SinkSpec(
         suffixes=("spawn_trial_seed",),
         what="a trial seed",
-    ),
-    SinkSpec(
-        suffixes=("TraceDataset", "TraceDataset.save", "TraceDataset.merge",
-                  "TraceDataset.merge_many"),
-        what="a dataset artifact",
     ),
     SinkSpec(
         suffixes=(

@@ -1,12 +1,11 @@
 """EXC001 — bare/broad ``except`` that can swallow integrity failures.
 
 The crash-safety layer communicates through exceptions that *must*
-propagate: a :class:`~repro.errors.CheckpointError` from a journal that
-cannot be written, a :class:`~repro.errors.DatasetCorruptionError` from
-an artifact that failed its checksum.  A ``try: ... except Exception:
-pass`` between the raise site and the supervisor turns a detected
-corruption into a silently wrong figure — the worst failure mode a
-reproduction can have.
+propagate: a :class:`~repro.errors.CheckpointError` from a manifest or
+journal that cannot be written, parsed or trusted.  A ``try: ... except
+Exception: pass`` between the raise site and the supervisor turns a
+detected corruption into a silently wrong figure — the worst failure
+mode a reproduction can have.
 
 Flagged:
 
@@ -65,8 +64,7 @@ class BroadExceptChecker(Checker):
             self.report(
                 node,
                 "bare `except:` swallows every failure, including"
-                " CheckpointError/DatasetCorruptionError; catch ReproError"
-                " (or narrower) instead",
+                " CheckpointError; catch ReproError (or narrower) instead",
             )
         else:
             broad = _broad_names(node.type)
@@ -74,8 +72,8 @@ class BroadExceptChecker(Checker):
                 self.report(
                     node,
                     f"`except {'/'.join(broad)}` without re-raise can"
-                    " swallow CheckpointError/DatasetCorruptionError;"
-                    " catch ReproError (or narrower), or re-raise",
+                    " swallow CheckpointError; catch ReproError (or"
+                    " narrower), or re-raise",
                 )
         self.generic_visit(node)
 

@@ -8,8 +8,7 @@ here on NumPy alone, together with a fast nearest-centroid baseline used
 for quick sanity checks.
 """
 
-from repro.ml.baseline import LogisticRegressionClassifier, NearestCentroidClassifier
-from repro.ml.features import MultiTraceVoter, summary_features
+from repro.ml.baseline import NearestCentroidClassifier
 from repro.ml.openworld import UNKNOWN, OpenWorldClassifier, OpenWorldScores
 from repro.ml.layers import (
     AdditiveAttention,
@@ -37,15 +36,12 @@ __all__ = [
     "BiLstmLayer",
     "Dense",
     "Dropout",
-    "LogisticRegressionClassifier",
     "LstmCell",
-    "MultiTraceVoter",
     "NearestCentroidClassifier",
     "OpenWorldClassifier",
     "OpenWorldScores",
     "TrainConfig",
     "UNKNOWN",
-    "summary_features",
     "Trainer",
     "accuracy",
     "confusion_matrix",

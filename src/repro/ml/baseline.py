@@ -1,15 +1,13 @@
-"""Fast classical baselines.
+"""A fast classical baseline.
 
-Used for quick sanity checks in tests and as the comparison point in the
-classification benchmarks — if the BiLSTM cannot beat a nearest-centroid
-model, something is wrong with the training, not the data.
+Fig. 11 and Fig. 13 report its accuracy beside the BiLSTM's on the same
+split: if the BiLSTM cannot beat a nearest-centroid model, something is
+wrong with the training, not the data.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.ml.layers import softmax
 
 
 class NearestCentroidClassifier:
@@ -37,54 +35,3 @@ class NearestCentroidClassifier:
         distances = ((x[:, None, :] - self._centroids[None, :, :]) ** 2).sum(axis=2)
         return self._classes[distances.argmin(axis=1)]
 
-
-class LogisticRegressionClassifier:
-    """Multinomial logistic regression trained by full-batch gradient descent."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.5,
-        epochs: int = 300,
-        l2: float = 1e-4,
-    ) -> None:
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.l2 = l2
-        self._weight: np.ndarray | None = None
-        self._bias: np.ndarray | None = None
-        self._classes: np.ndarray | None = None
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "LogisticRegressionClassifier":
-        """Gradient-descent training on standardized features."""
-        x = self._standardize(np.asarray(x, dtype=np.float64), fit=True)
-        y = np.asarray(y)
-        self._classes = np.unique(y)
-        index = {cls: i for i, cls in enumerate(self._classes)}
-        labels = np.array([index[cls] for cls in y])
-        samples, features = x.shape
-        classes = len(self._classes)
-        self._weight = np.zeros((features, classes))
-        self._bias = np.zeros(classes)
-        onehot = np.zeros((samples, classes))
-        onehot[np.arange(samples), labels] = 1.0
-        for _ in range(self.epochs):
-            probabilities = softmax(x @ self._weight + self._bias, axis=1)
-            grad = x.T @ (probabilities - onehot) / samples + self.l2 * self._weight
-            self._weight -= self.learning_rate * grad
-            self._bias -= self.learning_rate * (probabilities - onehot).mean(axis=0)
-        return self
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Hard labels."""
-        if self._weight is None:
-            raise RuntimeError("fit() must run before predict()")
-        x = self._standardize(np.asarray(x, dtype=np.float64), fit=False)
-        logits = x @ self._weight + self._bias
-        return self._classes[logits.argmax(axis=1)]
-
-    def _standardize(self, x: np.ndarray, fit: bool) -> np.ndarray:
-        if fit:
-            self._mean = x.mean(axis=0)
-            self._std = x.std(axis=0)
-            self._std[self._std == 0] = 1.0
-        return (x - self._mean) / self._std

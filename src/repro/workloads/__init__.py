@@ -13,21 +13,15 @@ Everything the paper attacks, rebuilt on the DSA model:
   (Table II) for the LLM fingerprinting study.
 """
 
-from repro.workloads.background import BackgroundProfile, BackgroundTenant
 from repro.workloads.dto import DTO_MIN_BYTES, DtoRuntime
 from repro.workloads.llm import LLM_ZOO, LlmBackend, LlmModel, LlmInferenceWorkload
-from repro.workloads.migration import CheckpointMigrator, MemoryDeduplicator
 from repro.workloads.ssh import KeystrokeEvent, SshKeystrokeSession
 from repro.workloads.vpp import MemifInterface, PacketEvent, VppVictim
 from repro.workloads.websites import WebsiteProfile, top_sites
 
 __all__ = [
-    "BackgroundProfile",
-    "BackgroundTenant",
-    "CheckpointMigrator",
     "DTO_MIN_BYTES",
     "DtoRuntime",
-    "MemoryDeduplicator",
     "KeystrokeEvent",
     "LLM_ZOO",
     "LlmBackend",

@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.devtlb_attack import DsaDevTlbAttack
-from repro.covert.channel import (
-    run_devtlb_covert_channel,
-    run_devtlb_framed_message,
-)
-from repro.covert.protocol import CovertConfig
+from repro.covert.channel import run_devtlb_covert_channel
 from repro.faults import FaultPlan, FaultSite
 from repro.virt.system import AttackTopology, CloudSystem
 
@@ -75,23 +71,6 @@ class TestAcceptanceScenario:
             payload_bits=160, system=system, probe_timeout_cycles=PROBE_TIMEOUT
         )
         assert system.fault_injector.log_bytes() != injector_a.log_bytes()
-
-
-class TestFramedMessageUnderLoss:
-    def test_payload_decodes_under_5_percent_submission_loss(self):
-        plan = FaultPlan(seed=7).with_site(FaultSite.SUBMISSION_DROP, probability=0.05)
-        system = CloudSystem(seed=2026, fault_plan=plan)
-        message = b"DSAssassin"
-        report, result = run_devtlb_framed_message(
-            message,
-            config=CovertConfig(bit_window_us=85.0),
-            system=system,
-            redundancy=5,
-            probe_timeout_cycles=60_000,
-        )
-        assert report.data[: len(message)] == message
-        assert report.frame_acceptance_rate == 1.0
-        assert result.error_rate < 0.15
 
 
 @pytest.mark.slow

@@ -1,4 +1,4 @@
-"""The hardened pipeline layers: retry, recalibration, framing, guards."""
+"""The hardened pipeline layers: retry, recalibration, guards."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,6 @@ from repro.core.calibration import (
     calibrate_with_recovery,
 )
 from repro.core.primitives import Prober
-from repro.covert.adaptive import choose_redundancy
-from repro.covert.framing import (
-    FRAME_BITS,
-    decode_frames,
-    frame_message,
-    goodput_bps,
-)
 from repro.covert.protocol import CovertConfig
 from repro.errors import (
     CalibrationError,
@@ -178,67 +171,6 @@ class TestThresholdMonitor:
         monitor.reset(threshold=900)
         assert monitor.threshold == 900
         assert not monitor.drifting
-
-
-class TestFramingRedundancy:
-    def test_roundtrip_with_redundancy(self):
-        message = b"dsa-chaos!"
-        bits = frame_message(message, redundancy=3)
-        report = decode_frames(bits, redundancy=3)
-        assert report.data[: len(message)] == message
-        assert report.frames_rejected == 0
-        assert report.frames_recovered == 0
-
-    def test_first_valid_copy_wins_when_one_is_corrupt(self):
-        message = b"payload."
-        bits = frame_message(message, redundancy=3)
-        bits[:FRAME_BITS] ^= 1  # destroy the first copy of frame 0
-        report = decode_frames(bits, redundancy=3)
-        assert report.data[: len(message)] == message
-        assert report.frames_recovered == 0
-
-    def test_majority_vote_recovers_when_every_copy_is_hit(self):
-        message = b"payload."
-        bits = frame_message(message, redundancy=3)
-        # One different corrupt bit per copy of frame 0: no copy passes
-        # CRC, but a bitwise majority across the three is clean.
-        for copy, position in enumerate((3, 17, 30)):
-            bits[copy * FRAME_BITS + position] ^= 1
-        report = decode_frames(bits, redundancy=3)
-        assert report.data[: len(message)] == message
-        assert report.frames_recovered >= 1
-
-    def test_redundancy_must_match(self):
-        with pytest.raises(ValueError):
-            frame_message(b"x", redundancy=0)
-        with pytest.raises(ValueError):
-            decode_frames(np.zeros(88, dtype=np.int8), redundancy=0)
-
-    def test_goodput_accounts_for_redundancy(self):
-        message = b"abcdefgh"
-        bits = frame_message(message, redundancy=2)
-        report = decode_frames(bits, redundancy=2)
-        assert goodput_bps(report, 1_000.0, redundancy=2) == pytest.approx(
-            goodput_bps(report, 1_000.0) / 2
-        )
-
-
-class TestChooseRedundancy:
-    def test_clean_channel_needs_no_repeats(self):
-        assert choose_redundancy(0.0) == 1
-
-    def test_monotone_in_error_rate(self):
-        picks = [choose_redundancy(e) for e in (0.0, 0.02, 0.05, 0.10)]
-        assert picks == sorted(picks)
-
-    def test_hopeless_channel_hits_the_cap(self):
-        assert choose_redundancy(0.5, max_redundancy=6) == 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            choose_redundancy(1.5)
-        with pytest.raises(ValueError):
-            choose_redundancy(0.1, target_frame_rate=1.0)
 
 
 def _guard_plan(trials, name="figure X", min_successes=1):

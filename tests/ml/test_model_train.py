@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.baseline import LogisticRegressionClassifier, NearestCentroidClassifier
+from repro.ml.baseline import NearestCentroidClassifier
 from repro.ml.metrics import accuracy, confusion_matrix, f1_score, macro_f1
 from repro.ml.model import AttentionBiLstmClassifier
 from repro.ml.train import TrainConfig, Trainer, standardize_traces, train_test_split
@@ -113,16 +113,9 @@ class TestBaselines:
         model = NearestCentroidClassifier().fit(x, y)
         assert accuracy(y, model.predict(x)) > 0.95
 
-    def test_logistic_regression_separable(self):
-        x, y = synthetic_traces(seed=8)
-        model = LogisticRegressionClassifier(epochs=200).fit(x, y)
-        assert accuracy(y, model.predict(x)) > 0.95
-
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             NearestCentroidClassifier().predict(np.zeros((1, 3)))
-        with pytest.raises(RuntimeError):
-            LogisticRegressionClassifier().predict(np.zeros((1, 3)))
 
 
 class TestMetrics:

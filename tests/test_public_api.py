@@ -17,7 +17,6 @@ PACKAGES = [
     "repro.ml",
     "repro.mitigation",
     "repro.analysis",
-    "repro.tools",
     "repro.experiments",
 ]
 
