@@ -14,9 +14,11 @@ the lane's :class:`~repro.core.calibration.ThresholdMonitor`).
 Revocation and containment: the ``service_device_revoke`` fault fires
 here (this module owns the site) at lane hand-out.  A revoked lane is
 quarantined — never handed out again — and a replacement is built from
-a fresh child seed, so a poisoned lane cannot take down the fleet; the
-refused session sees a typed :class:`~repro.errors.LaneRevokedError`
-and retries on another lane inside its budget.
+a fresh child seed, so a poisoned lane cannot take down the fleet.  The
+session holding the lane sees a typed
+:class:`~repro.errors.LaneRevokedError` at its next round and retries
+inside its budget; the session that asked and those parked on the lane
+queue again without spending an attempt.
 """
 
 from __future__ import annotations
@@ -145,23 +147,27 @@ class DeviceFleet:
         self.lanes[index] = self._build_lane()
         self._checker.note_lane_rebuilt(lane.lane_id, self.lanes[index].lane_id)
 
-    async def acquire(self, session_id: str) -> DeviceLane:
-        """Queue for the least-loaded lane; returns it locked.
-
-        The ``service_device_revoke`` opportunity is evaluated at
-        hand-out: a firing revokes the chosen lane (quarantine +
-        rebuild) and refuses this acquisition with the typed error the
-        session's retry budget absorbs.
-        """
-        if not self.lanes:
-            raise ServiceError("device fleet has no lanes")
-        # Deterministic round-robin spread, skewed to shorter queues.
+    def _choose(self) -> DeviceLane:
+        """The least-loaded lane, ties broken by a deterministic round robin."""
         best = min(
             range(len(self.lanes)),
             key=lambda i: (self.lanes[i].lock.waiting, (i - self._rr) % len(self.lanes)),
         )
         self._rr = (self._rr + 1) % len(self.lanes)
-        lane = self.lanes[best]
+        return self.lanes[best]
+
+    async def acquire(self, session_id: str) -> DeviceLane:
+        """Queue for the least-loaded lane; returns it locked.
+
+        The ``service_device_revoke`` opportunity is evaluated once, at
+        hand-out: a firing revokes the chosen lane (quarantine +
+        rebuild).  Only the lane's holder loses its attempt, at its next
+        round.  This session and every session parked on the revoked
+        lane queue again on the fleet's next choice, spending nothing.
+        """
+        if not self.lanes:
+            raise ServiceError("device fleet has no lanes")
+        lane = self._choose()
         if self._injector is not None:
             event = self._injector.fire(
                 FaultSite.SERVICE_DEVICE_REVOKE,
@@ -173,12 +179,13 @@ class DeviceFleet:
                 self._injector.acknowledge(
                     event, "lane-quarantined-and-rebuilt"
                 )
-                raise LaneRevokedError(lane_id=lane.lane_id)
+                lane = self._choose()
         await lane.lock.acquire()
-        if lane.revoked:
-            # Revoked while this session was parked in the queue.
+        while lane.revoked:
+            # Revoked while this session was parked in its queue.
             lane.lock.release()
-            raise LaneRevokedError(lane_id=lane.lane_id)
+            lane = self._choose()
+            await lane.lock.acquire()
         self._checker.note_lane_acquired(session_id, lane.lane_id)
         return lane
 

@@ -304,12 +304,14 @@ SERVICE_MATRIX = {
         "handled": lambda r: r.accounting.rejected.get("admission-flap", 0)
         > 0,
     },
-    # Every lane hand-out revokes: lanes quarantine and rebuild, and
-    # sessions exhaust their retry budget into typed failures.
+    # Every lane hand-out revokes: lanes quarantine and rebuild, at
+    # least once per session.  Only a session holding a revoked lane
+    # loses an attempt, so sessions still complete on the rebuilt lanes.
     FaultSite.SERVICE_DEVICE_REVOKE: {
         "kwargs": {"probability": 1.0},
-        "handled": lambda r: r.lane_stats["lanes_rebuilt"] > 0
-        and r.accounting.failed_total > 0,
+        "handled": lambda r: r.lane_stats["lanes_rebuilt"]
+        >= r.accounting.offered
+        and r.accounting.completed > 0,
     },
 }
 
