@@ -7,12 +7,12 @@ invariants — the properties a generic linter cannot know:
   and, interprocedurally, every RNG reaching model code derives from a
   trial seed through any number of helper calls (**DET101**);
 * model code reads only the simulated clock (**DET002**) and no
-  clock-derived value flows into manifests, journals, datasets, or
-  trial keys (**DET102**);
+  clock-derived value flows into manifests, journals, fuzz corpus
+  state or trial keys (**DET102**);
 * nothing hash-ordered feeds scheduling or trial ordering (**DET003**);
 * fault-hookable device state only mutates through registered
   :class:`~repro.faults.plan.FaultSite` hooks (**SIM001**);
-* no broad ``except`` can swallow checkpoint/dataset integrity errors
+* no broad ``except`` can swallow checkpoint integrity errors
   (**EXC001**) and no kernel-backed resource leaks through a helper's
   return value (**EXC101**);
 * trial keys derive from the spec, never from execution order
