@@ -18,7 +18,7 @@ from repro.core.swq_attack import DsaSwqAttack
 from repro.covert.metrics import bit_error_rate, random_bits, true_capacity
 from repro.covert.protocol import CovertConfig, CovertSender
 from repro.errors import ConfigurationError
-from repro.hw.units import DEFAULT_TSC_HZ, us_to_cycles
+from repro.hw.units import us_to_cycles
 from repro.virt.scheduler import Timeline
 from repro.virt.system import AttackTopology, CloudSystem
 
@@ -360,6 +360,3 @@ def run_swq_covert_channel(
     received = receiver.receive(system.timeline, estimated_start, payload_bits)
     return _result(payload, received, config)
 
-
-#: Convenience: seconds per cycle for external reporting.
-CYCLES_PER_SECOND = DEFAULT_TSC_HZ

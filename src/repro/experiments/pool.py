@@ -14,22 +14,23 @@ interpreter start + plan rebuild on every run:
   ``functools.partial(module.trial_plan, **overrides)``, once per
   distinct plan fingerprint and caches it, so repeated runs of the same
   experiment pay near-zero startup.
-* **Results over the worker's pipe** — each worker replies on the same
-  duplex ``multiprocessing`` pipe the parent sends it commands on, one
-  pickle per message (a trial result rides in it as the bytes the
-  worker pickled).  A message that does not unpickle is a detected
-  failure (:class:`~repro.errors.PoolProtocolError`), never silently
-  parsed, and a closed pipe is a failed worker; either way the worker
-  is killed and its unacknowledged trials requeued.
-* **Supervision** — each worker reports every trial start on its pipe,
-  ahead of the trial's result, and any message of the current run counts
-  as a sign of life.  The parent turns a worker that holds a shard but
-  has gone silent ``suspect``, SIGKILLs it past the hang deadline
-  (``max(floor, factor × longest trial)`` — the PR-2 watchdog discipline
-  applied to liveness), respawns crashed workers under capped
-  exponential backoff, and requeues their unacknowledged trials.  A
-  trial that repeatedly takes workers down is quarantined to the
-  manifest's ``poisoned`` list (exit code 8) instead of wedging the run.
+* **One trial at a time** — the parent hands each idle worker one trial
+  index over the worker's duplex ``multiprocessing`` pipe, and the
+  worker replies on the same pipe with that trial's result (the bytes
+  the worker pickled it to).  The parent gates each dispatch on the
+  run's one circuit breaker and its deadline watchdog, exactly as the
+  serial loop gates each trial, and feeds every result back into that
+  breaker.  A message that does not unpickle is a detected failure
+  (:class:`~repro.errors.PoolProtocolError`), never silently parsed,
+  and a closed pipe is a failed worker; either way the worker is killed
+  and the trial it held requeued.
+* **Supervision** — the parent SIGKILLs a worker whose trial has run
+  past the hang deadline (``max(floor, factor × longest trial)``,
+  counted from dispatch — the PR-2 watchdog discipline applied to
+  liveness), respawns crashed workers under capped exponential backoff,
+  and requeues the trial they held.  A trial that repeatedly takes
+  workers down is quarantined to the manifest's ``poisoned`` list (exit
+  code 8) instead of wedging the run.
 * **One path rule** — :meth:`WorkerPool.run` pools unless fewer than
   two trials are pending or the pool is marked broken (its respawn
   budget ran out); then the trials run *inline* in the parent through
@@ -55,13 +56,15 @@ import collections
 import contextlib
 import hashlib
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
 import time
 import traceback
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.errors import (
     ConfigurationError,
@@ -80,7 +83,6 @@ from repro.experiments.checkpoint import (
 from repro.experiments.runner import (
     STOP_DEADLINE,
     BreakerConfig,
-    CircuitBreaker,
     ExperimentPlan,
     RunLedger,
     RunOutcome,
@@ -95,22 +97,27 @@ from repro.experiments.supervisor import (
     PoisonLedger,
     PoolConfig,
     RespawnBackoff,
-    WorkerState,
     interrupt_shield,
     sigterm_as_interrupt,
 )
 from repro.faults.plan import FaultSite
 from repro.faults.sites import POOL_SITES
-from repro.invariants.pool import PoolStateChecker
+from repro.invariants.pool import (
+    STATE_HEALTHY,
+    STATE_RESPAWNING,
+    STATE_RETIRED,
+    STATE_SPAWNING,
+    PoolStateChecker,
+)
 
 __all__ = [
     "WorkerPool",
     "get_pool",
-    "shard_interleave",
     "shutdown_pools",
 ]
 
-#: Supervision loop cadence (parent) / command poll cadence (worker).
+#: Longest wait of the parent loop between passes / command poll
+#: cadence (worker).
 _POLL_S = 0.02
 
 #: How long a worker may sit in ``SPAWNING`` before it is failed.
@@ -131,34 +138,21 @@ _STALL_CAP_S = 120.0
 _INLINE_WORKER = -1
 
 # Worker -> parent message tags (pickles sent back over the worker's pipe).
-_MSG_STARTED = "pool-started"
 _MSG_TRIAL = "pool-trial"
 _MSG_RUN_READY = "pool-run-ready"
 _MSG_RUN_ERROR = "pool-run-error"
-_MSG_SHARD_DONE = "pool-shard-done"
 _MSG_INVARIANT = "pool-invariant"
 _MSG_INTERRUPTED = "pool-interrupted"
 _MSG_CRASHED = "pool-crashed"
-
-#: Guard ``stop`` reason inside workers when the parent trips the shared
-#: stop event (deadline, invariant elsewhere, interrupt).
-_STOP_POOL = "pool-stop"
+#: The tags whose third field is the run id.
+_RUN_MESSAGES = frozenset(
+    {_MSG_TRIAL, _MSG_RUN_READY, _MSG_RUN_ERROR, _MSG_INVARIANT, _MSG_INTERRUPTED}
+)
 
 #: Hash seed pinned into worker interpreters (when the parent has none),
 #: so workers never diverge on ``hash()``-dependent iteration that a
 #: DET003 gap might let slip through.
 _PINNED_HASH_SEED = "0"
-
-
-def shard_interleave(indices: Sequence[int], workers: int) -> list[list[int]]:
-    """Round-robin partition: shard *w* gets ``indices[w::workers]``.
-
-    Heterogeneous trial costs (e.g. fig09's window sweep, where small
-    bit windows run longer) spread evenly across shards.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return [list(indices[w::workers]) for w in range(workers)]
 
 
 def _rebuild_violation(
@@ -197,38 +191,14 @@ def _decode(blob: bytes) -> tuple:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
 class _WorkerRun:
     """Worker-local state for one accepted ``run`` command."""
 
-    def __init__(
-        self,
-        run_id: int,
-        plan: ExperimentPlan,
-        injector: Any,
-        circuit: CircuitBreaker,
-        catch: tuple[type[Exception], ...],
-    ) -> None:
-        self.run_id = run_id
-        self.plan = plan
-        self.injector = injector
-        self.circuit = circuit
-        self.catch = catch
-        # Delta markers so each shard-done reports only its own breaker
-        # activity (the worker-level circuit spans shards of one run).
-        self.events_sent = 0
-        self.skipped_sent = 0
-
-    def shard_summary(self, stop_skipped: int) -> dict[str, Any]:
-        events = self.circuit.events[self.events_sent:]
-        self.events_sent = len(self.circuit.events)
-        skipped = self.circuit.skipped - self.skipped_sent
-        self.skipped_sent = self.circuit.skipped
-        return {
-            "stop_skipped": stop_skipped,
-            "breaker_skipped": skipped,
-            "breaker_events": list(events),
-            "breaker_state": self.circuit.state.value,
-        }
+    run_id: int
+    plan: ExperimentPlan
+    injector: Any
+    catch: tuple[type[Exception], ...]
 
 
 def _worker_begin_run(
@@ -238,7 +208,7 @@ def _worker_begin_run(
     send: Callable[..., None],
 ) -> "_WorkerRun | None":
     """Handle a ``run`` command: (re)build the plan, arm the injector."""
-    _, run_id, fingerprint, source_blob, expected_hash, breaker, catch = command
+    _, run_id, fingerprint, source_blob, expected_hash, catch = command
     try:
         plan = plans.get(fingerprint)
         reused = plan is not None
@@ -250,8 +220,8 @@ def _worker_begin_run(
             raise ConfigurationError(
                 f"plan source is not deterministic: pool worker {worker_id} "
                 f"rebuilt config hash {plan.hash[:12]}…, parent expected "
-                f"{expected_hash[:12]}… — shard results cannot be merged "
-                "safely"
+                f"{expected_hash[:12]}… — its trial results cannot be "
+                "journaled safely"
             )
         injector = (
             plan.fault_plan.build_injector()
@@ -261,13 +231,7 @@ def _worker_begin_run(
         if injector is not None:
             for site in POOL_SITES:
                 injector.register_site(site, f"pool-worker-{worker_id}")
-        run = _WorkerRun(
-            run_id=run_id,
-            plan=plan,
-            injector=injector,
-            circuit=CircuitBreaker(breaker),
-            catch=catch,
-        )
+        run = _WorkerRun(run_id, plan, injector, catch)
         send((_MSG_RUN_READY, worker_id, run_id, plan.hash, reused))
         return run
     # Setup can fail in arbitrary user plan code; the parent decides
@@ -277,15 +241,15 @@ def _worker_begin_run(
         return None
 
 
-def _worker_run_shard(
+def _worker_run_trial(
     command: tuple,
     run: "_WorkerRun | None",
     worker_id: int,
-    stop_event: Any,
     send: Callable[..., None],
 ) -> None:
-    """Handle a ``shard`` command: execute the assigned trial indices."""
-    _, run_id, shard_id, indices, suppressed_list = command
+    """Handle a ``trial`` command: execute the one assigned trial index
+    and reply with its result."""
+    _, run_id, index, suppress_chaos = command
     if run is None or run.run_id != run_id:
         send(
             (
@@ -293,20 +257,21 @@ def _worker_run_shard(
                 worker_id,
                 run_id,
                 "PoolError",
-                f"shard {shard_id} arrived before run setup",
+                f"trial {index} arrived before run setup",
             )
         )
         return
-    plan, injector = run.plan, run.injector
-    suppressed = set(suppressed_list)
-    pending_corrupt: set[int] = set()
+    injector = run.injector
+    spec = run.plan.trials[index]
+    corrupt = False
 
-    def pool_chaos(index: int) -> None:
+    def pool_chaos() -> None:
         """The pool fault sites, fired (and acknowledged at the fire
         point — effect application is immediate and self-evident) inside
-        the trial's guard-audit window.  Trials already struck once are
+        the trial's guard-audit window.  A trial already struck once is
         dispatched with chaos suppressed (the quarantine discipline)."""
-        if injector is None or index in suppressed:
+        nonlocal corrupt
+        if injector is None or suppress_chaos:
             return
         event = injector.fire(
             FaultSite.POOL_WORKER_CRASH, timestamp=index, address=index
@@ -324,58 +289,36 @@ def _worker_run_shard(
                 stall_s = min(event.magnitude_cycles / 1e6, stall_s)
             deadline = monotonic_clock() + stall_s
             while monotonic_clock() < deadline:
-                # Deliberately no message: a stalled worker goes
-                # silent, which is exactly what the parent detects.
+                # Deliberately no message: the trial just runs long,
+                # which the parent's hang deadline catches.
                 time.sleep(0.05)
         event = injector.fire(
             FaultSite.POOL_RESULT_CORRUPT, timestamp=index, address=index
         )
         if event is not None:
             injector.acknowledge(event, "pool-result-corrupted")
-            pending_corrupt.add(index)
+            corrupt = True
 
-    def make_trial(index: int) -> Callable[[], Any]:
-        fn = plan.trials[index].fn
-
-        def wrapped() -> Any:
-            pool_chaos(index)
-            return fn()
-
-        return wrapped
-
-    def stop() -> str | None:
-        return _STOP_POOL if stop_event.is_set() else None
-
-    def skip_trial(local: int) -> str | None:
-        index = indices[local]
-        send((_MSG_STARTED, worker_id, run_id, shard_id, index))
-        return run.circuit.gate(index)
+    def trial() -> Any:
+        pool_chaos()
+        return spec.fn()
 
     def on_trial_end(
         local: int, result: Any, error: Exception | None, elapsed_s: float
     ) -> None:
-        index = indices[local]
-        run.circuit.record(index, error is None)
         send(
             (
-                _MSG_TRIAL, worker_id, run_id, index, plan.trials[index].key,
+                _MSG_TRIAL, worker_id, run_id, index, spec.key,
                 dumps_payload(result) if error is None else None,
                 None if error is None else (type(error).__name__, str(error)),
                 elapsed_s,
             ),
-            corrupt=index in pending_corrupt,
+            corrupt=corrupt,
         )
-        pending_corrupt.discard(index)
 
     try:
         with worker_context(WorkerContext(fault_injector=injector)):
-            guarded = run_guarded_trials(
-                [make_trial(index) for index in indices],
-                run.catch,
-                skip_trial=skip_trial,
-                stop=stop,
-                on_trial_end=on_trial_end,
-            )
+            run_guarded_trials([trial], run.catch, on_trial_end=on_trial_end)
     except InvariantViolation as exc:
         try:
             payload: bytes | None = pickle.dumps(exc, protocol=4)
@@ -383,7 +326,7 @@ def _worker_run_shard(
             payload = None
         send(
             (
-                _MSG_INVARIANT, worker_id, run_id, payload, {
+                _MSG_INVARIANT, worker_id, run_id, index, payload, {
                     "message": str(exc),
                     "invariant": exc.invariant,
                     "seed": exc.seed,
@@ -391,26 +334,18 @@ def _worker_run_shard(
                 },
             )
         )
-        send((_MSG_SHARD_DONE, worker_id, run_id, shard_id,
-              run.shard_summary(0)))
     except KeyboardInterrupt:
-        send((_MSG_INTERRUPTED, worker_id, run_id))
-        send((_MSG_SHARD_DONE, worker_id, run_id, shard_id,
-              run.shard_summary(0)))
-    else:
-        send((_MSG_SHARD_DONE, worker_id, run_id, shard_id,
-              run.shard_summary(guarded.skipped)))
+        send((_MSG_INTERRUPTED, worker_id, run_id, index))
 
 
-def _pool_worker_main(worker_id: int, conn: Any, stop_event: Any) -> None:
+def _pool_worker_main(worker_id: int, conn: Any) -> None:
     """The persistent worker: a command loop that outlives runs.
 
-    Commands arrive on *conn* (``run`` / ``shard`` / ``exit``), and
+    Commands arrive on *conn* (``run`` / ``trial`` / ``exit``), and
     every reply goes back on *conn* as one pickled message.  The parent
-    only ever sends small commands, with at most one outstanding shard
+    only ever sends small commands, with at most one outstanding trial
     per worker, so the two directions of the pipe cannot both fill.  The
-    worker announces each trial before running it (the parent's liveness
-    signal), exits when the parent disappears, and reports any
+    worker exits when the parent disappears, and reports any
     non-contained exception as a crash before dying — the parent never
     waits on a silent worker.
     """
@@ -441,14 +376,15 @@ def _pool_worker_main(worker_id: int, conn: Any, stop_event: Any) -> None:
                     return
                 if verb == "run":
                     run = _worker_begin_run(command, plans, worker_id, send)
-                elif verb == "shard":
-                    _worker_run_shard(command, run, worker_id, stop_event, send)
+                elif verb == "trial":
+                    _worker_run_trial(command, run, worker_id, send)
             except KeyboardInterrupt:
                 # Terminal SIGINT reaches the whole process group; report
-                # and stay alive — the pool survives an aborted run.
+                # (holding no trial) and stay alive — the pool survives
+                # an aborted run.
                 try:
                     rid = run.run_id if run is not None else 0
-                    send((_MSG_INTERRUPTED, worker_id, rid))
+                    send((_MSG_INTERRUPTED, worker_id, rid, None))
                 except BaseException:  # repro-lint: ignore[EXC001]
                     return
             # Last line of defense: ANY other escape must reach the
@@ -465,20 +401,6 @@ def _pool_worker_main(worker_id: int, conn: Any, stop_event: Any) -> None:
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-class _Shard:
-    """One unit of dispatched work and what came back from it."""
-
-    __slots__ = ("shard_id", "indices", "received")
-
-    def __init__(self, shard_id: int, indices: list[int]) -> None:
-        self.shard_id = shard_id
-        self.indices = list(indices)
-        self.received: set[int] = set()
-
-    def unfinished(self) -> list[int]:
-        return [i for i in self.indices if i not in self.received]
-
-
 class _Member:
     """Parent-side bookkeeping for one pool worker slot."""
 
@@ -487,14 +409,14 @@ class _Member:
         self.backoff = backoff
         self.process: Any = None
         self.conn: Any = None
-        self.state: WorkerState | None = None
+        #: One of the ``STATE_*`` names of :mod:`repro.invariants.pool`.
+        self.state: str | None = None
         self.run_ready = False
-        self.shard: _Shard | None = None
+        #: The trial index the worker holds, and when it was dispatched.
+        self.index: int | None = None
+        self.dispatched_at = 0.0
         self.spawn_started = 0.0
         self.respawn_due = 0.0
-        self.last_progress = 0.0
-        #: ``(shard_id, index)`` of the last trial the worker announced.
-        self.started: tuple[int, int] | None = None
 
     @property
     def alive(self) -> bool:
@@ -524,7 +446,6 @@ class WorkerPool:
             self._ctx = multiprocessing.get_context("forkserver")
         except ValueError:  # pragma: no cover - platform without forkserver
             self._ctx = multiprocessing.get_context("spawn")
-        self._stop_event = self._ctx.Event()
         self._members = [
             _Member(
                 worker_id,
@@ -536,13 +457,6 @@ class WorkerPool:
         self.broken = False
         self.broken_reason = ""
         self.closed = False
-        self.stats: dict[str, int] = {
-            "runs": 0,
-            "respawns": 0,
-            "plan_reuses": 0,
-            "degraded": 0,
-            "poisoned": 0,
-        }
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -550,7 +464,6 @@ class WorkerPool:
         if self.closed:
             return
         self.closed = True
-        self._stop_event.set()
         for member in self._members:
             if member.conn is not None:
                 try:
@@ -565,7 +478,7 @@ class WorkerPool:
                     process.kill()
                     process.join(timeout=5.0)
             self._release_member(member)
-            member.state = WorkerState.RETIRED
+            member.state = STATE_RETIRED
 
     def _release_member(self, member: _Member) -> None:
         """Close a member's IPC handles (the process is handled by the
@@ -578,7 +491,7 @@ class WorkerPool:
         member.process = None
         member.conn = None
         member.run_ready = False
-        member.shard = None
+        member.index = None
 
     # -- the run --------------------------------------------------------
     def run(
@@ -609,10 +522,12 @@ class WorkerPool:
                 "functools.partial(module.trial_plan, **overrides) so "
                 "workers can rebuild it"
             )
-        ledger = RunLedger(plan, run_dir, resume, deadline_s)
+        ledger = RunLedger(plan, run_dir, resume, deadline_s, breaker)
         pending = ledger.pending()
         checker = PoolStateChecker(len(plan.trials))
         poison = PoisonLedger(_POISON_THRESHOLD)
+        #: Trial indices no worker holds yet: plan order, requeues last.
+        queue: collections.deque[int] = collections.deque(pending)
         abort_status: str | None = None
         abort_error: Exception | None = None
         config_error: Exception | None = None
@@ -620,7 +535,7 @@ class WorkerPool:
         degrade_reason: str | None = None
         pool_events: list[dict[str, Any]] = []
         respawns_this_run = 0
-        reuses_before = self.stats["plan_reuses"]
+        plan_reuses = 0
 
         def _finish(status: str, error: Exception | None = None) -> RunOutcome:
             return ledger.finish(status, error=error, pool=_telemetry())
@@ -631,7 +546,7 @@ class WorkerPool:
                 "mode": DEGRADED_SERIAL if degrade_reason else "pool",
                 "degraded": degrade_reason,
                 "respawns": respawns_this_run,
-                "plan_reuses": self.stats["plan_reuses"] - reuses_before,
+                "plan_reuses": plan_reuses,
                 "poisoned": list(poison.poisoned),
                 "events": list(pool_events),
             }
@@ -640,7 +555,7 @@ class WorkerPool:
             try:
                 checker.final_audit(
                     len(ledger.results) + ledger.failed,
-                    ledger.breaker_skips,
+                    ledger.circuit.skipped,
                 )
             except InvariantViolation as exc:
                 return _finish(STATUS_INVARIANT, error=exc)
@@ -658,19 +573,14 @@ class WorkerPool:
             return ledger.conclude(pool=_telemetry())
 
         def _run_inline(reason: str) -> RunOutcome:
-            """The graceful-degradation path: the remaining trials run in
+            """The graceful-degradation path: the queued trials run in
             the parent through the serial loop on this run's ledger, so
             the artifact is byte-identical to a serial run's."""
             nonlocal degrade_reason
             degrade_reason = reason
-            self.stats["degraded"] += 1
-            remaining = [
-                index
-                for index in ledger.pending()
-                if not poison.is_poisoned(plan.trials[index].key)
-            ]
+            remaining = sorted(queue)
             checker.note_dispatch(_INLINE_WORKER, remaining)
-            status, error = run_trials(ledger, remaining, catch, breaker)
+            status, error = run_trials(ledger, remaining, catch)
             for index in remaining:
                 if index in ledger.trial_seconds:
                     checker.note_result(index, _INLINE_WORKER)
@@ -679,36 +589,28 @@ class WorkerPool:
                 return _finish(status, error=error)
             return _terminal_finish()
 
+        def _abort(status: str, error: Exception | None = None) -> None:
+            """Stop dispatching.  The first reason stands, except that a
+            tripped invariant outranks any other."""
+            nonlocal abort_status, abort_error
+            if abort_status is None or (
+                status == STATUS_INVARIANT and abort_status != STATUS_INVARIANT
+            ):
+                abort_status, abort_error = status, error
+
         def _run_pooled() -> RunOutcome | None:
             """Supervised pooled execution; ``None`` means "degrade to
             inline now" (``degrade_reason`` is set)."""
-            nonlocal abort_status, abort_error, config_error, degrade_reason
-            nonlocal respawns_this_run, longest_trial_s
+            nonlocal config_error, degrade_reason
+            nonlocal respawns_this_run, longest_trial_s, plan_reuses
             self._run_seq += 1
             run_id = self._run_seq
-            self.stats["runs"] += 1
-            if self._stop_event.is_set():
-                self._stop_event.clear()
             source_blob = pickle.dumps(plan_source, protocol=4)
             fingerprint = hashlib.sha256(source_blob + plan.hash.encode()).hexdigest()
-            run_cmd = (
-                "run", run_id, fingerprint, source_blob, plan.hash, breaker,
-                catch,
-            )
-            shard_count = max(
-                1,
-                min(len(pending), self.workers * self.config.shards_per_worker),
-            )
-            # shard_count <= len(pending), so no interleaved shard is empty.
-            queue: collections.deque[_Shard] = collections.deque(
-                _Shard(shard_id, chunk)
-                for shard_id, chunk in enumerate(
-                    shard_interleave(pending, shard_count)
-                )
-            )
-            next_shard_id = len(queue)
+            run_cmd = ("run", run_id, fingerprint, source_blob, plan.hash, catch)
+            #: Trials struck once: redispatched with pool chaos off.
             suppressed: set[int] = set()
-            active = self._members[:max(1, min(self.workers, len(queue)))]
+            active = self._members[:min(self.workers, len(queue))]
             drain_deadline: float | None = None
             abort_latch_count = 0
 
@@ -719,11 +621,26 @@ class WorkerPool:
                 except (OSError, ValueError, BrokenPipeError):
                     return False
 
+            def _narrate(member: _Member, state: str, reason: str) -> None:
+                member.state = state
+                checker.note_worker(member.worker_id, state, reason)
+
+            def _arm(member: _Member, reason: str) -> None:
+                """Announce this run to a live worker; it turns healthy
+                on its ``run-ready`` reply.  Stale messages of an earlier
+                run still in its pipe carry an old ``run_id`` and are
+                dropped by :func:`_handle`."""
+                member.run_ready = False
+                _narrate(member, STATE_SPAWNING, reason)
+                member.spawn_started = monotonic_clock()
+                if not _send(member, run_cmd):
+                    _fail(member, f"pipe closed at {reason}")
+
             def _spawn(member: _Member) -> None:
                 parent_conn, child_conn = self._ctx.Pipe()
                 process = self._ctx.Process(
                     target=_pool_worker_main,
-                    args=(member.worker_id, child_conn, self._stop_event),
+                    args=(member.worker_id, child_conn),
                     daemon=True,
                     name=f"repro-pool-{member.worker_id}",
                 )
@@ -731,61 +648,31 @@ class WorkerPool:
                 child_conn.close()
                 member.process = process
                 member.conn = parent_conn
-                member.run_ready = False
-                member.state = WorkerState.SPAWNING
-                checker.note_worker(
-                    member.worker_id, WorkerState.SPAWNING.value, "spawn"
-                )
-                member.spawn_started = monotonic_clock()
-                member.last_progress = member.spawn_started
-                member.started = None
-                if not _send(member, run_cmd):
-                    _fail(member, "pipe closed at spawn")
+                _arm(member, "spawn")
 
-            def _arm(member: _Member) -> None:
-                """Reuse a warm worker for this run: re-announce.  Stale
-                messages of an earlier run still in its pipe carry an
-                old ``run_id`` and are dropped by :func:`_handle`."""
-                member.run_ready = False
-                member.state = WorkerState.SPAWNING
-                checker.note_worker(
-                    member.worker_id, WorkerState.SPAWNING.value, "re-arm"
-                )
-                member.spawn_started = monotonic_clock()
-                member.last_progress = member.spawn_started
-                member.started = None
-                if not _send(member, run_cmd):
-                    _fail(member, "pipe closed at re-arm")
+            def _requeue(member: _Member) -> None:
+                """Put the trial *member* holds back on the queue, unrun."""
+                if member.index is not None:
+                    checker.note_unassign([member.index])
+                    queue.append(member.index)
+                    member.index = None
 
             def _fail(member: _Member, reason: str) -> None:
-                """Kill and (eventually) respawn a failed worker; blame,
-                strike, and requeue its unacknowledged trials."""
-                nonlocal respawns_this_run, next_shard_id
+                """Kill and (eventually) respawn a failed worker; blame
+                and strike the trial it held, and requeue that trial
+                unless the strike quarantined it."""
+                nonlocal respawns_this_run
                 blamed_key: str | None = None
-                shard = member.shard
-                if shard is not None:
-                    remaining = shard.unfinished()
-                    checker.note_unassign(remaining)
-                    blame: int | None = None
-                    if (
-                        member.started is not None
-                        and member.started[0] == shard.shard_id
-                        and member.started[1] in remaining
-                    ):
-                        blame = member.started[1]
-                    elif remaining:
-                        blame = remaining[0]
-                    if blame is not None:
-                        blamed_key = plan.trials[blame].key
-                        suppressed.add(blame)
-                        if poison.strike(blamed_key, reason):
-                            checker.note_poison(blame)
-                            self.stats["poisoned"] += 1
-                            remaining = [i for i in remaining if i != blame]
-                    if remaining:
-                        queue.append(_Shard(next_shard_id, remaining))
-                        next_shard_id += 1
-                    member.shard = None
+                index = member.index
+                if index is not None:
+                    member.index = None
+                    checker.note_unassign([index])
+                    blamed_key = plan.trials[index].key
+                    suppressed.add(index)
+                    if poison.strike(blamed_key, reason):
+                        checker.note_poison(index)
+                    else:
+                        queue.append(index)
                 pool_events.append(
                     {
                         "worker": member.worker_id,
@@ -798,40 +685,28 @@ class WorkerPool:
                     process.kill()
                     process.join(timeout=10.0)
                 self._release_member(member)
-                member.state = WorkerState.RESPAWNING
-                checker.note_worker(
-                    member.worker_id, WorkerState.RESPAWNING.value, reason
-                )
+                _narrate(member, STATE_RESPAWNING, reason)
                 member.respawn_due = (
                     monotonic_clock() + member.backoff.next_delay()
                 )
                 respawns_this_run += 1
-                self.stats["respawns"] += 1
 
             def _handle(member: _Member, message: tuple) -> str | None:
                 """Process one worker message; returns a failure reason
                 when the message itself condemns the worker."""
-                nonlocal abort_status, abort_error, config_error
-                nonlocal longest_trial_s
+                nonlocal config_error, longest_trial_s, plan_reuses
                 tag = message[0]
-                if tag != _MSG_CRASHED and message[2] == run_id:
-                    # Any message of this run is a sign of life.
-                    member.last_progress = monotonic_clock()
-                    if member.state is WorkerState.SUSPECT:
-                        member.state = WorkerState.HEALTHY
-                        checker.note_worker(
-                            member.worker_id, WorkerState.HEALTHY.value,
-                            "heartbeat resumed",
-                        )
-                if tag == _MSG_STARTED:
-                    _, _, rid, shard_id, index = message
-                    if rid == run_id:
-                        member.started = (shard_id, index)
-                    return None
+                if tag == _MSG_CRASHED:
+                    return f"worker crashed:\n{message[-1]}"
+                if tag not in _RUN_MESSAGES:
+                    raise PoolProtocolError(
+                        f"unknown message tag {tag!r} from worker "
+                        f"{member.worker_id}"
+                    )
+                if message[2] != run_id:
+                    return None  # stale leftovers of an aborted run
                 if tag == _MSG_TRIAL:
-                    _, wid, rid, index, key, payload, error, elapsed_s = message
-                    if rid != run_id:
-                        return None  # stale leftovers of an aborted run
+                    _, wid, _, index, key, payload, error, elapsed_s = message
                     if (
                         not 0 <= index < len(plan.trials)
                         or plan.trials[index].key != key
@@ -842,15 +717,13 @@ class WorkerPool:
                         )
                         return None
                     longest_trial_s = max(longest_trial_s, elapsed_s)
-                    if member.shard is not None:
-                        member.shard.received.add(index)
                     checker.note_result(index, wid)
+                    member.index = None
+                    member.backoff.reset()
                     ledger.record(index, elapsed_s, payload, error)
-                    return None
-                if tag == _MSG_RUN_READY:
-                    _, wid, rid, plan_hash, reused = message
-                    if rid != run_id:
-                        return None
+                    ledger.circuit.record(index, error is None)
+                elif tag == _MSG_RUN_READY:
+                    _, wid, _, plan_hash, reused = message
                     if plan_hash != plan.hash:
                         config_error = ConfigurationError(
                             f"pool worker {wid} rebuilt config hash "
@@ -859,70 +732,33 @@ class WorkerPool:
                         )
                         return None
                     member.run_ready = True
-                    if member.state is WorkerState.SPAWNING:
-                        member.state = WorkerState.HEALTHY
-                        checker.note_worker(
-                            member.worker_id, WorkerState.HEALTHY.value,
-                            "run-ready",
-                        )
+                    if member.state == STATE_SPAWNING:
+                        _narrate(member, STATE_HEALTHY, "run-ready")
                     if reused:
-                        self.stats["plan_reuses"] += 1
-                    return None
-                if tag == _MSG_RUN_ERROR:
-                    _, wid, rid, error_type, error_text = message
-                    if rid != run_id:
-                        return None
+                        plan_reuses += 1
+                elif tag == _MSG_RUN_ERROR:
+                    _, wid, _, error_type, error_text = message
                     config_error = ConfigurationError(
                         f"pool worker {wid} failed run setup: "
                         f"{error_type}: {error_text}"
                     )
-                    return None
-                if tag == _MSG_SHARD_DONE:
-                    _, wid, rid, shard_id, summary = message
-                    if rid != run_id:
-                        return None
-                    shard = member.shard
-                    if shard is None or shard.shard_id != shard_id:
-                        return None
-                    ledger.stop_skips += summary["stop_skipped"]
-                    ledger.merge_breaker(
-                        summary["breaker_events"],
-                        summary["breaker_skipped"],
-                        summary["breaker_state"],
-                    )
-                    checker.note_unassign(shard.unfinished())
-                    member.shard = None
-                    member.backoff.reset()
-                    return None
-                if tag == _MSG_INVARIANT:
-                    _, wid, rid, payload, summary = message
-                    if rid != run_id:
-                        return None
-                    if abort_status != STATUS_INVARIANT:
-                        abort_status = STATUS_INVARIANT
-                        abort_error = _rebuild_violation(payload, summary)
-                    self._stop_event.set()
-                    return None
-                if tag == _MSG_INTERRUPTED:
-                    _, wid, rid = message
-                    if rid != run_id:
-                        return None
-                    if abort_status is None:
-                        abort_status = STATUS_INTERRUPTED
-                    self._stop_event.set()
-                    return None
-                if tag == _MSG_CRASHED:
-                    return f"worker crashed:\n{message[-1]}"
-                raise PoolProtocolError(
-                    f"unknown message tag {tag!r} from worker "
-                    f"{member.worker_id}"
-                )
+                elif tag == _MSG_INVARIANT:
+                    _, _, _, index, payload, summary = message
+                    if index == member.index:
+                        _requeue(member)
+                    _abort(STATUS_INVARIANT, _rebuild_violation(payload, summary))
+                else:  # _MSG_INTERRUPTED
+                    index = message[3]
+                    if index is not None and index == member.index:
+                        _requeue(member)
+                    _abort(STATUS_INTERRUPTED)
+                return None
 
             def _service(member: _Member) -> None:
                 """One supervision pass over one member: drain its pipe,
-                then judge liveness, message freshness, and deadlines."""
+                then judge liveness and deadlines."""
                 now = monotonic_clock()
-                if member.state is WorkerState.RESPAWNING:
+                if member.state == STATE_RESPAWNING:
                     if (
                         abort_status is None
                         and degrade_reason is None
@@ -958,43 +794,63 @@ class WorkerPool:
                         f"(exitcode {member.process.exitcode})",
                     )
                     return
-                if member.state is WorkerState.SPAWNING:
+                if member.state == STATE_SPAWNING:
                     if now - member.spawn_started > _SPAWN_TIMEOUT_S:
                         _fail(
                             member, f"spawn timeout after {_SPAWN_TIMEOUT_S:g}s"
                         )
                     return
-                if member.shard is not None:
-                    stale_s = now - member.last_progress
-                    if (
-                        stale_s > self.config.hang_suspect_s
-                        and member.state is WorkerState.HEALTHY
-                    ):
-                        member.state = WorkerState.SUSPECT
-                        checker.note_worker(
-                            member.worker_id, WorkerState.SUSPECT.value,
-                            f"heartbeat stale {stale_s:.1f}s",
-                        )
-                    if stale_s > self.config.hang_deadline_s(longest_trial_s):
+                if member.index is not None:
+                    busy_s = now - member.dispatched_at
+                    if busy_s > self.config.hang_deadline_s(longest_trial_s):
                         _fail(
                             member,
-                            f"hung: heartbeat stale {stale_s:.1f}s past "
-                            "the hang deadline",
+                            f"hung: trial {member.index} still running "
+                            f"{busy_s:.1f}s after dispatch, past the hang "
+                            "deadline",
                         )
 
-            def _teardown(kill_busy_only: bool) -> None:
-                """End-of-run cleanup.  With *kill_busy_only* the warm
-                idle workers survive for the next run; members still
-                holding a shard are killed (their late messages must
-                never reach a future run's journal)."""
+            def _dispatch(member: _Member) -> None:
+                """Hand an idle *member* the next queued trial that the
+                watchdog and the breaker let through — the gates the
+                serial loop applies before each trial."""
+                while queue:
+                    if ledger.watchdog.check() == STOP_DEADLINE:
+                        _abort(STATUS_DEADLINE)
+                        return
+                    index = queue.popleft()
+                    if ledger.circuit.gate(index):
+                        continue
+                    command = ("trial", run_id, index, index in suppressed)
+                    if not _send(member, command):
+                        queue.appendleft(index)
+                        _fail(member, "pipe closed at dispatch")
+                        return
+                    member.index = index
+                    member.dispatched_at = monotonic_clock()
+                    checker.note_dispatch(member.worker_id, [index])
+                    return
+
+            def _wait() -> None:
+                """Block until a worker's pipe or process has news, for
+                at most ``_POLL_S``."""
+                handles = [
+                    handle
+                    for member in active
+                    if member.process is not None
+                    for handle in (member.conn, member.process.sentinel)
+                ]
+                multiprocessing.connection.wait(handles, timeout=_POLL_S)
+
+            def _teardown(keep_idle: bool) -> None:
+                """End-of-run cleanup.  With *keep_idle* the warm idle
+                workers survive for the next run; members still holding
+                a trial are killed (their late messages must never reach
+                a future run's journal) and the trial is requeued."""
                 for member in active:
-                    if member.shard is not None:
-                        checker.note_unassign(member.shard.unfinished())
-                        member.shard = None
-                        kill = True
-                    else:
-                        kill = not kill_busy_only
-                    if kill and member.process is not None:
+                    busy = member.index is not None
+                    _requeue(member)
+                    if (busy or not keep_idle) and member.process is not None:
                         if member.process.is_alive():
                             member.process.kill()
                             member.process.join(timeout=10.0)
@@ -1005,13 +861,11 @@ class WorkerPool:
                 try:
                     for member in active:
                         if member.alive:
-                            _arm(member)
+                            _arm(member, "re-arm")
                         else:
                             _spawn(member)
                 except InvariantViolation as exc:
-                    abort_status = STATUS_INVARIANT
-                    abort_error = exc
-                    self._stop_event.set()
+                    _abort(STATUS_INVARIANT, exc)
                 while True:
                     try:
                         for member in active:
@@ -1021,22 +875,13 @@ class WorkerPool:
                     except InvariantViolation as exc:
                         # The pool-state checker itself tripped: the
                         # bookkeeping is untrusted, stop everything.
-                        if abort_status != STATUS_INVARIANT:
-                            abort_status = STATUS_INVARIANT
-                            abort_error = exc
-                        self._stop_event.set()
+                        _abort(STATUS_INVARIANT, exc)
                     if config_error is not None:
                         break
-                    if abort_status is None:
-                        if latch.interrupted:
-                            abort_status = STATUS_INTERRUPTED
-                            self._stop_event.set()
-                        elif ledger.watchdog.check() == STOP_DEADLINE:
-                            abort_status = STATUS_DEADLINE
-                            self._stop_event.set()
+                    if latch.interrupted:
+                        _abort(STATUS_INTERRUPTED)
                     if (
                         abort_status is None
-                        and degrade_reason is None
                         and respawns_this_run > self.config.respawn_budget
                     ):
                         degrade_reason = (
@@ -1047,82 +892,45 @@ class WorkerPool:
                         self.broken = True
                         self.broken_reason = degrade_reason
                         break
+                    try:
+                        for member in active:
+                            if (
+                                abort_status is None
+                                and member.state == STATE_HEALTHY
+                                and member.run_ready
+                                and member.index is None
+                            ):
+                                _dispatch(member)
+                    except InvariantViolation as exc:
+                        _abort(STATUS_INVARIANT, exc)
+                    busy = any(member.index is not None for member in active)
                     if abort_status is None:
-                        try:
-                            for member in active:
-                                if (
-                                    member.state is WorkerState.HEALTHY
-                                    and member.run_ready
-                                    and member.shard is None
-                                    and queue
-                                ):
-                                    shard = queue.popleft()
-                                    if _send(
-                                        member,
-                                        (
-                                            "shard", run_id, shard.shard_id,
-                                            list(shard.indices),
-                                            sorted(suppressed),
-                                        ),
-                                    ):
-                                        member.shard = shard
-                                        # An idle worker sends nothing:
-                                        # staleness counts from here.
-                                        member.last_progress = (
-                                            monotonic_clock()
-                                        )
-                                        checker.note_dispatch(
-                                            member.worker_id, shard.indices
-                                        )
-                                    else:
-                                        queue.appendleft(shard)
-                                        _fail(
-                                            member, "pipe closed at dispatch"
-                                        )
-                        except InvariantViolation as exc:
-                            abort_status = STATUS_INVARIANT
-                            abort_error = exc
-                            self._stop_event.set()
-                            continue
-                        if not queue and all(
-                            member.shard is None for member in active
-                        ):
+                        if not queue and not busy:
                             break
                     else:
                         if drain_deadline is None:
                             drain_deadline = monotonic_clock() + _DRAIN_S
                             abort_latch_count = latch.count
-                        busy = [m for m in active if m.shard is not None]
-                        if not busy:
-                            break
                         if (
-                            monotonic_clock() > drain_deadline
+                            not busy
+                            or monotonic_clock() > drain_deadline
                             or latch.count > abort_latch_count
                         ):
                             break
-                    time.sleep(_POLL_S)
+                    _wait()
 
                 if config_error is not None:
-                    _teardown(kill_busy_only=False)
+                    _teardown(keep_idle=False)
                     raise config_error
                 if degrade_reason is not None:
-                    _teardown(kill_busy_only=False)
+                    _teardown(keep_idle=False)
                     return None
+                _teardown(keep_idle=abort_status is None)
                 if abort_status == STATUS_DEADLINE:
-                    # Serial parity: everything the stop event kept from
-                    # running counts as deadline-skipped, including
-                    # shards never dispatched and shards cut off by the
-                    # drain deadline.
-                    leftover = sum(
-                        len(shard.unfinished()) for shard in queue
-                    )
-                    leftover += sum(
-                        len(member.shard.unfinished())
-                        for member in active
-                        if member.shard is not None
-                    )
-                    ledger.stop_skips += leftover
-                _teardown(kill_busy_only=abort_status is None)
+                    # Serial parity: every trial the deadline kept from
+                    # running counts as deadline-skipped, including those
+                    # cut off by the drain deadline.
+                    ledger.stop_skips += len(queue)
                 if abort_status is not None:
                     return _finish(abort_status, error=abort_error)
                 return _terminal_finish()
@@ -1138,7 +946,6 @@ class WorkerPool:
             if outcome is not None:
                 return outcome
             return _run_inline(degrade_reason or "pool failure")
-
 
 # ----------------------------------------------------------------------
 # The process-wide pool registry

@@ -117,11 +117,6 @@ _STATUS_EXIT = {
 STOP_DEADLINE = "deadline"
 SKIP_BREAKER = "breaker-open"
 
-#: Breaker states by severity: a run merging several breakers (one per
-#: pool worker) stamps the worst state any of them ended in.
-_BREAKER_SEVERITY = {"closed": 0, "half-open": 1, "open": 2}
-
-
 # ----------------------------------------------------------------------
 # The sanctioned host clock
 # ----------------------------------------------------------------------
@@ -539,8 +534,8 @@ class RunLedger:
     """The bookkeeping of one supervised run, shared by every executor.
 
     Holds every outcome, resumed or live, in one map of pickled results
-    and one of failures, plus the merged breaker activity and the skip
-    counts; writes every finished trial through to the checkpoint
+    and one of failures, plus the run's one circuit breaker and the
+    stop-skip count; writes every finished trial through to the checkpoint
     journal before the next one starts; and ends the run by stamping
     the manifest (:meth:`finish`), after applying the plan's success
     floor and ``finalize`` over results unpickled from those bytes
@@ -555,6 +550,7 @@ class RunLedger:
         run_dir: str | Path | None = None,
         resume: bool = False,
         deadline_s: float | None = None,
+        breaker: BreakerConfig | None = None,
     ) -> None:
         self.started = monotonic_clock()
         self.plan = plan
@@ -572,9 +568,8 @@ class RunLedger:
         self.watchdog = Watchdog(deadline_s)
         #: index -> wall seconds of every trial recorded by this segment.
         self.trial_seconds: dict[int, float] = {}
-        self.breaker_events: list[dict[str, Any]] = []
-        self.breaker_state = BreakerState.CLOSED.value
-        self.breaker_skips = 0
+        #: The run's breaker: gated and fed by whichever loop runs trials.
+        self.circuit = CircuitBreaker(breaker)
         #: Trials a stop left unrun (skipped only if it was the deadline).
         self.stop_skips = 0
 
@@ -668,15 +663,6 @@ class RunLedger:
                     index, key, error_type, message, elapsed_s=elapsed_s
                 )
 
-    def merge_breaker(
-        self, events: Sequence[dict[str, Any]], skipped: int, state: str
-    ) -> None:
-        """Fold one circuit breaker's transitions, skips and end state in."""
-        self.breaker_events.extend(events)
-        self.breaker_skips += skipped
-        if _BREAKER_SEVERITY[state] > _BREAKER_SEVERITY[self.breaker_state]:
-            self.breaker_state = state
-
     def successes(self) -> dict[str, Any]:
         """Successful results keyed by trial key, in plan order, each
         unpickled once from its bytes."""
@@ -701,7 +687,7 @@ class RunLedger:
         """End the run with *status*: stamp and save the manifest, and
         return the :class:`RunOutcome` (*pool* is the pool's telemetry)."""
         # Trials a stop abandoned count as skipped only for a deadline.
-        skipped = self.breaker_skips + (
+        skipped = self.circuit.skipped + (
             self.stop_skips if status == STATUS_DEADLINE else 0
         )
         outcome = RunOutcome(
@@ -715,7 +701,7 @@ class RunLedger:
             failed=self.failed,
             resumed=self.resumed,
             skipped=skipped,
-            breaker_events=list(self.breaker_events),
+            breaker_events=list(self.circuit.events),
             elapsed_s=monotonic_clock() - self.started,
             pool=pool,
         )
@@ -726,8 +712,8 @@ class RunLedger:
             self.manifest.resumed = outcome.resumed
             self.manifest.skipped = outcome.skipped
             self.manifest.exit_code = outcome.exit_code
-            self.manifest.breaker_events = list(self.breaker_events)
-            self.manifest.breaker_state = self.breaker_state
+            self.manifest.breaker_events = list(self.circuit.events)
+            self.manifest.breaker_state = self.circuit.state.value
             if pool is not None:
                 self.manifest.poisoned = list(pool["poisoned"])
             self.manifest.save(self.run_dir)
@@ -745,7 +731,7 @@ class RunLedger:
             error: Exception = InsufficientTrialsError(
                 f"{plan.name}: {len(self.results)}/{len(plan.trials)} trials "
                 f"succeeded (needed {plan.min_successes}; {self.failed} "
-                f"failed, {self.breaker_skips} breaker-skipped)"
+                f"failed, {self.circuit.skipped} breaker-skipped)"
                 f"{': ' + detail if detail else ''}"
             )
             return self.finish(STATUS_INSUFFICIENT, error=error, pool=pool)
@@ -764,10 +750,10 @@ def run_trials(
     ledger: RunLedger,
     indices: Sequence[int],
     catch: tuple[type[Exception], ...],
-    breaker: BreakerConfig | None,
 ) -> tuple[str | None, Exception | None]:
     """The serial loop: run the trials at *indices* in order, in this
-    process, recording each through *ledger*.
+    process, gated by and recording each through *ledger* (its circuit
+    breaker, watchdog and journal).
 
     The plan's fault injector (built from ``plan.fault_plan``) is
     installed as :func:`current_fault_injector` for the trials and
@@ -776,7 +762,7 @@ def run_trials(
     loop, ``(None, None)`` when every index ran or was breaker-skipped.
     """
     plan = ledger.plan
-    circuit = CircuitBreaker(breaker)
+    circuit = ledger.circuit
     injector = (
         plan.fault_plan.build_injector() if plan.fault_plan is not None else None
     )
@@ -809,8 +795,6 @@ def run_trials(
         # A tripped invariant is never a per-trial failure: the model
         # state (and any further trials) can no longer be trusted.
         return STATUS_INVARIANT, exc
-    finally:
-        ledger.merge_breaker(circuit.events, circuit.skipped, circuit.state.value)
     if guarded.stop_reason:
         ledger.stop_skips += guarded.skipped
         return STATUS_DEADLINE, None
@@ -859,8 +843,8 @@ def run_experiment(
             catch=catch,
         )
 
-    ledger = RunLedger(plan, run_dir, resume, deadline_s)
-    status, error = run_trials(ledger, ledger.pending(), catch, breaker)
+    ledger = RunLedger(plan, run_dir, resume, deadline_s, breaker)
+    status, error = run_trials(ledger, ledger.pending(), catch)
     if status is not None:
         return ledger.finish(status, error=error)
     return ledger.conclude()

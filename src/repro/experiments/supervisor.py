@@ -5,10 +5,7 @@ across experiment runs; this module holds the mechanisms that keep that
 safe — everything here is process-local, dependency-free, and unit
 testable without spawning a single worker:
 
-* :class:`WorkerState` — the supervision state machine each pool member
-  moves through (``spawning → healthy → suspect → respawning``, with
-  ``retired`` as the terminal state and pool-level ``degraded-serial``
-  once the respawn budget is spent); documented in ``docs/parallel.md``.
+* :class:`PoolConfig` — the hang deadline and the respawn budget.
 * :class:`RespawnBackoff` — capped exponential delay between respawns
   of the same worker slot, so a crash-looping environment cannot burn
   CPU respawning at full speed.
@@ -19,14 +16,16 @@ testable without spawning a single worker:
   plumbing that guarantees checkpoint + manifest flushes complete even
   when SIGINT/SIGTERM lands mid-drain (the PR-5 teardown race).
 
-Liveness itself is judged in the pool parent, from the messages each
-worker sends on its pipe; nothing here reads the host clock.
+A worker slot's lifecycle (``spawning → healthy → respawning``, with
+``retired`` terminal) is named by the ``STATE_*`` constants of
+:mod:`repro.invariants.pool`, which also checks it; liveness itself is
+judged in the pool parent, from the dispatch time of the one trial a
+worker holds.  Nothing here reads the host clock.
 """
 
 from __future__ import annotations
 
 import contextlib
-import enum
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -37,28 +36,9 @@ __all__ = [
     "PoisonLedger",
     "PoolConfig",
     "RespawnBackoff",
-    "WorkerState",
     "interrupt_shield",
     "sigterm_as_interrupt",
 ]
-
-
-class WorkerState(str, enum.Enum):
-    """Supervision states of one pool worker slot.
-
-    ``SPAWNING`` covers process start through the worker's first
-    ``run-ready`` reply; ``HEALTHY`` workers execute shards and report
-    each trial start and result on their pipe; a shard-holding worker
-    whose messages stop turns ``SUSPECT`` and — past the hang deadline
-    — is SIGKILLed and parked ``RESPAWNING`` until its backoff elapses;
-    ``RETIRED`` is terminal (pool shutdown or degradation to serial).
-    """
-
-    SPAWNING = "spawning"
-    HEALTHY = "healthy"
-    SUSPECT = "suspect"
-    RESPAWNING = "respawning"
-    RETIRED = "retired"
 
 
 #: Pool-level execution mode recorded when the pool runs trials inline
@@ -71,27 +51,18 @@ DEGRADED_SERIAL = "degraded-serial"
 class PoolConfig:
     """Tuning for one :class:`~repro.experiments.pool.WorkerPool`."""
 
-    #: Silence (no message of the run) that turns a shard-running
-    #: worker ``SUSPECT``.
-    hang_suspect_s: float = 5.0
-    #: Hard silence deadline: floor for the SIGKILL decision.  The
-    #: effective deadline is ``max(hang_floor_s, hang_factor × longest
-    #: observed trial)`` — the PR-2 watchdog discipline applied to
-    #: worker liveness instead of the run budget.
+    #: Floor of the SIGKILL deadline for a worker's trial, counted from
+    #: its dispatch.  The effective deadline is ``max(hang_floor_s,
+    #: hang_factor × longest observed trial)`` — the PR-2 watchdog
+    #: discipline applied to worker liveness instead of the run budget.
     hang_floor_s: float = 30.0
     hang_factor: float = 3.0
     #: Total respawns one run tolerates before degrading to serial.
     respawn_budget: int = 8
-    #: Dynamic shard granularity: pending trials are cut into up to
-    #: ``workers × shards_per_worker`` chunks so a respawn requeues a
-    #: fraction of the run, not half of it.
-    shards_per_worker: int = 4
 
     def __post_init__(self) -> None:
         if self.respawn_budget < 0:
             raise ValueError("respawn_budget cannot be negative")
-        if self.shards_per_worker < 1:
-            raise ValueError("shards_per_worker must be >= 1")
 
     def hang_deadline_s(self, longest_trial_s: float) -> float:
         """The SIGKILL deadline given the longest trial seen so far."""
@@ -116,7 +87,7 @@ class RespawnBackoff:
         return delay
 
     def reset(self) -> None:
-        """Back to fast respawns (called after a healthy shard)."""
+        """Back to fast respawns (called after each trial result)."""
         self.attempts = 0
 
 
@@ -126,11 +97,11 @@ class RespawnBackoff:
 class PoisonLedger:
     """Strike accounting for trials that keep taking workers down.
 
-    Every worker failure blames one trial (the last index the worker
-    announced starting).  One strike is forgiven — the trial is retried
-    with pool-site chaos suppressed; at *threshold* strikes the trial is
-    quarantined: dropped from the run, listed in the manifest's
-    ``poisoned`` field, and reflected in exit code 8.
+    Every worker failure blames one trial: the one the worker held.
+    One strike is forgiven — the trial is retried with pool-site chaos
+    suppressed; at *threshold* strikes the trial is quarantined: dropped
+    from the run, listed in the manifest's ``poisoned`` field, and
+    reflected in exit code 8.
     """
 
     def __init__(self, threshold: int = 2) -> None:

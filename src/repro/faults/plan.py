@@ -52,7 +52,7 @@ class FaultSite(enum.Enum):
     ``POOL_WORKER_CRASH``       the pool worker executing the trial is
                                 SIGKILLed before the trial runs (chaos for the
                                 supervised executor's respawn/requeue path)
-    ``POOL_WORKER_STALL``       the pool worker stops heartbeating and hangs
+    ``POOL_WORKER_STALL``       the pool worker hangs silently
                                 before the trial (``magnitude_cycles`` µs·10⁶,
                                 capped) until the parent's hang watchdog kills it
     ``POOL_RESULT_CORRUPT``     the worker sends the trial's result message as

@@ -77,7 +77,7 @@ TIMELINE_SITES: tuple[FaultSite, ...] = (FaultSite.PREEMPTION,)
 
 #: Executor-layer sites the persistent worker pool registers on each
 #: per-worker injector (:mod:`repro.experiments.pool`).  These target
-#: the *execution substrate* — the worker process, its heartbeat, its
+#: the *execution substrate* — the worker process, its liveness, its
 #: result stream — not the simulated hardware, so no device/timeline
 #: attachment registers them.
 POOL_SITES: tuple[FaultSite, ...] = (

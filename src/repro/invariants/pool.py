@@ -1,17 +1,17 @@
 """Pool-state invariant checker for the persistent worker pool.
 
 The supervised executor (:mod:`repro.experiments.pool`) juggles enough
-mutable bookkeeping — shard queues, respawns, requeues, a poison ledger —
+mutable bookkeeping — a trial queue, respawns, requeues, a poison ledger —
 that a logic bug could silently drop a trial or journal one twice, which
 is exactly the class of corruption the rest of this package exists to
 rule out.  :class:`PoolStateChecker` is the pool's conscience: the parent
-narrates every supervision step to it (worker state transitions, shard
+narrates every supervision step to it (worker state transitions, trial
 dispatches, trial results, requeues, quarantines) and the checker raises
 :class:`~repro.errors.InvariantViolation` (``invariant="pool-state"``,
 exit code 6) the moment the story stops adding up:
 
 * worker lifecycle transitions must follow the documented state machine
-  (``spawning → healthy ⇄ suspect → respawning → spawning …``, see
+  (``spawning → healthy → respawning → spawning …``, see
   ``docs/parallel.md``);
 * a trial index is assigned to at most one worker at a time, and never
   after it completed or was poisoned (no double execution);
@@ -33,11 +33,10 @@ from typing import Mapping
 
 from repro.errors import InvariantViolation
 
-#: Worker lifecycle states, mirroring
-#: ``repro.experiments.supervisor.WorkerState`` values by construction.
+#: Worker lifecycle states: the one definition, which the pool narrates
+#: with.
 STATE_SPAWNING = "spawning"
 STATE_HEALTHY = "healthy"
-STATE_SUSPECT = "suspect"
 STATE_RESPAWNING = "respawning"
 STATE_RETIRED = "retired"
 
@@ -46,12 +45,7 @@ STATE_RETIRED = "retired"
 _VALID_TRANSITIONS: Mapping[str | None, frozenset[str]] = {
     None: frozenset({STATE_SPAWNING}),
     STATE_SPAWNING: frozenset({STATE_HEALTHY, STATE_RESPAWNING, STATE_RETIRED}),
-    STATE_HEALTHY: frozenset(
-        {STATE_SUSPECT, STATE_RESPAWNING, STATE_RETIRED, STATE_SPAWNING}
-    ),
-    STATE_SUSPECT: frozenset(
-        {STATE_HEALTHY, STATE_RESPAWNING, STATE_RETIRED, STATE_SPAWNING}
-    ),
+    STATE_HEALTHY: frozenset({STATE_RESPAWNING, STATE_RETIRED, STATE_SPAWNING}),
     STATE_RESPAWNING: frozenset({STATE_SPAWNING, STATE_RETIRED}),
     STATE_RETIRED: frozenset(),
 }
@@ -121,7 +115,8 @@ class PoolStateChecker:
 
     # -- trial custody --------------------------------------------------
     def note_dispatch(self, worker_id: int, indices: "list[int] | tuple[int, ...]") -> None:
-        """A shard of trial *indices* was handed to *worker_id*."""
+        """Trial *indices* were handed to *worker_id* (the pool hands
+        out one at a time; the inline path takes all that remain)."""
         for index in indices:
             if index < 0 or index >= self.total_trials:
                 self._trip(
@@ -179,8 +174,8 @@ class PoolStateChecker:
         self._completed.add(index)
 
     def note_unassign(self, indices: "list[int] | tuple[int, ...]") -> None:
-        """Trials returned to the queue (requeue) or released unrun
-        (shard finished with stop-/breaker-skips)."""
+        """Trials returned to the queue unrun (requeue, or a worker
+        released at the end of a run)."""
         for index in indices:
             self._assigned.pop(index, None)
 

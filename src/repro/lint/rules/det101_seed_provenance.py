@@ -9,7 +9,7 @@ or ``derive_rng(seed, *lanes)`` — through any number of helper calls.
 A ``default_rng(42)`` in an experiment helper is deterministic, yet
 every trial that receives it samples the *same* stream, so trial
 results stop being a pure function of ``(config, seed, key)`` and
-resume/shard equivalence quietly dies.
+resume/pool equivalence quietly dies.
 
 Flagged, using the whole-program taint analysis:
 

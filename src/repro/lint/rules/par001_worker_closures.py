@@ -1,7 +1,7 @@
 """PAR001 — trial closures capturing cross-trial mutable state.
 
 The worker pool (:mod:`repro.experiments.pool`) runs a plan's trials in
-separate processes, in shard order rather than plan order.  That is only
+separate processes, in completion order rather than plan order.  That is only
 observation-equivalent to a serial run if every ``TrialSpec.fn`` is
 self-contained: a closure that reads a loop variable or a mutated
 accumulator from the enclosing ``trial_plan`` scope either sees the
@@ -113,7 +113,7 @@ def _free_names(func: ast.Lambda | ast.FunctionDef | ast.AsyncFunctionDef) -> se
 
 
 class WorkerClosureChecker(Checker):
-    """Flags ``TrialSpec`` closures unsafe to ship to shard workers."""
+    """Flags ``TrialSpec`` closures unsafe to ship to pool workers."""
 
     rule = "PAR001"
     title = "trial closure captures cross-trial mutable state"
@@ -167,7 +167,7 @@ class WorkerClosureChecker(Checker):
                     f"{', '.join(f'`{name}`' for name in captured)} from "
                     "the enclosing scope; rebind per-trial values as "
                     "lambda defaults (`lambda x=x: ...`) so the trial is "
-                    "self-contained and shard-safe",
+                    "self-contained and pool-safe",
                 )
 
     @staticmethod

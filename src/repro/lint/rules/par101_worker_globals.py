@@ -1,7 +1,7 @@
 """PAR101 — module-level state written on pool-worker call paths.
 
 The fork-server pool (:mod:`repro.experiments.pool`) keeps worker
-processes alive across shards and runs.  Any module-level mutable state
+processes alive across trials and runs.  Any module-level mutable state
 written by code a worker executes therefore accumulates *per process*:
 two workers see two divergent copies, a recycled worker sees leftovers
 from the previous run, and the serial≡parallel byte-identity the
@@ -29,11 +29,12 @@ from repro.lint.checker import Finding, ProjectChecker
 from repro.lint.taint import ProjectAnalysis
 
 #: Functions that run inside a pool worker process.  Everything
-#: reachable from these over the call graph executes in a worker.
+#: reachable from these over the call graph executes in a worker.  A
+#: tier-1 test fails when one of them names no function in ``src/``.
 WORKER_ENTRY_POINTS: tuple[str, ...] = (
     "repro.experiments.pool._pool_worker_main",
     "repro.experiments.pool._worker_begin_run",
-    "repro.experiments.pool._worker_run_shard",
+    "repro.experiments.pool._worker_run_trial",
 )
 
 

@@ -3,11 +3,11 @@ fired at probability 1.0 inside real experiment runs, must end in a
 *healed* run whose artifact is byte-identical to an undisturbed serial
 run — crashed workers respawned, stalled workers SIGKILLed by the
 watchdog, a corrupt (unpicklable) result message detected, the worker
-failed and its shard requeued.
+failed and its trial requeued.
 
 Also here (all marked ``slow``, run via ``scripts/check.sh full``):
 
-* external ``kill -9`` of a worker mid-shard (fig09 and table3), healed
+* external ``kill -9`` of a worker mid-trial (fig09 and table3), healed
   byte-identically;
 * the same kill with no respawn budget left: the run degrades mid-run
   to the inline serial loop, still byte-identical;
@@ -57,9 +57,7 @@ POOL_MATRIX = {
 }
 
 #: Tight watchdog so a stalled worker is SIGKILLed in ~1s, not 30.
-_CHAOS_CONFIG = PoolConfig(
-    hang_suspect_s=0.25, hang_floor_s=1.0, hang_factor=1.0
-)
+_CHAOS_CONFIG = PoolConfig(hang_floor_s=1.0, hang_factor=1.0)
 
 
 @pytest.fixture(autouse=True)
@@ -88,7 +86,7 @@ def _chaos_fig09_plan(site_value: str) -> ExperimentPlan:
 
 def _kill_once(flag_path: str, fn):
     """SIGKILL the hosting worker the first time this trial runs (an
-    external ``kill -9`` mid-shard); behave normally once the flag file
+    external ``kill -9`` mid-trial); behave normally once the flag file
     proves the kill already happened."""
     if not os.path.exists(flag_path):
         with open(flag_path, "w") as fh:
@@ -152,7 +150,7 @@ class TestPoolSiteMatrix:
         _assert_same_artifact(serial_dir, pool_dir)
 
 
-class TestExternalKillMidShard:
+class TestExternalKillMidTrial:
     @pytest.mark.parametrize("experiment", ["fig09", "table3"])
     def test_worker_killed_at_trial_k_heals_byte_identically(
         self, experiment, tmp_path
@@ -204,51 +202,86 @@ class TestRespawnBudgetDegradation:
         _assert_same_artifact(serial_dir, pool_dir)
 
 
-def _sleep_then(seconds: float, value: int) -> int:
+def _pid_after(seconds: float, index: int) -> tuple[int, int]:
     time.sleep(seconds)
-    return value
+    return index, os.getpid()
+
+
+def _pid_after_kill_once(
+    flag_path: str, seconds: float, index: int
+) -> tuple[int, int]:
+    """Run *seconds*, then SIGKILL the hosting worker the first time."""
+    time.sleep(seconds)
+    if not os.path.exists(flag_path):
+        with open(flag_path, "w") as fh:
+            fh.write("killed")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return index, os.getpid()
+
+
+def _warm_plan() -> ExperimentPlan:
+    return ExperimentPlan(
+        name="warm",
+        seed=0,
+        config={"trials": 2},
+        trials=tuple(
+            TrialSpec(key=f"warm/{i}", fn=functools.partial(_pid_after, 0.0, i))
+            for i in range(2)
+        ),
+        finalize=dict,
+    )
 
 
 def _idle_requeue_plan(flag_path: str) -> ExperimentPlan:
-    """Two interleaved shards: ``[0, 2, 4, 6]`` spends 1.5 s in three
-    slow trials and then loses its worker at trial 6, while ``[1, 3, 5]``
-    finishes at once — so its worker sits idle past the 1 s hang floor
-    before the requeued trial 6 reaches it."""
-    trials = []
-    for index in range(7):
-        fn = functools.partial(
-            _sleep_then, 0.5 if index in (0, 2, 4) else 0.0, index
+    """Trials 0 and 1 run 0.9 s each on the two workers, which lifts the
+    hang deadline to 3 × 0.9 = 2.7 s.  Trial 2 then runs 2 s and kills
+    its worker, so the other worker sits idle for about 2 s — past the
+    1 s hang floor — before the requeued trial 2 reaches it and runs
+    another 2 s."""
+    trials = [
+        TrialSpec(
+            key=f"idle-requeue/{i}", fn=functools.partial(_pid_after, 0.9, i)
         )
-        if index == 6:
-            fn = functools.partial(_kill_once, flag_path, fn)
-        trials.append(TrialSpec(key=f"idle-requeue/{index}", fn=fn))
+        for i in range(2)
+    ]
+    trials.append(
+        TrialSpec(
+            key="idle-requeue/2",
+            fn=functools.partial(_pid_after_kill_once, flag_path, 2.0, 2),
+        )
+    )
     return ExperimentPlan(
         name="idle-requeue",
         seed=0,
-        config={"trials": 7},
+        config={"trials": 3},
         trials=tuple(trials),
         finalize=dict,
     )
 
 
-class TestIdleWorkerGetsRequeuedShard:
+class TestIdleWorkerGetsRequeuedTrial:
     def test_idle_past_the_hang_floor_is_not_a_hang(self, tmp_path):
         flag = tmp_path / "killed.flag"
-        config = PoolConfig(
-            hang_suspect_s=0.25,
-            hang_floor_s=1.0,
-            hang_factor=1.0,
-            shards_per_worker=1,
+        pool = get_pool(
+            2, config=PoolConfig(hang_floor_s=1.0, hang_factor=3.0)
         )
-        outcome = get_pool(2, config=config).run(
+        # Both workers warm, so trials 0 and 1 start together.
+        assert pool.run(_warm_plan(), plan_source=_warm_plan).pool["mode"] == "pool"
+        outcome = pool.run(
             _idle_requeue_plan(str(flag)),
             plan_source=functools.partial(_idle_requeue_plan, str(flag)),
         )
         assert flag.exists(), "the kill never happened"
         assert outcome.status == STATUS_COMPLETED
-        assert outcome.result == {f"idle-requeue/{i}": i for i in range(7)}
+        result = outcome.result
+        assert [result[f"idle-requeue/{i}"][0] for i in range(3)] == [0, 1, 2]
+        pids = [result[f"idle-requeue/{i}"][1] for i in range(3)]
+        assert pids[0] != pids[1]
+        # The requeued trial ran on the worker that had sat idle, not on
+        # the killed worker's fresh replacement.
+        assert pids[2] in pids[:2]
         events = outcome.pool["events"]
-        assert [event["blamed"] for event in events] == ["idle-requeue/6"]
+        assert [event["blamed"] for event in events] == ["idle-requeue/2"]
         assert not [e for e in events if e["reason"].startswith("hung")]
 
 

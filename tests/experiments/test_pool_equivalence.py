@@ -6,7 +6,8 @@ handling: interrupts, pool restarts between segments, worker-count
 changes on resume, degradation to the inline serial path, and poisoned
 trials.
 
-The fig09 cases (3 trials) run in tier-1.  Chaos coverage (killed /
+The fig09 cases (3 trials) run in tier-1; the per-trial dispatch case
+is marked ``slow``.  Chaos coverage (killed /
 stalled / corrupting workers) is ``tests/chaos/test_pool_fault_matrix``
 (marked ``slow``; run via ``scripts/check.sh full``).
 
@@ -19,6 +20,7 @@ import functools
 import os
 import pickle
 import signal
+import time
 
 import pytest
 
@@ -193,6 +195,50 @@ class TestPathRule:
         assert outcome.pool["mode"] == DEGRADED_SERIAL
         assert outcome.pool["degraded"] == "only 1 pending trial"
         assert outcome.result == {"fast/0": 0}
+
+
+def _pid_after(seconds: float) -> int:
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _uneven_plan() -> ExperimentPlan:
+    """Trial 0 takes about a second; trials 1-15 return at once."""
+    return ExperimentPlan(
+        name="uneven",
+        seed=0,
+        config={"trials": 16},
+        trials=tuple(
+            TrialSpec(
+                key=f"uneven/{i}",
+                fn=functools.partial(_pid_after, 1.0 if i == 0 else 0.0),
+            )
+            for i in range(16)
+        ),
+        finalize=dict,
+    )
+
+
+@pytest.mark.slow
+class TestPerTrialDispatch:
+    def test_busy_worker_gets_no_further_trial(self):
+        """Each idle worker takes the next trial: while one worker runs
+        the slow trial 0, the other runs all fifteen instant ones."""
+        # Both workers warm, so neither waits on the other's start-up.
+        warm = run_experiment(_fast_plan(), workers=2, plan_source=_fast_plan)
+        assert warm.pool["mode"] == "pool"
+        outcome = run_experiment(
+            _uneven_plan(), workers=2, plan_source=_uneven_plan
+        )
+        assert outcome.status == STATUS_COMPLETED
+        assert outcome.pool["mode"] == "pool"
+        slow_pid = outcome.result["uneven/0"]
+        shared = [
+            key
+            for key, pid in outcome.result.items()
+            if pid == slow_pid and key != "uneven/0"
+        ]
+        assert shared == []
 
 
 class TestPoisonedTrials:

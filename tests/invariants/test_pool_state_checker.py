@@ -13,7 +13,6 @@ from repro.invariants.pool import (
     STATE_RESPAWNING,
     STATE_RETIRED,
     STATE_SPAWNING,
-    STATE_SUSPECT,
 )
 
 
@@ -26,8 +25,6 @@ class TestWorkerLifecycle:
         checker = _checker()
         for state in (
             STATE_SPAWNING,
-            STATE_HEALTHY,
-            STATE_SUSPECT,
             STATE_HEALTHY,
             STATE_RESPAWNING,
             STATE_SPAWNING,
@@ -101,7 +98,7 @@ class TestAssignment:
         self._healthy(checker, 0)
         self._healthy(checker, 1)
         checker.note_dispatch(0, [0, 1])
-        checker.note_unassign([0, 1])  # crash: shard requeued
+        checker.note_unassign([0, 1])  # crash: trials requeued
         checker.note_dispatch(1, [0, 1])
         checker.note_result(0, 1)
         checker.note_result(1, 1)

@@ -8,7 +8,7 @@ def _worker_begin_run(payload):
     return seen
 
 
-def _worker_run_shard(items):
+def _worker_run_trial(items):
     out = {}
     for item in items:
         out[item] = _worker_begin_run(item)

@@ -13,7 +13,7 @@ def _pool_worker_main(payload):
     return payload
 
 
-def _worker_run_shard(payloads, run_trials):
+def _worker_run_trial(payloads, run_trials):
     def on_trial_end(payload):
         # Nothing here calls it by name, but it runs in the worker
         # whenever its enclosing entry point does.

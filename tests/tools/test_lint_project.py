@@ -93,6 +93,23 @@ def test_par101_negative_twin_is_reachable_from_a_worker_entry(tmp_path):
     ]
 
 
+def test_every_worker_entry_point_is_a_function_in_src():
+    # reachable_from() skips an entry it does not know without a word,
+    # so a renamed worker function would switch PAR101 off silently.
+    from repro.lint.rules.par101_worker_globals import WORKER_ENTRY_POINTS
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    engine = LintEngine(root=src)
+    analysis = analyze(
+        summarize(
+            FileContext.parse(path, path.name, engine.module_name(path))
+        )
+        for path in engine.discover([src])
+    )
+    missing = [e for e in WORKER_ENTRY_POINTS if e not in analysis.functions]
+    assert missing == []
+
+
 # ----------------------------------------------------------------------
 # Call-graph construction
 # ----------------------------------------------------------------------
